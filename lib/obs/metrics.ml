@@ -3,7 +3,7 @@ open Mediactl_sim
 type t = {
   events : int;
   duration : float;
-  sends_by_signal : (string * int) list;  (* descending count *)
+  sends_by_signal : (string * int) list;  (* descending count, ties by name *)
   recvs : int;
   slot_transitions : int;
   goal_changes : int;
@@ -21,6 +21,13 @@ type t = {
 
 let bump tbl key n =
   Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+(* By descending count, ties by signal name: never by [Hashtbl] order,
+   which depends on how merged registries were interleaved. *)
+let sends_list sends =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) sends []
+  |> List.sort (fun (ka, a) (kb, b) ->
+         match Int.compare b a with 0 -> String.compare ka kb | c -> c)
 
 (* Round-trip per tunnel: the initiator-side open send to the matching
    oack receipt — one signaling round across however many hops the
@@ -89,8 +96,7 @@ let of_events events =
     events = List.length events;
     duration = (if !t_max >= !t_min then !t_max -. !t_min else 0.0);
     sends_by_signal =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) sends []
-      |> List.sort (fun (_, a) (_, b) -> compare b a);
+      sends_list sends;
     recvs = !recvs;
     slot_transitions = !slot_transitions;
     goal_changes = !goal_changes;
@@ -186,8 +192,7 @@ let of_packed p =
     events = n;
     duration = (if !t_max >= !t_min then !t_max -. !t_min else 0.0);
     sends_by_signal =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) sends []
-      |> List.sort (fun (_, a) (_, b) -> compare b a);
+      sends_list sends;
     recvs = !recvs;
     slot_transitions = !slot_transitions;
     goal_changes = !goal_changes;
@@ -227,81 +232,97 @@ let empty =
     violations = 0;
   }
 
-let merge_stats a b =
-  let s = Stats.create () in
-  List.iter (Stats.add s) (Stats.samples a);
-  List.iter (Stats.add s) (Stats.samples b);
-  s
+type metrics = t
 
-let merge a b =
-  let sends =
-    List.fold_left
-      (fun acc (k, v) ->
-        match List.assoc_opt k acc with
-        | Some v0 -> (k, v0 + v) :: List.remove_assoc k acc
-        | None -> (k, v) :: acc)
-      a.sends_by_signal b.sends_by_signal
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  in
-  {
-    events = a.events + b.events;
-    duration = a.duration +. b.duration;
-    sends_by_signal = sends;
-    recvs = a.recvs + b.recvs;
-    slot_transitions = a.slot_transitions + b.slot_transitions;
-    goal_changes = a.goal_changes + b.goal_changes;
-    open_races = a.open_races + b.open_races;
-    drops = a.drops + b.drops;
-    dups = a.dups + b.dups;
-    retransmissions = a.retransmissions + b.retransmissions;
-    retries_exhausted = a.retries_exhausted + b.retries_exhausted;
-    dup_suppressed = a.dup_suppressed + b.dup_suppressed;
-    acks = a.acks + b.acks;
-    round_trip = merge_stats a.round_trip b.round_trip;
-    time_to_flowing = merge_stats a.time_to_flowing b.time_to_flowing;
-    violations = a.violations + b.violations;
+(* One running accumulator: counters add, sends pool by signal, and
+   latency samples append in ascending order.  Folding [merge] instead
+   would copy every pooled sample per registry, quadratic in fleet
+   size. *)
+module Acc = struct
+  type t = {
+    mutable events : int;
+    mutable duration : float;
+    sends : (string, int) Hashtbl.t;
+    mutable recvs : int;
+    mutable slot_transitions : int;
+    mutable goal_changes : int;
+    mutable open_races : int;
+    mutable drops : int;
+    mutable dups : int;
+    mutable retransmissions : int;
+    mutable retries_exhausted : int;
+    mutable dup_suppressed : int;
+    mutable acks : int;
+    round_trip : Stats.t;
+    time_to_flowing : Stats.t;
+    mutable violations : int;
   }
 
-(* One pass, not a pairwise fold: folding [merge] copies every
-   accumulated latency sample (and rebuilds the sends assoc) per
-   session, which is quadratic in fleet size. *)
+  let create () =
+    {
+      events = 0;
+      duration = 0.0;
+      sends = Hashtbl.create 16;
+      recvs = 0;
+      slot_transitions = 0;
+      goal_changes = 0;
+      open_races = 0;
+      drops = 0;
+      dups = 0;
+      retransmissions = 0;
+      retries_exhausted = 0;
+      dup_suppressed = 0;
+      acks = 0;
+      round_trip = Stats.create ();
+      time_to_flowing = Stats.create ();
+      violations = 0;
+    }
+
+  let add a (m : metrics) =
+    a.events <- a.events + m.events;
+    a.duration <- a.duration +. m.duration;
+    List.iter (fun (k, v) -> bump a.sends k v) m.sends_by_signal;
+    a.recvs <- a.recvs + m.recvs;
+    a.slot_transitions <- a.slot_transitions + m.slot_transitions;
+    a.goal_changes <- a.goal_changes + m.goal_changes;
+    a.open_races <- a.open_races + m.open_races;
+    a.drops <- a.drops + m.drops;
+    a.dups <- a.dups + m.dups;
+    a.retransmissions <- a.retransmissions + m.retransmissions;
+    a.retries_exhausted <- a.retries_exhausted + m.retries_exhausted;
+    a.dup_suppressed <- a.dup_suppressed + m.dup_suppressed;
+    a.acks <- a.acks + m.acks;
+    Stats.append a.round_trip m.round_trip;
+    Stats.append a.time_to_flowing m.time_to_flowing;
+    a.violations <- a.violations + m.violations
+
+  let finish a : metrics =
+    {
+      events = a.events;
+      duration = a.duration;
+      sends_by_signal = sends_list a.sends;
+      recvs = a.recvs;
+      slot_transitions = a.slot_transitions;
+      goal_changes = a.goal_changes;
+      open_races = a.open_races;
+      drops = a.drops;
+      dups = a.dups;
+      retransmissions = a.retransmissions;
+      retries_exhausted = a.retries_exhausted;
+      dup_suppressed = a.dup_suppressed;
+      acks = a.acks;
+      round_trip = a.round_trip;
+      time_to_flowing = a.time_to_flowing;
+      violations = a.violations;
+    }
+end
+
 let merge_all ms =
-  let sends = Hashtbl.create 8 in
-  let round_trip = Stats.create () in
-  let time_to_flowing = Stats.create () in
-  let acc = ref empty in
-  List.iter
-    (fun m ->
-      List.iter (fun (k, v) -> bump sends k v) m.sends_by_signal;
-      List.iter (Stats.add round_trip) (Stats.samples m.round_trip);
-      List.iter (Stats.add time_to_flowing) (Stats.samples m.time_to_flowing);
-      let a = !acc in
-      acc :=
-        {
-          a with
-          events = a.events + m.events;
-          duration = a.duration +. m.duration;
-          recvs = a.recvs + m.recvs;
-          slot_transitions = a.slot_transitions + m.slot_transitions;
-          goal_changes = a.goal_changes + m.goal_changes;
-          open_races = a.open_races + m.open_races;
-          drops = a.drops + m.drops;
-          dups = a.dups + m.dups;
-          retransmissions = a.retransmissions + m.retransmissions;
-          retries_exhausted = a.retries_exhausted + m.retries_exhausted;
-          dup_suppressed = a.dup_suppressed + m.dup_suppressed;
-          acks = a.acks + m.acks;
-          violations = a.violations + m.violations;
-        })
-    ms;
-  {
-    !acc with
-    sends_by_signal =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) sends []
-      |> List.sort (fun (_, a) (_, b) -> compare b a);
-    round_trip;
-    time_to_flowing;
-  }
+  let a = Acc.create () in
+  List.iter (Acc.add a) ms;
+  Acc.finish a
+
+let merge a b = merge_all [ a; b ]
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

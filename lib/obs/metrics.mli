@@ -8,7 +8,7 @@
 type t = {
   events : int;
   duration : float;  (** span of the trace in simulated ms *)
-  sends_by_signal : (string * int) list;  (** by descending count *)
+  sends_by_signal : (string * int) list;  (** by descending count, ties by signal name *)
   recvs : int;
   slot_transitions : int;
   goal_changes : int;
@@ -38,11 +38,33 @@ val of_packed : Trace.Packed.t -> t
     A fleet computes one {!t} per session from that session's own trace,
     then folds them into an aggregate: counters add, latency samples
     pool (so percentiles are over all sessions), and [duration] sums to
-    total simulated milliseconds across sessions. *)
+    total simulated milliseconds across sessions.  [sends_by_signal]
+    of a merge is ordered by descending count, ties by signal name, so
+    it does not depend on the order registries were merged in. *)
 
 val empty : t
+
+(** The one merge implementation: a running accumulator that registries
+    are added to one at a time, without re-copying what it already
+    holds.  Latency samples are appended in ascending order
+    ({!Mediactl_sim.Stats.append}). *)
+module Acc : sig
+  type metrics := t
+  type t
+
+  val create : unit -> t
+  val add : t -> metrics -> unit
+
+  val finish : t -> metrics
+  (** The merged registry.  It shares the accumulator's sample stores,
+      so add nothing to the accumulator afterwards. *)
+end
+
 val merge : t -> t -> t
+(** [merge a b] is [merge_all [a; b]]. *)
+
 val merge_all : t list -> t
+(** A fold of {!Acc.add} over the list, in order. *)
 
 val pp : Format.formatter -> t -> unit
 

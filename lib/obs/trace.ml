@@ -77,6 +77,23 @@ let code_of_decision = function
   | Ack_sent -> 6
   | Ack_dropped -> 7
 
+(* The copy count or attempt number, 0 for the other decisions. *)
+let decision_extra = function
+  | Passed n -> n
+  | Retransmit a -> a
+  | Dropped | Retry_exhausted | Dup_suppressed | Reorder_suppressed | Ack_sent | Ack_dropped -> 0
+
+let decision_name_of_code code extra =
+  match code with
+  | 0 -> "dropped"
+  | 1 -> if extra = 1 then "passed" else "duplicated"
+  | 2 -> "retransmit"
+  | 3 -> "retry-exhausted"
+  | 4 -> "dup-suppressed"
+  | 5 -> "reorder-suppressed"
+  | 6 -> "ack"
+  | _ -> "ack-dropped"
+
 let decision_of_code code extra =
   match code with
   | 0 -> Dropped
@@ -227,7 +244,7 @@ let ring_net c ~chan decision =
   ints.(base) <- tag_net;
   ints.(base + 1) <- str_id r chan;
   ints.(base + 2) <- code_of_decision decision;
-  ints.(base + 3) <- (match decision with Passed n -> n | Retransmit a -> a | _ -> 0)
+  ints.(base + 3) <- decision_extra decision
 
 (* The event parameter is deliberately not named [kind]: the record pun
    would read as a reference to the decoder [Packed.kind] in the
@@ -344,6 +361,222 @@ let net ~chan decision =
 [@@lint.hotpath]
 
 (* ------------------------------------------------------------------ *)
+(* JSONL export
+
+   One renderer, written straight into a [Buffer.t]: the field writers
+   below escape strings and print integers in place, building no
+   intermediate string.  [event_to_json] and [write_jsonl] drive them
+   from structured events, [Packed.add_jsonl] from the flat arrays of a
+   packed trace without decoding its entries — the same bytes either
+   way. *)
+
+let hex = "0123456789abcdef"
+
+let needs_escape s =
+  let rec go i =
+    i < String.length s
+    &&
+    match String.unsafe_get s i with
+    | '"' | '\\' -> true
+    | c -> Char.code c < 0x20 || go (i + 1)
+  in
+  go 0
+
+(* A JSON string literal, quotes included. *)
+let add_jstr b s =
+  Buffer.add_char b '"';
+  if not (needs_escape s) then Buffer.add_string b s
+  else
+    for i = 0 to String.length s - 1 do
+      match s.[i] with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b "\\u00";
+        Buffer.add_char b hex.[Char.code c lsr 4];
+        Buffer.add_char b hex.[Char.code c land 15]
+      | c -> Buffer.add_char b c
+    done;
+  Buffer.add_char b '"'
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+(* [%d] without the intermediate string. *)
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+(* [%.3f]: simulated clocks mostly sit on whole milliseconds, which
+   print exactly as the integer and ".000"; anything else goes through
+   [Printf]. *)
+let add_ms b at =
+  if Float.is_integer at && at < 1e15 && not (Float.sign_bit at) then begin
+    add_int b (int_of_float at);
+    Buffer.add_string b ".000"
+  end
+  else Printf.bprintf b "%.3f" at
+
+let add_bool b v = Buffer.add_string b (if v then "true" else "false")
+
+(* ["key":value] after a comma, for the fields after the first. *)
+let add_key b key =
+  Buffer.add_string b ",\"";
+  Buffer.add_string b key;
+  Buffer.add_string b "\":"
+
+let add_id b owner version =
+  Buffer.add_string b "{\"owner\":";
+  add_jstr b owner;
+  Buffer.add_string b ",\"version\":";
+  add_int b version
+
+(* The signal's fields: its name and the descriptor or selector it
+   carries, if any. *)
+let add_signal b signal =
+  Buffer.add_string b "\"signal\":";
+  add_jstr b (Signal.name signal);
+  match Signal.descriptor signal, Signal.selector signal with
+  | Some d, _ ->
+    let owner, version = Descriptor.id d in
+    add_key b "desc";
+    add_id b owner version;
+    add_key b "media";
+    add_bool b (Descriptor.offers_media d);
+    Buffer.add_char b '}'
+  | None, Some s ->
+    let owner, version = s.Selector.responds_to in
+    add_key b "sel";
+    Buffer.add_string b "{\"responds_to\":";
+    add_id b owner version;
+    Buffer.add_string b "},\"codec\":";
+    (match Selector.codec s with
+    | None -> Buffer.add_string b "null"
+    | Some c -> add_jstr b (Codec.to_string c));
+    Buffer.add_char b '}'
+  | None, None -> ()
+
+let kind_name tag =
+  if tag = tag_sig_send then "sig_send"
+  else if tag = tag_sig_recv then "sig_recv"
+  else if tag = tag_meta_send then "meta_send"
+  else if tag = tag_meta_recv then "meta_recv"
+  else if tag = tag_slot then "slot"
+  else if tag = tag_goal then "goal"
+  else "net"
+
+(* The object's opening: sequence number, timestamp, and the kind. *)
+let add_head b ~seq ~at tag =
+  Buffer.add_string b "{\"seq\":";
+  add_int b seq;
+  Buffer.add_string b ",\"t\":";
+  add_ms b at;
+  Buffer.add_string b ",\"kind\":\"";
+  Buffer.add_string b (kind_name tag);
+  Buffer.add_char b '"'
+
+let add_str_field b key s =
+  add_key b key;
+  add_jstr b s
+
+(* Everything of a signal entry but the signal itself, which follows. *)
+let add_sig_fields b ~chan ~tun ~box ~peer ~initiator =
+  add_str_field b "chan" chan;
+  add_key b "tun";
+  add_int b tun;
+  add_str_field b "box" box;
+  add_str_field b "peer" peer;
+  add_key b "initiator";
+  add_bool b initiator;
+  Buffer.add_char b ','
+
+(* Slot and goal entries: four string fields under the kind's keys. *)
+let add_quad_fields b tag f1 f2 f3 f4 =
+  if tag = tag_slot then begin
+    add_str_field b "slot" f1;
+    add_str_field b "from" f2;
+    add_str_field b "to" f3;
+    add_str_field b "cause" f4
+  end
+  else begin
+    add_str_field b "goal" f1;
+    add_str_field b "slot" f2;
+    add_str_field b "from" f3;
+    add_str_field b "to" f4
+  end
+
+let add_net_fields b ~chan ~code ~extra =
+  add_str_field b "chan" chan;
+  add_key b "decision";
+  Buffer.add_char b '"';
+  Buffer.add_string b (decision_name_of_code code extra);
+  Buffer.add_char b '"';
+  if code = 1 then begin
+    add_key b "copies";
+    add_int b extra
+  end
+  else if code = 2 then begin
+    add_key b "attempt";
+    add_int b extra
+  end
+
+let add_meta_fields b ~chan ~box =
+  add_str_field b "chan" chan;
+  add_str_field b "box" box
+
+let add_event b (e : event) =
+  let head tag = add_head b ~seq:e.seq ~at:e.at tag in
+  let sig_entry tag s =
+    head tag;
+    add_sig_fields b ~chan:s.chan ~tun:s.tun ~box:s.box ~peer:s.peer ~initiator:s.initiator;
+    add_signal b s.signal
+  in
+  (match e.kind with
+  | Sig_send s -> sig_entry tag_sig_send s
+  | Sig_recv s -> sig_entry tag_sig_recv s
+  | Meta_send { chan; box } ->
+    head tag_meta_send;
+    add_meta_fields b ~chan ~box
+  | Meta_recv { chan; box } ->
+    head tag_meta_recv;
+    add_meta_fields b ~chan ~box
+  | Slot_transition { slot; from_; to_; cause } ->
+    head tag_slot;
+    add_quad_fields b tag_slot slot from_ to_ cause
+  | Goal { goal; slot; from_; to_ } ->
+    head tag_goal;
+    add_quad_fields b tag_goal goal slot from_ to_
+  | Net { chan; decision } ->
+    head tag_net;
+    add_net_fields b ~chan ~code:(code_of_decision decision) ~extra:(decision_extra decision));
+  Buffer.add_char b '}'
+
+let event_to_json e =
+  let b = Buffer.create 256 in
+  add_event b e;
+  Buffer.contents b
+
+let write_jsonl path events =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun e ->
+          Buffer.clear b;
+          add_event b e;
+          Buffer.add_char b '\n';
+          Buffer.output_buffer oc b)
+        events)
+
+(* ------------------------------------------------------------------ *)
 (* Packed traces                                                       *)
 
 module Packed = struct
@@ -408,6 +641,34 @@ module Packed = struct
   let iter f t =
     for i = 0 to t.p_len - 1 do
       f (event t i)
+    done
+
+  (* Each distinct signal's fields are rendered once per trace and then
+     copied for every entry that carries it. *)
+  let add_jsonl b t =
+    let scratch = Buffer.create 128 in
+    let frags =
+      Array.map
+        (fun signal ->
+          Buffer.clear scratch;
+          add_signal scratch signal;
+          Buffer.contents scratch)
+        t.p_sigs
+    in
+    for i = 0 to t.p_len - 1 do
+      let tg = tag t i in
+      add_head b ~seq:i ~at:(at t i) tg;
+      if tg = tag_sig_send || tg = tag_sig_recv then begin
+        add_sig_fields b ~chan:(str t i 1) ~tun:(field t i 2) ~box:(str t i 3) ~peer:(str t i 4)
+          ~initiator:(field t i 5 = 1);
+        Buffer.add_string b frags.(field t i 6)
+      end
+      else if tg = tag_meta_send || tg = tag_meta_recv then
+        add_meta_fields b ~chan:(str t i 1) ~box:(str t i 2)
+      else if tg = tag_slot || tg = tag_goal then
+        add_quad_fields b tg (str t i 1) (str t i 2) (str t i 3) (str t i 4)
+      else add_net_fields b ~chan:(str t i 1) ~code:(field t i 2) ~extra:(field t i 3);
+      Buffer.add_string b "}\n"
     done
 
   let empty = { p_len = 0; p_ints = [||]; p_ats = [||]; p_strs = [||]; p_sigs = [||] }
@@ -553,16 +814,7 @@ let recording f =
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let decision_name = function
-  | Dropped -> "dropped"
-  | Passed 1 -> "passed"
-  | Passed _ -> "duplicated"
-  | Retransmit _ -> "retransmit"
-  | Retry_exhausted -> "retry-exhausted"
-  | Dup_suppressed -> "dup-suppressed"
-  | Reorder_suppressed -> "reorder-suppressed"
-  | Ack_sent -> "ack"
-  | Ack_dropped -> "ack-dropped"
+let decision_name d = decision_name_of_code (code_of_decision d) (decision_extra d)
 
 let pp_kind ppf = function
   | Sig_send { chan; tun; box; peer; signal; _ } ->
@@ -578,88 +830,3 @@ let pp_kind ppf = function
   | Net { chan; decision } -> Format.fprintf ppf "net %s %s" chan (decision_name decision)
 
 let pp_event ppf (e : event) = Format.fprintf ppf "#%d %8.1f  %a" e.seq e.at pp_kind e.kind
-
-(* ------------------------------------------------------------------ *)
-(* JSONL export                                                        *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let str s = Printf.sprintf "\"%s\"" (json_escape s)
-
-let desc_json d =
-  let owner, version = Descriptor.id d in
-  Printf.sprintf "{\"owner\":%s,\"version\":%d,\"media\":%b}" (str owner) version
-    (Descriptor.offers_media d)
-
-let sel_json (s : Selector.t) =
-  let owner, version = s.Selector.responds_to in
-  Printf.sprintf "{\"responds_to\":{\"owner\":%s,\"version\":%d},\"codec\":%s}" (str owner)
-    version
-    (match Selector.codec s with
-    | None -> "null"
-    | Some c -> str (Format.asprintf "%a" Codec.pp c))
-
-let signal_json signal =
-  let base = Printf.sprintf "\"signal\":%s" (str (Signal.name signal)) in
-  let payload =
-    match Signal.descriptor signal, Signal.selector signal with
-    | Some d, _ -> Printf.sprintf ",\"desc\":%s" (desc_json d)
-    | None, Some s -> Printf.sprintf ",\"sel\":%s" (sel_json s)
-    | None, None -> ""
-  in
-  base ^ payload
-
-let sig_json tag { chan; tun; box; peer; initiator; signal } =
-  Printf.sprintf "\"kind\":%s,\"chan\":%s,\"tun\":%d,\"box\":%s,\"peer\":%s,\"initiator\":%b,%s"
-    (str tag) (str chan) tun (str box) (str peer) initiator (signal_json signal)
-
-let kind_json = function
-  | Sig_send s -> sig_json "sig_send" s
-  | Sig_recv s -> sig_json "sig_recv" s
-  | Meta_send { chan; box } ->
-    Printf.sprintf "\"kind\":\"meta_send\",\"chan\":%s,\"box\":%s" (str chan) (str box)
-  | Meta_recv { chan; box } ->
-    Printf.sprintf "\"kind\":\"meta_recv\",\"chan\":%s,\"box\":%s" (str chan) (str box)
-  | Slot_transition { slot; from_; to_; cause } ->
-    Printf.sprintf "\"kind\":\"slot\",\"slot\":%s,\"from\":%s,\"to\":%s,\"cause\":%s" (str slot)
-      (str from_) (str to_) (str cause)
-  | Goal { goal; slot; from_; to_ } ->
-    Printf.sprintf "\"kind\":\"goal\",\"goal\":%s,\"slot\":%s,\"from\":%s,\"to\":%s" (str goal)
-      (str slot) (str from_) (str to_)
-  | Net { chan; decision } ->
-    let extra =
-      match decision with
-      | Passed n -> Printf.sprintf ",\"copies\":%d" n
-      | Retransmit attempt -> Printf.sprintf ",\"attempt\":%d" attempt
-      | Dropped | Retry_exhausted | Dup_suppressed | Reorder_suppressed | Ack_sent
-      | Ack_dropped ->
-        ""
-    in
-    Printf.sprintf "\"kind\":\"net\",\"chan\":%s,\"decision\":%s%s" (str chan)
-      (str (decision_name decision))
-      extra
-
-let event_to_json (e : event) =
-  Printf.sprintf "{\"seq\":%d,\"t\":%.3f,%s}" e.seq e.at (kind_json e.kind)
-
-let write_jsonl path events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun e ->
-          output_string oc (event_to_json e);
-          output_char oc '\n')
-        events)

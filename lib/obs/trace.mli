@@ -170,6 +170,13 @@ module Packed : sig
 
   val iter : (event -> unit) -> t -> unit
 
+  val add_jsonl : Buffer.t -> t -> unit
+  (** [add_jsonl b t] appends the trace's JSONL form to [b]: line [i] is
+      [event_to_json (event t i)] followed by a newline.  It is written
+      straight from the packed arrays — no entry is decoded, each
+      distinct signal is rendered once — so it is the cheap way to hash
+      or export a packed trace. *)
+
   val empty : t
   (** The zero-length trace ([append empty t = t]); a cheap slot filler
       for pooled per-session bookkeeping. *)
@@ -195,7 +202,8 @@ val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit
 
 val event_to_json : event -> string
-(** One JSON object, no trailing newline. *)
+(** One JSON object, no trailing newline.  Built by the same field
+    writers as {!Packed.add_jsonl}. *)
 
 val write_jsonl : string -> event list -> unit
 (** [write_jsonl path events] writes one JSON object per line. *)

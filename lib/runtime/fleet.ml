@@ -143,112 +143,6 @@ let clear_cell cl =
   cl.cl_setup <- Trace.Packed.empty;
   cl.cl_setup_events <- 0
 
-(* Retired sessions fold into flat counters — a running [Metrics.merge]
-   would recopy every pooled latency sample per retirement, quadratic
-   in the session count (the same reason [Metrics.merge_all] is a
-   single pass). *)
-type macc = {
-  mutable ma_events : int;
-  mutable ma_duration : float;
-  ma_sends : (string, int) Hashtbl.t;
-  mutable ma_recvs : int;
-  mutable ma_slots : int;
-  mutable ma_goals : int;
-  mutable ma_races : int;
-  mutable ma_drops : int;
-  mutable ma_dups : int;
-  mutable ma_retrans : int;
-  mutable ma_exhausted : int;
-  mutable ma_suppressed : int;
-  mutable ma_acks : int;
-  ma_rt : Stats.t;
-  ma_ttf : Stats.t;
-  mutable ma_viol : int;
-}
-
-let macc () =
-  {
-    ma_events = 0;
-    ma_duration = 0.0;
-    ma_sends = Hashtbl.create 16;
-    ma_recvs = 0;
-    ma_slots = 0;
-    ma_goals = 0;
-    ma_races = 0;
-    ma_drops = 0;
-    ma_dups = 0;
-    ma_retrans = 0;
-    ma_exhausted = 0;
-    ma_suppressed = 0;
-    ma_acks = 0;
-    ma_rt = Stats.create ();
-    ma_ttf = Stats.create ();
-    ma_viol = 0;
-  }
-
-let macc_bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-let macc_add a (m : Metrics.t) =
-  a.ma_events <- a.ma_events + m.Metrics.events;
-  a.ma_duration <- a.ma_duration +. m.Metrics.duration;
-  List.iter (fun (k, v) -> macc_bump a.ma_sends k v) m.Metrics.sends_by_signal;
-  a.ma_recvs <- a.ma_recvs + m.Metrics.recvs;
-  a.ma_slots <- a.ma_slots + m.Metrics.slot_transitions;
-  a.ma_goals <- a.ma_goals + m.Metrics.goal_changes;
-  a.ma_races <- a.ma_races + m.Metrics.open_races;
-  a.ma_drops <- a.ma_drops + m.Metrics.drops;
-  a.ma_dups <- a.ma_dups + m.Metrics.dups;
-  a.ma_retrans <- a.ma_retrans + m.Metrics.retransmissions;
-  a.ma_exhausted <- a.ma_exhausted + m.Metrics.retries_exhausted;
-  a.ma_suppressed <- a.ma_suppressed + m.Metrics.dup_suppressed;
-  a.ma_acks <- a.ma_acks + m.Metrics.acks;
-  List.iter (Stats.add a.ma_rt) (Stats.samples m.Metrics.round_trip);
-  List.iter (Stats.add a.ma_ttf) (Stats.samples m.Metrics.time_to_flowing);
-  a.ma_viol <- a.ma_viol + m.Metrics.violations
-
-let macc_total accs =
-  let t = macc () in
-  List.iter
-    (fun a ->
-      t.ma_events <- t.ma_events + a.ma_events;
-      t.ma_duration <- t.ma_duration +. a.ma_duration;
-      Hashtbl.iter (fun k v -> macc_bump t.ma_sends k v) a.ma_sends;
-      t.ma_recvs <- t.ma_recvs + a.ma_recvs;
-      t.ma_slots <- t.ma_slots + a.ma_slots;
-      t.ma_goals <- t.ma_goals + a.ma_goals;
-      t.ma_races <- t.ma_races + a.ma_races;
-      t.ma_drops <- t.ma_drops + a.ma_drops;
-      t.ma_dups <- t.ma_dups + a.ma_dups;
-      t.ma_retrans <- t.ma_retrans + a.ma_retrans;
-      t.ma_exhausted <- t.ma_exhausted + a.ma_exhausted;
-      t.ma_suppressed <- t.ma_suppressed + a.ma_suppressed;
-      t.ma_acks <- t.ma_acks + a.ma_acks;
-      List.iter (Stats.add t.ma_rt) (Stats.samples a.ma_rt);
-      List.iter (Stats.add t.ma_ttf) (Stats.samples a.ma_ttf);
-      t.ma_viol <- t.ma_viol + a.ma_viol)
-    accs;
-  {
-    Metrics.events = t.ma_events;
-    duration = t.ma_duration;
-    sends_by_signal =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ma_sends []
-      |> List.sort (fun (_, a) (_, b) -> compare b a);
-    recvs = t.ma_recvs;
-    slot_transitions = t.ma_slots;
-    goal_changes = t.ma_goals;
-    open_races = t.ma_races;
-    drops = t.ma_drops;
-    dups = t.ma_dups;
-    retransmissions = t.ma_retrans;
-    retries_exhausted = t.ma_exhausted;
-    dup_suppressed = t.ma_suppressed;
-    acks = t.ma_acks;
-    round_trip = t.ma_rt;
-    time_to_flowing = t.ma_ttf;
-    violations = t.ma_viol;
-  }
-
 (* One MD5 per retired session over the {e resolved} outcome — decoded
    event JSON, never raw intern ids, which are domain-history artifacts
    — then XOR-combined.  XOR is commutative, so the fleet digest does
@@ -275,11 +169,13 @@ let digest_outcome buf (o : Session.outcome) =
   | Some (Monitor.Undetermined m) ->
     Buffer.add_string buf ":U";
     Buffer.add_string buf m);
-  Trace.Packed.iter
-    (fun e ->
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (Trace.event_to_json e))
-    o.Session.trace;
+  (* The header and the event lines are newline-separated: the JSONL
+     body's final newline is not hashed. *)
+  if Trace.Packed.length o.Session.trace > 0 then begin
+    Buffer.add_char buf '\n';
+    Trace.Packed.add_jsonl buf o.Session.trace;
+    Buffer.truncate buf (Buffer.length buf - 1)
+  end;
   Digest.string (Buffer.contents buf)
 
 (* Digest.t is a 16-byte string; XOR it into the accumulator. *)
@@ -289,6 +185,11 @@ let digest_xor acc (d : string) =
       (Char.unsafe_chr
          (Char.code (Bytes.unsafe_get acc i) lxor Char.code (String.unsafe_get d i)))
   done
+
+let digest outcomes =
+  let acc = Bytes.make 16 '\000' and buf = Buffer.create 4096 in
+  List.iter (fun o -> digest_xor acc (digest_outcome buf o)) outcomes;
+  Digest.to_hex (Bytes.to_string acc)
 
 type gc_report = {
   minor_words : float;  (** allocated in minor heaps, summed over shards *)
@@ -327,7 +228,7 @@ type churn_summary = {
 
 (* What one shard hands back to the combiner. *)
 type shard_report = {
-  sr_macc : macc;
+  sr_acc : Metrics.Acc.t;
   sr_started : int;
   sr_retired : int;
   sr_events : int;
@@ -448,7 +349,7 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
       end
     done;
     let pool = Spool.create ~make:fresh_cell ~clear:clear_cell () in
-    let acc = macc () in
+    let acc = Metrics.Acc.create () in
     let buf = Buffer.create 4096 in
     let digest = Bytes.make 16 '\000' in
     let started = ref 0 in
@@ -474,7 +375,7 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
         | Some (Monitor.Violated _) -> incr vio
         | Some (Monitor.Undetermined _) -> incr und
         | None -> ());
-        macc_add acc o.Session.metrics;
+        Metrics.Acc.add acc o.Session.metrics;
         digest_xor digest (digest_outcome buf o));
       Spool.release pool slot
     in
@@ -514,7 +415,7 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
     Spool.iter_live (fun slot _ -> retire_slot slot) pool;
     let g1 = Gc.quick_stat () in
     {
-      sr_macc = acc;
+      sr_acc = acc;
       sr_started = !started;
       sr_retired = !retired;
       sr_events = !events;
@@ -567,7 +468,7 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
     c_events_per_s = per_s engine_events;
     c_sessions_per_s = per_s retired;
     c_digest = Digest.to_hex (Bytes.to_string digest);
-    c_metrics = macc_total (List.map (fun r -> r.sr_macc) reports);
+    c_metrics = Metrics.merge_all (List.map (fun r -> Metrics.Acc.finish r.sr_acc) reports);
     c_conformant = sum (fun r -> r.sr_conformant);
     c_violations = sum (fun r -> r.sr_violations);
     c_satisfied = sum (fun r -> r.sr_sat);

@@ -52,6 +52,12 @@ val run :
 
 val pp_summary : Format.formatter -> summary -> unit
 
+val digest : Session.outcome list -> string
+(** The fleet digest of a set of outcomes, in hex: one MD5 per session
+    over its observable fields and its trace's JSONL, XOR-combined, so
+    it ignores the order of the list.  {!churn}'s [c_digest] is the
+    same digest over every retired session. *)
+
 (** {2 Churn}
 
     [churn] holds a {e steady-state} population under continuous

@@ -109,6 +109,23 @@ def gate_churn(fresh, base):
             ok = False
         else:
             print(f"population {pop}: digest {next(iter(digests))[:12]} stable across jobs")
+    # The sweep is seeded, so a cell's digest must also equal the
+    # committed one: "stable across jobs" alone would pass a change to
+    # the rendered trace bytes that moves every job count together.
+    if (fresh.get("scenario"), fresh.get("mean_holding_ms")) != \
+            (base.get("scenario"), base.get("mean_holding_ms")):
+        print("note: scenario or mean holding time changed; skipping the committed-digest check")
+    else:
+        committed = {(r["population"], r["duration_ms"]): r["digest"] for r in base["rows"]}
+        for r in fresh["rows"]:
+            key = (r["population"], r["duration_ms"])
+            if key not in committed:
+                print(f"note: population {key[0]} over {key[1]} ms has no committed row")
+            elif r["digest"] != committed[key]:
+                print(f"FAIL: population {key[0]} jobs {r['jobs']} digest {r['digest']} differs "
+                      f"from the committed {committed[key]}")
+                ok = False
+        print("committed digests checked for every population with a matching row")
     # Throughput gate on the largest jobs-1 cell — the row most exposed
     # to major-GC marking of the big live heap, which is what E16
     # measures.  25% slack for runner variance.

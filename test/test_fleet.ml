@@ -133,6 +133,24 @@ let test_metrics_merge () =
   check tbool "pooled max" true (Stats.max m.Obs.Metrics.round_trip = 5.0);
   check tbool "merge_all of nothing is empty" true (Obs.Metrics.merge_all [] = Obs.Metrics.empty)
 
+(* Tied send counts must come out by signal name, not in whatever
+   order the merge's hash table happens to hold them: merging the same
+   registries in another order gives the same list. *)
+let test_metrics_merge_ties () =
+  let reg sends = { Obs.Metrics.empty with Obs.Metrics.sends_by_signal = sends } in
+  let a = reg [ ("select", 2); ("open", 1) ]
+  and b = reg [ ("close", 2); ("closeack", 1) ]
+  and c = reg [ ("oack", 2); ("describe", 3) ] in
+  let sends m = m.Obs.Metrics.sends_by_signal in
+  let want =
+    [ ("describe", 3); ("close", 2); ("oack", 2); ("select", 2); ("closeack", 1); ("open", 1) ]
+  in
+  let tsends = Alcotest.(list (pair string int)) in
+  check tsends "merge_all a b c" want (sends (Obs.Metrics.merge_all [ a; b; c ]));
+  check tsends "merge_all c b a" want (sends (Obs.Metrics.merge_all [ c; b; a ]));
+  check tsends "merge (merge a b) c" want (sends (Obs.Metrics.merge (Obs.Metrics.merge a b) c));
+  check tsends "merge c (merge b a)" want (sends (Obs.Metrics.merge c (Obs.Metrics.merge b a)))
+
 (* --- sessions ----------------------------------------------------------- *)
 
 let test_session_sim_before_run () =
@@ -361,6 +379,28 @@ let test_conf_churn_jobs_independent () =
   check tint "lossy conf churn conformant" retired conformant;
   check tint "every retiree satisfied closed-or-flowing" retired satisfied
 
+(* --- pinned digests --------------------------------------------------------- *)
+
+(* Fixed-seed digests: any change to session behaviour or to a single
+   byte of the rendered traces moves them.  The churn is the benchmark
+   suite's smoke size (200 residents over 400 ms). *)
+let test_pinned_churn_digest () =
+  let s =
+    Fleet.churn ~jobs:1 ~session_until:60_000.0 ~grace:30_000.0 ~target_population:200
+      ~mean_holding:4_000.0 ~duration:400.0 ~seed:1 (fun ~id ~rng ->
+        Scenario.churn_session Scenario.Path ~id ~rng)
+  in
+  check tint "retired" 222 s.Fleet.c_retired;
+  check Alcotest.string "churn digest" "ac838b77662b015b095561e4eaa7419e" s.Fleet.c_digest
+
+let test_pinned_batch_digest () =
+  let outcomes, _ =
+    Fleet.run ~jobs:1 ~until:60_000.0 ~sessions:40 ~seed:1 (fun ~id ~rng ->
+        Scenario.session ~loss:0.05 Scenario.Mixed ~id ~rng)
+  in
+  check Alcotest.string "mixed batch digest" "ddcefcaf36798a1103abe22c25bcc1f6"
+    (Fleet.digest outcomes)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -370,7 +410,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_split_children_distinct;
         ] );
       ("trace", [ Alcotest.test_case "domain isolation" `Quick test_trace_domains_isolated ]);
-      ("metrics", [ Alcotest.test_case "merge" `Quick test_metrics_merge ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "merge" `Quick test_metrics_merge;
+          Alcotest.test_case "tied counts order by name" `Quick test_metrics_merge_ties;
+        ] );
       ( "session",
         [ Alcotest.test_case "sim before run raises" `Quick test_session_sim_before_run ] );
       ( "fleet",
@@ -393,5 +437,11 @@ let () =
             test_conf_churn_jobs_independent;
           Alcotest.test_case "horizon drain retires everything" `Quick
             test_churn_retires_everything;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "churn, 200 resident over 400 ms" `Quick test_pinned_churn_digest;
+          Alcotest.test_case "fleet run, 40 mixed sessions at 5% loss" `Quick
+            test_pinned_batch_digest;
         ] );
     ]

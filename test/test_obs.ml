@@ -113,6 +113,129 @@ let test_ring_matches_sink_jsonl () =
   Sys.remove p2;
   check tbool "byte-identical JSONL" true (String.equal a b)
 
+(* --- JSON rendering against the reference ------------------------------ *)
+
+(* Strings heavy in what JSON must escape: quotes, backslashes,
+   newlines, other control characters, and bytes that pass through. *)
+let gen_text =
+  QCheck2.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [ (2, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '\127'; '\200' ]); (5, printable) ])
+      (int_range 0 8))
+
+(* Whole milliseconds (the fast path), fractions, and values past the
+   fast path's range or sign. *)
+let gen_at =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map float_of_int (int_range 0 1_000_000));
+        (3, float_range 0.0 100_000.0);
+        (1, map (fun x -> x *. 1e9) (float_range 0.0 1e9));
+        ( 1,
+          oneofl
+            [ 0.0; -0.0; -1.0; -2.5; 0.0005; 0.0015; 999999999999999.0; 1e15; 2e15; 1e20; 4503599627370497.0 ]
+        );
+      ])
+
+let gen_desc =
+  QCheck2.Gen.(
+    map3
+      (fun owner version media ->
+        {
+          Descriptor.owner;
+          version;
+          addr = Address.v "10.0.0.1" 4000;
+          offer = (if media then Descriptor.Media [ Codec.G711; Codec.H264 ] else Descriptor.No_media);
+        })
+      gen_text (int_range (-3) 100_000) bool)
+
+let gen_signal =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2
+          (fun m d -> Signal.Open (m, d))
+          (oneofl [ Medium.Audio; Medium.Video; Medium.Text; Medium.Audio_video ])
+          gen_desc;
+        map (fun d -> Signal.Oack d) gen_desc;
+        map (fun d -> Signal.Describe d) gen_desc;
+        map3
+          (fun owner version codec ->
+            Signal.Select
+              (Selector.make ~responds_to:(owner, version) ~sender:(Address.v "10.0.0.2" 4002)
+                 (match codec with None -> Selector.No_media | Some c -> Selector.Chosen c)))
+          gen_text (int_range 0 50)
+          (opt (oneofl [ Codec.G711; Codec.Amr_wb; Codec.H264; Codec.T140 ]));
+        pure Signal.Close;
+        pure Signal.Closeack;
+      ])
+
+let gen_decision =
+  QCheck2.Gen.(
+    oneof
+      [
+        pure Trace.Dropped;
+        map (fun n -> Trace.Passed n) (int_range 0 3);
+        map (fun n -> Trace.Retransmit n) (int_range 0 12);
+        pure Trace.Retry_exhausted;
+        pure Trace.Dup_suppressed;
+        pure Trace.Reorder_suppressed;
+        pure Trace.Ack_sent;
+        pure Trace.Ack_dropped;
+      ])
+
+let gen_trace_kind =
+  QCheck2.Gen.(
+    let sig_event =
+      map3
+        (fun (chan, tun) (box, peer) (initiator, signal) ->
+          { Trace.chan; tun; box; peer; initiator; signal })
+        (pair gen_text (int_range (-2) 40))
+        (pair gen_text gen_text) (pair bool gen_signal)
+    in
+    oneof
+      [
+        map (fun s -> Trace.Sig_send s) sig_event;
+        map (fun s -> Trace.Sig_recv s) sig_event;
+        map2 (fun chan box -> Trace.Meta_send { chan; box }) gen_text gen_text;
+        map2 (fun chan box -> Trace.Meta_recv { chan; box }) gen_text gen_text;
+        map2
+          (fun (slot, from_) (to_, cause) -> Trace.Slot_transition { slot; from_; to_; cause })
+          (pair gen_text gen_text) (pair gen_text gen_text);
+        map2
+          (fun (goal, slot) (from_, to_) -> Trace.Goal { goal; slot; from_; to_ })
+          (pair gen_text gen_text) (pair gen_text gen_text);
+        map2 (fun chan decision -> Trace.Net { chan; decision }) gen_text gen_decision;
+      ])
+
+(* Both library renderers — the packed writer over a ring capture and
+   [event_to_json] over the structured events — must reproduce the
+   reference sprintf renderer byte for byte. *)
+let prop_json_matches_reference =
+  QCheck2.Test.make ~name:"packed writer and event_to_json match the reference renderer" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 40) (pair gen_trace_kind gen_at))
+    (fun entries ->
+      let clock = ref (List.map snd entries) in
+      let (), packed =
+        Trace.recording_packed (fun () ->
+            Trace.set_clock (fun () ->
+                match !clock with
+                | t :: rest ->
+                  clock := rest;
+                  t
+                | [] -> 0.0);
+            List.iter (fun (k, _) -> Trace.emit k) entries)
+      in
+      let events = List.mapi (fun seq (kind, at) -> { Trace.seq; at; kind }) entries in
+      let expected = String.concat "" (List.map (fun e -> Json_ref.event_to_json e ^ "\n") events) in
+      let b = Buffer.create 256 in
+      Trace.Packed.add_jsonl b packed;
+      String.equal (Buffer.contents b) expected
+      && List.for_all (fun e -> String.equal (Trace.event_to_json e) (Json_ref.event_to_json e)) events)
+
 (* The packed consumers must agree with their event-list twins on the
    same capture. *)
 let test_packed_consumers_agree () =
@@ -424,6 +547,7 @@ let () =
           Alcotest.test_case "recording" `Quick test_recording_captures_and_numbers;
           Alcotest.test_case "jsonl shape" `Quick test_jsonl_roundtrip_shape;
           Alcotest.test_case "ring matches sink jsonl" `Quick test_ring_matches_sink_jsonl;
+          QCheck_alcotest.to_alcotest prop_json_matches_reference;
           Alcotest.test_case "packed consumers agree" `Quick test_packed_consumers_agree;
           Alcotest.test_case "ring growth and reuse" `Quick test_ring_growth_and_reuse;
           Alcotest.test_case "ring two-domain isolation" `Quick

@@ -331,6 +331,121 @@ let prop_percentile_extremes =
       List.iter (Stats.add s) xs;
       Stats.percentile s 0.0 = Stats.min s && Stats.percentile s 1.0 = Stats.max s)
 
+(* The boxed-list implementation the array-backed [Stats] replaced,
+   kept as its model: newest sample first, sorted on every query. *)
+module Stats_model = struct
+  type t = { mutable samples : float list; mutable n : int; mutable sum : float; mutable sumsq : float }
+
+  let create () = { samples = []; n = 0; sum = 0.0; sumsq = 0.0 }
+
+  let add t x =
+    t.samples <- x :: t.samples;
+    t.n <- t.n + 1;
+    t.sum <- t.sum +. x;
+    t.sumsq <- t.sumsq +. (x *. x)
+
+  let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+
+  let stddev t =
+    if t.n < 2 then 0.0
+    else
+      let m = mean t in
+      sqrt (Float.max 0.0 ((t.sumsq /. float_of_int t.n) -. (m *. m)))
+
+  let min t = List.fold_left Float.min infinity t.samples
+  let max t = List.fold_left Float.max neg_infinity t.samples
+  let samples t = List.sort Float.compare t.samples
+
+  let histogram ~bins t =
+    if t.n = 0 then []
+    else
+      let lo = min t and hi = max t in
+      let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
+      let counts = Array.make bins 0 in
+      List.iter
+        (fun x ->
+          let i = Stdlib.min (bins - 1) (int_of_float ((x -. lo) /. width)) in
+          counts.(i) <- counts.(i) + 1)
+        t.samples;
+      List.init bins (fun i ->
+          (lo +. (float_of_int i *. width), lo +. (float_of_int (i + 1) *. width), counts.(i)))
+
+  let percentile t p = List.nth (samples t) (int_of_float (p *. float_of_int (t.n - 1)))
+end
+
+type stats_op = Add of float | Append of float list | Query of float
+
+(* Everything observable, floats as bit patterns: a sum taken in a
+   different order, or two zeros sorted the other way, shows up. *)
+let stats_view ~count ~mean ~stddev ~min ~max ~samples ~histogram ~percentile =
+  let bits = Int64.bits_of_float in
+  ( count,
+    bits mean,
+    bits stddev,
+    bits min,
+    bits max,
+    List.map bits samples,
+    List.map
+      (fun bins -> List.map (fun (lo, hi, n) -> (bits lo, bits hi, n)) (histogram bins))
+      [ 1; 3; 8 ],
+    if count = 0 then [] else List.map (fun p -> bits (percentile p)) [ 0.0; 0.5; 0.95; 1.0 ] )
+
+let view_stats s =
+  stats_view ~count:(Stats.count s) ~mean:(Stats.mean s) ~stddev:(Stats.stddev s)
+    ~min:(Stats.min s) ~max:(Stats.max s) ~samples:(Stats.samples s)
+    ~histogram:(fun bins -> Stats.histogram ~bins s)
+    ~percentile:(Stats.percentile s)
+
+let view_model (m : Stats_model.t) =
+  stats_view ~count:m.Stats_model.n ~mean:(Stats_model.mean m) ~stddev:(Stats_model.stddev m)
+    ~min:(Stats_model.min m) ~max:(Stats_model.max m) ~samples:(Stats_model.samples m)
+    ~histogram:(fun bins -> Stats_model.histogram ~bins m)
+    ~percentile:(Stats_model.percentile m)
+
+let prop_stats_matches_list_model =
+  let sample =
+    QCheck2.Gen.(
+      frequency
+        [
+          (3, map float_of_int (int_range (-5) 5));
+          (1, oneofl [ 0.0; -0.0; 1e15; -1e-300 ]);
+          (4, float_range (-1e6) 1e6);
+        ])
+  in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (6, map (fun x -> Add x) sample);
+          (1, map (fun xs -> Append xs) (list_size (int_range 0 12) sample));
+          (2, map (fun p -> Query p) (float_range 0.0 1.0));
+        ])
+  in
+  QCheck2.Test.make ~name:"array-backed Stats matches the boxed-list model bit for bit" ~count:300
+    QCheck2.Gen.(list_size (int_range 0 60) op)
+    (fun ops ->
+      let s = Stats.create () and m = Stats_model.create () in
+      let agree = ref true in
+      List.iter
+        (function
+          | Add x ->
+            Stats.add s x;
+            Stats_model.add m x
+          | Append xs ->
+            let src = Stats.create () and msrc = Stats_model.create () in
+            List.iter (Stats.add src) xs;
+            List.iter (Stats_model.add msrc) xs;
+            Stats.append s src;
+            List.iter (Stats_model.add m) (Stats_model.samples msrc)
+          | Query p ->
+            if Stats.count s > 0 then begin
+              let b = Int64.bits_of_float in
+              if b (Stats.percentile s p) <> b (Stats_model.percentile m p) then agree := false
+            end;
+            if view_stats s <> view_model m then agree := false)
+        ops;
+      !agree && view_stats s = view_model m)
+
 let prop_exponential_mean =
   QCheck2.Test.make ~name:"exponential is nonnegative with mean near the parameter" ~count:25
     QCheck2.Gen.(pair (int_range 0 10_000) (float_range 0.5 40.0))
@@ -414,6 +529,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_stats_empty;
           Alcotest.test_case "single sample" `Quick test_stats_single_sample;
           QCheck_alcotest.to_alcotest prop_percentile_extremes;
+          QCheck_alcotest.to_alcotest prop_stats_matches_list_model;
         ] );
       ( "engine",
         [
