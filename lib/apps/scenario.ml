@@ -61,14 +61,19 @@ let attach_loss ~loss t =
 
 let settle net = fst (Netsys.run net)
 
+(* The obligation a session is judged against.  Under loss the
+   flowing predicate is the structural one, as in the model checker. *)
+let judged ~loss obligation legs =
+  { Mediactl_obs.Monitor.structural = loss > 0.0; obligation; legs }
+
 (* openslot--openslot path configuration, judged against its Section V
    obligation ([]<> bothFlowing). *)
 let path ?sched ?n ?c ~loss ~id ~rng () =
   Session.create ?sched ?n ?c ~id ~scenario:"path" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed ~structural:(loss > 0.0)
+      (judged ~loss
          (Pathlab.obligation Semantics.Open_end Semantics.Open_end)
-         ~ends:(Pathlab.ends ~flowlinks:0))
+         [ Pathlab.ends ~flowlinks:0 ])
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -129,8 +134,8 @@ let conf ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
   let names = List.map fst users in
   Session.create ?sched ?n ?c ~id ~scenario:"conf" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed_legs ~structural:(loss > 0.0)
-         Mediactl_obs.Monitor.Always_eventually_flowing ~legs:(Conference.legs ~users:names))
+      (judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing
+         (Conference.legs ~users:names))
     ~boot:(conf_boot ~loss ~names ~parties)
     (fun () -> settle (Conference.build ~users))
 
@@ -157,8 +162,7 @@ let conf2 ?sched ?n ?c ~loss ~id ~rng () =
 let transfer ?sched ?n ?c ~loss ~id ~rng () =
   Session.create ?sched ?n ?c ~id ~scenario:"transfer" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed ~structural:(loss > 0.0)
-         Mediactl_obs.Monitor.Always_eventually_flowing ~ends:Feature.transfer_leg)
+      (judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing [ Feature.transfer_leg ])
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -175,8 +179,8 @@ let barge ?sched ?n ?c ~loss ~id ~rng () =
   let roster = names @ [ fst joiner ] in
   Session.create ?sched ?n ?c ~id ~scenario:"barge" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed_legs ~structural:(loss > 0.0)
-         Mediactl_obs.Monitor.Always_eventually_flowing ~legs:(Conference.legs ~users:roster))
+      (judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing
+         (Conference.legs ~users:roster))
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -195,9 +199,7 @@ let barge ?sched ?n ?c ~loss ~id ~rng () =
    600 ms; the customer--agent leg must end flowing. *)
 let moh ?sched ?n ?c ~loss ~id ~rng () =
   Session.create ?sched ?n ?c ~id ~scenario:"moh" ~rng
-    ~judge:
-      (Mediactl_obs.Monitor.verdict_packed ~structural:(loss > 0.0)
-         Mediactl_obs.Monitor.Always_eventually_flowing ~ends:Feature.moh_leg)
+    ~judge:(judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing [ Feature.moh_leg ])
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -255,9 +257,7 @@ let rec session ?sched ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
 let path_churn ?sched ?n ?c ~loss ~id ~rng () =
   Session.create ?sched ?n ?c ~id ~scenario:"path" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed ~structural:(loss > 0.0)
-         Mediactl_obs.Monitor.Closed_or_flowing
-         ~ends:(Pathlab.ends ~flowlinks:0))
+      (judged ~loss Mediactl_obs.Monitor.Closed_or_flowing [ Pathlab.ends ~flowlinks:0 ])
     ~hangup:(fun t ->
       let sim = Session.sim t in
       Timed.apply sim (Pathlab.engage_left Semantics.Close_end);
@@ -278,8 +278,7 @@ let conf_churn ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
   let names = List.map fst users in
   Session.create ?sched ?n ?c ~id ~scenario:"conf" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed_legs ~structural:(loss > 0.0)
-         Mediactl_obs.Monitor.Closed_or_flowing ~legs:(Conference.legs ~users:names))
+      (judged ~loss Mediactl_obs.Monitor.Closed_or_flowing (Conference.legs ~users:names))
     ~hangup:(fun t ->
       let sim = Session.sim t in
       List.iter (fun u -> Timed.apply sim (Conference.hangup_user ~user:u)) names)

@@ -21,7 +21,7 @@ open Mediactl_obs
 
 type conn_mode =
   | Sniffing of string  (* bytes seen so far, fewer than 4 *)
-  | Ctl of string ref  (* partial-line buffer *)
+  | Ctl of Buffer.t  (* partial-line buffer *)
   | Peer of Wire.decoder
 
 type conn = {
@@ -260,19 +260,29 @@ and handle_line t conn line =
     | Error msg -> send_line t conn (Control.error "%s" msg)
 
 (* Split buffered control bytes into complete lines, keeping the final
-   partial line buffered. *)
+   partial line buffered.  A line may be no longer than a wire frame
+   ([Wire.max_payload]); past that the client gets an error and the
+   connection is closed, so a client that never sends a newline holds
+   at most that much of the daemon's memory. *)
 and feed_ctl t conn buf data =
-  buf := !buf ^ data;
-  let rec go () =
-    match String.index_opt !buf '\n' with
-    | Some i ->
-      let line = String.sub !buf 0 i in
-      buf := String.sub !buf (i + 1) (String.length !buf - i - 1);
-      handle_line t conn line;
-      if conn.live then go ()
-    | None -> ()
+  let n = String.length data in
+  let rec go start =
+    let stop = match String.index_from_opt data start '\n' with Some i -> i | None -> n in
+    if Buffer.length buf + (stop - start) > Wire.max_payload then begin
+      send_line t conn (Control.error "line too long");
+      close_conn t conn
+    end
+    else begin
+      Buffer.add_substring buf data start (stop - start);
+      if stop < n then begin
+        let line = Buffer.contents buf in
+        Buffer.clear buf;
+        handle_line t conn line;
+        if conn.live then go (stop + 1)
+      end
+    end
   in
-  go ()
+  go 0
 
 and ingest t conn data =
   match conn.mode with
@@ -290,7 +300,7 @@ and ingest t conn data =
       drain_frames t conn dec
     end
     else begin
-      let buf = ref "" in
+      let buf = Buffer.create 256 in
       conn.mode <- Ctl buf;
       feed_ctl t conn buf seen
     end

@@ -8,7 +8,9 @@ open Parsetree
    surfaces.  Being syntactic it cannot see flambda's rescues —
    un-escaped closures, unboxed floats — so every finding is either
    fixed or waived with [@lint.allow "alloc: <measured why>"], the
-   justification cross-referencing E15's phase split. *)
+   justification cross-referencing E15's phase split.  The same walk
+   flags the polymorphic-compare [List] key lookups, which allocate
+   nothing but cost a [caml_compare] per probe. *)
 
 (* Stdlib entry points that allocate on every call.  The option-
    returning probes ([find_opt], [nth_opt]) are here deliberately:
@@ -58,6 +60,15 @@ let is_poly_compare path =
   match path with
   | [ f ] | [ "Stdlib"; f ] -> List.mem f [ "compare"; "min"; "max" ]
   | _ -> false
+
+(* The [List] lookups that find a key with polymorphic equality: each
+   probe is a [caml_compare] call, on strings or records as often as
+   not.  A hot path looks keys up with [String.equal] or a monomorphic
+   key equality instead. *)
+let poly_lookups = [ "assoc"; "assoc_opt"; "mem_assoc"; "remove_assoc"; "mem" ]
+
+let is_poly_lookup path =
+  List.exists (fun f -> Ast_util.has_suffix [ "List"; f ] path) poly_lookups
 
 let is_ref path = match path with [ "ref" ] | [ "Stdlib"; "ref" ] -> true | _ -> false
 
@@ -150,6 +161,9 @@ let check ctx ~graph ~reach =
                   else if is_poly_compare path then
                     flag e.pexp_loc
                       (Printf.sprintf "polymorphic %s boxes float arguments" (dotted path))
+                  else if is_poly_lookup path then
+                    flag e.pexp_loc
+                      (Printf.sprintf "%s compares keys with polymorphic compare" (dotted path))
                   else (
                     match
                       List.find_opt (fun s -> Ast_util.has_suffix s path) allocating_calls

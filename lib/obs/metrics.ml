@@ -19,200 +19,195 @@ type t = {
   violations : int;
 }
 
-let bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
 (* By descending count, ties by signal name: never by [Hashtbl] order,
    which depends on how merged registries were interleaved. *)
-let sends_list sends =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) sends []
-  |> List.sort (fun (ka, a) (kb, b) ->
-         match Int.compare b a with 0 -> String.compare ka kb | c -> c)
-
-(* Round-trip per tunnel: the initiator-side open send to the matching
-   oack receipt — one signaling round across however many hops the
-   channel's frames take. *)
-let round_trips events =
-  let open_at : (string * int, float) Hashtbl.t = Hashtbl.create 8 in
-  let stats = Stats.create () in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.kind with
-      | Trace.Sig_send { chan; tun; signal = Mediactl_types.Signal.Open _; _ } ->
-        if not (Hashtbl.mem open_at (chan, tun)) then
-          Hashtbl.add open_at (chan, tun) e.Trace.at
-      | Trace.Sig_recv { chan; tun; signal = Mediactl_types.Signal.Oack _; _ } -> (
-        match Hashtbl.find_opt open_at (chan, tun) with
-        | Some t0 ->
-          Stats.add stats (e.Trace.at -. t0);
-          Hashtbl.remove open_at (chan, tun)
-        | None -> ())
-      | _ -> ())
-    events;
-  stats
-
-let of_events events =
-  let sends = Hashtbl.create 8 in
-  let recvs = ref 0 in
-  let slot_transitions = ref 0 in
-  let goal_changes = ref 0 in
-  let drops = ref 0 in
-  let dups = ref 0 in
-  let retransmissions = ref 0 in
-  let retries_exhausted = ref 0 in
-  let dup_suppressed = ref 0 in
-  let acks = ref 0 in
-  let t_min = ref infinity and t_max = ref neg_infinity in
-  List.iter
-    (fun (e : Trace.event) ->
-      if e.Trace.at < !t_min then t_min := e.Trace.at;
-      if e.Trace.at > !t_max then t_max := e.Trace.at;
-      match e.Trace.kind with
-      | Trace.Sig_send { signal; _ } -> bump sends (Mediactl_types.Signal.name signal) 1
-      | Trace.Sig_recv _ -> incr recvs
-      | Trace.Slot_transition _ -> incr slot_transitions
-      | Trace.Goal _ -> incr goal_changes
-      | Trace.Meta_send _ | Trace.Meta_recv _ -> ()
-      | Trace.Net { decision; _ } -> (
-        match decision with
-        | Trace.Dropped -> incr drops
-        | Trace.Passed n -> if n > 1 then incr dups
-        | Trace.Retransmit _ -> incr retransmissions
-        | Trace.Retry_exhausted -> incr retries_exhausted
-        | Trace.Dup_suppressed | Trace.Reorder_suppressed -> incr dup_suppressed
-        | Trace.Ack_sent -> incr acks
-        | Trace.Ack_dropped -> ()))
-    events;
-  let monitor = Monitor.replay events in
-  let time_to_flowing = Stats.create () in
-  let start = if !t_min = infinity then 0.0 else !t_min in
-  List.iter
-    (fun (r : Monitor.tunnel_report) ->
-      match r.Monitor.first_all_flowing with
-      | Some t -> Stats.add time_to_flowing (t -. start)
-      | None -> ())
-    monitor.Monitor.tunnels;
-  {
-    events = List.length events;
-    duration = (if !t_max >= !t_min then !t_max -. !t_min else 0.0);
-    sends_by_signal =
-      sends_list sends;
-    recvs = !recvs;
-    slot_transitions = !slot_transitions;
-    goal_changes = !goal_changes;
-    open_races =
-      List.fold_left (fun acc r -> acc + r.Monitor.races) 0 monitor.Monitor.tunnels;
-    drops = !drops;
-    dups = !dups;
-    retransmissions = !retransmissions;
-    retries_exhausted = !retries_exhausted;
-    dup_suppressed = !dup_suppressed;
-    acks = !acks;
-    round_trip = round_trips events;
-    time_to_flowing;
-    violations = List.length monitor.Monitor.violations;
-  }
+let sort_sends sends =
+  List.sort
+    (fun (ka, a) (kb, b) -> match Int.compare b a with 0 -> String.compare ka kb | c -> c)
+    sends
 
 (* ------------------------------------------------------------------ *)
-(* Packed traces                                                       *)
+(* One scan of a trace
 
-(* The packed twins scan the flat ring capture through the
-   [Trace.Packed] field accessors: no per-event record is built, so a
-   fleet session's metrics pass allocates O(tunnels), not O(events). *)
+   Both trace forms feed the same counters, one event at a time.  Sends
+   are counted by signal constructor into a six-slot array, and the
+   open sends still waiting for their oack sit in a short list scanned
+   with [String.equal]: no table keyed by strings or [(chan, tun)]
+   pairs, so the scan does no generic hashing or comparing. *)
 
-let round_trips_packed p =
-  let open_at : (string * int, float) Hashtbl.t = Hashtbl.create 8 in
-  let stats = Stats.create () in
-  let n = Trace.Packed.length p in
-  for i = 0 to n - 1 do
-    let tg = Trace.Packed.tag p i in
-    if tg = 0 then begin
-      match Trace.Packed.sig_signal p i with
-      | Mediactl_types.Signal.Open _ ->
-        let key = (Trace.Packed.sig_chan p i, Trace.Packed.sig_tun p i) in
-        if not (Hashtbl.mem open_at key) then Hashtbl.add open_at key (Trace.Packed.at p i)
-      | _ -> ()
-    end
-    else if tg = 1 then
-      match Trace.Packed.sig_signal p i with
-      | Mediactl_types.Signal.Oack _ -> (
-        let key = (Trace.Packed.sig_chan p i, Trace.Packed.sig_tun p i) in
-        match Hashtbl.find_opt open_at key with
-        | Some t0 ->
-          Stats.add stats (Trace.Packed.at p i -. t0);
-          Hashtbl.remove open_at key
-        | None -> ())
-      | _ -> ()
-  done;
-  stats
+let n_signals = 6
 
-let of_packed p =
-  let sends = Hashtbl.create 8 in
-  let recvs = ref 0 in
-  let slot_transitions = ref 0 in
-  let goal_changes = ref 0 in
-  let drops = ref 0 in
-  let dups = ref 0 in
-  let retransmissions = ref 0 in
-  let retries_exhausted = ref 0 in
-  let dup_suppressed = ref 0 in
-  let acks = ref 0 in
-  let t_min = ref infinity and t_max = ref neg_infinity in
-  let n = Trace.Packed.length p in
-  for i = 0 to n - 1 do
-    let at = Trace.Packed.at p i in
-    if at < !t_min then t_min := at;
-    if at > !t_max then t_max := at;
-    match Trace.Packed.tag p i with
-    | 0 -> bump sends (Mediactl_types.Signal.name (Trace.Packed.sig_signal p i)) 1
-    | 1 -> incr recvs
-    | 4 -> incr slot_transitions
-    | 5 -> incr goal_changes
-    | 6 -> (
-      match Trace.Packed.net_decision p i with
-      | Trace.Dropped -> incr drops
-      | Trace.Passed n -> if n > 1 then incr dups
-      | Trace.Retransmit _ -> incr retransmissions
-      | Trace.Retry_exhausted -> incr retries_exhausted
-      | Trace.Dup_suppressed | Trace.Reorder_suppressed -> incr dup_suppressed
-      | Trace.Ack_sent -> incr acks
-      | Trace.Ack_dropped -> ())
-    | _ -> ()
-  done;
-  let monitor = Monitor.replay_packed p in
+let signal_name = function
+  | 0 -> "open"
+  | 1 -> "oack"
+  | 2 -> "close"
+  | 3 -> "closeack"
+  | 4 -> "describe"
+  | _ -> "select"
+
+let signal_index = function
+  | Mediactl_types.Signal.Open _ -> 0
+  | Mediactl_types.Signal.Oack _ -> 1
+  | Mediactl_types.Signal.Close -> 2
+  | Mediactl_types.Signal.Closeack -> 3
+  | Mediactl_types.Signal.Describe _ -> 4
+  | Mediactl_types.Signal.Select _ -> 5
+
+(* An open send whose oack has not arrived yet. *)
+type opened = { o_chan : string; o_tun : int; o_at : float }
+
+type scan = {
+  n_sends : int array;  (* by [signal_index] *)
+  mutable n_recvs : int;
+  mutable n_slots : int;
+  mutable n_goals : int;
+  mutable n_drops : int;
+  mutable n_dups : int;
+  mutable n_retrans : int;
+  mutable n_exhausted : int;
+  mutable n_suppressed : int;
+  mutable n_acks : int;
+  mutable t_min : float;
+  mutable t_max : float;
+  mutable waiting : opened list;
+  round_trip : Stats.t;
+}
+
+let scan () =
+  {
+    n_sends = Array.make n_signals 0;
+    n_recvs = 0;
+    n_slots = 0;
+    n_goals = 0;
+    n_drops = 0;
+    n_dups = 0;
+    n_retrans = 0;
+    n_exhausted = 0;
+    n_suppressed = 0;
+    n_acks = 0;
+    t_min = infinity;
+    t_max = neg_infinity;
+    waiting = [];
+    round_trip = Stats.create ();
+  }
+
+let stamp (s : scan) at =
+  if at < s.t_min then s.t_min <- at;
+  if at > s.t_max then s.t_max <- at
+
+let rec waiting_on chan tun = function
+  | [] -> None
+  | o :: rest ->
+    if o.o_tun = tun && String.equal o.o_chan chan then Some o else waiting_on chan tun rest
+
+(* Round-trip per tunnel: the first open send to the matching oack
+   receipt — one signaling round across however many hops the
+   channel's frames take. *)
+let on_send (s : scan) ~chan ~tun ~at signal =
+  let k = signal_index signal in
+  s.n_sends.(k) <- s.n_sends.(k) + 1;
+  match signal with
+  | Mediactl_types.Signal.Open _ -> (
+    match waiting_on chan tun s.waiting with
+    | Some _ -> ()
+    | None -> s.waiting <- { o_chan = chan; o_tun = tun; o_at = at } :: s.waiting)
+  | _ -> ()
+
+let on_recv (s : scan) ~chan ~tun ~at signal =
+  s.n_recvs <- s.n_recvs + 1;
+  match signal with
+  | Mediactl_types.Signal.Oack _ -> (
+    match waiting_on chan tun s.waiting with
+    | Some o ->
+      Stats.add s.round_trip (at -. o.o_at);
+      s.waiting <- List.filter (fun o' -> o' != o) s.waiting
+    | None -> ())
+  | _ -> ()
+
+let on_net (s : scan) = function
+  | Trace.Dropped -> s.n_drops <- s.n_drops + 1
+  | Trace.Passed n -> if n > 1 then s.n_dups <- s.n_dups + 1
+  | Trace.Retransmit _ -> s.n_retrans <- s.n_retrans + 1
+  | Trace.Retry_exhausted -> s.n_exhausted <- s.n_exhausted + 1
+  | Trace.Dup_suppressed | Trace.Reorder_suppressed -> s.n_suppressed <- s.n_suppressed + 1
+  | Trace.Ack_sent -> s.n_acks <- s.n_acks + 1
+  | Trace.Ack_dropped -> ()
+
+let finish (s : scan) ~events (monitor : Monitor.report) : t =
   let time_to_flowing = Stats.create () in
-  let start = if !t_min = infinity then 0.0 else !t_min in
+  let start = if s.t_min = infinity then 0.0 else s.t_min in
   List.iter
     (fun (r : Monitor.tunnel_report) ->
       match r.Monitor.first_all_flowing with
       | Some t -> Stats.add time_to_flowing (t -. start)
       | None -> ())
     monitor.Monitor.tunnels;
+  let sends = ref [] in
+  Array.iteri (fun k n -> if n > 0 then sends := (signal_name k, n) :: !sends) s.n_sends;
   {
-    events = n;
-    duration = (if !t_max >= !t_min then !t_max -. !t_min else 0.0);
-    sends_by_signal =
-      sends_list sends;
-    recvs = !recvs;
-    slot_transitions = !slot_transitions;
-    goal_changes = !goal_changes;
+    events;
+    duration = (if s.t_max >= s.t_min then s.t_max -. s.t_min else 0.0);
+    sends_by_signal = sort_sends !sends;
+    recvs = s.n_recvs;
+    slot_transitions = s.n_slots;
+    goal_changes = s.n_goals;
     open_races =
       List.fold_left (fun acc r -> acc + r.Monitor.races) 0 monitor.Monitor.tunnels;
-    drops = !drops;
-    dups = !dups;
-    retransmissions = !retransmissions;
-    retries_exhausted = !retries_exhausted;
-    dup_suppressed = !dup_suppressed;
-    acks = !acks;
-    round_trip = round_trips_packed p;
+    drops = s.n_drops;
+    dups = s.n_dups;
+    retransmissions = s.n_retrans;
+    retries_exhausted = s.n_exhausted;
+    dup_suppressed = s.n_suppressed;
+    acks = s.n_acks;
+    round_trip = s.round_trip;
     time_to_flowing;
     violations = List.length monitor.Monitor.violations;
   }
+
+let of_events events =
+  let s = scan () in
+  List.iter
+    (fun (e : Trace.event) ->
+      stamp s e.Trace.at;
+      match e.Trace.kind with
+      | Trace.Sig_send { chan; tun; signal; _ } -> on_send s ~chan ~tun ~at:e.Trace.at signal
+      | Trace.Sig_recv { chan; tun; signal; _ } -> on_recv s ~chan ~tun ~at:e.Trace.at signal
+      | Trace.Slot_transition _ -> s.n_slots <- s.n_slots + 1
+      | Trace.Goal _ -> s.n_goals <- s.n_goals + 1
+      | Trace.Meta_send _ | Trace.Meta_recv _ -> ()
+      | Trace.Net { decision; _ } -> on_net s decision)
+    events;
+  finish s ~events:(List.length events) (Monitor.replay events)
+
+(* The packed twin scans the flat ring capture through the
+   [Trace.Packed] field accessors: no per-event record is built, so a
+   fleet session's metrics pass allocates O(tunnels), not O(events). *)
+let of_packed_report report p =
+  let s = scan () in
+  let n = Trace.Packed.length p in
+  for i = 0 to n - 1 do
+    let t = Trace.Packed.at p i in
+    stamp s t;
+    match Trace.Packed.tag p i with
+    | 0 ->
+      on_send s ~chan:(Trace.Packed.sig_chan p i) ~tun:(Trace.Packed.sig_tun p i) ~at:t
+        (Trace.Packed.sig_signal p i)
+    | 1 ->
+      on_recv s ~chan:(Trace.Packed.sig_chan p i) ~tun:(Trace.Packed.sig_tun p i) ~at:t
+        (Trace.Packed.sig_signal p i)
+    | 4 -> s.n_slots <- s.n_slots + 1
+    | 5 -> s.n_goals <- s.n_goals + 1
+    | 6 -> on_net s (Trace.Packed.net_decision p i)
+    | _ -> ()
+  done;
+  finish s ~events:n report
+
+let of_packed p = of_packed_report (Monitor.replay_packed p) p
 
 (* ------------------------------------------------------------------ *)
 (* Merging per-session registries                                      *)
 
-let empty =
+let empty : t =
   {
     events = 0;
     duration = 0.0;
@@ -233,6 +228,9 @@ let empty =
   }
 
 type metrics = t
+
+let bump tbl key n =
+  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 (* One running accumulator: counters add, sends pool by signal, and
    latency samples append in ascending order.  Folding [merge] instead
@@ -300,7 +298,7 @@ module Acc = struct
     {
       events = a.events;
       duration = a.duration;
-      sends_by_signal = sends_list a.sends;
+      sends_by_signal = sort_sends (Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.sends []);
       recvs = a.recvs;
       slot_transitions = a.slot_transitions;
       goal_changes = a.goal_changes;
@@ -327,7 +325,7 @@ let merge a b = merge_all [ a; b ]
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 
-let pp ppf m =
+let pp ppf (m : t) =
   let total_sends = List.fold_left (fun acc (_, n) -> acc + n) 0 m.sends_by_signal in
   Format.fprintf ppf
     "@[<v>events      %d over %.1f ms@,\
@@ -360,7 +358,7 @@ let stats_json s =
 (* [time_to_all_flowing_ms] is the current name (the monitor grew N-way
    legs); the historical [time_to_both_flowing_ms] key is emitted as a
    duplicate so downstream JSON consumers don't break silently. *)
-let to_json m =
+let to_json (m : t) =
   let flowing = stats_json m.time_to_flowing in
   Printf.sprintf
     "{\"events\":%d,\"duration_ms\":%.3f,\"sends\":{%s},\"recvs\":%d,\"slot_transitions\":%d,\"goal_changes\":%d,\"open_races\":%d,\"net\":{\"drops\":%d,\"dups\":%d,\"retransmissions\":%d,\"retries_exhausted\":%d,\"dup_suppressed\":%d,\"acks\":%d},\"round_trip_ms\":%s,\"time_to_all_flowing_ms\":%s,\"time_to_both_flowing_ms\":%s,\"violations\":%d}"

@@ -33,6 +33,11 @@ val of_packed : Trace.Packed.t -> t
     {!Trace.Packed} field accessors so no per-event records are built.
     Same result as [of_events (Trace.Packed.to_events p)]. *)
 
+val of_packed_report : Monitor.report -> Trace.Packed.t -> t
+(** [of_packed_report (Monitor.replay_packed p) p] is [of_packed p]: a
+    caller that has already run the monitor over [p] passes its report
+    instead of replaying the trace again. *)
+
 (** {2 Per-session registries}
 
     A fleet computes one {!t} per session from that session's own trace,

@@ -138,8 +138,16 @@ let on_recv tun ~seq side (signal : Signal.t) =
 (* ------------------------------------------------------------------ *)
 (* Replay                                                              *)
 
+(* Sides and tunnels are found by scanning short lists with
+   [String.equal] and an int compare: a session has a handful of
+   tunnels with at most two sides each, so this beats hashing a
+   [(chan, tun)] key per event. *)
+let rec side_named box = function
+  | [] -> None
+  | s :: rest -> if String.equal s.s_box box then Some s else side_named box rest
+
 let side_of tun ~box ~initiator =
-  match List.find_opt (fun s -> String.equal s.s_box box) tun.sides with
+  match side_named box tun.sides with
   | Some s -> s
   | None ->
     let s = fresh_side ~box ~initiator in
@@ -147,10 +155,12 @@ let side_of tun ~box ~initiator =
     s
 
 let note_flowing tun at =
-  if tun.both_flowing_at = None then
+  match tun.both_flowing_at with
+  | Some _ -> ()
+  | None -> (
     match tun.sides with
     | [ a; b ] when a.st = Flowing && b.st = Flowing -> tun.both_flowing_at <- Some at
-    | _ -> ()
+    | _ -> ())
 
 let quiescent_pair a b =
   match a.st, b.st with
@@ -176,78 +186,64 @@ let finalize tun =
         :: tun.violations
     | _ -> ()
 
-(* Runs the per-tunnel machines over a trace; returns the tunnels in
-   first-appearance order, finalized. *)
+let rec tunnel_named chan tun = function
+  | [] -> None
+  | t :: rest ->
+    if t.t_tun = tun && String.equal t.t_chan chan then Some t else tunnel_named chan tun rest
+
+(* The tunnels seen so far, newest first. *)
+type tunnels = { mutable rev : tunnel list }
+
+let tunnel tbl chan tun =
+  match tunnel_named chan tun tbl.rev with
+  | Some t -> t
+  | None ->
+    let t =
+      { t_chan = chan; t_tun = tun; sides = []; races = 0; violations = []; both_flowing_at = None }
+    in
+    tbl.rev <- t :: tbl.rev;
+    t
+
+(* The finished machines: the tunnels in first-appearance order,
+   finalized.  Everything a session's analysis reports — the report,
+   its metrics, and its verdict — is read off one such run. *)
+type machines = tunnel list
+
+let finish tbl =
+  let ordered = List.rev tbl.rev in
+  List.iter finalize ordered;
+  ordered
+
 let run_machines events =
-  let tunnels : (string * int, tunnel) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  let tunnel chan tun =
-    match Hashtbl.find_opt tunnels (chan, tun) with
-    | Some t -> t
-    | None ->
-      let t =
-        {
-          t_chan = chan;
-          t_tun = tun;
-          sides = [];
-          races = 0;
-          violations = [];
-          both_flowing_at = None;
-        }
-      in
-      Hashtbl.add tunnels (chan, tun) t;
-      order := t :: !order;
-      t
-  in
+  let tbl = { rev = [] } in
   List.iter
     (fun (e : Trace.event) ->
       match e.Trace.kind with
       | Trace.Sig_send { chan; tun; box; initiator; signal; _ } ->
-        let t = tunnel chan tun in
+        let t = tunnel tbl chan tun in
         on_send t ~seq:e.Trace.seq (side_of t ~box ~initiator) signal;
         note_flowing t e.Trace.at
       | Trace.Sig_recv { chan; tun; box; initiator; signal; _ } ->
-        let t = tunnel chan tun in
+        let t = tunnel tbl chan tun in
         on_recv t ~seq:e.Trace.seq (side_of t ~box ~initiator) signal;
         note_flowing t e.Trace.at
       | Trace.Meta_send _ | Trace.Meta_recv _ | Trace.Slot_transition _ | Trace.Goal _
       | Trace.Net _ ->
         ())
     events;
-  let ordered = List.rev !order in
-  List.iter finalize ordered;
-  ordered
+  finish tbl
 
 (* The packed-trace twin of [run_machines]: reads sig entries through
    the flat accessors, so replaying a fleet session's trace never
    materializes per-event records.  [seq] in violation messages is the
    entry index — exactly the seq a sink recording would have given. *)
-let run_machines_packed (p : Trace.Packed.t) =
-  let tunnels : (string * int, tunnel) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  let tunnel chan tun =
-    match Hashtbl.find_opt tunnels (chan, tun) with
-    | Some t -> t
-    | None ->
-      let t =
-        {
-          t_chan = chan;
-          t_tun = tun;
-          sides = [];
-          races = 0;
-          violations = [];
-          both_flowing_at = None;
-        }
-      in
-      Hashtbl.add tunnels (chan, tun) t;
-      order := t :: !order;
-      t
-  in
+let run_packed (p : Trace.Packed.t) =
+  let tbl = { rev = [] } in
   let n = Trace.Packed.length p in
   for i = 0 to n - 1 do
     let tg = Trace.Packed.tag p i in
     if tg <= 1 then begin
-      let t = tunnel (Trace.Packed.sig_chan p i) (Trace.Packed.sig_tun p i) in
+      let t = tunnel tbl (Trace.Packed.sig_chan p i) (Trace.Packed.sig_tun p i) in
       let side =
         side_of t ~box:(Trace.Packed.sig_box p i) ~initiator:(Trace.Packed.sig_initiator p i)
       in
@@ -256,9 +252,7 @@ let run_machines_packed (p : Trace.Packed.t) =
       note_flowing t (Trace.Packed.at p i)
     end
   done;
-  let ordered = List.rev !order in
-  List.iter finalize ordered;
-  ordered
+  finish tbl
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
@@ -285,7 +279,7 @@ type tunnel_report = {
 
 type report = { tunnels : tunnel_report list; violations : string list }
 
-let report_of_tunnels machines =
+let report (machines : machines) =
   let reports =
     List.map
       (fun t ->
@@ -314,8 +308,8 @@ let report_of_tunnels machines =
   in
   { tunnels = reports; violations = List.concat_map (fun r -> r.tunnel_violations) reports }
 
-let replay events = report_of_tunnels (run_machines events)
-let replay_packed p = report_of_tunnels (run_machines_packed p)
+let replay events = report (run_machines events)
+let replay_packed p = report (run_packed p)
 
 let conformant r = r.violations = []
 
@@ -343,10 +337,12 @@ let pp_verdict ppf = function
 
 type ends = { left : string * string * int; right : string * string * int }
 
+type judgement = { structural : bool; obligation : obligation; legs : ends list }
+
 let find_side tunnels (box, chan, tun) =
-  match List.find_opt (fun t -> t.t_chan = chan && t.t_tun = tun) tunnels with
+  match tunnel_named chan tun tunnels with
   | None -> None
-  | Some t -> List.find_opt (fun s -> String.equal s.s_box box) t.sides
+  | Some t -> side_named box t.sides
 
 (* The path predicates, mirroring [Mediactl_core.Semantics]:
    [both_closed] and the agreement form of [both_flowing] (matching
@@ -423,17 +419,17 @@ let verdict_of_machines ~structural obligation ~legs tunnels =
       | Closed_or_flowing ->
         sat (closed || flowing) "terminal state is neither bothClosed nor bothFlowing")
 
+let judge j machines =
+  verdict_of_machines ~structural:j.structural j.obligation ~legs:j.legs machines
+
 let verdict_legs ?(structural = false) obligation ~legs events =
   verdict_of_machines ~structural obligation ~legs (run_machines events)
-
-let verdict_packed_legs ?(structural = false) obligation ~legs p =
-  verdict_of_machines ~structural obligation ~legs (run_machines_packed p)
 
 let verdict ?(structural = false) obligation ~ends events =
   verdict_of_machines ~structural obligation ~legs:[ ends ] (run_machines events)
 
 let verdict_packed ?(structural = false) obligation ~ends p =
-  verdict_of_machines ~structural obligation ~legs:[ ends ] (run_machines_packed p)
+  verdict_of_machines ~structural obligation ~legs:[ ends ] (run_packed p)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -45,6 +45,21 @@ val replay_packed : Trace.Packed.t -> report
 val conformant : report -> bool
 (** No violations anywhere in the trace. *)
 
+(** {2 One run, several readings}
+
+    {!replay_packed}, {!verdict_packed} and [Metrics.of_packed] each
+    run the machines afresh.  A caller that needs all three for
+    one trace — a session's analysis — runs them once with
+    {!run_packed} and reads the report and every verdict off that
+    run. *)
+
+type machines
+(** The finished per-tunnel machines of one trace. *)
+
+val run_packed : Trace.Packed.t -> machines
+val report : machines -> report
+(** [report (run_packed p)] is [replay_packed p]. *)
+
 (** {2 Path obligations}
 
     The four §V obligation shapes, matching
@@ -65,6 +80,15 @@ type ends = { left : string * string * int; right : string * string * int }
     path is a single leg; an N-party topology is a list of legs, one per
     participant. *)
 
+type judgement = { structural : bool; obligation : obligation; legs : ends list }
+(** An obligation as data: what {!verdict_legs} evaluates, with its
+    arguments. *)
+
+val judge : judgement -> machines -> verdict
+(** [judge j (run_packed p)] is
+    [verdict_legs ~structural:j.structural j.obligation ~legs:j.legs
+    (Trace.Packed.to_events p)], without materializing event records. *)
+
 val verdict_legs :
   ?structural:bool -> obligation -> legs:ends list -> Trace.event list -> verdict
 (** Evaluate an obligation on a finite trace, quantified over N legs:
@@ -79,11 +103,6 @@ val verdict_legs :
     flowing to "both end states are Flowing" per leg, dropping the
     descriptor/selector agreement refinement — the form the model
     checker falls back to under loss budgets. *)
-
-val verdict_packed_legs :
-  ?structural:bool -> obligation -> legs:ends list -> Trace.Packed.t -> verdict
-(** [verdict_legs] over a packed ring capture, reading signal entries
-    through the flat {!Trace.Packed} accessors. *)
 
 val verdict : ?structural:bool -> obligation -> ends:ends -> Trace.event list -> verdict
 (** The historical two-sided form: [verdict ~ends] is

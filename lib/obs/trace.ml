@@ -105,6 +105,12 @@ let decision_of_code code extra =
   | 6 -> Ack_sent
   | _ -> Ack_dropped
 
+(* The string table sits behind an {!Ident_cache} (DESIGN section 13):
+   the emitters pass the same few physical labels over and over
+   (channel labels, box and slot names, state names), so a lookup is
+   usually a pointer compare rather than a [caml_hash]. *)
+let str_cache_size = 256
+
 type ring = {
   mutable ints : int array;  (* [stride] words per event *)
   mutable ats : float array;  (* one unboxed timestamp per event *)
@@ -112,6 +118,7 @@ type ring = {
   str_ids : (string, int) Hashtbl.t;  (* append-only, domain lifetime *)
   mutable strs : string array;  (* id -> string *)
   mutable nstrs : int;
+  str_cache : (string, int) Ident_cache.t;
 }
 
 let fresh_ring () =
@@ -122,11 +129,13 @@ let fresh_ring () =
     str_ids = Hashtbl.create 64;
     strs = [||];
     nstrs = 0;
+    (* a fresh block no caller can hold *)
+    str_cache = Ident_cache.create str_cache_size ~absent:(String.make 1 '\000') 0;
   }
 
-(* [Hashtbl.find] rather than [find_opt]: the hit path must not
-   allocate the option. *)
-let str_id r s =
+(* [Hashtbl.find] rather than [find_opt]: the miss path must not
+   allocate the option either. *)
+let intern_str r s =
   match Hashtbl.find r.str_ids s with
   | i -> i
   | exception Not_found ->
@@ -146,6 +155,8 @@ let str_id r s =
     r.strs.(i) <- s;
     r.nstrs <- i + 1;
     i
+
+let str_id r s = Ident_cache.find r.str_cache ~slot:(Ident_cache.string_slot s) s r intern_str
 
 (* Reserve the next entry, growing both arrays together; returns the
    base index into [ints]. *)

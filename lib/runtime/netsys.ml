@@ -33,25 +33,56 @@ let empty = { boxes = []; chans = []; error = None }
 
 let err t = t.error
 let fail t msg = { t with error = Some (match t.error with None -> msg | Some e -> e) }
+let failed t = match t.error with None -> false | Some _ -> true
 
-let assoc_replace key value l = (key, value) :: List.remove_assoc key l
+(* Association lists with monomorphic keys.  Every delivery looks up
+   and replaces a box, a channel, a slot and a binding, so the keys are
+   compared with [String.equal] and [key_equal], never with the
+   polymorphic [caml_compare] behind [List.assoc].  A replace moves the
+   entry to the head: the channel list's order is the settle order
+   (see [first_deliverable]). *)
+let key_equal a b = a.tun = b.tun && String.equal a.chan b.chan
 
-let find_box t name = List.assoc_opt name t.boxes
+let rec find_str name = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k name then Some v else find_str name rest
 
-let set_box t name box = { t with boxes = assoc_replace name box t.boxes }
+let rec mem_str name = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k name || mem_str name rest
 
-let find_chan t name = List.assoc_opt name t.chans
+let rec remove_str name = function
+  | [] -> []
+  | ((k, _) as pair) :: rest -> if String.equal k name then rest else pair :: remove_str name rest
 
-let set_chan t name chan = { t with chans = assoc_replace name chan t.chans }
+let replace_str name value l = (name, value) :: remove_str name l
+
+let rec find_key key = function
+  | [] -> None
+  | (k, v) :: rest -> if key_equal k key then Some v else find_key key rest
+
+let rec remove_key key = function
+  | [] -> []
+  | ((k, _) as pair) :: rest -> if key_equal k key then rest else pair :: remove_key key rest
+
+let replace_key key value l = (key, value) :: remove_key key l
+
+let find_box t name = find_str name t.boxes
+
+let set_box t name box = { t with boxes = replace_str name box t.boxes }
+
+let find_chan t name = find_str name t.chans
+
+let set_chan t name chan = { t with chans = replace_str name chan t.chans }
 
 let add_box t name =
-  if t.error <> None then t
-  else if List.mem_assoc name t.boxes then fail t (Printf.sprintf "box %s already exists" name)
+  if failed t then t
+  else if mem_str name t.boxes then fail t (Printf.sprintf "box %s already exists" name)
   else set_box t name { slots = []; bindings = []; links = [] }
 
 let connect t ~chan ?(tunnels = 1) ~initiator ~acceptor () =
-  if t.error <> None then t
-  else if find_chan t chan <> None then fail t (Printf.sprintf "channel %s already exists" chan)
+  if failed t then t
+  else if mem_str chan t.chans then fail t (Printf.sprintf "channel %s already exists" chan)
   else
     match find_box t initiator, find_box t acceptor with
     | None, _ -> fail t (Printf.sprintf "unknown box %s" initiator)
@@ -75,10 +106,10 @@ let connect t ~chan ?(tunnels = 1) ~initiator ~acceptor () =
       set_box t acceptor (add_slots abox Slot.Channel_acceptor acceptor)
 
 let slot t { box; key } =
-  Option.bind (find_box t box) (fun b -> List.assoc_opt key b.slots)
+  match find_box t box with None -> None | Some b -> find_key key b.slots
 
 let binding t { box; key } =
-  Option.bind (find_box t box) (fun b -> List.assoc_opt key b.bindings)
+  match find_box t box with None -> None | Some b -> find_key key b.bindings
 
 let slots_of_box t name =
   match find_box t name with
@@ -87,39 +118,39 @@ let slots_of_box t name =
 
 let boxes t = List.rev_map fst t.boxes
 let channels t = List.rev_map fst t.chans
-let has_channel t name = find_chan t name <> None
+let has_channel t name = mem_str name t.chans
 
 let peer_of_chan t ~chan ~box =
   match find_chan t chan with
   | None -> None
   | Some channel ->
-    if Channel.initiator channel = box then Some (Channel.acceptor channel)
-    else if Channel.acceptor channel = box then Some (Channel.initiator channel)
+    if String.equal (Channel.initiator channel) box then Some (Channel.acceptor channel)
+    else if String.equal (Channel.acceptor channel) box then Some (Channel.initiator channel)
     else None
 
 (* Dissolve the flowlink named [id] in [box]; both member slots become
    unbound. *)
 let dissolve_link box id =
-  match List.assoc_opt id box.links with
+  match find_str id box.links with
   | None -> box
   | Some (_, k1, k2) ->
     {
       box with
-      links = List.remove_assoc id box.links;
+      links = remove_str id box.links;
       bindings =
         List.map
-          (fun (k, b) -> if k = k1 || k = k2 then (k, Unbound) else (k, b))
+          (fun (k, b) -> if key_equal k k1 || key_equal k k2 then (k, Unbound) else (k, b))
           box.bindings;
     }
 
 let release_slot box key =
-  match List.assoc_opt key box.bindings with
+  match find_key key box.bindings with
   | Some (Link_b (id, _)) -> dissolve_link box id
   | Some (Open_b _ | Close_b _ | Hold_b _ | Unbound) | None ->
-    { box with bindings = assoc_replace key Unbound box.bindings }
+    { box with bindings = replace_key key Unbound box.bindings }
 
 let disconnect t ~chan =
-  if t.error <> None then t
+  if failed t then t
   else
     match find_chan t chan with
     | None -> fail t (Printf.sprintf "unknown channel %s" chan)
@@ -133,16 +164,18 @@ let disconnect t ~chan =
           let box =
             List.fold_left
               (fun box (id, (_, k1, k2)) ->
-                if k1.chan = chan || k2.chan = chan then dissolve_link box id else box)
+                if String.equal k1.chan chan || String.equal k2.chan chan then
+                  dissolve_link box id
+                else box)
               box box.links
           in
-          let keep (k, _) = k.chan <> chan in
+          let keep (k, _) = not (String.equal k.chan chan) in
           set_box t box_name
             { box with slots = List.filter keep box.slots; bindings = List.filter keep box.bindings }
       in
       let t = strip t (Channel.initiator channel) in
       let t = strip t (Channel.acceptor channel) in
-      { t with chans = List.remove_assoc chan t.chans }
+      { t with chans = remove_str chan t.chans }
 
 (* ------------------------------------------------------------------ *)
 (* Emission routing                                                    *)
@@ -155,44 +188,69 @@ let disconnect t ~chan =
    immutable, so reuse across sessions sharing a label on the same
    domain is safe as long as the box names still match — which the
    [to_] check below re-validates, self-healing when two scenarios
-   reuse a label for differently-named boxes. *)
-let send_tables_key : (string, send option array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
+   reuse a label for differently-named boxes.
 
-(* The hit path is [Hashtbl.find] + an array load: no [Some] box per
+   The table is keyed by the channel's own label ([Channel.label]):
+   one physical string per channel for a session's lifetime, however
+   the caller spelled the channel's name.  So the {!Ident_cache} in
+   front of it hits on every emission after a channel's first, and
+   the hit path skips [caml_hash]. *)
+let label_cache_size = 64
+
+type routes = { mutable sends : send option array (* slot [2 * tun + side] *) }
+
+type send_tables = {
+  by_label : (string, routes) Hashtbl.t;
+  cache : (string, routes) Ident_cache.t;
+}
+
+let send_tables_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        by_label = Hashtbl.create 32;
+        (* a fresh block no caller can hold *)
+        cache = Ident_cache.create label_cache_size ~absent:(String.make 1 '\000') { sends = [||] };
+      })
+
+let routes_of_label tbl label =
+  match Hashtbl.find tbl.by_label label with
+  | routes -> routes
+  | exception Not_found ->
+    let routes =
+      ({ sends = [||] }
+      [@lint.allow
+        "alloc: one route record per first-seen channel label; E15 charges interning to \
+         session setup"])
+    in
+    Hashtbl.add tbl.by_label label routes;
+    routes
+
+(* The hit path is a cache probe + an array load: no [Some] box per
    lookup (the option the steady state would otherwise allocate on
    every emitted signal). *)
-let interned_send channel ~chan ~tun ~to_ =
+let interned_send channel ~tun ~to_ =
   let tbl = Domain.DLS.get send_tables_key in
-  let idx = (2 * tun) + if String.equal to_ (Channel.initiator channel) then 0 else 1 in
-  let arr =
-    match Hashtbl.find tbl chan with
-    | arr when idx < Array.length arr -> arr
-    | old ->
-      let arr =
-        (Array.make (idx + 1) None
-        [@lint.allow
-          "alloc: intern-slot growth when a channel gains tunnels; first-seen only, E15 \
-           charges interning to session setup"])
-      in
-      Array.blit old 0 arr 0 (Array.length old);
-      Hashtbl.replace tbl chan arr;
-      arr
-    | exception Not_found ->
-      let arr =
-        (Array.make (max (2 * Channel.tunnel_count channel) (idx + 1)) None
-        [@lint.allow
-          "alloc: intern-slot array on a first-seen channel label; first-seen only, E15 \
-           charges interning to session setup"])
-      in
-      Hashtbl.add tbl chan arr;
-      arr
+  let label = Channel.label channel in
+  let routes =
+    Ident_cache.find tbl.cache ~slot:(Ident_cache.string_slot label) label tbl routes_of_label
   in
+  let idx = (2 * tun) + if String.equal to_ (Channel.initiator channel) then 0 else 1 in
+  if idx >= Array.length routes.sends then begin
+    let arr =
+      (Array.make (Int.max (2 * Channel.tunnel_count channel) (idx + 1)) None
+      [@lint.allow
+        "alloc: route slots on a first-seen channel label, regrown when a channel gains \
+         tunnels; first-seen only, E15 charges interning to session setup"])
+    in
+    Array.blit routes.sends 0 arr 0 (Array.length routes.sends);
+    routes.sends <- arr
+  end;
+  let arr = routes.sends in
   match arr.(idx) with
   | Some s when String.equal s.to_ to_ -> s
   | Some _ | None ->
     let s =
-      ({ s_chan = chan; s_tun = tun; to_ }
+      ({ s_chan = label; s_tun = tun; to_ }
       [@lint.allow
         "alloc: the interned send record itself — built once per (channel, tunnel, \
          direction) and reused for every later emission on that route"])
@@ -213,16 +271,15 @@ let emit_signals t box_name key signals =
         let channel = Channel.send_signal channel ~from_box:box_name ~tunnel:key.tun signal in
         let t = set_chan t key.chan channel in
         let s =
-          interned_send channel ~chan:key.chan ~tun:key.tun
-            ~to_:(Channel.peer_of channel box_name)
+          interned_send channel ~tun:key.tun ~to_:(Channel.peer_of channel box_name)
         in
         go t (s :: acc) rest)
   in
   match signals with [] -> (t, []) | signals -> go t [] signals
 
-let with_slot box key slot = { box with slots = assoc_replace key slot box.slots }
+let with_slot box key slot = { box with slots = replace_key key slot box.slots }
 
-let with_binding box key b = { box with bindings = assoc_replace key b box.bindings }
+let with_binding box key b = { box with bindings = replace_key key b box.bindings }
 
 (* ------------------------------------------------------------------ *)
 (* Binding operations                                                  *)
@@ -232,12 +289,12 @@ let of_goal_result t f = function
   | Error e -> (fail t (Goal_error.to_string e), [])
 
 let bind_endpoint t { box = box_name; key } start =
-  if t.error <> None then (t, [])
+  if failed t then (t, [])
   else
     match find_box t box_name with
     | None -> (fail t (Printf.sprintf "unknown box %s" box_name), [])
     | Some box -> (
-      match List.assoc_opt key box.slots with
+      match find_key key box.slots with
       | None -> (fail t (Printf.sprintf "no slot %s.%d in %s" key.chan key.tun box_name), [])
       | Some slot ->
         let box = release_slot box key in
@@ -284,20 +341,20 @@ let route_link_emissions t box_name k1 k2 out =
   (t, List.rev rev)
 
 let bind_link t ~box:box_name ~id k1 k2 =
-  if t.error <> None then (t, [])
+  if failed t then (t, [])
   else
     match find_box t box_name with
     | None -> (fail t (Printf.sprintf "unknown box %s" box_name), [])
     | Some box -> (
-      if k1 = k2 then (fail t "flowlink needs two distinct slots", [])
+      if key_equal k1 k2 then (fail t "flowlink needs two distinct slots", [])
       else
-        match List.assoc_opt k1 box.slots, List.assoc_opt k2 box.slots with
+        match find_key k1 box.slots, find_key k2 box.slots with
         | None, _ | _, None -> (fail t (Printf.sprintf "missing slot for link %s" id), [])
         | Some s1, Some s2 ->
           (* Release the member slots first: rebinding may reuse the
              name of the link being dissolved. *)
           let box = release_slot (release_slot box k1) k2 in
-          if List.mem_assoc id box.links then
+          if mem_str id box.links then
             (fail t (Printf.sprintf "link %s already exists in %s" id box_name), [])
           else
           of_goal_result t
@@ -316,14 +373,14 @@ let bind_link t ~box:box_name ~id k1 k2 =
             (Flow_link.start s1 s2))
 
 let unbind t { box = box_name; key } =
-  if t.error <> None then t
+  if failed t then t
   else
     match find_box t box_name with
     | None -> fail t (Printf.sprintf "unknown box %s" box_name)
     | Some box -> set_box t box_name (release_slot box key)
 
 let modify t ({ box = box_name; key } as r) mute =
-  if t.error <> None then (t, [])
+  if failed t then (t, [])
   else
     match find_box t box_name, slot t r, binding t r with
     | None, _, _ | _, None, _ | _, _, None ->
@@ -347,7 +404,7 @@ let modify t ({ box = box_name; key } as r) mute =
 (* Meta-signals                                                        *)
 
 let send_meta t ~chan ~from meta =
-  if t.error <> None then t
+  if failed t then t
   else
     match find_chan t chan with
     | None -> fail t (Printf.sprintf "unknown channel %s" chan)
@@ -368,7 +425,7 @@ let take_meta t ~chan ~at =
 
 let deliverables t =
   List.concat_map
-    (fun (name, channel) ->
+    (fun (_, channel) ->
       List.concat_map
         (fun tun ->
           let pending_at box_name =
@@ -376,7 +433,7 @@ let deliverables t =
             Tunnel.has_pending ~toward:at (Channel.tunnel channel tun)
           in
           let one box_name =
-            if pending_at box_name then [ interned_send channel ~chan:name ~tun ~to_:box_name ]
+            if pending_at box_name then [ interned_send channel ~tun ~to_:box_name ]
             else []
           in
           one (Channel.initiator channel) @ one (Channel.acceptor channel))
@@ -392,27 +449,27 @@ let deliverables t =
 (* The loops live at top level — as nested [let rec]s they would close
    over the channel per call and allocate on every settle step — and
    the per-tunnel [pending_at] helper is inlined for the same reason. *)
-let rec fd_tun_loop channel name tunnels tun =
+let rec fd_tun_loop channel tunnels tun =
   if tun >= tunnels then None
   else
     let tunnel = Channel.tunnel channel tun in
     let ini = Channel.initiator channel in
     if Tunnel.has_pending ~toward:(Channel.end_of channel ini) tunnel then
-      (Some (interned_send channel ~chan:name ~tun ~to_:ini)
+      (Some (interned_send channel ~tun ~to_:ini)
       [@lint.allow
         "alloc: one option box per settle-loop step; settling is the per-arrival phase E15 \
          charges to session work, not the steady drain"])
     else
       let acc = Channel.acceptor channel in
       if Tunnel.has_pending ~toward:(Channel.end_of channel acc) tunnel then
-        (Some (interned_send channel ~chan:name ~tun ~to_:acc)
+        (Some (interned_send channel ~tun ~to_:acc)
         [@lint.allow "alloc: one option box per settle-loop step, as above"])
-      else fd_tun_loop channel name tunnels (tun + 1)
+      else fd_tun_loop channel tunnels (tun + 1)
 
 let rec fd_chan_loop = function
   | [] -> None
-  | (name, channel) :: rest -> (
-    match fd_tun_loop channel name (Channel.tunnel_count channel) 0 with
+  | (_, channel) :: rest -> (
+    match fd_tun_loop channel (Channel.tunnel_count channel) 0 with
     | Some _ as s -> s
     | None -> fd_chan_loop rest)
 
@@ -428,7 +485,7 @@ let dispatch_signal t box_name key signal =
   match find_box t box_name with
   | None -> (fail t (Printf.sprintf "unknown box %s" box_name), [])
   | Some box -> (
-    match List.assoc_opt key box.bindings with
+    match find_key key box.bindings with
     | None ->
       ( fail t
           (Printf.sprintf "signal %s arrived at unknown slot %s.%d of %s" (Signal.name signal)
@@ -439,7 +496,7 @@ let dispatch_signal t box_name key signal =
          decided, or a device user has not answered): the slot tracks
          protocol state passively; only protocol-automatic replies go
          out. *)
-      match List.assoc_opt key box.slots with
+      match find_key key box.slots with
       | None -> (fail t "missing slot", [])
       | Some slot -> (
         match Slot.receive slot signal with
@@ -447,7 +504,7 @@ let dispatch_signal t box_name key signal =
         | Ok (slot, auto, _notes) ->
           emit_signals (set_box t box_name (with_slot box key slot)) box_name key auto))
     | Some (Open_b g) -> (
-      match List.assoc_opt key box.slots with
+      match find_key key box.slots with
       | None -> (fail t "missing slot", [])
       | Some slot ->
         of_goal_result t
@@ -456,7 +513,7 @@ let dispatch_signal t box_name key signal =
             emit_signals (set_box t box_name box) box_name key o.Open_slot.out)
           (Open_slot.on_signal g slot signal))
     | Some (Close_b g) -> (
-      match List.assoc_opt key box.slots with
+      match find_key key box.slots with
       | None -> (fail t "missing slot", [])
       | Some slot ->
         of_goal_result t
@@ -467,7 +524,7 @@ let dispatch_signal t box_name key signal =
             emit_signals (set_box t box_name box) box_name key o.Close_slot.out)
           (Close_slot.on_signal g slot signal))
     | Some (Hold_b g) -> (
-      match List.assoc_opt key box.slots with
+      match find_key key box.slots with
       | None -> (fail t "missing slot", [])
       | Some slot ->
         of_goal_result t
@@ -476,17 +533,17 @@ let dispatch_signal t box_name key signal =
             emit_signals (set_box t box_name box) box_name key o.Hold_slot.out)
           (Hold_slot.on_signal g slot signal))
     | Some (Link_b (id, side)) -> (
-      match List.assoc_opt id box.links with
+      match find_str id box.links with
       | None -> (fail t (Printf.sprintf "dangling link %s" id), [])
       | Some (fl, k1, k2) -> (
-        match List.assoc_opt k1 box.slots, List.assoc_opt k2 box.slots with
+        match find_key k1 box.slots, find_key k2 box.slots with
         | None, _ | _, None -> (fail t "missing link slot", [])
         | Some s1, Some s2 ->
           of_goal_result t
             (fun (o : Flow_link.outcome) ->
               let box = with_slot (with_slot box k1 o.Flow_link.left) k2 o.Flow_link.right in
               let box =
-                { box with links = assoc_replace id (o.Flow_link.goal, k1, k2) box.links }
+                { box with links = replace_str id (o.Flow_link.goal, k1, k2) box.links }
               in
               route_link_emissions (set_box t box_name box) box_name k1 k2 o.Flow_link.out)
             (Flow_link.on_signal fl ~left:s1 ~right:s2 side signal))))
@@ -508,7 +565,7 @@ let dispatch_signal t box_name key signal =
   dispatch_signal t box_name key signal
 
 let deliver t { s_chan; s_tun; to_ } =
-  if t.error <> None then None
+  if failed t then None
   else
     match find_chan t s_chan with
     | None -> None
@@ -520,7 +577,7 @@ let deliver t { s_chan; s_tun; to_ } =
         Some (dispatch_signal t to_ { chan = s_chan; tun = s_tun } signal))
 
 let take t { s_chan; s_tun; to_ } =
-  if t.error <> None then None
+  if failed t then None
   else
     match find_chan t s_chan with
     | None -> None
@@ -530,7 +587,7 @@ let take t { s_chan; s_tun; to_ } =
       | Some (signal, channel) -> Some (signal, set_chan t s_chan channel))
 
 let inject t { s_chan; s_tun; to_ } signal =
-  if t.error <> None then None
+  if failed t then None
   else Some (dispatch_signal t to_ { chan = s_chan; tun = s_tun } signal)
 
 let peek_signal t ~chan ~tun ~at =
@@ -550,7 +607,7 @@ let quiescent t =
 
 let run ?(max_steps = 100_000) t =
   let rec loop t steps =
-    if t.error <> None then (t, false)
+    if failed t then (t, false)
     else if steps >= max_steps then (t, false)
     else
       match first_deliverable t with
@@ -563,8 +620,7 @@ let run ?(max_steps = 100_000) t =
   loop t 0
 
 let find_link t ~box ~id =
-  Option.bind (find_box t box) (fun b ->
-      Option.map (fun (fl, k1, k2) -> (fl, k1, k2)) (List.assoc_opt id b.links))
+  match find_box t box with None -> None | Some b -> find_str id b.links
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>net{%d boxes, %d channels%s}@]" (List.length t.boxes)

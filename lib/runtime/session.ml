@@ -29,7 +29,7 @@ type t = {
   s_make : unit -> Netsys.t;
   s_boot : t -> unit;
   s_hangup : (t -> unit) option;
-  s_judge : (Trace.Packed.t -> Monitor.verdict) option;
+  s_judge : Monitor.judgement option;
   mutable s_sim : Timed.t option;
 }
 
@@ -58,7 +58,7 @@ let sim t =
   | Some sim -> sim
   | None -> invalid_arg "Session.sim: session not running (only valid from boot onward)"
 
-let judge t = t.s_judge
+let judge t = Option.map (fun j p -> Monitor.judge j (Monitor.run_packed p)) t.s_judge
 let latency_n t = t.s_n
 let latency_c t = t.s_c
 
@@ -77,19 +77,21 @@ let boot_external t ~make_driver =
   t.s_boot t;
   sim
 
+(* One run of the Fig. 5 machines per session: the report, the metrics
+   and the verdict are all read off it. *)
 let analyze t ~events ~end_time trace =
-  let metrics = Metrics.of_packed trace in
-  let report = Monitor.replay_packed trace in
+  let machines = Monitor.run_packed trace in
+  let report = Monitor.report machines in
   {
     id = t.s_id;
     scenario = t.s_scenario;
     events;
     end_time;
     trace;
-    metrics;
+    metrics = Metrics.of_packed_report report trace;
     conformant = Monitor.conformant report;
     violations = List.length report.Monitor.violations;
-    verdict = Option.map (fun judge -> judge trace) t.s_judge;
+    verdict = Option.map (fun j -> Monitor.judge j machines) t.s_judge;
   }
 
 let run ?until ?max_events t =

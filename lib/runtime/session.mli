@@ -26,7 +26,7 @@ val create :
   ?n:float ->
   ?c:float ->
   ?hangup:(t -> unit) ->
-  ?judge:(Trace.Packed.t -> Monitor.verdict) ->
+  ?judge:Monitor.judgement ->
   id:int ->
   scenario:string ->
   rng:Rng.t ->
@@ -40,8 +40,10 @@ val create :
     onward).  [hangup], if given, is the teardown counterpart of
     [boot], run by {!retire} at the start of the second recording
     bracket (typically re-engaging the path goals to [Close_end]).
-    [judge], if given, evaluates a temporal obligation on the captured
-    trace.  [n], [c], and [sched] are passed to {!Timed.create}. *)
+    [judge], if given, is the temporal obligation the captured trace is
+    judged against; the verdict comes from the same monitor run as the
+    outcome's report and metrics.  [n], [c], and [sched] are passed to
+    {!Timed.create}. *)
 
 val id : t -> int
 val scenario : t -> string
@@ -55,8 +57,10 @@ val sim : t -> Timed.t
     {!boot_external}) installs it. *)
 
 val judge : t -> (Trace.Packed.t -> Monitor.verdict) option
-(** The temporal judge given at {!create}, for callers that drive the
-    session externally and must evaluate the verdict themselves. *)
+(** The obligation given at {!create} as a judge of a whole trace (it
+    runs the monitor over the trace it is given), for callers that
+    drive the session externally and must evaluate the verdict
+    themselves. *)
 
 val latency_n : t -> float
 val latency_c : t -> float

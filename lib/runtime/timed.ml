@@ -112,7 +112,9 @@ let register_scripted t f =
 let scripted_action t idx = Vec.get t.scripted idx
 
 let run_watches t =
-  if t.watches <> [] then begin
+  match t.watches with
+  | [] -> ()
+  | watches ->
     let now = now t in
     let still =
       List.filter
@@ -122,10 +124,9 @@ let run_watches t =
             false
           end
           else true)
-        t.watches
+        watches
     in
     t.watches <- still
-  end
 
 let when_true t pred callback =
   let id = t.watch_seq in

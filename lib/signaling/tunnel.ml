@@ -51,10 +51,12 @@ let queue_toward ~toward t =
 
 let pending ~toward t = List.map Signal_pack.unpack (queue_toward ~toward t)
 
-let has_pending ~toward t = queue_toward ~toward t <> []
+let has_pending ~toward t = match queue_toward ~toward t with [] -> false | _ :: _ -> true
 
 let in_flight t = List.length t.a_to_b + List.length t.b_to_a
-let is_empty t = t.a_to_b = [] && t.b_to_a = []
+
+let is_empty t =
+  match t.a_to_b, t.b_to_a with [], [] -> true | _ :: _, _ | _, _ :: _ -> false
 
 (* Packed words are canonical within a domain, so word-list equality
    coincides with the old signal-list structural equality. *)

@@ -342,6 +342,68 @@ let test_live_daemon_lifecycle () =
       (n >= 9 && String.equal (String.sub status (n - 9) 9) "satisfied")
   | [] -> Alcotest.fail "no CALL status line seen"
 
+(* Call [f] on every complete line the daemon sends on [fd]. *)
+let on_lines loop fd f =
+  let pending = Buffer.create 64 in
+  Wallclock.on_readable loop fd (fun () ->
+      match Transport.recv fd with
+      | `Retry -> ()
+      | `Eof -> Wallclock.remove_fd loop fd
+      | `Data data ->
+        String.iter
+          (fun c ->
+            if c = '\n' then begin
+              f (Buffer.contents pending);
+              Buffer.clear pending
+            end
+            else Buffer.add_char pending c)
+          data)
+
+(* A control client that streams 1 MiB with no newline is told its line
+   is too long and disconnected once the line passes the wire frame
+   cap, instead of growing the daemon's buffer without bound; a second
+   connection is still answered. *)
+let test_overlong_control_line () =
+  let path = Filename.temp_file "mediactl_test" ".sock" in
+  Unix.unlink path;
+  let listener = Transport.listen (Transport.Unix_sock path) in
+  let d = Daemon.create ~listener () in
+  let loop = Daemon.loop d in
+  let flood = Transport.connect (Transport.Unix_sock path) in
+  let other = Transport.connect (Transport.Unix_sock path) in
+  Unix.set_nonblock flood;
+  let chunk = String.make 4096 'x' in
+  let sent = ref 0 and refused = ref None and pong = ref None in
+  let rec pump () =
+    if !sent < 1 lsl 20 then
+      match Unix.write_substring flood chunk 0 (String.length chunk) with
+      | n ->
+        sent := !sent + n;
+        Wallclock.after loop ~delay:0.0 pump
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Wallclock.after loop ~delay:1.0 pump
+      | exception Unix.Unix_error _ -> () (* the daemon hung up *)
+  in
+  on_lines loop flood (fun line ->
+      if Option.is_none !refused then begin
+        refused := Some line;
+        Transport.send_all other "PING\n"
+      end);
+  on_lines loop other (fun line ->
+      if Option.is_none !pong then begin
+        pong := Some line;
+        Transport.send_all other "QUIT\n"
+      end);
+  Wallclock.after loop ~delay:10_000.0 (fun () -> Daemon.shutdown d);
+  pump ();
+  Daemon.run d;
+  Transport.close_quiet flood;
+  Transport.close_quiet other;
+  check (Alcotest.option tstr) "flooding client refused" (Some "ERR line too long") !refused;
+  check tbool "flooding client disconnected before 1 MiB" true (!sent < 1 lsl 20);
+  check tbool "other connection still answered" true
+    (match !pong with Some line -> Control.is_ok line | None -> false)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -370,6 +432,8 @@ let () =
           Alcotest.test_case "session boots on the wall clock" `Quick test_session_on_wallclock;
         ] );
       ( "live",
-        [ Alcotest.test_case "unix-socket lifecycle is satisfied" `Quick test_live_daemon_lifecycle ]
-      );
+        [
+          Alcotest.test_case "unix-socket lifecycle is satisfied" `Quick test_live_daemon_lifecycle;
+          Alcotest.test_case "overlong control line is refused" `Quick test_overlong_control_line;
+        ] );
     ]

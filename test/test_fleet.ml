@@ -401,6 +401,16 @@ let test_pinned_batch_digest () =
   check Alcotest.string "mixed batch digest" "ddcefcaf36798a1103abe22c25bcc1f6"
     (Fleet.digest outcomes)
 
+(* Scenarios outside the Mixed pool reach delivery paths Mixed never
+   does: [Netsys.disconnect] and [dissolve_link] after a relink
+   (transfer, music on hold) and [Conference.add_user] (barge-in). *)
+let pinned_kind kind want () =
+  let outcomes, _ =
+    Fleet.run ~jobs:1 ~until:60_000.0 ~sessions:20 ~seed:1 (fun ~id ~rng ->
+        Scenario.session ~loss:0.05 kind ~id ~rng)
+  in
+  check Alcotest.string (Scenario.to_string kind ^ " batch digest") want (Fleet.digest outcomes)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -443,5 +453,13 @@ let () =
           Alcotest.test_case "churn, 200 resident over 400 ms" `Quick test_pinned_churn_digest;
           Alcotest.test_case "fleet run, 40 mixed sessions at 5% loss" `Quick
             test_pinned_batch_digest;
+          Alcotest.test_case "fleet run, 20 conf2 sessions at 5% loss" `Quick
+            (pinned_kind Scenario.Conf2 "c61d6ba22bbc551679abaad89c78b362");
+          Alcotest.test_case "fleet run, 20 transfer sessions at 5% loss" `Quick
+            (pinned_kind Scenario.Transfer "5b3efe532b56f95992e4857b672feb42");
+          Alcotest.test_case "fleet run, 20 barge sessions at 5% loss" `Quick
+            (pinned_kind Scenario.Barge "6b0e027f65fb37d59330dba3207a885c");
+          Alcotest.test_case "fleet run, 20 moh sessions at 5% loss" `Quick
+            (pinned_kind Scenario.Moh "441e125a723804e1383d110a0606c3be");
         ] );
     ]

@@ -264,6 +264,10 @@ let alloc_flags_poly_compare () =
   check_rules ~msg:"polymorphic min boxes floats" [ "ALLOC001" ]
     (lint ~rel:"lib/sim/hot.ml" "let hot (a : float) (b : float) = min a b\n[@@lint.hotpath]\n")
 
+let alloc_flags_poly_lookup () =
+  check_rules ~msg:"List.mem_assoc compares keys polymorphically" [ "ALLOC001" ]
+    (lint ~rel:"lib/sim/hot.ml" "let hot k l = List.mem_assoc k l\n[@@lint.hotpath]\n")
+
 let alloc_flags_curated_call () =
   check_rules ~msg:"Hashtbl.find_opt allocates an option per hit" [ "ALLOC001" ]
     (lint ~rel:"lib/sim/hot.ml" "let hot t k = Hashtbl.find_opt t k\n[@@lint.hotpath]\n")
@@ -486,6 +490,7 @@ let () =
           Alcotest.test_case "flags string concat" `Quick alloc_flags_string_concat;
           Alcotest.test_case "flags partial application" `Quick alloc_flags_partial_application;
           Alcotest.test_case "flags polymorphic compare" `Quick alloc_flags_poly_compare;
+          Alcotest.test_case "flags polymorphic key lookup" `Quick alloc_flags_poly_lookup;
           Alcotest.test_case "flags curated allocating call" `Quick alloc_flags_curated_call;
           Alcotest.test_case "accepts clean loop" `Quick alloc_accepts_clean_loop;
           Alcotest.test_case "cold code exempt" `Quick alloc_cold_code_exempt;

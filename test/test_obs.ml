@@ -173,6 +173,59 @@ let gen_signal =
         pure Signal.Closeack;
       ])
 
+(* --- intern caches ------------------------------------------------------ *)
+
+(* [Signal_pack] and the trace's string table each sit behind a cache
+   that matches by physical identity (64 descriptor, 64 selector and
+   256 string slots).  Far more distinct payloads than that must still
+   round-trip, keep one interned block per word, and give a structurally
+   equal but physically distinct value the same id. *)
+let copy_str s = Bytes.to_string (Bytes.of_string s)
+let copy_desc (d : Descriptor.t) = { d with Descriptor.owner = copy_str d.Descriptor.owner }
+
+let copy_signal = function
+  | Signal.Open (m, d) -> Signal.Open (m, copy_desc d)
+  | Signal.Oack d -> Signal.Oack (copy_desc d)
+  | Signal.Describe d -> Signal.Describe (copy_desc d)
+  | Signal.Select s ->
+    let owner, version = s.Selector.responds_to in
+    Signal.Select { s with Selector.responds_to = (copy_str owner, version) }
+  | (Signal.Close | Signal.Closeack) as s -> s
+
+let prop_intern_caches =
+  QCheck2.Test.make ~name:"intern caches: round-trip, stable blocks, one id per value" ~count:30
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 150 400) gen_signal)
+        (list_size (int_range 300 700) (string_size ~gen:printable (int_range 0 12))))
+    (fun (signals, strings) ->
+      let words = List.map Signal_pack.pack signals in
+      let first = List.map Signal_pack.unpack words in
+      let round_trip = List.for_all2 ( = ) first signals in
+      let stable =
+        List.for_all2 (fun w u -> Signal_pack.unpack w == u) (List.rev words) (List.rev first)
+      in
+      let one_word =
+        List.for_all2 (fun s w -> Signal_pack.pack (copy_signal s) = w) signals words
+      in
+      let (), p =
+        Trace.recording_packed (fun () ->
+            List.iter
+              (fun s -> Trace.emit (Trace.Meta_send { chan = s; box = copy_str s }))
+              strings)
+      in
+      let one_string =
+        Trace.Packed.length p = List.length strings
+        && List.for_all2
+             (fun i s ->
+               match Trace.Packed.kind p i with
+               | Trace.Meta_send { chan; box } -> String.equal chan s && chan == box
+               | _ -> false)
+             (List.init (Trace.Packed.length p) Fun.id)
+             strings
+      in
+      round_trip && stable && one_word && one_string)
+
 let gen_decision =
   QCheck2.Gen.(
     oneof
@@ -548,6 +601,7 @@ let () =
           Alcotest.test_case "jsonl shape" `Quick test_jsonl_roundtrip_shape;
           Alcotest.test_case "ring matches sink jsonl" `Quick test_ring_matches_sink_jsonl;
           QCheck_alcotest.to_alcotest prop_json_matches_reference;
+          QCheck_alcotest.to_alcotest prop_intern_caches;
           Alcotest.test_case "packed consumers agree" `Quick test_packed_consumers_agree;
           Alcotest.test_case "ring growth and reuse" `Quick test_ring_growth_and_reuse;
           Alcotest.test_case "ring two-domain isolation" `Quick

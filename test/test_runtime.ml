@@ -259,6 +259,73 @@ let test_device_busy () =
   (* A closeslot rejects forever; the program times out and gives up. *)
   check tbool "terminated" true (Program.current_state running = None)
 
+(* --- settle order ------------------------------------------------------- *)
+
+(* An untimed settle delivers the pending signal of the least recently
+   updated channel first (tunnels ascending, initiator end before
+   acceptor end).  That order reaches every fleet digest; these pins
+   make a change that breaks it fail with the receive sequence itself,
+   not only with a digest mismatch. *)
+let receives f =
+  let module T = Mediactl_obs.Trace in
+  let _, p = T.recording_packed f in
+  List.filter_map
+    (fun i ->
+      if T.Packed.tag p i = 1 then
+        Some (T.Packed.sig_chan p i, T.Packed.sig_tun p i, T.Packed.sig_box p i)
+      else None)
+    (List.init (T.Packed.length p) Fun.id)
+
+let trecv = Alcotest.(list (triple string int string))
+
+let test_settle_order_conference () =
+  let users = Mediactl_apps.Conference.default_users 3 in
+  let got = receives (fun () -> ignore (Netsys.run (Mediactl_apps.Conference.build ~users))) in
+  check trecv "3-user conference, 24 deliveries"
+    [
+      ("u0-conf", 0, "conf"); ("u1-conf", 0, "conf"); ("u2-conf", 0, "conf");
+      ("conf-bridge-u0", 0, "bridge"); ("conf-bridge-u1", 0, "bridge");
+      ("conf-bridge-u2", 0, "bridge"); ("conf-bridge-u0", 0, "conf");
+      ("conf-bridge-u1", 0, "conf"); ("conf-bridge-u2", 0, "conf");
+      ("conf-bridge-u0", 0, "conf"); ("conf-bridge-u1", 0, "conf");
+      ("conf-bridge-u2", 0, "conf"); ("u0-conf", 0, "u0"); ("u1-conf", 0, "u1");
+      ("u2-conf", 0, "u2"); ("u0-conf", 0, "u0"); ("u1-conf", 0, "u1"); ("u2-conf", 0, "u2");
+      ("u0-conf", 0, "conf"); ("u1-conf", 0, "conf"); ("u2-conf", 0, "conf");
+      ("conf-bridge-u0", 0, "bridge"); ("conf-bridge-u1", 0, "bridge");
+      ("conf-bridge-u2", 0, "bridge");
+    ]
+    got
+
+let test_settle_order_collab_tv () =
+  let got =
+    receives (fun () ->
+        let net, _ = Netsys.run (Mediactl_apps.Collab_tv.build ()) in
+        ignore (Netsys.run (fst (Mediactl_apps.Collab_tv.daughter_leaves net))))
+  in
+  check trecv "collaborative tv built, then the daughter leaves"
+    [
+      ("mv", 0, "cbA"); ("mv", 1, "cbA"); ("mv", 2, "cbA"); ("tv", 0, "tvA"); ("mv", 3, "cbA");
+      ("tv", 0, "cbA"); ("cc", 0, "cbC"); ("tv", 0, "cbA"); ("cc", 1, "cbC"); ("tv", 1, "tvA");
+      ("mv", 0, "movie"); ("lp", 0, "lapC"); ("tv", 1, "cbA"); ("lp", 0, "cbC");
+      ("tv", 1, "cbA"); ("lp", 0, "cbC"); ("mv", 0, "movie"); ("lp", 1, "lapC");
+      ("cc", 0, "cbA"); ("lp", 1, "cbC"); ("mv", 0, "cbA"); ("lp", 1, "cbC");
+      ("mv", 1, "movie"); ("tv", 0, "tvA"); ("cc", 0, "cbA"); ("cc", 1, "cbA");
+      ("cc", 1, "cbA"); ("mv", 1, "movie"); ("mv", 1, "cbA"); ("mv", 2, "movie");
+      ("tv", 1, "tvA"); ("mv", 2, "movie"); ("mv", 2, "cbA"); ("mv", 3, "movie");
+      ("cc", 0, "cbC"); ("mv", 3, "movie"); ("lp", 0, "lapC"); ("mv", 3, "cbA");
+      ("mv", 4, "cbA"); ("cc", 1, "cbC"); ("hp", 0, "headB"); ("lp", 1, "lapC");
+      ("hp", 0, "cbA"); ("hp", 0, "cbA"); ("mv", 4, "movie"); ("mv", 4, "movie");
+      ("mv", 4, "cbA"); ("hp", 0, "headB");
+      (* the daughter leaves: cc is torn down, mv2 comes up *)
+      ("mv", 2, "movie"); ("mv2", 0, "cbC"); ("mv", 2, "cbA"); ("mv2", 0, "movie");
+      ("mv", 2, "movie"); ("mv2", 0, "cbC"); ("mv", 2, "cbA"); ("mv2", 0, "cbC");
+      ("mv", 3, "movie"); ("mv2", 1, "cbC"); ("lp", 0, "lapC"); ("mv", 3, "cbA");
+      ("mv2", 1, "movie"); ("lp", 0, "cbC"); ("mv", 3, "movie"); ("lp", 0, "lapC");
+      ("mv2", 0, "movie"); ("mv", 3, "cbA"); ("mv2", 1, "cbC"); ("mv2", 1, "cbC");
+      ("lp", 1, "lapC"); ("lp", 1, "cbC"); ("lp", 1, "lapC"); ("mv2", 1, "movie");
+    ]
+    got
+
 let () =
   Alcotest.run "runtime"
     [
@@ -269,6 +336,8 @@ let () =
           Alcotest.test_case "disconnect dissolves" `Quick test_disconnect_dissolves_links;
           Alcotest.test_case "unbound passive" `Quick test_unbound_slot_is_passive;
           Alcotest.test_case "misuse recorded" `Quick test_netsys_misuse_is_recorded;
+          Alcotest.test_case "settle order: conference" `Quick test_settle_order_conference;
+          Alcotest.test_case "settle order: collab tv" `Quick test_settle_order_collab_tv;
         ] );
       ( "timed",
         [

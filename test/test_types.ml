@@ -216,6 +216,29 @@ let prop_answer_optimal =
         in
         first_ok offered = Some c)
 
+(* --- identity cache ------------------------------------------------- *)
+
+(* A lookup hits only on the very block cached in its slot: an equal
+   but physically distinct key, or a key that evicted the slot, asks the
+   table again. *)
+let test_ident_cache_identity () =
+  let c = Ident_cache.create 4 ~absent:(Bytes.to_string (Bytes.make 1 '?')) 0 in
+  let asked = ref 0 in
+  let table n s = incr asked; n + String.length s in
+  let find s = Ident_cache.find c ~slot:(Ident_cache.string_slot s) s 100 table in
+  let a = "alpha" and a' = Bytes.to_string (Bytes.of_string "alpha") in
+  check tint "miss asks the table" 105 (find a);
+  check tint "hit returns the cached value" 105 (find a);
+  check tint "one table call for two lookups of one block" 1 !asked;
+  check tint "an equal copy is a different block" 105 (find a');
+  check tint "the copy asked the table" 2 !asked;
+  check tint "the copy now owns the slot" 3 (ignore (find a); !asked)
+
+let test_ident_cache_size () =
+  Alcotest.check_raises "size 3"
+    (Invalid_argument "Ident_cache.create: size must be a power of two") (fun () ->
+      ignore (Ident_cache.create 3 ~absent:"" 0))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_answer_always_responds; prop_answer_codec_in_both; prop_answer_optimal ]
@@ -262,6 +285,11 @@ let () =
         [
           Alcotest.test_case "names" `Quick test_signal_names;
           Alcotest.test_case "descriptor extraction" `Quick test_signal_descriptor_extraction;
+        ] );
+      ( "identcache",
+        [
+          Alcotest.test_case "identity hits only" `Quick test_ident_cache_identity;
+          Alcotest.test_case "power-of-two size" `Quick test_ident_cache_size;
         ] );
       ("properties", qcheck_cases);
     ]
