@@ -667,7 +667,7 @@ let e10 () =
    openslot--openslot model), returning the captured trace. *)
 let e11_traced_path ~seed ~loss ~flowlinks =
   snd
-    (Mediactl_obs.Trace.recording (fun () ->
+    (Mediactl_obs.Trace.recording_packed (fun () ->
          let sim = Timed.create ~seed ~n:paper_n ~c:paper_c (Pathlab.topology ~flowlinks ()) in
          Timed.observe sim;
          if loss > 0.0 then begin
@@ -694,18 +694,23 @@ let e11 () =
       let events_n = ref 0 and races = ref 0 in
       List.iter
         (fun seed ->
-          let events = e11_traced_path ~seed ~loss ~flowlinks:0 in
-          let report = Mediactl_obs.Monitor.replay events in
+          let trace = e11_traced_path ~seed ~loss ~flowlinks:0 in
+          let monitor = Mediactl_obs.Monitor.run_packed trace in
+          let report = Mediactl_obs.Monitor.report monitor in
           if Mediactl_obs.Monitor.conformant report then incr conformant;
-          events_n := !events_n + List.length events;
+          events_n := !events_n + Mediactl_obs.Trace.Packed.length trace;
           List.iter
             (fun (t : Mediactl_obs.Monitor.tunnel_report) ->
               races := !races + t.Mediactl_obs.Monitor.races)
             report.Mediactl_obs.Monitor.tunnels;
           match
-            Mediactl_obs.Monitor.verdict ~structural:(loss > 0.0)
-              Mediactl_obs.Monitor.Always_eventually_flowing
-              ~ends:(Pathlab.ends ~flowlinks:0) events
+            Mediactl_obs.Monitor.judge
+              {
+                Mediactl_obs.Monitor.structural = loss > 0.0;
+                obligation = Mediactl_obs.Monitor.Always_eventually_flowing;
+                legs = [ Pathlab.ends ~flowlinks:0 ];
+              }
+              monitor
           with
           | Mediactl_obs.Monitor.Satisfied -> incr sat
           | Mediactl_obs.Monitor.Undetermined _ -> incr undet
@@ -717,7 +722,7 @@ let e11 () =
         !races)
     loss_rates;
   (* Tracing overhead on the E9 kernel: the Figure-13 relink under 5%
-     loss, untraced vs traced into a collector.  The instrumentation is
+     loss, untraced vs traced into the ring.  The instrumentation is
      a load and a branch when disabled, so the untraced runs here bound
      the cost the checker and the other experiments pay: zero. *)
   let reps = 400 in
@@ -735,10 +740,10 @@ let e11 () =
     traced :=
       !traced
       +. time (fun () ->
-             let (), events =
-               Mediactl_obs.Trace.recording (fun () -> run_once ~seed:(5000 + i))
+             let (), trace =
+               Mediactl_obs.Trace.recording_packed (fun () -> run_once ~seed:(5000 + i))
              in
-             traced_events := !traced_events + List.length events)
+             traced_events := !traced_events + Mediactl_obs.Trace.Packed.length trace)
   done;
   let untraced = !untraced and traced = !traced in
   let overhead = 100.0 *. ((traced /. Float.max 1e-9 untraced) -. 1.0) in
@@ -1114,11 +1119,11 @@ let e15_sessions = 128
 
 let e15 () =
   header "E15  Allocation profile: minor words per event on the hot path";
-  (* Part 1: the three tracing arms over the same E9 kernel workload
+  (* Part 1: the two tracing arms over the same E9 kernel workload
      (Figure-13 relink under 5% loss with the reliability layer).  The
-     delta between a traced arm and the untraced run is the allocation
-     cost of observability itself; the ring arm is the zero-allocation
-     claim under test. *)
+     delta between the ring arm and the untraced run is the allocation
+     cost of observability itself, the zero-allocation claim under
+     test. *)
   let run_once ~seed = ignore (fig13_impaired ~seed ~loss:0.05 ()) in
   for i = 1 to 20 do
     run_once ~seed:(8100 + i)
@@ -1127,16 +1132,6 @@ let e15 () =
     gc_measure (fun () ->
         for i = 1 to e15_reps do
           run_once ~seed:(8200 + i)
-        done)
-  in
-  let sink_events = ref 0 in
-  let (), sinked =
-    gc_measure (fun () ->
-        for i = 1 to e15_reps do
-          let (), evs =
-            Mediactl_obs.Trace.recording (fun () -> run_once ~seed:(8200 + i))
-          in
-          sink_events := !sink_events + List.length evs
         done)
   in
   let ring_events = ref 0 in
@@ -1160,13 +1155,9 @@ let e15 () =
       d.g_minor_cols d.g_major_cols
   in
   row "untraced" untraced !ring_events;
-  row "sink" sinked !sink_events;
   row "ring" ringed !ring_events;
-  let sink_cost = per_event (sinked.g_minor -. untraced.g_minor) !sink_events in
   let ring_cost = per_event (ringed.g_minor -. untraced.g_minor) !ring_events in
-  Format.printf "tracing cost: sink %+.1f w/event, ring %+.1f w/event (%.0fx cheaper)@."
-    sink_cost ring_cost
-    (sink_cost /. Float.max 0.1 ring_cost);
+  Format.printf "tracing cost: ring %+.1f w/event@." ring_cost;
   (* Part 2: where a fleet session's allocations go.  [max_events 0]
      stops the timed drive before its first event, so that arm buys
      network build + untimed settle + boot (plus the analysis of the
@@ -1234,10 +1225,9 @@ let e15 () =
       \  \"kernel_runs\": %d,\n\
       \  \"arms\": [\n\
        %s,\n\
-       %s,\n\
        %s\n\
       \  ],\n\
-      \  \"tracing_cost_w_per_event\": { \"sink\": %.1f, \"ring\": %.1f },\n\
+      \  \"tracing_cost_w_per_event\": { \"ring\": %.1f },\n\
       \  \"fleet_phases\": { \"sessions\": %d, \"events\": %d, \"trace_entries\": %d,\n\
       \    \"setup_minor_words\": %.0f, \"drive_minor_words\": %.0f, \
        \"analyze_minor_words\": %.0f, \"total_minor_words\": %.0f,\n\
@@ -1245,9 +1235,8 @@ let e15 () =
        }\n"
       e15_reps
       (arm "untraced" untraced !ring_events)
-      (arm "sink" sinked !sink_events)
       (arm "ring" ringed !ring_events)
-      sink_cost ring_cost e15_sessions full_events full_trace setup.g_minor drive_minor
+      ring_cost e15_sessions full_events full_trace setup.g_minor drive_minor
       analyze.g_minor full.g_minor
       (per_event full.g_minor full_events);
     close_out oc;

@@ -49,7 +49,7 @@ let trace_arg =
     value
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Write the daemon's full structured event trace as JSON lines at shutdown.")
+        ~doc:"Write the daemon's full structured event trace as JSON lines, appended as it runs.")
 
 let n_arg =
   Arg.(value & opt float 34.0 & info [ "n" ] ~doc:"Network latency parameter, ms (paper: 34).")

@@ -150,7 +150,7 @@ let run_path seed n c loss left right flowlinks =
 (* The sharded many-session runtime: N independent sessions split from
    one seed, partitioned across K domains.  Fleet sessions record their
    own traces (domain-locally), so this path must not be wrapped in the
-   outer [Trace.recording] the single-scenario runs use. *)
+   outer [Trace.recording_packed] the single-scenario runs use. *)
 let run_fleet seed n c loss sessions jobs kind parties =
   let mk ~id ~rng = Scenario.session ~n ~c ~loss ~parties kind ~id ~rng in
   let outcomes, summary = Fleet.run ~jobs ~until:60_000.0 ~sessions ~seed mk in
@@ -175,9 +175,10 @@ let run_churn seed n c loss jobs kind parties target duration mean_holding arriv
 (* --------------------------------------------------------------- *)
 (* Trace capture around a scenario run                              *)
 
-let verify_trace scenario ~loss ~left ~right ~flowlinks events =
-  let report = Obs.Monitor.replay events in
-  Format.printf "monitor: %d event(s), %d tunnel(s), %s@." (List.length events)
+let verify_trace scenario ~loss ~left ~right ~flowlinks trace =
+  let monitor = Obs.Monitor.run_packed trace in
+  let report = Obs.Monitor.report monitor in
+  Format.printf "monitor: %d event(s), %d tunnel(s), %s@." (Obs.Trace.Packed.length trace)
     (List.length report.Obs.Monitor.tunnels)
     (if Obs.Monitor.conformant report then "conformant"
      else Printf.sprintf "%d VIOLATION(S)" (List.length report.Obs.Monitor.violations));
@@ -191,7 +192,9 @@ let verify_trace scenario ~loss ~left ~right ~flowlinks events =
       let structural = loss > 0.0 in
       let obligation = Pathlab.obligation left right in
       let v =
-        Obs.Monitor.verdict ~structural obligation ~ends:(Pathlab.ends ~flowlinks) events
+        Obs.Monitor.judge
+          { Obs.Monitor.structural; obligation; legs = [ Pathlab.ends ~flowlinks ] }
+          monitor
       in
       Format.printf "obligation %s%s: %a@."
         (Obs.Monitor.obligation_to_string obligation)
@@ -222,20 +225,22 @@ let run scenario n c boxes j seed loss left right flowlinks trace metrics verify
   in
   if trace = None && metrics = None && not verify then go ()
   else begin
-    let code, events = Obs.Trace.recording go in
+    let code, packed = Obs.Trace.recording_packed go in
     (match trace with
     | Some path ->
-      Obs.Trace.write_jsonl path events;
-      Format.printf "trace: %d event(s) -> %s@." (List.length events) path
+      let b = Buffer.create 4096 in
+      Obs.Trace.Packed.add_jsonl b packed;
+      Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc b);
+      Format.printf "trace: %d event(s) -> %s@." (Obs.Trace.Packed.length packed) path
     | None -> ());
     (match metrics with
     | Some path ->
-      let m = Obs.Metrics.of_events events in
+      let m = Obs.Metrics.of_packed packed in
       Obs.Metrics.write_json path m;
       Format.printf "metrics -> %s@.%a@." path Obs.Metrics.pp m
     | None -> ());
     let vcode =
-      if verify then verify_trace scenario ~loss ~left ~right ~flowlinks events else 0
+      if verify then verify_trace scenario ~loss ~left ~right ~flowlinks packed else 0
     in
     if code <> 0 then code else vcode
   end

@@ -87,13 +87,14 @@ let demo () =
         | None -> "(unbound end)"))
     (Paths.all net)
 
-(* The whole demo runs under the trace sink; afterwards the captured
-   signal history is replayed through the Fig. 5 conformance monitor —
-   runtime verification of the very run that printed above. *)
+(* The whole demo runs inside a trace recording; afterwards the
+   captured signal history is replayed through the Fig. 5 conformance
+   monitor — runtime verification of the very run that printed above. *)
 let () =
-  let (), events = Mediactl_obs.Trace.recording demo in
-  let report = Mediactl_obs.Monitor.replay events in
-  Format.printf "@.observability: %d trace events over %d tunnel(s): %s@." (List.length events)
+  let (), trace = Mediactl_obs.Trace.recording_packed demo in
+  let report = Mediactl_obs.Monitor.replay_packed trace in
+  Format.printf "@.observability: %d trace events over %d tunnel(s): %s@."
+    (Mediactl_obs.Trace.Packed.length trace)
     (List.length report.Mediactl_obs.Monitor.tunnels)
     (if Mediactl_obs.Monitor.conformant report then "Fig. 5 conformant"
      else "PROTOCOL VIOLATIONS")

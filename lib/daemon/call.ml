@@ -17,7 +17,9 @@ open Mediactl_obs
    synthetic trace event {e at the proxy} (a receive when shipping
    out, a send when injecting in), so the local trace contains a
    complete two-sided tunnel history and the Fig. 5 monitor can judge
-   the call from one daemon's recording alone.
+   the call from one daemon's recording alone.  Each call keeps its
+   own monitor, which the daemon steps with every drained entry that
+   names the call's channel.
 
    Box names are derived from the call id identically in both daemons
    ([L:<id>] initiates, [R:<id>] accepts), so the two recordings name
@@ -44,6 +46,9 @@ type t = {
   mutable c_pending : (int * Signal.t) list;
       (* shipped signals (tunnel, signal) whose receive at the proxy has
          not been recorded yet, oldest first *)
+  c_monitor : Monitor.t;  (* stepped by every drained entry on [c_chan] *)
+  mutable c_last_seq : int;  (* sequence number of the last such entry, -1 before any *)
+  mutable c_last_at : float;  (* and its timestamp *)
 }
 
 let id t = t.c_id
@@ -98,6 +103,9 @@ let make ~id ~role ~left ~right =
     c_torn = false;
     c_proxy_st = P_closed;
     c_pending = [];
+    c_monitor = Monitor.create ();
+    c_last_seq = -1;
+    c_last_at = 0.0;
   }
 
 (* Build the call's boxes and channel in the shared network and engage
@@ -139,9 +147,9 @@ let proxy_is_initiator t =
    performs legal sends — have been preceded by the receive of enough
    of our pending signals to make it legal, so exactly those are
    flushed first.  Whatever is still pending when a verdict is asked
-   for is appended to the judged slice ([pending_events]): the wire is
-   reliable, so a pending receive is "in flight", exactly like a
-   queued signal at a simulation cutoff. *)
+   for is stepped onto a copy of the call's monitor ([verdict]): the
+   wire is reliable, so a pending receive is "in flight", exactly like
+   a queued signal at a simulation cutoff. *)
 
 let send_legal st (signal : Signal.t) =
   match (signal, st) with
@@ -321,49 +329,41 @@ let obligation t =
 let ends t =
   { Monitor.left = (t.c_left_box, t.c_chan, 0); right = (t.c_right_box, t.c_chan, 0) }
 
-(* The slice of the daemon's one long trace that belongs to this call:
-   its channel's signal events.  The monitor's quiescence cutoff then
-   speaks about this call's tunnels only, not every call the daemon is
-   carrying. *)
-let trace_slice t events =
-  List.filter
-    (fun (e : Trace.event) ->
-      match e.Trace.kind with
-      | Trace.Sig_send s | Trace.Sig_recv s -> String.equal s.Trace.chan t.c_chan
-      | Trace.Meta_send m -> String.equal m.chan t.c_chan
-      | Trace.Meta_recv m -> String.equal m.chan t.c_chan
-      | Trace.Net n -> String.equal n.chan t.c_chan
-      | Trace.Slot_transition _ | Trace.Goal _ -> false)
-    events
+let step t p i =
+  Monitor.step t.c_monitor p i;
+  t.c_last_seq <- Trace.Packed.seq p i;
+  t.c_last_at <- Trace.Packed.at p i
 
 (* Shipped signals whose proxy-side receive is still pending are "in
    flight" over the (reliable) wire: at a verdict cutoff they are
-   appended to the slice as received, the analogue of a simulation
-   cutoff draining its queues.  They are not committed to the trace —
-   a later inbound signal may still order ahead of them. *)
-let pending_events t slice =
-  match proxy_box t with
-  | None -> []
-  | Some proxy ->
-    let seq, at =
-      match List.rev slice with
-      | (e : Trace.event) :: _ -> (e.Trace.seq, e.Trace.at)
-      | [] -> (-1, 0.0)
-    in
-    List.mapi
-      (fun i (tun, signal) ->
-        { Trace.seq = seq + 1 + i; at; kind = Trace.Sig_recv (proxy_sig t ~tun ~proxy signal) })
-      t.c_pending
+   stepped as received, right after the call's last entry, the
+   analogue of a simulation cutoff draining its queues.  They go onto
+   a copy of the monitor and are not committed — a later inbound
+   signal may still order ahead of them. *)
+let verdict t =
+  let m =
+    match (proxy_box t, t.c_pending) with
+    | Some proxy, (_ :: _ as pending) ->
+      let m = Monitor.copy t.c_monitor in
+      List.iteri
+        (fun i (tun, signal) ->
+          Monitor.observe m
+            {
+              Trace.seq = t.c_last_seq + 1 + i;
+              at = t.c_last_at;
+              kind = Trace.Sig_recv (proxy_sig t ~tun ~proxy signal);
+            })
+        pending;
+      m
+    | (Some _ | None), _ -> t.c_monitor
+  in
+  Monitor.judge { Monitor.structural = false; obligation = obligation t; legs = [ ends t ] } m
 
-let verdict t events =
-  let slice = trace_slice t events in
-  Monitor.verdict (obligation t) ~ends:(ends t) (slice @ pending_events t slice)
-
-let status_line net t events =
+let status_line net t =
   Printf.sprintf "CALL %s %s %s/%s %s/%s %s" t.c_id
     (match t.c_role with Local_call -> "local" | Origin -> "origin" | Acceptor -> "acceptor")
     (Control.kind_to_string t.c_left_kind)
     (Control.kind_to_string t.c_right_kind)
     (end_state net t t.c_left_box)
     (end_state net t t.c_right_box)
-    (Format.asprintf "%a" Monitor.pp_verdict (verdict t events))
+    (Format.asprintf "%a" Monitor.pp_verdict (verdict t))

@@ -8,7 +8,9 @@
     over the {!Wire} bridge ({!ship}) and injects arriving wire
     signals at the real end ({!receive}), emitting synthetic proxy-side
     trace events around each crossing so one daemon's recording holds a
-    complete two-sided tunnel history for the Fig. 5 monitor.
+    complete two-sided tunnel history for the Fig. 5 monitor.  The call
+    keeps that monitor itself: the daemon {!step}s it with each drained
+    trace entry on the call's channel.
 
     Box names derive from the call id the same way in both daemons
     ([L:<id>] initiates, [R:<id>] accepts), so either side's verdict
@@ -78,11 +80,15 @@ val obligation : t -> Monitor.obligation
 
 val ends : t -> Monitor.ends
 
-val trace_slice : t -> Trace.event list -> Trace.event list
-(** This call's events out of the daemon's one long recording. *)
+val step : t -> Trace.Packed.t -> int -> unit
+(** Step the call's monitor by entry [i] of a drained segment; the
+    daemon passes every entry that names the call's channel. *)
 
-val verdict : t -> Trace.event list -> Monitor.verdict
+val verdict : t -> Monitor.verdict
+(** The call's obligation judged on its monitor, with any shipped
+    signals whose proxy-side receive is still pending stepped as
+    received onto a copy. *)
 
-val status_line : Netsys.t -> t -> Trace.event list -> string
+val status_line : Netsys.t -> t -> string
 (** The [CALL <id> <role> <kinds> <states> <verdict>] status-response
     line. *)

@@ -3,8 +3,12 @@ open Mediactl_obs
 
 (* The daemon: one wall-clock select loop driving one shared network
    that carries every call, one listening socket speaking both of the
-   daemon's protocols, and one long trace recording that the control
-   plane's STATUS verdicts are judged against.
+   daemon's protocols, and one long trace recording.  The recording is
+   drained after every socket read and every protocol timer, so the
+   ring never holds more than one callback's events: each drained
+   entry steps the monitor of the call whose channel it names — the
+   monitor STATUS judges — and, with [--trace], is appended to the
+   JSONL file.  Nothing of the trace is kept once it is drained.
 
    A fresh inbound connection is sniffed on its first four bytes:
    [Wire.magic] marks a binary wire peer (another daemon bridging a
@@ -31,10 +35,16 @@ type conn = {
   mutable live : bool;
 }
 
+(* Where drained trace segments go besides the call monitors. *)
+type tracing = {
+  mutable out : (string * out_channel) option;  (* the [--trace] file, while open *)
+  mutable entries : int;  (* drained so far *)
+}
+
 type t = {
   loop : Wallclock.t;
   driver : Timed.t;
-  collector : Trace.collector;
+  tracing : tracing;
   listen_fd : Unix.file_descr;
   bound : Transport.addr;
   calls : (string, Call.t) Hashtbl.t;  (* by call id = channel name *)
@@ -42,16 +52,41 @@ type t = {
   mutable conns : conn list;
   mutable frame_seq : int;
   mutable down : bool;
-  trace_path : string option;
   log : string -> unit;
 }
 
 let loop t = t.loop
 let driver t = t.driver
 let bound t = t.bound
-let events t = Trace.events t.collector
 let calls t = Hashtbl.fold (fun _ c acc -> c :: acc) t.calls []
 let logf t fmt = Printf.ksprintf t.log fmt
+
+(* ------------------------------------------------------------------ *)
+(* The trace, drained as it is recorded                                *)
+
+let absorb calls tracing seg =
+  let n = Trace.Packed.length seg in
+  if n > 0 then begin
+    (match tracing.out with
+    | Some (_, oc) ->
+      let b = Buffer.create 4096 in
+      Trace.Packed.add_jsonl b seg;
+      Buffer.output_buffer oc b
+    | None -> ());
+    tracing.entries <- tracing.entries + n;
+    for i = 0 to n - 1 do
+      match Trace.Packed.tag seg i with
+      | 4 | 5 -> () (* slot and goal entries name no channel *)
+      | _ -> (
+        match Hashtbl.find_opt calls (Trace.Packed.entry_chan seg i) with
+        | Some call -> Call.step call seg i
+        | None -> ())
+    done
+  end
+
+(* Drain whatever the last callback recorded.  Outside {!run}'s
+   recording bracket there is nothing to drain. *)
+let settle calls tracing = if Trace.enabled () then absorb calls tracing (Trace.drain ())
 
 (* ------------------------------------------------------------------ *)
 (* Connection bookkeeping                                              *)
@@ -102,13 +137,13 @@ let shutdown t =
     (match t.bound with
     | Transport.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Transport.Tcp _ -> ());
-    (match t.trace_path with
-    | Some path ->
-      Trace.write_jsonl path (Trace.events t.collector);
-      logf t "trace: %d events -> %s" (Trace.count t.collector) path
+    settle t.calls t.tracing;
+    (match t.tracing.out with
+    | Some (path, oc) ->
+      t.tracing.out <- None;
+      close_out oc;
+      logf t "trace: %d events -> %s" t.tracing.entries path
     | None -> ());
-    Trace.set_sink None;
-    Trace.reset_clock ();
     Wallclock.stop t.loop
   end
 
@@ -158,17 +193,15 @@ let rec drain_frames t conn dec =
 (* ------------------------------------------------------------------ *)
 (* Control plane                                                       *)
 
-let status_lines t = function
+let status_lines t which =
+  settle t.calls t.tracing;
+  match which with
   | Some id -> (
     match Hashtbl.find_opt t.calls id with
-    | Some call -> Ok [ Call.status_line (Timed.net t.driver) call (events t) ]
+    | Some call -> Ok [ Call.status_line (Timed.net t.driver) call ]
     | None -> Error (Control.error "no such call %s" id))
   | None ->
-    let lines =
-      List.sort String.compare
-        (List.map (fun c -> Call.status_line (Timed.net t.driver) c (events t)) (calls t))
-    in
-    Ok lines
+    Ok (List.sort String.compare (List.map (Call.status_line (Timed.net t.driver)) (calls t)))
 
 let with_call t conn id k =
   match Hashtbl.find_opt t.calls id with
@@ -306,10 +339,11 @@ and ingest t conn data =
     end
 
 and on_conn_readable t conn () =
-  match Transport.recv conn.fd with
+  (match Transport.recv conn.fd with
   | `Retry -> ()
   | `Eof -> close_conn t conn
-  | `Data data -> ingest t conn data
+  | `Data data -> ingest t conn data);
+  settle t.calls t.tracing
 
 and watch_conn t conn = Wallclock.on_readable t.loop conn.fd (on_conn_readable t conn)
 
@@ -346,31 +380,47 @@ let create ?(n = 34.0) ?(c = 20.0) ?trace_path ?(log = fun _ -> ()) ~listener ()
      process *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let loop = Wallclock.create () in
-  let driver = Wallclock.driver ~n ~c loop Netsys.empty in
-  let collector = Trace.collector () in
+  let calls = Hashtbl.create 16 in
+  let tracing =
+    { out = Option.map (fun path -> (path, open_out path)) trace_path; entries = 0 }
+  in
+  (* [Wallclock.driver], plus a drain after each protocol timer *)
+  let driver =
+    Timed.create_external
+      ~now:(fun () -> Wallclock.now loop)
+      ~schedule:(fun ~delay thunk ->
+        Wallclock.after loop ~delay (fun () ->
+            thunk ();
+            settle calls tracing))
+      ~n ~c Netsys.empty
+  in
   let t =
     {
       loop;
       driver;
-      collector;
+      tracing;
       listen_fd;
       bound = bound_addr;
-      calls = Hashtbl.create 16;
+      calls;
       bridges = Hashtbl.create 16;
       conns = [];
       frame_seq = 0;
       down = false;
-      trace_path;
       log;
     }
   in
-  Trace.set_sink (Some (Trace.sink_of collector));
-  Timed.observe driver;
   Timed.set_impairment driver (fun _ frame -> route_frames t frame);
   Wallclock.on_readable loop listen_fd (on_accept t);
   logf t "listening on %s" (Transport.addr_to_string bound_addr);
   t
 
+(* [shutdown] drains last, so the bracket's closing drain is empty
+   unless something emits after it. *)
 let run t =
-  Wallclock.run t.loop;
-  shutdown t
+  let (), rest =
+    Trace.recording_packed (fun () ->
+        Timed.observe t.driver;
+        Wallclock.run t.loop;
+        shutdown t)
+  in
+  absorb t.calls t.tracing rest

@@ -1,6 +1,6 @@
 (** The media-control daemon: one {!Wallclock} select loop driving one
     shared network that carries every call, one listening socket, and
-    one long trace recording.
+    one long trace recording, drained as it runs.
 
     The listener speaks both protocols on the same address: a fresh
     connection whose first four bytes are {!Wire.magic} is a binary
@@ -13,11 +13,20 @@
     each daemon's recording complete for the Fig. 5 monitor (see
     {!Call}).
 
-    Creating a daemon installs the process-wide trace sink and ignores
-    [SIGPIPE] (a vanished peer must surface as [EPIPE]). *)
+    {!run} records the daemon's whole life in one
+    [Trace.recording_packed] bracket on the calling domain, and drains
+    it after every socket read, every protocol timer, before answering
+    [STATUS], and at shutdown.  Each drained entry that names a call's
+    channel steps that call's own monitor, which [STATUS] judges; the
+    trace itself is not kept, so neither memory nor the cost of
+    [STATUS] grows with uptime.  With [trace_path], every drained
+    segment is appended to that file as JSON lines, numbered as one
+    recording.
+
+    Creating a daemon ignores [SIGPIPE] (a vanished peer must surface
+    as [EPIPE]). *)
 
 open Mediactl_runtime
-open Mediactl_obs
 
 type t
 
@@ -33,19 +42,19 @@ val create :
     around an already-bound listener — passed as an fd so a parent
     process can bind (learning an ephemeral port) before forking the
     daemon child.  [n]/[c] are the driver's latency parameters;
-    [trace_path], if given, receives the full JSONL trace at shutdown;
-    [log] gets one human line per notable event (default: silent). *)
+    [trace_path], if given, is created now and receives the JSONL
+    trace as it is drained; [log] gets one human line per notable
+    event (default: silent). *)
 
 val run : t -> unit
-(** Drive the loop until a [QUIT] request or {!shutdown}; the trace
-    artifact is written before returning. *)
+(** Record and drive the loop until a [QUIT] request or {!shutdown}.
+    Not reentrant on one domain: a second daemon runs on another. *)
 
 val shutdown : t -> unit
-(** Close every connection and the listener, write the trace artifact,
-    uninstall the trace sink, and stop the loop.  Idempotent. *)
+(** Close every connection and the listener, drain the trace and close
+    its file, and stop the loop.  Idempotent. *)
 
 val loop : t -> Wallclock.t
 val driver : t -> Timed.t
 val bound : t -> Transport.addr
-val events : t -> Trace.event list
 val calls : t -> Call.t list

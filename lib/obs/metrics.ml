@@ -29,11 +29,11 @@ let sort_sends sends =
 (* ------------------------------------------------------------------ *)
 (* One scan of a trace
 
-   Both trace forms feed the same counters, one event at a time.  Sends
-   are counted by signal constructor into a six-slot array, and the
-   open sends still waiting for their oack sit in a short list scanned
-   with [String.equal]: no table keyed by strings or [(chan, tun)]
-   pairs, so the scan does no generic hashing or comparing. *)
+   Each entry feeds the counters, one at a time.  Sends are counted
+   by signal constructor into a six-slot array, and the open sends
+   still waiting for their oack sit in a short list scanned with
+   [String.equal]: no table keyed by strings or [(chan, tun)] pairs,
+   so the scan does no generic hashing or comparing. *)
 
 let n_signals = 6
 
@@ -164,24 +164,9 @@ let finish (s : scan) ~events (monitor : Monitor.report) : t =
     violations = List.length monitor.Monitor.violations;
   }
 
-let of_events events =
-  let s = scan () in
-  List.iter
-    (fun (e : Trace.event) ->
-      stamp s e.Trace.at;
-      match e.Trace.kind with
-      | Trace.Sig_send { chan; tun; signal; _ } -> on_send s ~chan ~tun ~at:e.Trace.at signal
-      | Trace.Sig_recv { chan; tun; signal; _ } -> on_recv s ~chan ~tun ~at:e.Trace.at signal
-      | Trace.Slot_transition _ -> s.n_slots <- s.n_slots + 1
-      | Trace.Goal _ -> s.n_goals <- s.n_goals + 1
-      | Trace.Meta_send _ | Trace.Meta_recv _ -> ()
-      | Trace.Net { decision; _ } -> on_net s decision)
-    events;
-  finish s ~events:(List.length events) (Monitor.replay events)
-
-(* The packed twin scans the flat ring capture through the
-   [Trace.Packed] field accessors: no per-event record is built, so a
-   fleet session's metrics pass allocates O(tunnels), not O(events). *)
+(* The scan reads the flat ring capture through the [Trace.Packed]
+   field accessors: no per-event record is built, so a fleet session's
+   metrics pass allocates O(tunnels), not O(events). *)
 let of_packed_report report p =
   let s = scan () in
   let n = Trace.Packed.length p in

@@ -26,12 +26,9 @@ type t = {
   violations : int;  (** protocol violations the monitor found *)
 }
 
-val of_events : Trace.event list -> t
-
 val of_packed : Trace.Packed.t -> t
-(** [of_events] over a packed ring capture, scanning through the
-    {!Trace.Packed} field accessors so no per-event records are built.
-    Same result as [of_events (Trace.Packed.to_events p)]. *)
+(** The metrics of a capture, scanning through the {!Trace.Packed}
+    field accessors so no per-event records are built. *)
 
 val of_packed_report : Monitor.report -> Trace.Packed.t -> t
 (** [of_packed_report (Monitor.replay_packed p) p] is [of_packed p]: a

@@ -71,7 +71,7 @@ let tx_enabled side =
 type tunnel = {
   t_chan : string;
   t_tun : int;
-  mutable sides : side list;  (* at most two, lazily discovered from events *)
+  mutable sides : side list;  (* at most two, in order of first appearance *)
   mutable races : int;
   mutable violations : string list;  (* reversed *)
   mutable both_flowing_at : float option;
@@ -136,7 +136,7 @@ let on_recv tun ~seq side (signal : Signal.t) =
       (Printf.sprintf "unexpected %s in %s" (Signal.name signal) (state_name st))
 
 (* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
+(* The monitor: one step per entry                                     *)
 
 (* Sides and tunnels are found by scanning short lists with
    [String.equal] and an int compare: a session has a handful of
@@ -146,21 +146,108 @@ let rec side_named box = function
   | [] -> None
   | s :: rest -> if String.equal s.s_box box then Some s else side_named box rest
 
-let side_of tun ~box ~initiator =
-  match side_named box tun.sides with
-  | Some s -> s
-  | None ->
-    let s = fresh_side ~box ~initiator in
-    tun.sides <- tun.sides @ [ s ];
-    s
+let rec tunnel_named chan tun = function
+  | [] -> None
+  | t :: rest ->
+    if t.t_tun = tun && String.equal t.t_chan chan then Some t else tunnel_named chan tun rest
 
-let note_flowing tun at =
-  match tun.both_flowing_at with
-  | Some _ -> ()
-  | None -> (
-    match tun.sides with
-    | [ a; b ] when a.st = Flowing && b.st = Flowing -> tun.both_flowing_at <- Some at
-    | _ -> ())
+(* The tunnels seen so far, newest first.  The same value is a
+   finished offline run and a live monitor that may take more steps:
+   nothing is decided at the end of a trace, every check that speaks
+   about the cutoff is made when the monitor is read. *)
+type t = { mutable rev : tunnel list }
+
+let create () = { rev = [] }
+
+(* [tunnel_named] without the option: the per-entry lookup allocates
+   only when a tunnel first appears. *)
+let rec tunnel_in m chan tun = function
+  | t :: rest ->
+    if t.t_tun = tun && String.equal t.t_chan chan then t else tunnel_in m chan tun rest
+  | [] ->
+    let t =
+      { t_chan = chan; t_tun = tun; sides = []; races = 0; violations = []; both_flowing_at = None }
+    in
+    m.rev <- t :: m.rev;
+    t
+
+let tunnel m chan tun = tunnel_in m chan tun m.rev
+
+let on_signal t ~seq ~recv side signal =
+  if recv then on_recv t ~seq side signal else on_send t ~seq side signal
+
+(* One signal at [box]: a tunnel has two ends, so a third box is a
+   violation at the entry where it appears, and is not made a side. *)
+let advance t ~seq ~recv ~box ~initiator signal =
+  match t.sides with
+  | [] ->
+    let s = fresh_side ~box ~initiator in
+    t.sides <- [ s ];
+    on_signal t ~seq ~recv s signal
+  | [ a ] ->
+    if String.equal a.s_box box then on_signal t ~seq ~recv a signal
+    else begin
+      let s = fresh_side ~box ~initiator in
+      t.sides <- [ a; s ];
+      on_signal t ~seq ~recv s signal
+    end
+  | a :: b :: _ ->
+    if String.equal a.s_box box then on_signal t ~seq ~recv a signal
+    else if String.equal b.s_box box then on_signal t ~seq ~recv b signal
+    else
+      violate t ~seq ~box
+        (Printf.sprintf "a third box on the tunnel, whose ends are %s and %s" a.s_box b.s_box)
+
+(* Whether the step just taken brought both sides to Flowing for the
+   first time; the caller then reads the entry's timestamp. *)
+let newly_flowing t =
+  match t.both_flowing_at, t.sides with
+  | None, [ a; b ] -> a.st = Flowing && b.st = Flowing
+  | (None | Some _), _ -> false
+
+(* A packed signal entry steps its tunnel.  [seq] in violation
+   messages is the entry's sequence number, continuous across drained
+   segments. *)
+let step_signal m p i ~recv =
+  let t = tunnel m (Trace.Packed.sig_chan p i) (Trace.Packed.sig_tun p i) in
+  advance t ~seq:(Trace.Packed.seq p i) ~recv ~box:(Trace.Packed.sig_box p i)
+    ~initiator:(Trace.Packed.sig_initiator p i) (Trace.Packed.sig_signal p i);
+  if newly_flowing t then t.both_flowing_at <- Some (Trace.Packed.at p i)
+
+(* Other entries are not the monitor's business. *)
+let step m p i =
+  let tg = Trace.Packed.tag p i in
+  if tg <= 1 then step_signal m p i ~recv:(tg = 1)
+
+let observe_signal m ~seq ~at ~recv (s : Trace.sig_event) =
+  let t = tunnel m s.Trace.chan s.Trace.tun in
+  advance t ~seq ~recv ~box:s.Trace.box ~initiator:s.Trace.initiator s.Trace.signal;
+  if newly_flowing t then t.both_flowing_at <- Some at
+
+let observe m (e : Trace.event) =
+  match e.Trace.kind with
+  | Trace.Sig_send s -> observe_signal m ~seq:e.Trace.seq ~at:e.Trace.at ~recv:false s
+  | Trace.Sig_recv s -> observe_signal m ~seq:e.Trace.seq ~at:e.Trace.at ~recv:true s
+  | Trace.Meta_send _ | Trace.Meta_recv _ | Trace.Slot_transition _ | Trace.Goal _
+  | Trace.Net _ ->
+    ()
+
+let copy m =
+  let copy_tunnel t = { t with sides = List.map (fun s -> { s with st = s.st }) t.sides } in
+  { rev = List.map copy_tunnel m.rev }
+
+(* [step] over every entry, its tag test inlined so that the entries
+   the monitor skips cost no call. *)
+let run_packed p =
+  let m = create () in
+  for i = 0 to Trace.Packed.length p - 1 do
+    let tg = Trace.Packed.tag p i in
+    if tg <= 1 then step_signal m p i ~recv:(tg = 1)
+  done;
+  m
+
+(* ------------------------------------------------------------------ *)
+(* Reading the machines                                                *)
 
 let quiescent_pair a b =
   match a.st, b.st with
@@ -173,86 +260,21 @@ let tunnel_quiescent tun =
   | [ a ] -> a.sent = 0 && a.recvd = 0
   | _ -> true
 
-(* Invariants checked once the trace ends: a tunnel with no signal in
-   flight must sit in a protocol-consistent state pair.  In particular a
-   side stuck in [Closing] means its close was never acknowledged. *)
-let finalize tun =
-  if tunnel_quiescent tun then
+(* A tunnel's violations in order, followed by the one invariant that
+   speaks about the cutoff: a tunnel with no signal in flight must sit
+   in a protocol-consistent state pair.  In particular a side stuck in
+   [Closing] means its close was never acknowledged. *)
+let tunnel_violations tun =
+  let at_cutoff =
     match tun.sides with
-    | [ a; b ] when not (quiescent_pair a b) ->
-      tun.violations <-
-        Printf.sprintf "%s.%d: inconsistent quiescent states (%s=%s, %s=%s)" tun.t_chan
-          tun.t_tun a.s_box (state_name a.st) b.s_box (state_name b.st)
-        :: tun.violations
-    | _ -> ()
-
-let rec tunnel_named chan tun = function
-  | [] -> None
-  | t :: rest ->
-    if t.t_tun = tun && String.equal t.t_chan chan then Some t else tunnel_named chan tun rest
-
-(* The tunnels seen so far, newest first. *)
-type tunnels = { mutable rev : tunnel list }
-
-let tunnel tbl chan tun =
-  match tunnel_named chan tun tbl.rev with
-  | Some t -> t
-  | None ->
-    let t =
-      { t_chan = chan; t_tun = tun; sides = []; races = 0; violations = []; both_flowing_at = None }
-    in
-    tbl.rev <- t :: tbl.rev;
-    t
-
-(* The finished machines: the tunnels in first-appearance order,
-   finalized.  Everything a session's analysis reports — the report,
-   its metrics, and its verdict — is read off one such run. *)
-type machines = tunnel list
-
-let finish tbl =
-  let ordered = List.rev tbl.rev in
-  List.iter finalize ordered;
-  ordered
-
-let run_machines events =
-  let tbl = { rev = [] } in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.kind with
-      | Trace.Sig_send { chan; tun; box; initiator; signal; _ } ->
-        let t = tunnel tbl chan tun in
-        on_send t ~seq:e.Trace.seq (side_of t ~box ~initiator) signal;
-        note_flowing t e.Trace.at
-      | Trace.Sig_recv { chan; tun; box; initiator; signal; _ } ->
-        let t = tunnel tbl chan tun in
-        on_recv t ~seq:e.Trace.seq (side_of t ~box ~initiator) signal;
-        note_flowing t e.Trace.at
-      | Trace.Meta_send _ | Trace.Meta_recv _ | Trace.Slot_transition _ | Trace.Goal _
-      | Trace.Net _ ->
-        ())
-    events;
-  finish tbl
-
-(* The packed-trace twin of [run_machines]: reads sig entries through
-   the flat accessors, so replaying a fleet session's trace never
-   materializes per-event records.  [seq] in violation messages is the
-   entry index — exactly the seq a sink recording would have given. *)
-let run_packed (p : Trace.Packed.t) =
-  let tbl = { rev = [] } in
-  let n = Trace.Packed.length p in
-  for i = 0 to n - 1 do
-    let tg = Trace.Packed.tag p i in
-    if tg <= 1 then begin
-      let t = tunnel tbl (Trace.Packed.sig_chan p i) (Trace.Packed.sig_tun p i) in
-      let side =
-        side_of t ~box:(Trace.Packed.sig_box p i) ~initiator:(Trace.Packed.sig_initiator p i)
-      in
-      let signal = Trace.Packed.sig_signal p i in
-      if tg = 0 then on_send t ~seq:i side signal else on_recv t ~seq:i side signal;
-      note_flowing t (Trace.Packed.at p i)
-    end
-  done;
-  finish tbl
+    | [ a; b ] when tunnel_quiescent tun && not (quiescent_pair a b) ->
+      [
+        Printf.sprintf "%s.%d: inconsistent quiescent states (%s=%s, %s=%s)" tun.t_chan tun.t_tun
+          a.s_box (state_name a.st) b.s_box (state_name b.st);
+      ]
+    | _ -> []
+  in
+  List.rev_append tun.violations at_cutoff
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
@@ -279,7 +301,7 @@ type tunnel_report = {
 
 type report = { tunnels : tunnel_report list; violations : string list }
 
-let report (machines : machines) =
+let report m =
   let reports =
     List.map
       (fun t ->
@@ -302,13 +324,12 @@ let report (machines : machines) =
           races = t.races;
           quiescent = tunnel_quiescent t;
           first_all_flowing = t.both_flowing_at;
-          tunnel_violations = List.rev t.violations;
+          tunnel_violations = tunnel_violations t;
         })
-      machines
+      (List.rev m.rev)
   in
   { tunnels = reports; violations = List.concat_map (fun r -> r.tunnel_violations) reports }
 
-let replay events = report (run_machines events)
 let replay_packed p = report (run_packed p)
 
 let conformant r = r.violations = []
@@ -375,11 +396,16 @@ let both_flowing l r =
    contributes one leg per participant (participant slot against the
    mixer's bridge slot), and the N-way predicates are the conjunction
    over legs: allClosed / allFlowing. *)
-let verdict_of_machines ~structural obligation ~legs tunnels =
-  let all_violations = List.concat_map (fun (t : tunnel) -> List.rev t.violations) tunnels in
-  match all_violations with
-  | v :: _ -> Violated ("protocol violation: " ^ v)
-  | [] ->
+let rec first_violation = function
+  | [] -> None
+  | t :: rest -> (
+    match tunnel_violations t with v :: _ -> Some v | [] -> first_violation rest)
+
+let judge { structural; obligation; legs } m =
+  let tunnels = List.rev m.rev in
+  match first_violation tunnels with
+  | Some v -> Violated ("protocol violation: " ^ v)
+  | None ->
     if not (List.for_all tunnel_quiescent tunnels) then
       Undetermined "signals still in flight"
     else (
@@ -418,18 +444,6 @@ let verdict_of_machines ~structural obligation ~legs tunnels =
         sat flowing ("terminal state violates bothFlowing" ^ where flowing_pred)
       | Closed_or_flowing ->
         sat (closed || flowing) "terminal state is neither bothClosed nor bothFlowing")
-
-let judge j machines =
-  verdict_of_machines ~structural:j.structural j.obligation ~legs:j.legs machines
-
-let verdict_legs ?(structural = false) obligation ~legs events =
-  verdict_of_machines ~structural obligation ~legs (run_machines events)
-
-let verdict ?(structural = false) obligation ~ends events =
-  verdict_of_machines ~structural obligation ~legs:[ ends ] (run_machines events)
-
-let verdict_packed ?(structural = false) obligation ~ends p =
-  verdict_of_machines ~structural obligation ~legs:[ ends ] (run_packed p)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

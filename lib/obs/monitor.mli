@@ -1,12 +1,19 @@
 (** Trace conformance checking (runtime verification).
 
-    The monitor replays a captured {!Trace.event} stream through an
-    independent re-implementation of the Figure-5 media-channel state
-    machine — it shares no code with [Mediactl_protocol.Slot] — and
-    checks the [Lenabled]/[Renabled] protocol invariants plus the §V
-    path obligations on the finite trace.  Verdicts are three-valued:
+    The monitor steps captured trace entries through an independent
+    re-implementation of the Figure-5 media-channel state machine — it
+    shares no code with [Mediactl_protocol.Slot] — and checks the
+    [Lenabled]/[Renabled] protocol invariants plus the §V path
+    obligations on the finite trace.  Verdicts are three-valued:
     satisfied, violated, or undetermined-at-cutoff, following the usual
-    finite-trace LTL semantics of runtime verification. *)
+    finite-trace LTL semantics of runtime verification.
+
+    One monitor value serves both uses: {!run_packed} folds {!step}
+    over a whole capture offline, and a live recorder (the daemon)
+    keeps a monitor per call and steps it as segments drain.  Nothing
+    is decided when a trace ends; {!report} and {!judge} read the
+    machines as they stand, so a live monitor can be read again after
+    more steps. *)
 
 type side_summary = {
   box : string;
@@ -30,35 +37,38 @@ type tunnel_report = {
 
 type report = { tunnels : tunnel_report list; violations : string list }
 
-val replay : Trace.event list -> report
-(** Run every tunnel appearing in the trace through the Fig. 5 machine.
-    Violations collect illegal sends, unexpected receives, and
-    inconsistent quiescent state pairs (e.g. one side stuck in
-    [closing] because its [closeack] was lost). *)
+type t
+(** The per-tunnel Fig. 5 machines of one trace so far. *)
+
+val create : unit -> t
+(** A monitor that has seen nothing. *)
+
+val step : t -> Trace.Packed.t -> int -> unit
+(** [step m p i] advances the machines by entry [i] of [p]: a signal
+    entry steps its tunnel; other entries are ignored.  Violation
+    messages name the entry by its {!Trace.Packed.seq}. *)
+
+val observe : t -> Trace.event -> unit
+(** [step] for a signal observation that is not in any capture (the
+    daemon's pending proxy receives). *)
+
+val copy : t -> t
+(** An independent copy, to step speculatively. *)
+
+val run_packed : Trace.Packed.t -> t
+(** [step] over every entry of a capture, from {!create}. *)
+
+val report : t -> report
+(** Every tunnel seen, in order of first appearance.  Violations
+    collect illegal sends, unexpected receives, signals from a third
+    box on a tunnel, and inconsistent quiescent state pairs (e.g. one
+    side stuck in [closing] because its [closeack] was lost). *)
 
 val replay_packed : Trace.Packed.t -> report
-(** [replay] over a packed ring capture, reading signal entries through
-    the flat {!Trace.Packed} accessors so no per-event records are
-    materialized.  Produces the same report as
-    [replay (Trace.Packed.to_events p)]. *)
+(** [report (run_packed p)]. *)
 
 val conformant : report -> bool
 (** No violations anywhere in the trace. *)
-
-(** {2 One run, several readings}
-
-    {!replay_packed}, {!verdict_packed} and [Metrics.of_packed] each
-    run the machines afresh.  A caller that needs all three for
-    one trace — a session's analysis — runs them once with
-    {!run_packed} and reads the report and every verdict off that
-    run. *)
-
-type machines
-(** The finished per-tunnel machines of one trace. *)
-
-val run_packed : Trace.Packed.t -> machines
-val report : machines -> report
-(** [report (run_packed p)] is [replay_packed p]. *)
 
 (** {2 Path obligations}
 
@@ -81,38 +91,23 @@ type ends = { left : string * string * int; right : string * string * int }
     participant. *)
 
 type judgement = { structural : bool; obligation : obligation; legs : ends list }
-(** An obligation as data: what {!verdict_legs} evaluates, with its
-    arguments. *)
+(** An obligation as data: what {!judge} evaluates. *)
 
-val judge : judgement -> machines -> verdict
-(** [judge j (run_packed p)] is
-    [verdict_legs ~structural:j.structural j.obligation ~legs:j.legs
-    (Trace.Packed.to_events p)], without materializing event records. *)
-
-val verdict_legs :
-  ?structural:bool -> obligation -> legs:ends list -> Trace.event list -> verdict
-(** Evaluate an obligation on a finite trace, quantified over N legs:
-    the closed/flowing predicates are the conjunction over every leg's
-    end pair (allClosed / allFlowing), so a conference is satisfied only
-    when {e every} participant leg is.  A liveness obligation is decided
-    only at a quiescent cutoff (no signal in flight on any tunnel),
-    where infinite stuttering of the final state is the sole
-    continuation the system itself would produce — the same
-    terminal-state reading the model checker's [Temporal] module uses.
-    A non-quiescent cutoff yields [Undetermined].  [structural] weakens
-    flowing to "both end states are Flowing" per leg, dropping the
-    descriptor/selector agreement refinement — the form the model
-    checker falls back to under loss budgets. *)
-
-val verdict : ?structural:bool -> obligation -> ends:ends -> Trace.event list -> verdict
-(** The historical two-sided form: [verdict ~ends] is
-    [verdict_legs ~legs:[ends]]. *)
-
-val verdict_packed :
-  ?structural:bool -> obligation -> ends:ends -> Trace.Packed.t -> verdict
-(** [verdict] over a packed ring capture; same result as
-    [verdict ?structural obligation ~ends (Trace.Packed.to_events p)]
-    without materializing event records. *)
+val judge : judgement -> t -> verdict
+(** Evaluate an obligation on the finite trace the monitor has seen,
+    quantified over N legs: the closed/flowing predicates are the
+    conjunction over every leg's end pair (allClosed / allFlowing), so
+    a conference is satisfied only when {e every} participant leg is.
+    Any protocol violation ({!report}) violates the obligation.  A
+    liveness obligation is decided only at a quiescent cutoff (no
+    signal in flight on any tunnel), where infinite stuttering of the
+    final state is the sole continuation the system itself would
+    produce — the same terminal-state reading the model checker's
+    [Temporal] module uses.  A non-quiescent cutoff yields
+    [Undetermined].  [structural] weakens flowing to "both end states
+    are Flowing" per leg, dropping the descriptor/selector agreement
+    refinement — the form the model checker falls back to under loss
+    budgets.  A two-ended path is the one-leg case. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_tunnel_report : Format.formatter -> tunnel_report -> unit

@@ -30,8 +30,6 @@ type kind =
 
 type event = { seq : int; at : float; kind : kind }
 
-type sink = event -> unit
-
 (* ------------------------------------------------------------------ *)
 (* The flat ring buffer
 
@@ -45,14 +43,15 @@ type sink = event -> unit
    both arrays and the intern tables persist (and keep their capacity)
    across sessions on the same domain.
 
-   The buffer is drained at session quiesce by {!capture}, which
-   snapshots the entries into a self-contained {!Packed.t}: intern ids
-   and packed signal words are per-domain artifacts that must never
-   cross a domain boundary, so capture — always on the owning domain —
-   resolves string ids against a copied table slice and rewrites each
-   signal word into an index into a per-capture array of decoded
-   (interned) [Signal.t] values.  A packed trace can then be shipped to
-   and decoded on any domain. *)
+   The buffer is emptied by {!drain} — at the end of every recording
+   bracket, and whenever a long-lived recorder asks — which snapshots
+   the entries into a self-contained {!Packed.t}.  Packed signal words
+   are per-domain artifacts that must never cross a domain boundary,
+   so capture — always on the owning domain — rewrites each into an
+   index into a per-capture array of decoded (interned) [Signal.t]
+   values.  String ids need no rewriting: a capture shares the intern
+   table itself (see [Packed.t]).  A packed trace can then be shipped
+   to and decoded on any domain. *)
 
 let stride = 7
 
@@ -114,9 +113,9 @@ let str_cache_size = 256
 type ring = {
   mutable ints : int array;  (* [stride] words per event *)
   mutable ats : float array;  (* one unboxed timestamp per event *)
-  mutable rlen : int;  (* events recorded so far *)
+  mutable rlen : int;  (* events recorded since the last drain *)
   str_ids : (string, int) Hashtbl.t;  (* append-only, domain lifetime *)
-  mutable strs : string array;  (* id -> string *)
+  mutable strs : string array;  (* id -> string; replaced, never rewritten, on growth *)
   mutable nstrs : int;
   str_cache : (string, int) Ident_cache.t;
 }
@@ -141,6 +140,8 @@ let intern_str r s =
   | exception Not_found ->
     let i = r.nstrs in
     Hashtbl.add r.str_ids s i;
+    (* Growth copies into a fresh array and leaves the old one as it
+       was: captures taken earlier still read it (see [Packed.t]). *)
     (let cap = Array.length r.strs in
      if i >= cap then begin
        let strs =
@@ -179,36 +180,30 @@ let ring_slot r =
   r.rlen <- r.rlen + 1;
   base
 
-(* The recording mode, sequence counter, clock, and ring are
-   domain-local: one mutable context per domain, reached through
-   [Domain.DLS].  Instrumentation sites all over the stack guard
-   themselves with one [enabled] check — a DLS lookup, a load, and a
-   branch, no allocation — so a disabled trace still costs almost
-   nothing.  Domain-locality is what lets a fleet run many sessions
-   concurrently: each shard records its own sessions into its own
-   context, with its own independent numbering, and can never observe
-   (or interleave with) another shard's events.  Within one domain,
-   sessions record one at a time. *)
-type mode = Off | To_sink of sink | To_ring
-
-type ctx = { mutable mode : mode; mutable seq : int; mutable clock : unit -> float; ring : ring }
+(* The recording flag, clock, and ring are domain-local: one mutable
+   context per domain, reached through [Domain.DLS].  Instrumentation
+   sites all over the stack guard themselves with one [enabled] check
+   — a DLS lookup, a load, and a branch, no allocation — so a disabled
+   trace still costs almost nothing.  Domain-locality is what lets a
+   fleet run many sessions concurrently: each shard records its own
+   sessions into its own context, with its own independent numbering,
+   and can never observe (or interleave with) another shard's events.
+   Within one domain, sessions record one at a time.  [base] is the
+   sequence number of the ring's first entry: the count of entries
+   drained earlier in the current bracket. *)
+type ctx = {
+  mutable on : bool;
+  mutable base : int;
+  mutable clock : unit -> float;
+  ring : ring;
+}
 
 let ctx_key =
   Domain.DLS.new_key (fun () ->
-      { mode = Off; seq = 0; clock = (fun () -> 0.0); ring = fresh_ring () })
+      { on = false; base = 0; clock = (fun () -> 0.0); ring = fresh_ring () })
 
 let ctx () = Domain.DLS.get ctx_key
-
-let enabled () =
-  match (ctx ()).mode with
-  | Off -> false
-  | To_sink _ | To_ring -> true
-
-let set_sink sink =
-  let c = ctx () in
-  (c.mode <- match sink with None -> Off | Some f -> To_sink f);
-  c.seq <- 0
-
+let enabled () = (ctx ()).on
 let set_clock f = (ctx ()).clock <- f
 let reset_clock () = (ctx ()).clock <- (fun () -> 0.0)
 
@@ -257,25 +252,9 @@ let ring_net c ~chan decision =
   ints.(base + 2) <- code_of_decision decision;
   ints.(base + 3) <- decision_extra decision
 
-(* The event parameter is deliberately not named [kind]: the record pun
-   would read as a reference to the decoder [Packed.kind] in the
-   callgraph's syntactic resolution and drag the whole decode side into
-   the hot reachable set. *)
-let emit_to_sink c f k =
-  let seq = c.seq in
-  c.seq <- seq + 1;
-  f
-    ({ seq; at = c.clock (); kind = k }
-    [@lint.allow
-      "alloc: sink mode is the streaming slow path (daemon consumers); the E15-measured fleet \
-       path is ring mode, which writes flat ints"])
-
 let emit kind =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_sink f -> emit_to_sink c f kind
-  | To_ring -> (
+  if c.on then
     match kind with
     | Sig_send { chan; tun; box; peer; initiator; signal } ->
       ring_sig c tag_sig_send ~chan ~tun ~box ~peer ~initiator signal
@@ -285,90 +264,46 @@ let emit kind =
     | Meta_recv { chan; box } -> ring_meta c tag_meta_recv ~chan ~box
     | Slot_transition { slot; from_; to_; cause } -> ring_quad c tag_slot slot from_ to_ cause
     | Goal { goal; slot; from_; to_ } -> ring_quad c tag_goal goal slot from_ to_
-    | Net { chan; decision } -> ring_net c ~chan decision)
+    | Net { chan; decision } -> ring_net c ~chan decision
 
-(* The allocation-free emitters: in ring mode the arguments go straight
-   into the flat buffer without ever building the [kind] value.  In
-   sink mode they fall back to the structured record, so a streaming
-   consumer (the daemon) sees identical events.  These seven are the
-   [@@lint.hotpath] roots of ALLOC001 for the tracing layer: everything
-   they reach must stay allocation-free in ring mode (E15). *)
+(* The allocation-free emitters: the arguments go straight into the
+   flat buffer without ever building the [kind] value.  These seven
+   are the [@@lint.hotpath] roots of ALLOC001 for the tracing layer:
+   everything they reach must stay allocation-free (E15). *)
 
 let sig_send ~chan ~tun ~box ~peer ~initiator signal =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_sig c tag_sig_send ~chan ~tun ~box ~peer ~initiator signal
-  | To_sink f ->
-    emit_to_sink c f
-      (Sig_send { chan; tun; box; peer; initiator; signal }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.on then ring_sig c tag_sig_send ~chan ~tun ~box ~peer ~initiator signal
 [@@lint.hotpath]
 
 let sig_recv ~chan ~tun ~box ~peer ~initiator signal =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_sig c tag_sig_recv ~chan ~tun ~box ~peer ~initiator signal
-  | To_sink f ->
-    emit_to_sink c f
-      (Sig_recv { chan; tun; box; peer; initiator; signal }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.on then ring_sig c tag_sig_recv ~chan ~tun ~box ~peer ~initiator signal
 [@@lint.hotpath]
 
 let meta_send ~chan ~box =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_meta c tag_meta_send ~chan ~box
-  | To_sink f ->
-    emit_to_sink c f
-      (Meta_send { chan; box }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.on then ring_meta c tag_meta_send ~chan ~box
 [@@lint.hotpath]
 
 let meta_recv ~chan ~box =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_meta c tag_meta_recv ~chan ~box
-  | To_sink f ->
-    emit_to_sink c f
-      (Meta_recv { chan; box }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.on then ring_meta c tag_meta_recv ~chan ~box
 [@@lint.hotpath]
 
 let slot_transition ~slot ~from_ ~to_ ~cause =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_quad c tag_slot slot from_ to_ cause
-  | To_sink f ->
-    emit_to_sink c f
-      (Slot_transition { slot; from_; to_; cause }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.on then ring_quad c tag_slot slot from_ to_ cause
 [@@lint.hotpath]
 
 let goal ~goal ~slot ~from_ ~to_ =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_quad c tag_goal goal slot from_ to_
-  | To_sink f ->
-    emit_to_sink c f
-      (Goal { goal; slot; from_; to_ }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.on then ring_quad c tag_goal goal slot from_ to_
 [@@lint.hotpath]
 
 let net ~chan decision =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_net c ~chan decision
-  | To_sink f ->
-    emit_to_sink c f
-      (Net { chan; decision }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.on then ring_net c ~chan decision
 [@@lint.hotpath]
 
 (* ------------------------------------------------------------------ *)
@@ -376,10 +311,9 @@ let net ~chan decision =
 
    One renderer, written straight into a [Buffer.t]: the field writers
    below escape strings and print integers in place, building no
-   intermediate string.  [event_to_json] and [write_jsonl] drive them
-   from structured events, [Packed.add_jsonl] from the flat arrays of a
-   packed trace without decoding its entries — the same bytes either
-   way. *)
+   intermediate string.  [event_to_json] drives them from a structured
+   event, [Packed.add_jsonl] from the flat arrays of a packed trace
+   without decoding its entries — the same bytes either way. *)
 
 let hex = "0123456789abcdef"
 
@@ -573,35 +507,33 @@ let event_to_json e =
   add_event b e;
   Buffer.contents b
 
-let write_jsonl path events =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let b = Buffer.create 4096 in
-      List.iter
-        (fun e ->
-          Buffer.clear b;
-          add_event b e;
-          Buffer.add_char b '\n';
-          Buffer.output_buffer oc b)
-        events)
-
 (* ------------------------------------------------------------------ *)
 (* Packed traces                                                       *)
 
 module Packed = struct
+  (* A capture shares its domain's intern table rather than copying
+     it, so that a drain costs what it drains, not what the domain has
+     ever interned.  That is safe because of one invariant of the
+     table: it is append-only.  An id below [p_nstrs] was written
+     before the capture and is never written again; growth copies the
+     ids into a new array and leaves the old one as it was.  A capture
+     therefore reads [p_strs] only below [p_nstrs], and while the
+     recording domain keeps appending above that count, no location a
+     capture reads is ever written again. *)
   type t = {
+    p_base : int;  (* sequence number of the first entry *)
     p_len : int;
     p_ints : int array;
         (* [stride] words per event; the signal field of sig entries is
            rewritten by capture to index [p_sigs] *)
     p_ats : float array;
-    p_strs : string array;  (* intern-table slice: string id -> string *)
+    p_strs : string array;  (* string id -> string, shared with the table *)
+    p_nstrs : int;  (* the ids this capture may read *)
     p_sigs : Signal.t array;  (* per-capture: signal index -> signal *)
   }
 
   let length t = t.p_len
+  let seq t i = t.p_base + i
   let tag t i = t.p_ints.(i * stride)
   let at t i = t.p_ats.(i)
 
@@ -618,8 +550,12 @@ module Packed = struct
   let sig_initiator t i = field t i 5 = 1
   let sig_signal t i = t.p_sigs.(field t i 6)
 
-  (* Net entry (tag 6) accessors, for metrics accumulation. *)
-  let net_chan t i = str t i 1
+  (* Signal, meta and net entries all keep their channel in field 1. *)
+  let entry_chan t i =
+    let tg = tag t i in
+    if tg = tag_slot || tg = tag_goal then invalid_arg "Trace.Packed.entry_chan: no channel";
+    str t i 1
+
   let net_decision t i = decision_of_code (field t i 2) (field t i 3)
 
   let kind t i =
@@ -645,7 +581,7 @@ module Packed = struct
       Goal { goal = str t i 1; slot = str t i 2; from_ = str t i 3; to_ = str t i 4 }
     else Net { chan = str t i 1; decision = decision_of_code (field t i 2) (field t i 3) }
 
-  let event t i = { seq = i; at = at t i; kind = kind t i }
+  let event t i = { seq = seq t i; at = at t i; kind = kind t i }
 
   let to_events t = List.init t.p_len (event t)
 
@@ -668,7 +604,7 @@ module Packed = struct
     in
     for i = 0 to t.p_len - 1 do
       let tg = tag t i in
-      add_head b ~seq:i ~at:(at t i) tg;
+      add_head b ~seq:(seq t i) ~at:(at t i) tg;
       if tg = tag_sig_send || tg = tag_sig_recv then begin
         add_sig_fields b ~chan:(str t i 1) ~tun:(field t i 2) ~box:(str t i 3) ~peer:(str t i 4)
           ~initiator:(field t i 5 = 1);
@@ -682,36 +618,46 @@ module Packed = struct
       Buffer.add_string b "}\n"
     done
 
-  let empty = { p_len = 0; p_ints = [||]; p_ats = [||]; p_strs = [||]; p_sigs = [||] }
+  let empty =
+    {
+      p_base = 0;
+      p_len = 0;
+      p_ints = [||];
+      p_ats = [||];
+      p_strs = [||];
+      p_nstrs = 0;
+      p_sigs = [||];
+    }
   [@@lint.allow "race: the arrays are zero-length — nothing to mutate, safe to share"]
 
-  (* Join two captures into one trace.  Both snapshots carry their own
-     intern slice, so the second segment's string ids and signal
-     indices are rewritten against the merged tables; timestamps are
-     kept verbatim (the segments come from consecutive recording
-     brackets over one session clock). *)
+  (* Join two captures into one trace.  Each carries its own string
+     table, read up to its count, so the second segment's string ids
+     and signal indices are rewritten against the merged tables;
+     timestamps are kept verbatim (the segments come from consecutive
+     recording brackets over one session clock). *)
   let append a b =
     if a.p_len = 0 then b
     else if b.p_len = 0 then a
     else begin
-      let ids : (string, int) Hashtbl.t = Hashtbl.create (Array.length a.p_strs) in
-      Array.iteri (fun i s -> if not (Hashtbl.mem ids s) then Hashtbl.add ids s i) a.p_strs;
+      let ids : (string, int) Hashtbl.t = Hashtbl.create a.p_nstrs in
+      for i = 0 to a.p_nstrs - 1 do
+        if not (Hashtbl.mem ids a.p_strs.(i)) then Hashtbl.add ids a.p_strs.(i) i
+      done;
       let extra = ref [] in
-      let nextra = ref 0 in
+      let nstrs = ref a.p_nstrs in
       let remap =
-        Array.map
-          (fun s ->
+        Array.init b.p_nstrs (fun j ->
+            let s = b.p_strs.(j) in
             match Hashtbl.find_opt ids s with
             | Some i -> i
             | None ->
-              let i = Array.length a.p_strs + !nextra in
+              let i = !nstrs in
               Hashtbl.add ids s i;
               extra := s :: !extra;
-              incr nextra;
+              incr nstrs;
               i)
-          b.p_strs
       in
-      let strs = Array.append a.p_strs (Array.of_list (List.rev !extra)) in
+      let strs = Array.append (Array.sub a.p_strs 0 a.p_nstrs) (Array.of_list (List.rev !extra)) in
       let sigs = Array.append a.p_sigs b.p_sigs in
       let sig_off = Array.length a.p_sigs in
       let len = a.p_len + b.p_len in
@@ -741,17 +687,25 @@ module Packed = struct
         end
         else s 1
       done;
-      { p_len = len; p_ints = ints; p_ats = ats; p_strs = strs; p_sigs = sigs }
+      {
+        p_base = a.p_base;
+        p_len = len;
+        p_ints = ints;
+        p_ats = ats;
+        p_strs = strs;
+        p_nstrs = !nstrs;
+        p_sigs = sigs;
+      }
     end
 end
 
-(* Drain the ring into a self-contained snapshot.  Must run on the
-   domain that recorded (ids and signal words are domain-local). *)
-let capture r =
+(* Snapshot the ring's entries.  Must run on the domain that recorded
+   (signal words are domain-local).  Linear in the entries captured:
+   the intern table is shared, not copied. *)
+let capture ~base r =
   let len = r.rlen in
   let ints = Array.sub r.ints 0 (len * stride) in
   let ats = Array.sub r.ats 0 len in
-  let strs = Array.sub r.strs 0 r.nstrs in
   let sig_idx : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let sigs_rev = ref [] in
   let nsigs = ref 0 in
@@ -774,53 +728,36 @@ let capture r =
     end
   done;
   {
-    Packed.p_len = len;
+    Packed.p_base = base;
+    p_len = len;
     p_ints = ints;
     p_ats = ats;
-    p_strs = strs;
+    p_strs = r.strs;
+    p_nstrs = r.nstrs;
     p_sigs = Array.of_list (List.rev !sigs_rev);
   }
 
+let drain () =
+  let c = ctx () in
+  if not c.on then invalid_arg "Trace.drain: no recording is active";
+  let p = capture ~base:c.base c.ring in
+  c.base <- c.base + c.ring.rlen;
+  c.ring.rlen <- 0;
+  p
+
 let recording_packed f =
   let c = ctx () in
-  (match c.mode with
-  | Off -> ()
-  | To_sink _ | To_ring -> invalid_arg "Trace.recording_packed: a recording is already active");
+  if c.on then invalid_arg "Trace.recording_packed: a recording is already active";
   c.ring.rlen <- 0;
-  c.seq <- 0;
-  c.mode <- To_ring;
+  c.base <- 0;
+  c.on <- true;
   Fun.protect
     ~finally:(fun () ->
-      c.mode <- Off;
+      c.on <- false;
       reset_clock ())
     (fun () ->
       let x = f () in
-      (x, capture c.ring))
-
-(* ------------------------------------------------------------------ *)
-(* Collector                                                           *)
-
-type collector = { mutable rev : event list; mutable count : int }
-
-let collector () = { rev = []; count = 0 }
-
-let sink_of c e =
-  c.rev <- e :: c.rev;
-  c.count <- c.count + 1
-
-let events c = List.rev c.rev
-let count c = c.count
-
-let recording f =
-  let c = collector () in
-  set_sink (Some (sink_of c));
-  Fun.protect
-    ~finally:(fun () ->
-      set_sink None;
-      reset_clock ())
-    (fun () ->
-      let x = f () in
-      (x, events c))
+      (x, drain ()))
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

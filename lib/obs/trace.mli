@@ -1,8 +1,8 @@
 (** Structured signal tracing.
 
     Every layer of the stack carries instrumentation points that emit
-    timestamped structured events into the {e domain-local} sink: signal
-    sends ({!Mediactl_signaling.Channel}), signal deliveries
+    timestamped structured events into the {e domain-local} ring:
+    signal sends ({!Mediactl_signaling.Channel}), signal deliveries
     ({!Mediactl_runtime.Netsys}), slot-state transitions
     ({!Mediactl_protocol.Slot}), goal-state changes (the
     [Mediactl_core] goal objects), and drop / duplicate / retransmit
@@ -11,17 +11,25 @@
     The design is near-zero-cost when disabled: each site guards itself
     with {!enabled} — a domain-local lookup, a load, and a branch, no
     allocation — so the model checker and the benchmarks pay essentially
-    nothing for the instrumentation.
+    nothing for the instrumentation.  Enabled, an emission writes a few
+    int words into a flat buffer and allocates nothing.
 
-    The sink, its sequence counter, and the clock live in domain-local
-    storage ([Domain.DLS]), one independent context per domain.  A fleet
-    shard that records a session therefore cannot race with — or leak
-    events into — sessions recording on other domains: each session's
-    trace is numbered [0..n-1] by its own counter.  Ownership rule: a
-    sink is installed, fed, and removed by the domain that runs the
-    session; handing a sink to another domain is a programming error the
-    type system cannot catch, so don't.  Within one domain, sessions
-    record one at a time ({!recording} is not reentrant). *)
+    There is one way to record: {!recording_packed} brackets a run and
+    returns its trace as a {!Packed.t}.  A long-lived recorder (the
+    daemon) calls {!drain} inside its bracket to take the entries
+    recorded so far, so that the ring never holds more than the events
+    since the last drain; the segments are numbered as one continuous
+    recording.
+
+    The recording flag, the ring, its numbering, and the clock live in
+    domain-local storage ([Domain.DLS]), one independent context per
+    domain.  A fleet shard that records a session therefore cannot race
+    with — or leak events into — sessions recording on other domains:
+    each session's trace is numbered [0..n-1] by its own counter.
+    Ownership rule: a recording is opened, fed, and drained by one
+    domain; its captures may then go anywhere.  Within one domain,
+    sessions record one at a time ({!recording_packed} is not
+    reentrant). *)
 
 type sig_event = {
   chan : string;  (** channel label, the [Netsys] channel name *)
@@ -59,29 +67,22 @@ type event = { seq : int; at : float; kind : kind }
     at equal timestamps, independent per domain); [at] is the current
     clock, in simulated milliseconds. *)
 
-type sink = event -> unit
-
-(** {2 The domain-local sink} *)
+(** {2 The domain-local recording} *)
 
 val enabled : unit -> bool
-(** Instrumentation sites call this before building an event. *)
-
-val set_sink : sink option -> unit
-(** Installing a sink resets the sequence counter; [None] disables
-    tracing again. *)
+(** Instrumentation sites call this before building an event: true
+    exactly inside a {!recording_packed} bracket on this domain. *)
 
 val emit : kind -> unit
-(** Timestamp, number, and dispatch an event.  No-op when disabled. *)
+(** Timestamp and record an event.  No-op when disabled. *)
 
 (** {2 Allocation-free emitters}
 
-    One per event shape.  Inside {!recording_packed} these write fixed
-    width int entries straight into the domain's flat ring buffer —
-    strings interned, the signal as a {!Mediactl_types.Signal_pack}
-    word — allocating nothing; under a plain sink they build the same
-    structured {!event} that {!emit} would.  Hot instrumentation sites
-    use these; {!emit} remains for call sites that already hold a
-    [kind] value. *)
+    One per event shape.  These write fixed width int entries straight
+    into the domain's flat ring buffer — strings interned, the signal
+    as a {!Mediactl_types.Signal_pack} word — without building a
+    [kind] value.  Hot instrumentation sites use these; {!emit} remains
+    for call sites that already hold a [kind] value. *)
 
 val sig_send :
   chan:string -> tun:int -> box:string -> peer:string -> initiator:bool ->
@@ -104,37 +105,25 @@ val set_clock : (unit -> float) -> unit
 
 val reset_clock : unit -> unit
 
-(** {2 Collecting} *)
-
-type collector
-
-val collector : unit -> collector
-val sink_of : collector -> sink
-val events : collector -> event list
-(** In emission order. *)
-
-val count : collector -> int
-
-val recording : (unit -> 'a) -> 'a * event list
-(** [recording f] runs [f] with a fresh collector installed as the sink
-    and returns its result with the captured events; the previous sink
-    and clock are cleared afterwards, also on exceptions. *)
-
 (** {2 Packed traces}
 
-    The zero-allocation recording path.  {!recording_packed} directs
-    every emission into the domain's flat ring buffer (reused, with its
-    capacity, across recordings on the same domain) and drains it at
-    the end into a {!Packed.t}: a self-contained snapshot whose intern
-    ids have been resolved, safe to ship across domains and to decode
-    anywhere.  Event [i] of a packed trace is identical — field for
-    field, including [seq = i] — to the [i]-th event the same run would
-    have handed a sink. *)
+    {!recording_packed} directs every emission into the domain's flat
+    ring buffer (reused, with its capacity, across recordings on the
+    same domain); {!drain} empties it into a {!Packed.t}: a
+    self-contained snapshot whose entries decode without the recording
+    domain, safe to ship across domains.  Entry [i] of a capture is
+    numbered [seq = Packed.seq t i], counting from the start of the
+    bracket. *)
 
 module Packed : sig
   type t
 
   val length : t -> int
+
+  val seq : t -> int -> int
+  (** The sequence number of entry [i]: [i] plus the number of entries
+      drained earlier in the same bracket. *)
+
   val tag : t -> int -> int
   (** Entry shape: 0 [Sig_send], 1 [Sig_recv], 2 [Meta_send],
       3 [Meta_recv], 4 [Slot_transition], 5 [Goal], 6 [Net]. *)
@@ -152,12 +141,13 @@ module Packed : sig
   val sig_initiator : t -> int -> bool
   val sig_signal : t -> int -> Mediactl_types.Signal.t
 
-  (** Net-entry (tag 6) accessors.  [net_decision] rebuilds the
-      decision value (one small allocation for the payload-carrying
-      constructors). *)
+  val entry_chan : t -> int -> string
+  (** The channel of a signal, meta or net entry (tags 0–3 and 6).
+      @raise Invalid_argument on a slot or goal entry. *)
 
-  val net_chan : t -> int -> string
   val net_decision : t -> int -> net_decision
+  (** Of a net entry (tag 6); rebuilds the decision value (one small
+      allocation for the payload-carrying constructors). *)
 
   val kind : t -> int -> kind
   (** Decode one entry to the structured form (allocates). *)
@@ -165,14 +155,14 @@ module Packed : sig
   val event : t -> int -> event
 
   val to_events : t -> event list
-  (** The whole trace as the equivalent event list — byte-compatible
-      with what a sink recording of the same run would have collected. *)
+  (** The whole trace decoded, for printing and tests. *)
 
   val iter : (event -> unit) -> t -> unit
 
   val add_jsonl : Buffer.t -> t -> unit
   (** [add_jsonl b t] appends the trace's JSONL form to [b]: line [i] is
-      [event_to_json (event t i)] followed by a newline.  It is written
+      [event_to_json (event t i)] followed by a newline, so the JSONL of
+      consecutive drains concatenates to that of one bracket.  It is written
       straight from the packed arrays — no entry is decoded, each
       distinct signal is rendered once — so it is the cheap way to hash
       or export a packed trace. *)
@@ -185,16 +175,24 @@ module Packed : sig
   (** [append a b] is the events of [a] followed by those of [b] as one
       self-contained trace: the second segment's string ids and signal
       indices are rewritten against the merged tables, timestamps are
-      preserved verbatim, and event [i] of the result reads [seq = i].
-      This is how a churned session's setup and teardown recording
-      brackets are joined into one session trace at retirement. *)
+      preserved verbatim, and the result is numbered on from [a]'s
+      first entry.  This is how a churned session's setup and teardown
+      recording brackets are joined into one session trace at
+      retirement. *)
 end
 
 val recording_packed : (unit -> 'a) -> 'a * Packed.t
-(** Ring-buffer variant of {!recording}: emissions write int entries
-    into the domain-local ring; the trace is drained at the end into a
-    portable {!Packed.t}.  Not reentrant, and must not be nested with
-    {!recording}. *)
+(** [recording_packed f] runs [f] with tracing enabled on this domain,
+    numbering entries from 0, and returns its result with the entries
+    recorded since the last {!drain} (all of them, if [f] never
+    drains).  Tracing is disabled and the clock reset afterwards, also
+    on exceptions.  Not reentrant. *)
+
+val drain : unit -> Packed.t
+(** Inside a {!recording_packed} bracket: the entries recorded since
+    the previous drain (or the start of the bracket), emptying the
+    ring.  Its cost is linear in the entries it returns.
+    @raise Invalid_argument outside a bracket. *)
 
 (** {2 Rendering} *)
 
@@ -204,6 +202,3 @@ val pp_event : Format.formatter -> event -> unit
 val event_to_json : event -> string
 (** One JSON object, no trailing newline.  Built by the same field
     writers as {!Packed.add_jsonl}. *)
-
-val write_jsonl : string -> event list -> unit
-(** [write_jsonl path events] writes one JSON object per line. *)

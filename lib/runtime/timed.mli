@@ -55,10 +55,10 @@ val n : t -> float
 val c : t -> float
 
 val observe : t -> unit
-(** Point the {!Mediactl_obs.Trace} clock at this simulation's virtual
-    time, so trace events are stamped in simulated milliseconds.  Call
-    it once before installing a sink; [Trace.recording] resets the
-    clock when it finishes. *)
+(** Point the {!Mediactl_obs.Trace} clock at this driver's time, so
+    trace events are stamped in its milliseconds.  Call it inside a
+    [Trace.recording_packed] bracket, which resets the clock when it
+    ends. *)
 
 val apply : t -> (Netsys.t -> Netsys.t * Netsys.send list) -> unit
 (** Perform a network operation at the current time; each signal it put

@@ -2,8 +2,9 @@
    codec (qcheck round-trip and malformed-input rejection), the
    control-plane grammar, transport addresses, the wall-clock engine —
    including a full session booted on it through [Session.boot_external]
-   — and a live in-process daemon serving a call over a real unix
-   socket, judged satisfied by the Fig. 5 monitor. *)
+   — and live in-process daemons serving calls over real unix sockets:
+   local and bridged calls judged satisfied by each daemon's Fig. 5
+   monitors, and the JSONL trace a daemon streams as it drains. *)
 
 open Mediactl_types
 open Mediactl_core
@@ -267,80 +268,14 @@ let test_session_on_wallclock () =
   Wallclock.run loop;
   check tbool "bothFlowing reached on the wall clock" true !flowed
 
-(* --- a live daemon over a real unix socket ------------------------------ *)
+(* --- live daemons over real unix sockets --------------------------------- *)
 
-(* One process, one loop: the daemon serves a real unix socket, and the
-   test's scripted control client rides the same Wallclock loop —
-   [Daemon.run] drives both sides, so the whole lifecycle (create,
-   wait-flowing, hold, resume, teardown, wait-closed, status, quit)
-   crosses genuine socket I/O and ends with the monitor's verdict. *)
-let test_live_daemon_lifecycle () =
+let fresh_sock () =
   let path = Filename.temp_file "mediactl_test" ".sock" in
   Unix.unlink path;
-  let listener = Transport.listen (Transport.Unix_sock path) in
-  let d = Daemon.create ~n:2.0 ~c:1.0 ~listener () in
-  let loop = Daemon.loop d in
-  let fd = Transport.connect (Transport.Unix_sock path) in
-  let script =
-    ref
-      [
-        Control.Create { id = "t1"; left = Semantics.Open_end; right = Semantics.Open_end };
-        Control.Wait { id = "t1"; what = `Flowing; timeout_ms = 5000.0 };
-        Control.Hold "t1";
-        Control.Resume "t1";
-        Control.Wait { id = "t1"; what = `Flowing; timeout_ms = 5000.0 };
-        Control.Teardown "t1";
-        Control.Wait { id = "t1"; what = `Closed; timeout_ms = 5000.0 };
-        Control.Status (Some "t1");
-        Control.Quit;
-      ]
-  in
-  let calls = ref [] and failures = ref [] in
-  let send_next () =
-    match !script with
-    | req :: rest ->
-      script := rest;
-      Transport.send_all fd (Control.render req ^ "\n")
-    | [] -> ()
-  in
-  let buf = ref "" in
-  let on_line line =
-    if Control.final_line line then begin
-      if not (Control.is_ok line) then failures := line :: !failures;
-      send_next ()
-    end
-    else calls := line :: !calls
-  in
-  let on_readable () =
-    match Transport.recv fd with
-    | `Retry -> ()
-    | `Eof -> Wallclock.remove_fd loop fd
-    | `Data data ->
-      buf := !buf ^ data;
-      let rec go () =
-        match String.index_opt !buf '\n' with
-        | Some i ->
-          let line = String.sub !buf 0 i in
-          buf := String.sub !buf (i + 1) (String.length !buf - i - 1);
-          on_line line;
-          go ()
-        | None -> ()
-      in
-      go ()
-  in
-  Wallclock.on_readable loop fd on_readable;
-  send_next ();
-  Daemon.run d;
-  Transport.close_quiet fd;
-  check tbool "every request answered OK" true (!failures = []);
-  match !calls with
-  | status :: _ ->
-    let n = String.length status in
-    check tbool
-      (Printf.sprintf "final status is satisfied: %s" status)
-      true
-      (n >= 9 && String.equal (String.sub status (n - 9) 9) "satisfied")
-  | [] -> Alcotest.fail "no CALL status line seen"
+  path
+
+let listen_on path = Transport.listen (Transport.Unix_sock path)
 
 (* Call [f] on every complete line the daemon sends on [fd]. *)
 let on_lines loop fd f =
@@ -359,15 +294,229 @@ let on_lines loop fd f =
             else Buffer.add_char pending c)
           data)
 
+(* A control client riding [loop]: each request of [script] is sent
+   once the final line answering the previous one arrives, and
+   [finally] runs once after the last.  Returns the CALL lines and the
+   failed final lines, newest first. *)
+let scripted_client ?(finally = fun () -> ()) loop fd script =
+  let script = ref script and calls = ref [] and failures = ref [] and finished = ref false in
+  let next () =
+    match !script with
+    | req :: rest ->
+      script := rest;
+      Transport.send_all fd (Control.render req ^ "\n")
+    | [] ->
+      if not !finished then begin
+        finished := true;
+        finally ()
+      end
+  in
+  on_lines loop fd (fun line ->
+      if Control.final_line line then begin
+        if not (Control.is_ok line) then failures := line :: !failures;
+        next ()
+      end
+      else calls := line :: !calls);
+  next ();
+  (calls, failures)
+
+let satisfied line =
+  let n = String.length line in
+  n >= 9 && String.equal (String.sub line (n - 9) 9) "satisfied"
+
+(* One process, one loop: the daemon serves a real unix socket, and the
+   test's scripted control client rides the same Wallclock loop —
+   [Daemon.run] drives both sides, so the whole lifecycle (create,
+   wait-flowing, hold, resume, teardown, wait-closed, status, quit)
+   crosses genuine socket I/O and ends with the monitor's verdict. *)
+let test_live_daemon_lifecycle () =
+  let path = fresh_sock () in
+  let d = Daemon.create ~n:2.0 ~c:1.0 ~listener:(listen_on path) () in
+  let loop = Daemon.loop d in
+  let fd = Transport.connect (Transport.Unix_sock path) in
+  let calls, failures =
+    scripted_client loop fd
+      [
+        Control.Create { id = "t1"; left = Semantics.Open_end; right = Semantics.Open_end };
+        Control.Wait { id = "t1"; what = `Flowing; timeout_ms = 5000.0 };
+        Control.Hold "t1";
+        Control.Resume "t1";
+        Control.Wait { id = "t1"; what = `Flowing; timeout_ms = 5000.0 };
+        Control.Teardown "t1";
+        Control.Wait { id = "t1"; what = `Closed; timeout_ms = 5000.0 };
+        Control.Status (Some "t1");
+        Control.Quit;
+      ]
+  in
+  Daemon.run d;
+  Transport.close_quiet fd;
+  check tbool "every request answered OK" true (!failures = []);
+  match !calls with
+  | status :: _ ->
+    check tbool (Printf.sprintf "final status is satisfied: %s" status) true (satisfied status)
+  | [] -> Alcotest.fail "no CALL status line seen"
+
+(* A call bridged between two daemons in one process: daemon B runs on
+   a second domain, with its own trace context, and the test's client
+   rides daemon A's loop.  Each daemon judges the call from its own
+   recording, in which the far end is a proxy whose receives of the
+   signals shipped to it stay pending until the far end's replies
+   order them — so both verdicts exercise the pending-receive path. *)
+let test_bridged_call_in_process () =
+  let a_path = fresh_sock () and b_path = fresh_sock () in
+  let a = Daemon.create ~n:2.0 ~c:1.0 ~listener:(listen_on a_path) () in
+  let b = Daemon.create ~n:2.0 ~c:1.0 ~listener:(listen_on b_path) () in
+  let b_domain = Domain.spawn (fun () -> Daemon.run b) in
+  let loop = Daemon.loop a in
+  let to_a = Transport.connect (Transport.Unix_sock a_path) in
+  let to_b = Transport.connect (Transport.Unix_sock b_path) in
+  let id = "br1" in
+  let wait what = Control.Wait { id; what; timeout_ms = 5000.0 } in
+  let quit fd = Transport.send_all fd (Control.render Control.Quit ^ "\n") in
+  let b_seen = ref None in
+  (* B is asked once A's script is done, after B's own end has closed
+     too: A's end closing does not wait for B's to hear the last
+     closeack.  The last word goes to A. *)
+  let ask_b () =
+    b_seen :=
+      Some
+        (scripted_client loop to_b
+           ~finally:(fun () -> quit to_a)
+           [ wait `Closed; Control.Status (Some id); Control.Quit ])
+  in
+  let a_calls, a_failures =
+    scripted_client loop to_a ~finally:ask_b
+      [
+        Control.Dial
+          {
+            id;
+            addr = Transport.Unix_sock b_path;
+            left = Semantics.Open_end;
+            right = Semantics.Open_end;
+          };
+        wait `Flowing;
+        Control.Hold id;
+        Control.Resume id;
+        wait `Flowing;
+        Control.Teardown id;
+        wait `Closed;
+        Control.Status (Some id);
+      ]
+  in
+  (* a stuck run fails the test instead of hanging it *)
+  Wallclock.after loop ~delay:20_000.0 (fun () ->
+      quit to_b;
+      Daemon.shutdown a);
+  Daemon.run a;
+  Domain.join b_domain;
+  Transport.close_quiet to_a;
+  Transport.close_quiet to_b;
+  check (Alcotest.list tstr) "every request to A answered OK" [] !a_failures;
+  let b_calls, b_failures =
+    match !b_seen with Some r -> r | None -> Alcotest.fail "daemon B was never asked"
+  in
+  check (Alcotest.list tstr) "every request to B answered OK" [] !b_failures;
+  List.iter
+    (fun (side, calls) ->
+      match calls with
+      | [ status ] ->
+        check tbool (Printf.sprintf "%s: status is satisfied: %s" side status) true
+          (satisfied status)
+      | _ -> Alcotest.fail (side ^ ": expected one CALL status line"))
+    [ ("origin", !a_calls); ("acceptor", !b_calls) ]
+
+(* A daemon with [~trace_path] serving two calls writes its trace as
+   it drains: one JSON object per line, numbered 0..n-1 with no gap at
+   the many segment boundaries, n being the count it logs. *)
+let test_streamed_trace () =
+  let path = fresh_sock () in
+  let trace_path = Filename.temp_file "mediactl_test" ".jsonl" in
+  let logged = ref [] in
+  let d =
+    Daemon.create ~n:2.0 ~c:1.0 ~trace_path
+      ~log:(fun line -> logged := line :: !logged)
+      ~listener:(listen_on path) ()
+  in
+  let loop = Daemon.loop d in
+  let fd = Transport.connect (Transport.Unix_sock path) in
+  let create id = Control.Create { id; left = Semantics.Open_end; right = Semantics.Open_end } in
+  let wait id what = Control.Wait { id; what; timeout_ms = 5000.0 } in
+  let calls, failures =
+    scripted_client loop fd
+      [
+        create "s1";
+        create "s2";
+        wait "s1" `Flowing;
+        wait "s2" `Flowing;
+        Control.Status None;
+        Control.Teardown "s1";
+        Control.Teardown "s2";
+        wait "s1" `Closed;
+        wait "s2" `Closed;
+        Control.Status None;
+        Control.Quit;
+      ]
+  in
+  Daemon.run d;
+  Transport.close_quiet fd;
+  check (Alcotest.list tstr) "every request answered OK" [] !failures;
+  (* flowing, then closed: a monitor that saw nothing would read the
+     first as violated *)
+  check tint "two calls, satisfied twice each" 4 (List.length (List.filter satisfied !calls));
+  let lines = In_channel.with_open_bin trace_path In_channel.input_lines in
+  Sys.remove trace_path;
+  let logged_count =
+    List.find_map (fun l -> Scanf.sscanf_opt l "trace: %d events -> %s" (fun n _ -> n)) !logged
+  in
+  check (Alcotest.option tint) "the log counts every line" (Some (List.length lines)) logged_count;
+  check tbool "a trace was recorded" true (List.length lines > 0);
+  List.iteri
+    (fun i line ->
+      let n = String.length line in
+      check tbool (Printf.sprintf "line %d is one JSON object" i) true
+        (n > 2 && line.[0] = '{' && line.[n - 1] = '}');
+      check (Alcotest.option tint) "seq runs 0..n-1" (Some i)
+        (Scanf.sscanf_opt line "{\"seq\":%d," Fun.id))
+    lines
+
+(* A STATUS pipelined behind a CREATE in one read is answered after
+   the daemon has drained what the CREATE recorded: the call's monitor
+   has seen both ends' opens, still in flight. *)
+let test_status_sees_pipelined_requests () =
+  let path = fresh_sock () in
+  let d = Daemon.create ~n:2.0 ~c:1.0 ~listener:(listen_on path) () in
+  let fd = Transport.connect (Transport.Unix_sock path) in
+  Transport.send_all fd
+    (String.concat ""
+       (List.map
+          (fun req -> Control.render req ^ "\n")
+          [
+            Control.Create { id = "p1"; left = Semantics.Open_end; right = Semantics.Open_end };
+            Control.Status (Some "p1");
+            Control.Quit;
+          ]));
+  Daemon.run d;
+  (* all three were answered in the one callback that stopped the
+     loop; the daemon has closed its end, so this reads to EOF *)
+  let replies = In_channel.input_all (Unix.in_channel_of_descr fd) in
+  Transport.close_quiet fd;
+  match
+    List.filter
+      (fun l -> l <> "" && not (Control.final_line l))
+      (String.split_on_char '\n' replies)
+  with
+  | [ status ] ->
+    check tbool (Printf.sprintf "status judges the create's signals: %s" status) true
+      (String.ends_with ~suffix:"undetermined at cutoff: signals still in flight" status)
+  | _ -> Alcotest.fail "expected one CALL status line"
+
 (* A control client that streams 1 MiB with no newline is told its line
    is too long and disconnected once the line passes the wire frame
    cap, instead of growing the daemon's buffer without bound; a second
    connection is still answered. *)
 let test_overlong_control_line () =
-  let path = Filename.temp_file "mediactl_test" ".sock" in
-  Unix.unlink path;
-  let listener = Transport.listen (Transport.Unix_sock path) in
-  let d = Daemon.create ~listener () in
+  let path = fresh_sock () in
+  let d = Daemon.create ~listener:(listen_on path) () in
   let loop = Daemon.loop d in
   let flood = Transport.connect (Transport.Unix_sock path) in
   let other = Transport.connect (Transport.Unix_sock path) in
@@ -434,6 +583,11 @@ let () =
       ( "live",
         [
           Alcotest.test_case "unix-socket lifecycle is satisfied" `Quick test_live_daemon_lifecycle;
+          Alcotest.test_case "bridged call satisfied on both daemons" `Quick
+            test_bridged_call_in_process;
+          Alcotest.test_case "streamed trace is numbered without gaps" `Quick test_streamed_trace;
+          Alcotest.test_case "status sees pipelined requests" `Quick
+            test_status_sees_pipelined_requests;
           Alcotest.test_case "overlong control line is refused" `Quick test_overlong_control_line;
         ] );
     ]

@@ -70,13 +70,13 @@ let test_trace_domains_isolated () =
     while Atomic.get started < 2 do
       Domain.cpu_relax ()
     done;
-    let (), events =
-      Obs.Trace.recording (fun () ->
+    let (), trace =
+      Obs.Trace.recording_packed (fun () ->
         for i = 0 to n - 1 do
           Obs.Trace.emit (Obs.Trace.Meta_send { chan = tag; box = string_of_int i })
         done)
     in
-    events
+    Obs.Trace.Packed.to_events trace
   in
   let da = Domain.spawn (record "left") in
   let db = Domain.spawn (record "right") in

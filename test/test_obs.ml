@@ -1,6 +1,7 @@
-(* Tests for the observability subsystem (mediactl.obs): the trace
-   sink, per-run metrics, and the Fig. 5 conformance monitor — including
-   the round-trip against the model checker's verdicts on the same path
+(* Tests for the observability subsystem (mediactl.obs): the packed
+   trace ring and its drains, per-run metrics, and the Fig. 5
+   conformance monitor — offline and stepped live, including the
+   round-trip against the model checker's verdicts on the same path
    configurations, and detection of injected protocol violations. *)
 
 open Mediactl_types
@@ -18,100 +19,139 @@ module Reliable = Mediactl_net.Reliable
 let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
+let tstr = Alcotest.string
 
-(* A traced timed run of a model-checker path configuration. *)
-let traced_path ?(left = Semantics.Open_end) ?(right = Semantics.Open_end) ?(flowlinks = 0)
-    ?(loss = 0.0) ~seed () =
-  snd
-    (Trace.recording (fun () ->
-         let sim = Timed.create ~seed ~n:34.0 ~c:20.0 (Pathlab.topology ~flowlinks ()) in
-         Timed.observe sim;
-         if loss > 0.0 then begin
-           let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in
-           ignore (Reliable.attach impair sim)
-         end;
-         Timed.apply sim (Pathlab.engage_left left);
-         Timed.apply sim (Pathlab.engage_right right ~flowlinks);
-         ignore (Timed.run ~until:60_000.0 sim)))
+(* A timed run of a model-checker path configuration; [script] may
+   schedule further actions on the driver before it runs. *)
+let path_run ?(left = Semantics.Open_end) ?(right = Semantics.Open_end) ?(flowlinks = 0)
+    ?(loss = 0.0) ?(script = fun _ -> ()) ~seed () =
+  let sim = Timed.create ~seed ~n:34.0 ~c:20.0 (Pathlab.topology ~flowlinks ()) in
+  Timed.observe sim;
+  if loss > 0.0 then begin
+    let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in
+    ignore (Reliable.attach impair sim)
+  end;
+  Timed.apply sim (Pathlab.engage_left left);
+  Timed.apply sim (Pathlab.engage_right right ~flowlinks);
+  script sim;
+  ignore (Timed.run ~until:60_000.0 sim)
 
-(* --- the sink --------------------------------------------------------- *)
+let traced_path ?left ?right ?flowlinks ?loss ~seed () =
+  snd (Trace.recording_packed (path_run ?left ?right ?flowlinks ?loss ~seed))
 
-let test_sink_disabled () =
-  check tbool "disabled by default" false (Trace.enabled ());
-  (* Emitting without a sink is a no-op, not an error. *)
-  Trace.emit (Trace.Meta_send { chan = "c"; box = "b" });
-  let (), events = Trace.recording (fun () -> ()) in
-  check tint "fresh recording is empty" 0 (List.length events);
-  check tbool "disabled after recording" false (Trace.enabled ())
+(* A run of the 3-party conference, mirroring the fleet scenario: the
+   star settles untimed, then one user is fully muted and unmuted under
+   the timed driver — each a fresh holdslot/flowlink handshake over the
+   (possibly lossy) network. *)
+let conf_users = List.map fst (Conference.default_users 3)
 
-let test_recording_captures_and_numbers () =
-  let (), events =
-    Trace.recording (fun () ->
-        Trace.emit (Trace.Meta_send { chan = "c"; box = "a" });
-        Trace.emit (Trace.Meta_recv { chan = "c"; box = "b" }))
-  in
-  check tint "two events" 2 (List.length events);
-  check tbool "sequence numbers restart and increase" true
-    (List.map (fun e -> e.Trace.seq) events = [ 0; 1 ])
+let conf_run ?(loss = 0.0) ?(script = fun _ -> ()) ~seed () =
+  let users = Conference.default_users 3 in
+  let net = fst (Netsys.run (Conference.build ~users)) in
+  let sim = Timed.create ~seed ~n:34.0 ~c:20.0 net in
+  Timed.observe sim;
+  if loss > 0.0 then begin
+    let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in
+    ignore (Reliable.attach impair sim)
+  end;
+  let muted = List.nth conf_users (seed mod List.length conf_users) in
+  Timed.apply sim (Conference.full_mute ~user:muted);
+  Timed.after sim 400.0 (fun sim -> Timed.apply sim (Conference.unmute ~user:muted));
+  script sim;
+  ignore (Timed.run ~until:60_000.0 sim)
 
-let test_jsonl_roundtrip_shape () =
-  let events = traced_path ~seed:3 () in
-  check tbool "nonempty" true (events <> []);
-  let path = Filename.temp_file "obs" ".jsonl" in
-  Trace.write_jsonl path events;
-  let ic = open_in path in
-  let lines = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lines;
-       check tbool "line is a JSON object" true
-         (String.length line > 2 && line.[0] = '{' && line.[String.length line - 1] = '}')
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove path;
-  check tint "one line per event" (List.length events) !lines
+let traced_conf ?loss ~seed () = snd (Trace.recording_packed (conf_run ?loss ~seed))
 
-(* --- the packed ring -------------------------------------------------- *)
+let jsonl trace =
+  let b = Buffer.create 4096 in
+  Trace.Packed.add_jsonl b trace;
+  Buffer.contents b
 
-(* The same timed run as [traced_path], recorded through the
-   zero-allocation ring instead of the event-list sink. *)
-let traced_path_packed ?(flowlinks = 0) ?(loss = 0.0) ~seed () =
+(* Record [events] again, in order and at their timestamps, through
+   [Trace.emit]: how a test turns a decoded (possibly mutated) event
+   list back into a capture. *)
+let repack events =
+  let clock = ref (List.map (fun (e : Trace.event) -> e.Trace.at) events) in
   snd
     (Trace.recording_packed (fun () ->
-         let sim = Timed.create ~seed ~n:34.0 ~c:20.0 (Pathlab.topology ~flowlinks ()) in
-         Timed.observe sim;
-         if loss > 0.0 then begin
-           let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in
-           ignore (Reliable.attach impair sim)
-         end;
-         Timed.apply sim (Pathlab.engage_left Semantics.Open_end);
-         Timed.apply sim (Pathlab.engage_right Semantics.Open_end ~flowlinks);
-         ignore (Timed.run ~until:60_000.0 sim)))
+         Trace.set_clock (fun () ->
+             match !clock with
+             | t :: rest ->
+               clock := rest;
+               t
+             | [] -> 0.0);
+         List.iter (fun (e : Trace.event) -> Trace.emit e.Trace.kind) events))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
+let judge_path ?(structural = false) ?(flowlinks = 0) obligation trace =
+  Monitor.judge
+    { Monitor.structural; obligation; legs = [ Pathlab.ends ~flowlinks ] }
+    (Monitor.run_packed trace)
 
-(* The flush-at-quiesce contract: a ring capture of a fixed-seed run,
-   decoded to JSONL, is byte-for-byte what the legacy sink would have
-   written for the same run. *)
+(* --- the ring ---------------------------------------------------------- *)
+
+let test_disabled_by_default () =
+  check tbool "disabled by default" false (Trace.enabled ());
+  (* Emitting outside a recording is a no-op, not an error. *)
+  Trace.emit (Trace.Meta_send { chan = "c"; box = "b" });
+  check tbool "no drain outside a recording" true
+    (match Trace.drain () with _ -> false | exception Invalid_argument _ -> true);
+  let (), trace = Trace.recording_packed (fun () -> ()) in
+  check tint "fresh recording is empty" 0 (Trace.Packed.length trace);
+  check tbool "disabled after recording" false (Trace.enabled ())
+
+let seqs trace = List.map (fun e -> e.Trace.seq) (Trace.Packed.to_events trace)
+
+let test_recording_captures_and_numbers () =
+  let emit2 () =
+    Trace.emit (Trace.Meta_send { chan = "c"; box = "a" });
+    Trace.emit (Trace.Meta_recv { chan = "c"; box = "b" })
+  in
+  let (), first = Trace.recording_packed emit2 in
+  let (), again = Trace.recording_packed emit2 in
+  check tbool "two events, numbered from 0" true (seqs first = [ 0; 1 ]);
+  check tbool "numbering restarts per bracket" true (seqs again = [ 0; 1 ]);
+  let (segments, empty), last =
+    Trace.recording_packed (fun () ->
+        emit2 ();
+        let a = Trace.drain () in
+        let empty = Trace.drain () in
+        emit2 ();
+        let b = Trace.drain () in
+        emit2 ();
+        ([ a; b ], empty))
+  in
+  check tint "a drain with nothing new is empty" 0 (Trace.Packed.length empty);
+  check tbool "numbering continues across drains" true
+    (List.concat_map seqs (segments @ [ last ]) = [ 0; 1; 2; 3; 4; 5 ])
+
+let test_jsonl_roundtrip_shape () =
+  let trace = traced_path ~seed:3 () in
+  check tbool "nonempty" true (Trace.Packed.length trace > 0);
+  let lines = String.split_on_char '\n' (jsonl trace) in
+  check tbool "ends with a newline" true (List.nth lines (List.length lines - 1) = "");
+  let lines = List.filter (fun l -> l <> "") lines in
+  List.iter
+    (fun line ->
+      check tbool "line is a JSON object" true
+        (String.length line > 2 && line.[0] = '{' && line.[String.length line - 1] = '}'))
+    lines;
+  check tint "one line per event" (Trace.Packed.length trace) (List.length lines)
+
+(* The bytes the retired event-list sink wrote for two fixed-seed lossy
+   runs, and the metrics it derived, pinned as MD5 digests: the ring's
+   JSONL and metrics must reproduce them exactly. *)
 let test_ring_matches_sink_jsonl () =
-  let seed = 21 and loss = 0.05 in
-  let sink_events = traced_path ~seed ~loss () in
-  let packed = traced_path_packed ~seed ~loss () in
-  check tint "same event count" (List.length sink_events) (Trace.Packed.length packed);
-  let p1 = Filename.temp_file "obs_sink" ".jsonl" in
-  let p2 = Filename.temp_file "obs_ring" ".jsonl" in
-  Trace.write_jsonl p1 sink_events;
-  Trace.write_jsonl p2 (Trace.Packed.to_events packed);
-  let a = read_file p1 and b = read_file p2 in
-  Sys.remove p1;
-  Sys.remove p2;
-  check tbool "byte-identical JSONL" true (String.equal a b)
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let pinned name trace ~events ~jsonl_md5 ~metrics_md5 =
+    check tint (name ^ ": events") events (Trace.Packed.length trace);
+    check tstr (name ^ ": JSONL") jsonl_md5 (md5 (jsonl trace));
+    check tstr (name ^ ": metrics") metrics_md5
+      (md5 (Metrics.to_json (Metrics.of_packed trace)))
+  in
+  pinned "path, seed 21, 5% loss" (traced_path ~seed:21 ~loss:0.05 ()) ~events:31
+    ~jsonl_md5:"6fa1f497e52026fbb9d541349e9b62c9" ~metrics_md5:"a18d1aaa4d9ad32e55ff9a81951fe411";
+  pinned "conference, seed 11, 5% loss" (traced_conf ~seed:11 ~loss:0.05 ()) ~events:141
+    ~jsonl_md5:"eb4137105ca33d3249a49bbdb9846d41" ~metrics_md5:"623a064263b6e11fe285349e01d866ef"
 
 (* --- JSON rendering against the reference ------------------------------ *)
 
@@ -289,23 +329,76 @@ let prop_json_matches_reference =
       String.equal (Buffer.contents b) expected
       && List.for_all (fun e -> String.equal (Trace.event_to_json e) (Json_ref.event_to_json e)) events)
 
-(* The packed consumers must agree with their event-list twins on the
-   same capture. *)
-let test_packed_consumers_agree () =
-  let packed = traced_path_packed ~seed:13 ~loss:0.08 () in
-  let events = Trace.Packed.to_events packed in
-  check tbool "nonempty" true (Trace.Packed.length packed > 0);
-  check tbool "metrics agree" true
-    (String.equal
-       (Metrics.to_json (Metrics.of_packed packed))
-       (Metrics.to_json (Metrics.of_events events)));
-  check tbool "monitor reports agree" true
-    (Monitor.replay_packed packed = Monitor.replay events);
-  check tbool "verdicts agree" true
-    (Monitor.verdict_packed Monitor.Always_eventually_flowing
-       ~ends:(Pathlab.ends ~flowlinks:0) packed
-    = Monitor.verdict Monitor.Always_eventually_flowing ~ends:(Pathlab.ends ~flowlinks:0)
-        events)
+(* --- drains and the live monitor ----------------------------------------- *)
+
+(* A signal from a box that is neither end of a tunnel the run has
+   already opened: a violation wherever it lands. *)
+let inject_third_box ~chan ~tun sim =
+  Timed.at sim 450.0 (fun _ ->
+      Trace.sig_send ~chan ~tun ~box:"X" ~peer:"?" ~initiator:false Signal.Closeack)
+
+(* Draining at arbitrary moments changes nothing observable: the
+   segments' JSONL concatenates to that of one bracket, and a monitor
+   stepped segment by segment reports and judges exactly as the offline
+   replay of the whole trace — violation messages, whose [#seq] must
+   count across segment boundaries, included. *)
+let prop_drains_match_one_bracket =
+  QCheck2.Test.make ~name:"drained segments match one bracket and the offline monitor" ~count:60
+    ~print:(fun (conf, seed, loss, (times, inject)) ->
+      Printf.sprintf "%s seed=%d loss=%d%% drains at [%s]%s"
+        (if conf then "conference" else "path")
+        seed loss
+        (String.concat "; " (List.map string_of_float times))
+        (if inject then " with a third box" else ""))
+    QCheck2.Gen.(
+      quad bool (int_range 0 9999) (int_range 0 15)
+        (pair (list_size (int_range 0 8) (float_range 0.0 1500.0)) bool))
+    (fun (conf, seed, loss_pct, (times, inject)) ->
+      let loss = float_of_int loss_pct /. 100.0 in
+      let run script =
+        if conf then conf_run ~loss ~seed ~script () else path_run ~loss ~seed ~script ()
+      in
+      let judgement =
+        {
+          Monitor.structural = loss > 0.0;
+          obligation = Monitor.Always_eventually_flowing;
+          legs =
+            (if conf then Conference.legs ~users:conf_users else [ Pathlab.ends ~flowlinks:0 ]);
+        }
+      in
+      (* the tunnel of the run's first signal: both its ends signal at once *)
+      let chan, tun =
+        let base = snd (Trace.recording_packed (fun () -> run (fun _ -> ()))) in
+        let rec first i =
+          if Trace.Packed.tag base i <= 1 then
+            (Trace.Packed.sig_chan base i, Trace.Packed.sig_tun base i)
+          else first (i + 1)
+        in
+        first 0
+      in
+      let stray sim = if inject then inject_third_box ~chan ~tun sim in
+      let (), whole = Trace.recording_packed (fun () -> run stray) in
+      let live = Monitor.create () in
+      let streamed = Buffer.create 4096 in
+      let take seg =
+        Trace.Packed.add_jsonl streamed seg;
+        for i = 0 to Trace.Packed.length seg - 1 do
+          Monitor.step live seg i
+        done
+      in
+      let (), last =
+        Trace.recording_packed (fun () ->
+            run (fun sim ->
+                stray sim;
+                List.iter (fun at -> Timed.at sim at (fun _ -> take (Trace.drain ()))) times))
+      in
+      take last;
+      let offline = Monitor.run_packed whole in
+      let report = Monitor.report live in
+      String.equal (Buffer.contents streamed) (jsonl whole)
+      && report = Monitor.report offline
+      && Monitor.judge judgement live = Monitor.judge judgement offline
+      && Monitor.conformant report = not inject)
 
 (* Entries must survive buffer doubling (the ring starts at 1024
    entries), and a later recording on the same domain reuses the ring
@@ -376,8 +469,7 @@ let test_ring_two_domain_isolation () =
 (* --- metrics ---------------------------------------------------------- *)
 
 let test_metrics_clean_run () =
-  let events = traced_path ~seed:5 () in
-  let m = Metrics.of_events events in
+  let m = Metrics.of_packed (traced_path ~seed:5 ()) in
   let sends = List.fold_left (fun acc (_, n) -> acc + n) 0 m.Metrics.sends_by_signal in
   check tint "every send delivered" sends m.Metrics.recvs;
   check tint "no drops without impairment" 0 m.Metrics.drops;
@@ -404,33 +496,31 @@ let prop_zero_loss_satisfies_monitor =
     ~count:40
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 1))
     (fun (seed, flowlinks) ->
-      let events = traced_path ~seed ~flowlinks () in
-      let report = Monitor.replay events in
-      let verdict =
-        Monitor.verdict Monitor.Always_eventually_flowing ~ends:(Pathlab.ends ~flowlinks)
-          events
-      in
-      Monitor.conformant report && verdict = Monitor.Satisfied)
+      let trace = traced_path ~seed ~flowlinks () in
+      Monitor.conformant (Monitor.replay_packed trace)
+      && judge_path ~flowlinks Monitor.Always_eventually_flowing trace = Monitor.Satisfied)
 
 let prop_lossy_still_conformant =
   QCheck2.Test.make
     ~name:"lossy path run with the reliability layer: still protocol-conformant" ~count:40
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 1 25))
     (fun (seed, loss_pct) ->
-      let events = traced_path ~seed ~loss:(float_of_int loss_pct /. 100.0) () in
-      Monitor.conformant (Monitor.replay events))
+      let trace = traced_path ~seed ~loss:(float_of_int loss_pct /. 100.0) () in
+      Monitor.conformant (Monitor.replay_packed trace))
 
 (* --- the monitor: flagging violations -------------------------------- *)
 
 (* A run that closes cleanly: both ends flow, then both ends are told to
-   close (crossing closes, both acknowledged). *)
+   close (crossing closes, both acknowledged).  Decoded, so that tests
+   can mutate it and {!repack} it. *)
 let record_close_run () =
-  snd
-    (Trace.recording (fun () ->
-         let net, _ = Netsys.run (Pathlab.build ()) in
-         let net, _ = Netsys.bind_close net Pathlab.left_slot in
-         let net, _ = Netsys.bind_close net (Pathlab.right_slot ~flowlinks:0) in
-         ignore (Netsys.run net)))
+  Trace.Packed.to_events
+    (snd
+       (Trace.recording_packed (fun () ->
+            let net, _ = Netsys.run (Pathlab.build ()) in
+            let net, _ = Netsys.bind_close net Pathlab.left_slot in
+            let net, _ = Netsys.bind_close net (Pathlab.right_slot ~flowlinks:0) in
+            ignore (Netsys.run net))))
 
 (* Drop R's closeack (its send, and its receipt at L), as a faulty
    network without the reliability layer would. *)
@@ -444,38 +534,32 @@ let drop_closeack events =
     events
 
 let test_clean_close_is_conformant () =
-  let events = record_close_run () in
-  let report = Monitor.replay events in
+  let trace = repack (record_close_run ()) in
+  let report = Monitor.replay_packed trace in
   check tbool "close run conformant" true (Monitor.conformant report);
   check tbool "close run decides <>[] bothClosed" true
-    (Monitor.verdict Monitor.Eventually_always_closed ~ends:(Pathlab.ends ~flowlinks:0)
-       events
-    = Monitor.Satisfied)
+    (judge_path Monitor.Eventually_always_closed trace = Monitor.Satisfied)
+
+let has needle v =
+  let lv = String.length v and ln = String.length needle in
+  let rec go i = i + ln <= lv && (String.sub v i ln = needle || go (i + 1)) in
+  go 0
 
 let test_dropped_closeack_is_flagged () =
-  let events = drop_closeack (record_close_run ()) in
-  let report = Monitor.replay events in
+  let trace = repack (drop_closeack (record_close_run ())) in
+  let report = Monitor.replay_packed trace in
   check tbool "mutated trace is non-conformant" false (Monitor.conformant report);
   check tbool "stuck closing is reported" true
-    (List.exists
-       (fun v ->
-         let has needle =
-           let lv = String.length v and ln = String.length needle in
-           let rec go i = i + ln <= lv && (String.sub v i ln = needle || go (i + 1)) in
-           go 0
-         in
-         has "closing")
-       report.Monitor.violations);
-  match
-    Monitor.verdict Monitor.Eventually_always_closed ~ends:(Pathlab.ends ~flowlinks:0) events
-  with
+    (List.exists (has "closing") report.Monitor.violations);
+  match judge_path Monitor.Eventually_always_closed trace with
   | Monitor.Violated _ -> ()
   | Monitor.Satisfied | Monitor.Undetermined _ ->
     Alcotest.fail "obligation should be violated on the mutated trace"
 
 let test_injected_duplicate_open_is_flagged () =
-  let events = traced_path ~seed:7 () in
-  check tbool "base trace conformant" true (Monitor.conformant (Monitor.replay events));
+  let events = Trace.Packed.to_events (traced_path ~seed:7 ()) in
+  check tbool "base trace conformant" true
+    (Monitor.conformant (Monitor.replay_packed (repack events)));
   let stray =
     let d = Descriptor.make ~owner:"X" ~version:1 (Address.v "10.9.9.9" 9) [ Codec.G711 ] in
     {
@@ -493,8 +577,44 @@ let test_injected_duplicate_open_is_flagged () =
           };
     }
   in
-  let report = Monitor.replay (events @ [ stray ]) in
+  let report = Monitor.replay_packed (repack (events @ [ stray ])) in
   check tbool "injected duplicate open is flagged" false (Monitor.conformant report)
+
+(* A legal open sent by a box that is neither end of [ch0.0]: the
+   tunnel already has its two ends, so this is a violation at that
+   entry, naming the box and the tunnel — not a third side whose
+   dangling send would go unnoticed. *)
+let test_injected_third_box_is_flagged () =
+  let events = Trace.Packed.to_events (traced_path ~seed:7 ()) in
+  let stray =
+    let d = Descriptor.make ~owner:"X" ~version:1 (Address.v "10.9.9.9" 9) [ Codec.G711 ] in
+    {
+      Trace.seq = 100_000;
+      at = 0.0;
+      kind =
+        Trace.Sig_send
+          {
+            chan = "ch0";
+            tun = 0;
+            box = "X";
+            peer = "R";
+            initiator = false;
+            signal = Signal.Open (Medium.Audio, d);
+          };
+    }
+  in
+  let trace = repack (events @ [ stray ]) in
+  let report = Monitor.replay_packed trace in
+  let seq = List.length events in
+  check (Alcotest.list tstr) "one violation, at the stray entry"
+    [ Printf.sprintf "#%d ch0.0 X: a third box on the tunnel, whose ends are L and R" seq ]
+    report.Monitor.violations;
+  check tint "the box is not made a side" 2
+    (List.length (List.hd report.Monitor.tunnels).Monitor.summaries);
+  match judge_path Monitor.Always_eventually_flowing trace with
+  | Monitor.Violated _ -> ()
+  | Monitor.Satisfied | Monitor.Undetermined _ ->
+    Alcotest.fail "[]<> bothFlowing should be violated by a third box"
 
 (* --- the monitor vs the model checker -------------------------------- *)
 
@@ -513,39 +633,21 @@ let test_monitor_agrees_with_checker () =
            (String.concat "" (List.init flowlinks (fun _ -> "fl--"))))
         true
         (Mediactl_mc.Check.passed mc);
-      let events = traced_path ~flowlinks ~seed:11 () in
-      let verdict =
-        Monitor.verdict Monitor.Always_eventually_flowing ~ends:(Pathlab.ends ~flowlinks)
-          events
-      in
+      let trace = traced_path ~flowlinks ~seed:11 () in
       check tbool "monitor reproduces the checker's verdict" true
-        (verdict = Monitor.Satisfied))
+        (judge_path ~flowlinks Monitor.Always_eventually_flowing trace = Monitor.Satisfied))
     [ 0; 1 ]
 
 (* --- the monitor, N-way: the 3-party conference star ------------------ *)
 
-(* A traced run of the 3-party conference, mirroring the fleet scenario:
-   the star settles untimed, then one user is fully muted and unmuted
-   under the timed driver — each a fresh holdslot/flowlink handshake over
-   the (possibly lossy) network. *)
-let traced_conf ?(loss = 0.0) ~seed () =
-  let users = Conference.default_users 3 in
-  let names = List.map fst users in
-  ( names,
-    snd
-      (Trace.recording (fun () ->
-           let net = fst (Netsys.run (Conference.build ~users)) in
-           let sim = Timed.create ~seed ~n:34.0 ~c:20.0 net in
-           Timed.observe sim;
-           if loss > 0.0 then begin
-             let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in
-             ignore (Reliable.attach impair sim)
-           end;
-           let muted = List.nth names (seed mod List.length names) in
-           Timed.apply sim (Conference.full_mute ~user:muted);
-           Timed.after sim 400.0 (fun sim ->
-               Timed.apply sim (Conference.unmute ~user:muted));
-           ignore (Timed.run ~until:60_000.0 sim))) )
+let judge_conf ?(structural = false) trace =
+  Monitor.judge
+    {
+      Monitor.structural;
+      obligation = Monitor.Always_eventually_flowing;
+      legs = Conference.legs ~users:conf_users;
+    }
+    (Monitor.run_packed trace)
 
 (* The N-way acceptance round-trip: the checker proves []<> allFlowing
    on the 3-party star model, and the leg-quantified monitor reaches the
@@ -558,12 +660,10 @@ let test_conf_monitor_agrees_with_checker () =
          ~flowlinks:1 ~chaos:0 ~modifies:0 ())
   in
   check tbool "checker passes the 3-party star" true (Mediactl_mc.Check.passed mc);
-  let names, events = traced_conf ~seed:11 () in
-  check tbool "conference run conformant" true (Monitor.conformant (Monitor.replay events));
+  let trace = traced_conf ~seed:11 () in
+  check tbool "conference run conformant" true (Monitor.conformant (Monitor.replay_packed trace));
   check tbool "monitor decides []<> allFlowing over all three legs" true
-    (Monitor.verdict_legs Monitor.Always_eventually_flowing
-       ~legs:(Conference.legs ~users:names) events
-    = Monitor.Satisfied)
+    (judge_conf trace = Monitor.Satisfied)
 
 let prop_zero_loss_conf_satisfies_monitor =
   QCheck2.Test.make
@@ -571,11 +671,8 @@ let prop_zero_loss_conf_satisfies_monitor =
     ~count:25
     QCheck2.Gen.(int_range 0 9999)
     (fun seed ->
-      let names, events = traced_conf ~seed () in
-      Monitor.conformant (Monitor.replay events)
-      && Monitor.verdict_legs Monitor.Always_eventually_flowing
-           ~legs:(Conference.legs ~users:names) events
-         = Monitor.Satisfied)
+      let trace = traced_conf ~seed () in
+      Monitor.conformant (Monitor.replay_packed trace) && judge_conf trace = Monitor.Satisfied)
 
 let prop_lossy_conf_still_satisfied =
   QCheck2.Test.make
@@ -583,11 +680,9 @@ let prop_lossy_conf_still_satisfied =
     ~count:25
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 1 25))
     (fun (seed, loss_pct) ->
-      let names, events = traced_conf ~seed ~loss:(float_of_int loss_pct /. 100.0) () in
-      Monitor.conformant (Monitor.replay events)
-      && Monitor.verdict_legs ~structural:true Monitor.Always_eventually_flowing
-           ~legs:(Conference.legs ~users:names) events
-         = Monitor.Satisfied)
+      let trace = traced_conf ~seed ~loss:(float_of_int loss_pct /. 100.0) () in
+      Monitor.conformant (Monitor.replay_packed trace)
+      && judge_conf ~structural:true trace = Monitor.Satisfied)
 
 (* --------------------------------------------------------------------- *)
 
@@ -596,13 +691,13 @@ let () =
     [
       ( "trace",
         [
-          Alcotest.test_case "sink disabled" `Quick test_sink_disabled;
+          Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
           Alcotest.test_case "recording" `Quick test_recording_captures_and_numbers;
           Alcotest.test_case "jsonl shape" `Quick test_jsonl_roundtrip_shape;
           Alcotest.test_case "ring matches sink jsonl" `Quick test_ring_matches_sink_jsonl;
           QCheck_alcotest.to_alcotest prop_json_matches_reference;
           QCheck_alcotest.to_alcotest prop_intern_caches;
-          Alcotest.test_case "packed consumers agree" `Quick test_packed_consumers_agree;
+          QCheck_alcotest.to_alcotest prop_drains_match_one_bracket;
           Alcotest.test_case "ring growth and reuse" `Quick test_ring_growth_and_reuse;
           Alcotest.test_case "ring two-domain isolation" `Quick
             test_ring_two_domain_isolation;
@@ -621,6 +716,8 @@ let () =
             test_dropped_closeack_is_flagged;
           Alcotest.test_case "injected duplicate open flagged" `Quick
             test_injected_duplicate_open_is_flagged;
+          Alcotest.test_case "injected third box flagged" `Quick
+            test_injected_third_box_is_flagged;
         ] );
       ( "round-trip",
         [ Alcotest.test_case "agrees with model checker" `Slow test_monitor_agrees_with_checker ] );
