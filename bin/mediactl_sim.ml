@@ -147,17 +147,27 @@ let run_path seed n c loss left right flowlinks =
   report_impairment net_layer;
   0
 
+(* A fleet or churn run fails when any session is non-conformant or
+   any judged obligation is violated or undetermined. *)
+let exit_code ~sessions ~conformant ~violated ~undetermined =
+  if conformant = sessions && violated = 0 && undetermined = 0 then 0 else 1
+
 (* The sharded many-session runtime: N independent sessions split from
    one seed, partitioned across K domains.  Fleet sessions record their
    own traces (domain-locally), so this path must not be wrapped in the
-   outer [Trace.recording_packed] the single-scenario runs use. *)
+   outer [Trace.recording_packed] the single-scenario runs use.  The
+   printed digest is independent of the job count. *)
 let run_fleet seed n c loss sessions jobs kind parties =
   let mk ~id ~rng = Scenario.session ~n ~c ~loss ~parties kind ~id ~rng in
   let outcomes, summary = Fleet.run ~jobs ~until:60_000.0 ~sessions ~seed mk in
-  Format.printf "%a@." Fleet.pp_summary summary;
-  let bad = List.filter (fun (o : Session.outcome) -> not o.Session.conformant) outcomes in
-  List.iter (fun o -> Format.printf "  %a@." Session.pp_outcome o) bad;
-  0
+  Format.printf "%a@.digest      %s@." Fleet.pp_summary summary (Fleet.digest outcomes);
+  let failed (o : Session.outcome) =
+    (not o.Session.conformant)
+    || match o.Session.verdict with Some Obs.Monitor.Satisfied | None -> false | Some _ -> true
+  in
+  List.iter (fun o -> Format.printf "  %a@." Session.pp_outcome o) (List.filter failed outcomes);
+  exit_code ~sessions ~conformant:summary.Fleet.conformant ~violated:summary.Fleet.violated
+    ~undetermined:summary.Fleet.undetermined
 
 (* Steady-state churn: hold --target-population resident sessions under
    Poisson arrival / exponential-holding turnover for --duration
@@ -170,7 +180,8 @@ let run_churn seed n c loss jobs kind parties target duration mean_holding arriv
       mk
   in
   Format.printf "%a@." Fleet.pp_churn_summary summary;
-  0
+  exit_code ~sessions:summary.Fleet.c_retired ~conformant:summary.Fleet.c_conformant
+    ~violated:summary.Fleet.c_violated ~undetermined:summary.Fleet.c_undetermined
 
 (* --------------------------------------------------------------- *)
 (* Trace capture around a scenario run                              *)

@@ -2,6 +2,7 @@ open Mediactl_types
 open Mediactl_core
 open Mediactl_runtime
 module Rng = Mediactl_sim.Rng
+module Trace = Mediactl_obs.Trace
 
 type kind =
   | Path
@@ -61,6 +62,74 @@ let attach_loss ~loss t =
 
 let settle net = fst (Netsys.run net)
 
+(* The pre-generalization conference roster ([conf2]). *)
+let conf2_users =
+  let user name host =
+    (name, Local.endpoint ~owner:name (Address.v host 6000) [ Codec.G711; Codec.G726 ])
+  in
+  [ user "ann" "10.4.0.1"; user "bob" "10.4.0.2"; user "cat" "10.4.0.3" ]
+
+(* ------------------------------------------------------------------ *)
+(* Shared starts
+
+   A scenario's starting network is a pure function of its build: no
+   build reads the session's stream, clock, latencies, scheduler or
+   loss (all of those are consumed in [boot]), and a [Netsys.t] is
+   persistent — every operation on it returns a new value.  So each
+   domain builds and settles a start once, inside the first session's
+   recording, and keeps the settled network with a {!Trace.capture} of
+   the entries the build recorded.  Every later session of that build
+   on the domain starts from the same network and replays the capture
+   into its own bracket: the same entries, numbered on from the
+   bracket's start, at the same reset clock — byte for byte the trace
+   a fresh build records.  A start built outside a recording is not
+   kept: its capture would be empty.  DESIGN section 10. *)
+
+(* One constructor per distinct build; [build] is a function of the
+   key alone, so equal keys always mean equal builds ([barge] shares
+   the 2-party conference's start). *)
+type start =
+  | Path_start
+  | Ctd_start
+  | Conf_start of int  (* roster size *)
+  | Conf2_start
+  | Transfer_start
+  | Moh_start
+  | Prepaid_start
+  | Collab_tv_start
+
+let build = function
+  | Path_start -> Pathlab.topology ~flowlinks:0 ()
+  | Ctd_start ->
+    List.fold_left Netsys.add_box Netsys.empty [ "ctd"; "phone1"; "phone2"; "tones" ]
+  | Conf_start parties -> settle (Conference.build ~users:(Conference.default_users parties))
+  | Conf2_start -> settle (Conference.build ~users:conf2_users)
+  | Transfer_start -> settle (Feature.transfer_build ())
+  | Moh_start -> settle (Feature.moh_build ())
+  | Prepaid_start ->
+    (* snapshots 1-3 of the running example *)
+    let net = settle (Prepaid.build ()) in
+    let net = settle (fst (Prepaid.snapshot1 net)) in
+    let net = settle (fst (Prepaid.snapshot2 net)) in
+    settle (fst (Prepaid.snapshot3 net))
+  | Collab_tv_start -> settle (Collab_tv.build ())
+
+let starts : (start, Netsys.t * Trace.capture) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+(* A session's network thunk: the domain's settled start, its build's
+   entries replayed into the current bracket. *)
+let start key () =
+  let table = Domain.DLS.get starts in
+  match Hashtbl.find_opt table key with
+  | Some (net, prefix) ->
+    Trace.replay prefix;
+    net
+  | None ->
+    let net, prefix = Trace.capture (fun () -> build key) in
+    if Trace.enabled () then Hashtbl.add table key (net, prefix);
+    net
+
 (* The obligation a session is judged against.  Under loss the
    flowing predicate is the structural one, as in the model checker. *)
 let judged ~loss obligation legs =
@@ -79,7 +148,7 @@ let path ?sched ?n ?c ~loss ~id ~rng () =
       let sim = Session.sim t in
       Timed.apply sim (Pathlab.engage_left Semantics.Open_end);
       Timed.apply sim (Pathlab.engage_right Semantics.Open_end ~flowlinks:0))
-    (fun () -> Pathlab.topology ~flowlinks:0 ())
+    (start Path_start)
 
 (* Click-to-Dial (Figure 6).  The callee device answers or is busy,
    drawn from the session stream, so a fleet exercises both program
@@ -100,8 +169,7 @@ let ctd ?sched ?n ?c ~loss ~id ~rng () =
         (Program.launch sim
            (Click_to_dial.program ~box:"ctd" ~caller_device:"phone1" ~callee_device:"phone2"
               ~tone_server:"tones" ~no_answer_timeout:30_000.0)))
-    (fun () ->
-      List.fold_left Netsys.add_box Netsys.empty [ "ctd"; "phone1"; "phone2"; "tones" ])
+    (start Ctd_start)
 
 (* A partial-muting policy drawn from the session stream, so a fleet
    exercises all four mixing-matrix shapes deterministically.  Always
@@ -130,31 +198,28 @@ let conf_boot ~loss ~names ~parties t =
   Timed.after sim 400.0 (fun sim -> Timed.apply sim (Conference.unmute ~user:muted))
 
 let conf ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
-  let users = Conference.default_users parties in
-  let names = List.map fst users in
+  let names = List.map fst (Conference.default_users parties) in
   Session.create ?sched ?n ?c ~id ~scenario:"conf" ~rng
     ~judge:
       (judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing
          (Conference.legs ~users:names))
     ~boot:(conf_boot ~loss ~names ~parties)
-    (fun () -> settle (Conference.build ~users))
+    (start (Conf_start parties))
 
 (* The pre-generalization conference shape — three named users, no
    policy wiring, no verdict — kept runnable so its fleet digests stay
    comparable with historical baselines. *)
 let conf2 ?sched ?n ?c ~loss ~id ~rng () =
-  let user name host =
-    (name, Local.endpoint ~owner:name (Address.v host 6000) [ Codec.G711; Codec.G726 ])
-  in
-  let users = [ user "ann" "10.4.0.1"; user "bob" "10.4.0.2"; user "cat" "10.4.0.3" ] in
   Session.create ?sched ?n ?c ~id ~scenario:"conf2" ~rng
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
-      let muted = fst (List.nth users (Rng.int (Session.rng t) (List.length users))) in
+      let muted =
+        fst (List.nth conf2_users (Rng.int (Session.rng t) (List.length conf2_users)))
+      in
       Timed.apply sim (Conference.full_mute ~user:muted);
       Timed.after sim 400.0 (fun sim -> Timed.apply sim (Conference.unmute ~user:muted)))
-    (fun () -> settle (Conference.build ~users))
+    (start Conf2_start)
 
 (* Attended transfer: customer--agent established untimed, the transfer
    fires at 300 ms, and the obligation judges the customer's final path
@@ -167,14 +232,13 @@ let transfer ?sched ?n ?c ~loss ~id ~rng () =
       attach_loss ~loss t;
       let sim = Session.sim t in
       Timed.after sim 300.0 (fun sim -> Timed.apply sim Feature.transfer))
-    (fun () -> settle (Feature.transfer_build ()))
+    (start Transfer_start)
 
 (* Barge-in: a two-party conference becomes three-party mid-call when a
    supervisor joins through [Conference.add_user]; every leg including
    the late one must end up flowing. *)
 let barge ?sched ?n ?c ~loss ~id ~rng () =
-  let users = Conference.default_users 2 in
-  let names = List.map fst users in
+  let names = List.map fst (Conference.default_users 2) in
   let joiner = List.nth (Conference.default_users 3) 2 in
   let roster = names @ [ fst joiner ] in
   Session.create ?sched ?n ?c ~id ~scenario:"barge" ~rng
@@ -192,7 +256,7 @@ let barge ?sched ?n ?c ~loss ~id ~rng () =
         List.iter
           (fun (chan, meta) -> Timed.send_meta sim ~chan ~from:"conf" meta)
           (Conference.matrix_metas Conference.Open_floor ~participants:roster)))
-    (fun () -> settle (Conference.build ~users))
+    (start (Conf_start 2))
 
 (* Music on hold: the hold box parks the agent and relinks the customer
    to the music server at 250 ms, then restores the talk path at
@@ -205,7 +269,7 @@ let moh ?sched ?n ?c ~loss ~id ~rng () =
       let sim = Session.sim t in
       Timed.after sim 250.0 (fun sim -> Timed.apply sim Feature.hold);
       Timed.after sim 600.0 (fun sim -> Timed.apply sim Feature.resume))
-    (fun () -> settle (Feature.moh_build ()))
+    (start Moh_start)
 
 (* The prepaid running example, snapshots 1-3 settled untimed, then the
    Figure-13 concurrent snapshot-4 convergence under the clock. *)
@@ -216,11 +280,7 @@ let prepaid ?sched ?n ?c ~loss ~id ~rng () =
       let sim = Session.sim t in
       Timed.apply sim Prepaid.snapshot4_pc;
       Timed.apply sim Prepaid.snapshot4_pbx)
-    (fun () ->
-      let net = settle (Prepaid.build ()) in
-      let net = settle (fst (Prepaid.snapshot1 net)) in
-      let net = settle (fst (Prepaid.snapshot2 net)) in
-      settle (fst (Prepaid.snapshot3 net)))
+    (start Prepaid_start)
 
 (* Collaborative TV (Figure 8): pause, play, and the daughter leaving,
    spaced out under the timed driver. *)
@@ -232,7 +292,7 @@ let collab_tv ?sched ?n ?c ~loss ~id ~rng () =
       Timed.apply sim Collab_tv.pause;
       Timed.after sim 300.0 (fun sim -> Timed.apply sim Collab_tv.play);
       Timed.after sim 600.0 (fun sim -> Timed.apply sim Collab_tv.daughter_leaves))
-    (fun () -> settle (Collab_tv.build ()))
+    (start Collab_tv_start)
 
 let rec session ?sched ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
   match kind with
@@ -267,15 +327,14 @@ let path_churn ?sched ?n ?c ~loss ~id ~rng () =
       let sim = Session.sim t in
       Timed.apply sim (Pathlab.engage_left Semantics.Open_end);
       Timed.apply sim (Pathlab.engage_right Semantics.Open_end ~flowlinks:0))
-    (fun () -> Pathlab.topology ~flowlinks:0 ())
+    (start Path_start)
 
 (* The churned conference: the N legs come up at launch exactly as in
    [conf]; retirement hangs every leg up from both ends, so the §V
    disjunction (<>[] allClosed) \/ ([]<> allFlowing) — quantified over
    all N legs — is what a torn-down conference is judged against. *)
 let conf_churn ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
-  let users = Conference.default_users parties in
-  let names = List.map fst users in
+  let names = List.map fst (Conference.default_users parties) in
   Session.create ?sched ?n ?c ~id ~scenario:"conf" ~rng
     ~judge:
       (judged ~loss Mediactl_obs.Monitor.Closed_or_flowing (Conference.legs ~users:names))
@@ -283,7 +342,7 @@ let conf_churn ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
       let sim = Session.sim t in
       List.iter (fun u -> Timed.apply sim (Conference.hangup_user ~user:u)) names)
     ~boot:(conf_boot ~loss ~names ~parties)
-    (fun () -> settle (Conference.build ~users))
+    (start (Conf_start parties))
 
 (* Churn default scheduler is the heap: a quiesced resident's leftist
    heap is an empty leaf, while a per-session timer wheel pins its

@@ -7,7 +7,14 @@
     engine seed, the impairment seed, a Click-to-Dial callee being
     busy, which conference user gets muted, which mixing policy the
     bridge is given — is drawn from the session's private stream, so a
-    fleet of these is deterministic whatever the domain count. *)
+    fleet of these is deterministic whatever the domain count.
+
+    A start network depends on its build alone, so each domain builds
+    and settles it once, for the first session of that build, and
+    every later session starts from the same persistent value with the
+    settle's recorded trace entries replayed into its own recording.
+    Outcomes are exactly those of a fresh build per session (DESIGN.md
+    section 10). *)
 
 open Mediactl_runtime
 

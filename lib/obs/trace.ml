@@ -47,11 +47,11 @@ type event = { seq : int; at : float; kind : kind }
    bracket, and whenever a long-lived recorder asks — which snapshots
    the entries into a self-contained {!Packed.t}.  Packed signal words
    are per-domain artifacts that must never cross a domain boundary,
-   so capture — always on the owning domain — rewrites each into an
-   index into a per-capture array of decoded (interned) [Signal.t]
-   values.  String ids need no rewriting: a capture shares the intern
-   table itself (see [Packed.t]).  A packed trace can then be shipped
-   to and decoded on any domain. *)
+   so the snapshot — always taken on the owning domain — rewrites each
+   into an index into a per-snapshot array of decoded (interned)
+   [Signal.t] values.  String ids need no rewriting: a snapshot shares
+   the intern table itself (see [Packed.t]).  A packed trace can then
+   be shipped to and decoded on any domain. *)
 
 let stride = 7
 
@@ -141,7 +141,7 @@ let intern_str r s =
     let i = r.nstrs in
     Hashtbl.add r.str_ids s i;
     (* Growth copies into a fresh array and leaves the old one as it
-       was: captures taken earlier still read it (see [Packed.t]). *)
+       was: snapshots taken earlier still read it (see [Packed.t]). *)
     (let cap = Array.length r.strs in
      if i >= cap then begin
        let strs =
@@ -159,24 +159,24 @@ let intern_str r s =
 
 let str_id r s = Ident_cache.find r.str_cache ~slot:(Ident_cache.string_slot s) s r intern_str
 
-(* Reserve the next entry, growing both arrays together; returns the
-   base index into [ints]. *)
+(* Double both arrays together, keeping the entries recorded so far. *)
+let ring_double r =
+  let cap = Array.length r.ints in
+  let cap' = if cap = 0 then 1024 * stride else 2 * cap in
+  let ints = Array.make cap' 0 in
+  Array.blit r.ints 0 ints 0 (r.rlen * stride);
+  r.ints <- ints;
+  let ats = Array.make (cap' / stride) 0.0 in
+  Array.blit r.ats 0 ats 0 r.rlen;
+  r.ats <- ats
+[@@lint.allow
+  "alloc: ring doubling growth, amortized O(1) words/event and reused across sessions — \
+   E15's steady-state 334.5 w/event already includes it"]
+
+(* Reserve the next entry; returns the base index into [ints]. *)
 let ring_slot r =
   let base = r.rlen * stride in
-  if base + stride > Array.length r.ints then
-    begin
-      let cap = Array.length r.ints in
-      let cap' = if cap = 0 then 1024 * stride else 2 * cap in
-      let ints = Array.make cap' 0 in
-      Array.blit r.ints 0 ints 0 (r.rlen * stride);
-      r.ints <- ints;
-      let ats = Array.make (cap' / stride) 0.0 in
-      Array.blit r.ats 0 ats 0 r.rlen;
-      r.ats <- ats
-    end
-    [@lint.allow
-      "alloc: ring doubling growth, amortized O(1) words/event and reused across sessions — \
-       E15's steady-state 334.5 w/event already includes it"];
+  if base + stride > Array.length r.ints then ring_double r;
   r.rlen <- r.rlen + 1;
   base
 
@@ -511,25 +511,25 @@ let event_to_json e =
 (* Packed traces                                                       *)
 
 module Packed = struct
-  (* A capture shares its domain's intern table rather than copying
+  (* A snapshot shares its domain's intern table rather than copying
      it, so that a drain costs what it drains, not what the domain has
      ever interned.  That is safe because of one invariant of the
      table: it is append-only.  An id below [p_nstrs] was written
-     before the capture and is never written again; growth copies the
-     ids into a new array and leaves the old one as it was.  A capture
+     before the snapshot and is never written again; growth copies the
+     ids into a new array and leaves the old one as it was.  A snapshot
      therefore reads [p_strs] only below [p_nstrs], and while the
      recording domain keeps appending above that count, no location a
-     capture reads is ever written again. *)
+     snapshot reads is ever written again. *)
   type t = {
     p_base : int;  (* sequence number of the first entry *)
     p_len : int;
     p_ints : int array;
         (* [stride] words per event; the signal field of sig entries is
-           rewritten by capture to index [p_sigs] *)
+           rewritten by the snapshot to index [p_sigs] *)
     p_ats : float array;
     p_strs : string array;  (* string id -> string, shared with the table *)
-    p_nstrs : int;  (* the ids this capture may read *)
-    p_sigs : Signal.t array;  (* per-capture: signal index -> signal *)
+    p_nstrs : int;  (* the ids this snapshot may read *)
+    p_sigs : Signal.t array;  (* per-snapshot: signal index -> signal *)
   }
 
   let length t = t.p_len
@@ -630,7 +630,7 @@ module Packed = struct
     }
   [@@lint.allow "race: the arrays are zero-length — nothing to mutate, safe to share"]
 
-  (* Join two captures into one trace.  Each carries its own string
+  (* Join two snapshots into one trace.  Each carries its own string
      table, read up to its count, so the second segment's string ids
      and signal indices are rewritten against the merged tables;
      timestamps are kept verbatim (the segments come from consecutive
@@ -700,9 +700,9 @@ module Packed = struct
 end
 
 (* Snapshot the ring's entries.  Must run on the domain that recorded
-   (signal words are domain-local).  Linear in the entries captured:
+   (signal words are domain-local).  Linear in the entries it takes:
    the intern table is shared, not copied. *)
-let capture ~base r =
+let snapshot ~base r =
   let len = r.rlen in
   let ints = Array.sub r.ints 0 (len * stride) in
   let ats = Array.sub r.ats 0 len in
@@ -740,7 +740,7 @@ let capture ~base r =
 let drain () =
   let c = ctx () in
   if not c.on then invalid_arg "Trace.drain: no recording is active";
-  let p = capture ~base:c.base c.ring in
+  let p = snapshot ~base:c.base c.ring in
   c.base <- c.base + c.ring.rlen;
   c.ring.rlen <- 0;
   p
@@ -758,6 +758,44 @@ let recording_packed f =
     (fun () ->
       let x = f () in
       (x, drain ()))
+
+(* Captures and replay
+
+   A capture copies ring entries verbatim: interned string ids and
+   [Signal_pack] words included, and without timestamps.  Both kinds of
+   word stay valid for the ring's domain as long as it lives (the
+   string table is append-only, the signal tables are never cleared),
+   so replay is one blit into the same ring — which is also why a
+   capture remembers its ring and refuses any other. *)
+type capture = { c_ring : ring; c_len : int; c_ints : int array }
+
+let capture f =
+  let c = ctx () in
+  if not c.on then (f (), { c_ring = c.ring; c_len = 0; c_ints = [||] })
+  else begin
+    let from = c.base + c.ring.rlen in
+    let x = f () in
+    let r = c.ring in
+    if from < c.base then invalid_arg "Trace.capture: the ring was drained during the capture";
+    let first = from - c.base in
+    let len = r.rlen - first in
+    (x, { c_ring = r; c_len = len; c_ints = Array.sub r.ints (first * stride) (len * stride) })
+  end
+
+let replay cap =
+  let c = ctx () in
+  if c.on && cap.c_len > 0 then begin
+    if cap.c_ring != c.ring then
+      invalid_arg "Trace.replay: the capture was recorded on another domain";
+    let r = c.ring in
+    let first = r.rlen in
+    while (first + cap.c_len) * stride > Array.length r.ints do
+      ring_double r
+    done;
+    Array.blit cap.c_ints 0 r.ints (first * stride) (cap.c_len * stride);
+    Array.fill r.ats first cap.c_len (c.clock ());
+    r.rlen <- first + cap.c_len
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

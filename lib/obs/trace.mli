@@ -27,7 +27,7 @@
     with — or leak events into — sessions recording on other domains:
     each session's trace is numbered [0..n-1] by its own counter.
     Ownership rule: a recording is opened, fed, and drained by one
-    domain; its captures may then go anywhere.  Within one domain,
+    domain; its packed traces may then go anywhere.  Within one domain,
     sessions record one at a time ({!recording_packed} is not
     reentrant). *)
 
@@ -111,7 +111,7 @@ val reset_clock : unit -> unit
     ring buffer (reused, with its capacity, across recordings on the
     same domain); {!drain} empties it into a {!Packed.t}: a
     self-contained snapshot whose entries decode without the recording
-    domain, safe to ship across domains.  Entry [i] of a capture is
+    domain, safe to ship across domains.  Entry [i] of a packed trace is
     numbered [seq = Packed.seq t i], counting from the start of the
     bracket. *)
 
@@ -193,6 +193,37 @@ val drain : unit -> Packed.t
     the previous drain (or the start of the bracket), emptying the
     ring.  Its cost is linear in the entries it returns.
     @raise Invalid_argument outside a bracket. *)
+
+(** {2 Captures}
+
+    A capture keeps what one function recorded, so that a later bracket
+    can have the same entries without running the function again: this
+    is how a scenario settles its starting network once per domain and
+    replays the settle's entries into every later session's trace.
+
+    {b Valid only on the recording domain.}  A capture holds the raw
+    ring words: interned string ids and {!Mediactl_types.Signal_pack}
+    words, as they are.  Both stay valid for as long as the recording
+    domain lives — its string table is append-only and its signal
+    intern tables are never cleared — and mean nothing on any other
+    domain.  Keep captures in domain-local storage. *)
+
+type capture
+
+val capture : (unit -> 'a) -> 'a * capture
+(** [capture f] runs [f] and returns its result with a copy of the
+    entries [f] recorded into the current bracket; they stay in the
+    bracket too.  Outside a bracket [f] records nothing and the capture
+    is empty.  @raise Invalid_argument if [f] drains the ring. *)
+
+val replay : capture -> unit
+(** [replay cap] appends [cap]'s entries to the current bracket, as if
+    they were emitted now: they take the bracket's next sequence
+    numbers and the clock's current value, whatever the clock read when
+    they were captured.  Outside a bracket it does nothing, like every
+    emitter.  Its cost is one copy of the entries.
+    @raise Invalid_argument inside a bracket on a domain other than
+    the one that recorded [cap]. *)
 
 (** {2 Rendering} *)
 

@@ -37,9 +37,16 @@ val create :
     builds (and, if it likes, untimed-settles) the starting network;
     [boot] then engages goals, attaches impairment, or launches box
     programs against the live driver ({!sim} is valid from [boot]
-    onward).  [hangup], if given, is the teardown counterpart of
-    [boot], run by {!retire} at the start of the second recording
-    bracket (typically re-engaging the path goals to [Close_end]).
+    onward).  The build stays deferred into the recording bracket:
+    {!run} and {!launch} call [make] inside it, before the driver's
+    clock is observed, so its entries carry the bracket's reset clock.
+    [make] may therefore return a start it settled earlier on the same
+    domain, provided it {!Trace.replay}s the entries that settle
+    recorded: the trace is then byte for byte a fresh build's, which
+    is how the application scenarios share their settled starts.
+    [hangup], if given, is the teardown counterpart of [boot], run by
+    {!retire} at the start of the second recording bracket (typically
+    re-engaging the path goals to [Close_end]).
     [judge], if given, is the temporal obligation the captured trace is
     judged against; the verdict comes from the same monitor run as the
     outcome's report and metrics.  [n], [c], and [sched] are passed to

@@ -379,6 +379,112 @@ let test_conf_churn_jobs_independent () =
   check tint "lossy conf churn conformant" retired conformant;
   check tint "every retiree satisfied closed-or-flowing" retired satisfied
 
+(* --- shared starts --------------------------------------------------------- *)
+
+(* One case per distinct start build, each run through the lifecycle
+   its fleet uses: [Session.run] for a batch session, [launch] then
+   [retire] for a churned one. *)
+let start_cases =
+  let name ?parties kind =
+    Scenario.to_string kind ^ Option.fold ~none:"" ~some:string_of_int parties
+  in
+  let batch ?parties kind =
+    (name ?parties kind, false, Scenario.session ~loss:0.05 ?parties kind)
+  in
+  let churned ?parties kind =
+    (name ?parties kind ^ " churn", true, Scenario.churn_session ~loss:0.05 ?parties kind)
+  in
+  List.map batch
+    Scenario.[ Path; Ctd; Conf2; Prepaid; Collab_tv; Transfer; Barge; Moh ]
+  @ [
+      batch ~parties:2 Scenario.Conf;
+      batch ~parties:3 Scenario.Conf;
+      batch ~parties:4 Scenario.Conf;
+      churned Scenario.Path;
+      churned ~parties:2 Scenario.Conf;
+      churned ~parties:4 Scenario.Conf;
+    ]
+
+(* The same session every time: identical id and stream. *)
+let start_session (_, _, make) = make ~id:7 ~rng:(Rng.create 11)
+
+(* A session's trace length and fleet digest. *)
+let run_case ((_, churned, _) as case) =
+  let s = start_session case in
+  let o =
+    if churned then begin
+      let setup_events, setup = Session.launch ~until:60_000.0 s in
+      Session.retire ~setup ~setup_events s
+    end
+    else Session.run ~until:60_000.0 s
+  in
+  (Obs.Trace.Packed.length o.Session.trace, Fleet.digest [ o ])
+
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+let tresult = Alcotest.(pair int string)
+
+(* The first session of a build on a domain settles its start; a later
+   one replays it.  Their digests must agree byte for byte — per build
+   on its own domain, and with every build on one domain, where a key
+   that confused two builds would hand one build's start to the other
+   (the conference roster sizes above). *)
+let test_shared_start_cold_warm () =
+  let cold = List.map (fun case -> on_fresh_domain (fun () -> run_case case)) start_cases in
+  List.iter2
+    (fun ((name, _, _) as case) want ->
+      let warm =
+        on_fresh_domain (fun () ->
+            ignore (run_case case);
+            run_case case)
+      in
+      check tresult (name ^ ": warm = cold") want warm)
+    start_cases cold;
+  let all_warm =
+    on_fresh_domain (fun () ->
+        List.iter (fun case -> ignore (run_case case)) start_cases;
+        List.map run_case start_cases)
+  in
+  List.iter2
+    (fun (name, _, _) (want, got) -> check tresult (name ^ ": warm among all = cold") want got)
+    start_cases (List.combine cold all_warm)
+
+(* Warm sessions start from one network value: the sharing itself.  The
+   network the driver is handed is the start, before [boot] acts. *)
+let test_shared_start_is_shared () =
+  List.iter
+    (fun ((name, _, _) as case) ->
+      let same =
+        on_fresh_domain (fun () ->
+            ignore (run_case case);
+            let start_of () =
+              let net = ref Netsys.empty in
+              ignore
+                (Session.boot_external (start_session case) ~make_driver:(fun n ->
+                     net := n;
+                     Timed.create n));
+              !net
+            in
+            start_of () == start_of ())
+      in
+      check tbool (name ^ ": one shared start") true same)
+    start_cases
+
+(* A start first built with tracing off — here through
+   [Session.boot_external] — must not be kept: the next recorded run
+   must still carry its full settle prefix, exactly as on a cold
+   domain. *)
+let test_start_built_untraced () =
+  List.iter
+    (fun ((name, _, _) as case) ->
+      let cold = on_fresh_domain (fun () -> run_case case) in
+      let after_untraced =
+        on_fresh_domain (fun () ->
+            ignore (Session.boot_external (start_session case) ~make_driver:Timed.create);
+            run_case case)
+      in
+      check tresult (name ^ ": recorded run after an untraced build") cold after_untraced)
+    start_cases
+
 (* --- pinned digests --------------------------------------------------------- *)
 
 (* Fixed-seed digests: any change to session behaviour or to a single
@@ -410,6 +516,17 @@ let pinned_kind kind want () =
         Scenario.session ~loss:0.05 kind ~id ~rng)
   in
   check Alcotest.string (Scenario.to_string kind ^ " batch digest") want (Fleet.digest outcomes)
+
+(* The roster size is part of a conference's start: these two catch a
+   start shared between conference sizes. *)
+let pinned_conf parties want () =
+  let outcomes, _ =
+    Fleet.run ~jobs:1 ~until:60_000.0 ~sessions:20 ~seed:1 (fun ~id ~rng ->
+        Scenario.session ~loss:0.05 ~parties Scenario.Conf ~id ~rng)
+  in
+  check Alcotest.string
+    (Printf.sprintf "%d-party conf batch digest" parties)
+    want (Fleet.digest outcomes)
 
 let () =
   Alcotest.run "fleet"
@@ -448,6 +565,12 @@ let () =
           Alcotest.test_case "horizon drain retires everything" `Quick
             test_churn_retires_everything;
         ] );
+      ( "starts",
+        [
+          Alcotest.test_case "cold and warm digests agree" `Quick test_shared_start_cold_warm;
+          Alcotest.test_case "warm sessions share one start" `Quick test_shared_start_is_shared;
+          Alcotest.test_case "an untraced build is not kept" `Quick test_start_built_untraced;
+        ] );
       ( "pinned",
         [
           Alcotest.test_case "churn, 200 resident over 400 ms" `Quick test_pinned_churn_digest;
@@ -461,5 +584,9 @@ let () =
             (pinned_kind Scenario.Barge "6b0e027f65fb37d59330dba3207a885c");
           Alcotest.test_case "fleet run, 20 moh sessions at 5% loss" `Quick
             (pinned_kind Scenario.Moh "441e125a723804e1383d110a0606c3be");
+          Alcotest.test_case "fleet run, 20 2-party confs at 5% loss" `Quick
+            (pinned_conf 2 "056ff15f1508891e10f64e1e52564bc9");
+          Alcotest.test_case "fleet run, 20 4-party confs at 5% loss" `Quick
+            (pinned_conf 4 "967ba69097cc1f5be38f4ffd2ec421ef");
         ] );
     ]

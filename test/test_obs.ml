@@ -466,6 +466,92 @@ let test_ring_two_domain_isolation () =
   check tbool "no cross-domain leakage, signals decode after join" true
     (only "dom1" p1 && only "dom2" p2)
 
+(* A capture replayed into a later bracket decodes to the events it
+   captured, numbered on in that bracket and stamped with the clock at
+   the moment of replay — not with the clock they were captured at. *)
+let test_capture_replay () =
+  let desc = Descriptor.make ~owner:"cap" ~version:2 (Address.v "10.0.0.2" 9) [ Codec.G711 ] in
+  let captured () =
+    Trace.sig_send ~chan:"cap" ~tun:0 ~box:"A" ~peer:"B" ~initiator:true
+      (Signal.Open (Medium.Audio, desc));
+    Trace.slot_transition ~slot:"A.cap.0" ~from_:"closed" ~to_:"opening" ~cause:"open";
+    Trace.net ~chan:"cap" (Trace.Passed 2)
+  in
+  let cap, first =
+    Trace.recording_packed (fun () ->
+        Trace.set_clock (fun () -> 5.0);
+        Trace.meta_send ~chan:"before" ~box:"A";
+        snd (Trace.capture captured))
+  in
+  let (), later =
+    Trace.recording_packed (fun () ->
+        Trace.set_clock (fun () -> 7.0);
+        Trace.meta_send ~chan:"x" ~box:"A";
+        Trace.replay cap;
+        Trace.meta_recv ~chan:"y" ~box:"B")
+  in
+  let kinds p lo hi =
+    List.init (hi - lo) (fun i -> Format.asprintf "%a" Trace.pp_kind (Trace.Packed.kind p (lo + i)))
+  in
+  check tint "captured bracket" 4 (Trace.Packed.length first);
+  check tint "replayed bracket" 5 (Trace.Packed.length later);
+  check (Alcotest.list tstr) "replay decodes to the captured events" (kinds first 1 4)
+    (kinds later 1 4);
+  check (Alcotest.list tint) "numbered on in the later bracket" [ 0; 1; 2; 3; 4 ] (seqs later);
+  check tbool "stamped with the replay clock" true
+    (List.for_all (fun e -> e.Trace.at = 7.0) (Trace.Packed.to_events later));
+  (* Outside a bracket replay does nothing, and a capture is empty. *)
+  Trace.replay cap;
+  let (), outside = Trace.capture captured in
+  let (), after = Trace.recording_packed (fun () -> Trace.replay outside) in
+  check tint "replay outside a bracket records nothing" 0 (Trace.Packed.length after);
+  check tbool "drain inside a capture raises" true
+    (match
+       Trace.recording_packed (fun () ->
+           Trace.capture (fun () ->
+               Trace.meta_send ~chan:"c" ~box:"A";
+               ignore (Trace.drain ())))
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check tbool "replay on another domain raises" true
+    (Domain.join
+       (Domain.spawn (fun () ->
+            match Trace.recording_packed (fun () -> Trace.replay cap) with
+            | _ -> false
+            | exception Invalid_argument _ -> true)))
+
+(* Replay grows the ring as far as it must: on a fresh domain, two
+   replays of a 1500-entry capture pass the ring's initial 1024. *)
+let test_replay_grows_ring () =
+  let n = 1500 in
+  let seq_ok, len =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let (_, cap), _ =
+             Trace.recording_packed (fun () ->
+                 Trace.capture (fun () ->
+                     for i = 0 to n - 1 do
+                       Trace.net ~chan:(string_of_int i) Trace.Ack_sent
+                     done))
+           in
+           let (), p =
+             Trace.recording_packed (fun () ->
+                 Trace.replay cap;
+                 Trace.replay cap)
+           in
+           let ok = ref true in
+           List.iteri
+             (fun i e ->
+               match e.Trace.kind with
+               | Trace.Net { chan; _ } -> if chan <> string_of_int (i mod n) then ok := false
+               | _ -> ok := false)
+             (Trace.Packed.to_events p);
+           (!ok, Trace.Packed.length p)))
+  in
+  check tint "both replays recorded" (2 * n) len;
+  check tbool "entries survive growth in order" true seq_ok
+
 (* --- metrics ---------------------------------------------------------- *)
 
 let test_metrics_clean_run () =
@@ -701,6 +787,8 @@ let () =
           Alcotest.test_case "ring growth and reuse" `Quick test_ring_growth_and_reuse;
           Alcotest.test_case "ring two-domain isolation" `Quick
             test_ring_two_domain_isolation;
+          Alcotest.test_case "capture and replay" `Quick test_capture_replay;
+          Alcotest.test_case "replay grows the ring" `Quick test_replay_grows_ring;
         ] );
       ( "metrics",
         [
