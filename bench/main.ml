@@ -1,8 +1,9 @@
 (* The experiment harness: regenerates every evaluation artifact of the
    paper (see DESIGN.md section 4 and EXPERIMENTS.md).
 
-     dune exec bench/main.exe            # all experiments
-     dune exec bench/main.exe e3 micro   # a selection
+     dune exec bench/main.exe               # all experiments
+     dune exec bench/main.exe e3 e9         # a selection
+     dune exec bench/main.exe e18 --json    # also write BENCH_lint.json
 
    E1  Figure 13 convergence latency (2n + 3c)
    E2  the latency formula p*n + (p+1)*c (section VIII-C)
@@ -13,16 +14,14 @@
    E7  concurrent modifies: idempotent vs transactional (section VI-C)
    E8  extension: hold/resume semantics over SIP (section XI)
    E9  convergence under loss: the reliability layer (mediactl.net)
-   E10 the multicore model-checking engine (--json writes BENCH_mc.json)
    E11 observability: monitor verdicts under loss, tracing overhead
-   E12 the sharded many-session runtime: timer wheel vs heap on the
-       single-session kernel, fleet throughput scaling over domains
-       (--json writes BENCH_fleet.json)
    E14 the wall-clock runtime: the live select loop and a real daemon
        against the simulator's analytic latencies
    E18 lint runtime: the whole-tree callgraph and ALLOC001 analysis
-       (--json writes BENCH_lint.json)
-   micro  Bechamel micro-benchmarks of the core machinery *)
+       (--json writes BENCH_lint.json, which CI gates)
+
+   Throughput, allocation and pause are measured by the benchmark suite
+   (python3 bench/suite/run.py). *)
 
 open Mediactl_types
 open Mediactl_core
@@ -399,12 +398,12 @@ let e8 () =
 (* The Figure-13 two-box relink of E1, but over an impaired network with
    the reliability layer attached.  Returns the convergence latency (nan
    if the run never converged) and the layer's counters. *)
-let fig13_impaired ?sched ~seed ~loss () =
+let fig13_impaired ~seed ~loss =
   let net = settle (Prepaid.build ()) in
   let net = settle (fst (Prepaid.snapshot1 net)) in
   let net = settle (fst (Prepaid.snapshot2 net)) in
   let net = settle (fst (Prepaid.snapshot3 net)) in
-  let sim = Timed.create ~seed ?sched ~n:paper_n ~c:paper_c net in
+  let sim = Timed.create ~seed ~n:paper_n ~c:paper_c net in
   let impair =
     Mediactl_net.Impair.create ~seed ~default:(Mediactl_net.Policy.lossy loss) ()
   in
@@ -468,9 +467,7 @@ let e9 () =
            else ""))
       loss_rates
   in
-  section "Figure-13 two-box relink"
-    (fun ~seed ~loss -> fig13_impaired ~seed ~loss ())
-    ((2.0 *. paper_n) +. (3.0 *. paper_c));
+  section "Figure-13 two-box relink" fig13_impaired ((2.0 *. paper_n) +. (3.0 *. paper_c));
   section "3-box chain relink (boxes=3, j=2)" chain3_impaired
     (Relink.formula ~p:(Relink.hops ~boxes:3 ~j:2) ~n:paper_n ~c:paper_c);
   (* Re-verify the two-box path models under a network-fault budget: the
@@ -500,165 +497,6 @@ let e9 () =
     Mediactl_mc.Check.pp_report unrestricted;
   Format.printf "  expected UNSAFE: this is the violation the reliability layer's@.";
   Format.printf "  sequence-number deduplication removes (Reliable.on_deliver).@."
-
-(* ------------------------------------------------------------------ *)
-(* E10: the multicore model-checking engine                            *)
-
-module PM = Mediactl_mc.Path_model
-module MC_check = Mediactl_mc.Check
-
-(* The before side of the comparison is [Seed_baseline]: the pipeline
-   exactly as the seed shipped it (Marshal-keyed interning, successor
-   lists, list-based SCC/temporal).  Seed STATE COUNTS are reported in
-   their own column and are expected to be LARGER than the engine's:
-   Marshal keys are sharing-sensitive, so the seed split structurally
-   equal states and explored an inflated space (about 2x in flowlink
-   models).  Verdicts still agree — splitting never merges distinct
-   states — so row agreement demands equal verdicts across all three
-   runs, and bit-identical counts between --jobs 1 and --jobs 4. *)
-
-type e10_row = {
-  row_name : string;
-  row_states : int;
-  row_transitions : int;
-  seed_states : int;
-  seed_s : float;
-  packed_s : float;
-  parallel_s : float;
-  row_agree : bool;
-  row_passed : bool;
-}
-
-let e10_jobs = 4
-let e10_cap = 4_000_000
-
-let seed_pipeline config =
-  let t0 = Unix.gettimeofday () in
-  let r = Seed_baseline.run ~max_states:e10_cap config in
-  (Unix.gettimeofday () -. t0, r.Seed_baseline.states, r.Seed_baseline.safety_ok && r.Seed_baseline.spec_ok)
-
-let e10_write_json rows =
-  let total f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let tm = total (fun r -> r.seed_s) in
-  let tp = total (fun r -> r.packed_s) in
-  let tq = total (fun r -> r.parallel_s) in
-  let states = List.fold_left (fun acc r -> acc + r.row_states) 0 rows in
-  let seed_states = List.fold_left (fun acc r -> acc + r.seed_states) 0 rows in
-  let rate s t = float_of_int s /. Float.max 1e-9 t in
-  let oc = open_out "BENCH_mc.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"e10\",\n";
-  Printf.fprintf oc "  \"sweep\": { \"chaos\": 2, \"modifies\": 0, \"losses\": 1, \"dups\": 1 },\n";
-  Printf.fprintf oc "  \"jobs\": %d,\n" e10_jobs;
-  Printf.fprintf oc "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.fprintf oc
-    "  \"note\": \"seed_states > states because the seed's Marshal intern keys are \
-     sharing-sensitive and split structurally equal states; the packed codec is canonical. \
-     agree = equal verdicts across all three runs and bit-identical counts between jobs:1 \
-     and jobs:4.\",\n";
-  Printf.fprintf oc "  \"models\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"config\": %S, \"states\": %d, \"transitions\": %d, \"seed_states\": %d, \
-         \"seed_s\": %.4f, \"packed_s\": %.4f, \"parallel_s\": %.4f, \
-         \"packed_states_per_s\": %.0f, \"parallel_states_per_s\": %.0f, \
-         \"speedup_packed\": %.2f, \"speedup_parallel\": %.2f, \"agree\": %b, \"passed\": %b }%s\n"
-        r.row_name r.row_states r.row_transitions r.seed_states r.seed_s r.packed_s
-        r.parallel_s
-        (rate r.row_states r.packed_s) (rate r.row_states r.parallel_s)
-        (r.seed_s /. Float.max 1e-9 r.packed_s)
-        (r.seed_s /. Float.max 1e-9 r.parallel_s)
-        r.row_agree r.row_passed
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"totals\": { \"states\": %d, \"seed_states\": %d, \"seed_s\": %.4f, \"packed_s\": \
-     %.4f, \"parallel_s\": %.4f, \"seed_states_per_s\": %.0f, \"packed_states_per_s\": %.0f, \
-     \"parallel_states_per_s\": %.0f, \"speedup_packed\": %.2f, \"speedup_parallel\": %.2f, \
-     \"all_agree\": %b, \"all_passed\": %b }\n"
-    states seed_states tm tp tq (rate seed_states tm) (rate states tp) (rate states tq)
-    (tm /. Float.max 1e-9 tp)
-    (tm /. Float.max 1e-9 tq)
-    (List.for_all (fun r -> r.row_agree) rows)
-    (List.for_all (fun r -> r.row_passed) rows);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Format.printf "@.wrote BENCH_mc.json@."
-
-let json_mode = ref false
-
-let e10 () =
-  header "E10  Multicore engine: seed pipeline vs packed keys vs parallel BFS";
-  Format.printf
-    "(12 models at chaos=2, modifies=0, loss=1, dup=1; parallel = --jobs %d on a machine with \
-     %d recommended domains)@.@."
-    e10_jobs
-    (Domain.recommended_domain_count ());
-  Format.printf "%-28s %8s %8s %9s | %8s %8s %8s | %6s %6s@." "model" "seed-st" "states"
-    "trans" "seed" "packed" "par" "pack x" "par x";
-  let rows =
-    List.map
-      (fun config ->
-        let row_name = PM.config_name config in
-        let seed_s, seed_states, seed_passed = seed_pipeline config in
-        let r1 = MC_check.run ~max_states:e10_cap ~jobs:1 config in
-        let r4 = MC_check.run ~max_states:e10_cap ~jobs:e10_jobs config in
-        let row_agree =
-          r1.MC_check.states = r4.MC_check.states
-          && r1.MC_check.transitions = r4.MC_check.transitions
-          && r1.MC_check.terminals = r4.MC_check.terminals
-          && seed_passed = MC_check.passed r1
-          && MC_check.passed r1 = MC_check.passed r4
-        in
-        let row =
-          {
-            row_name;
-            row_states = r1.MC_check.states;
-            row_transitions = r1.MC_check.transitions;
-            seed_states;
-            seed_s;
-            packed_s = r1.MC_check.time_s;
-            parallel_s = r4.MC_check.time_s;
-            row_agree;
-            row_passed = MC_check.passed r1;
-          }
-        in
-        Format.printf "%-28s %8d %8d %9d | %7.2fs %7.2fs %7.2fs | %5.1fx %5.1fx%s@." row_name
-          seed_states row.row_states row.row_transitions seed_s row.packed_s row.parallel_s
-          (seed_s /. Float.max 1e-9 row.packed_s)
-          (seed_s /. Float.max 1e-9 row.parallel_s)
-          (if row_agree then "" else "  DISAGREE");
-        row)
-      (PM.standard_configs
-         ~faults:{ PM.losses = 1; dups = 1; unrestricted = false }
-         ~chaos:2 ~modifies:0 ())
-  in
-  let total f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
-  let tm = total (fun r -> r.seed_s) in
-  let tp = total (fun r -> r.packed_s) in
-  let tq = total (fun r -> r.parallel_s) in
-  let states = List.fold_left (fun acc r -> acc + r.row_states) 0 rows in
-  let seed_states = List.fold_left (fun acc r -> acc + r.seed_states) 0 rows in
-  Format.printf "%-28s %8d %8d %9s | %7.2fs %7.2fs %7.2fs | %5.1fx %5.1fx@." "TOTAL"
-    seed_states states "" tm tp tq
-    (tm /. Float.max 1e-9 tp)
-    (tm /. Float.max 1e-9 tq);
-  Format.printf "@.states/sec: seed %.0f, packed %.0f, packed+parallel %.0f@."
-    (float_of_int seed_states /. Float.max 1e-9 tm)
-    (float_of_int states /. Float.max 1e-9 tp)
-    (float_of_int states /. Float.max 1e-9 tq);
-  Format.printf
-    "seed-st > states: the seed's Marshal intern keys are sharing-sensitive and split@.";
-  Format.printf
-    "structurally equal states (%.2fx inflation); the packed codec is canonical.@."
-    (float_of_int seed_states /. Float.max 1.0 (float_of_int states));
-  Format.printf "verdicts and jobs:1/jobs:%d counts: %s@." e10_jobs
-    (if List.for_all (fun r -> r.row_agree) rows then "agree on all 12 models"
-     else "DISAGREEMENT — engine bug");
-  if !json_mode then e10_write_json rows
 
 (* ------------------------------------------------------------------ *)
 (* E11: observability — monitor verdicts and tracing overhead          *)
@@ -726,7 +564,7 @@ let e11 () =
      a load and a branch when disabled, so the untraced runs here bound
      the cost the checker and the other experiments pay: zero. *)
   let reps = 400 in
-  let run_once ~seed = ignore (fig13_impaired ~seed ~loss:0.05 ()) in
+  let run_once ~seed = ignore (fig13_impaired ~seed ~loss:0.05) in
   let time f =
     let t0 = Unix.gettimeofday () in
     f ();
@@ -753,199 +591,6 @@ let e11 () =
     (!traced_events / reps)
     overhead
     (if overhead <= 10.0 then "(within the 10% budget)" else "(OVER the 10% budget)")
-
-(* ------------------------------------------------------------------ *)
-(* Allocation accounting (E12's fleet row, E15's phase profile)        *)
-
-(* [Gc.quick_stat] deltas around a workload, on the calling domain —
-   which is why only the jobs-1 fleet row is profiled: under more
-   domains the shards' minor allocations land in their own counters.
-   Collection counts stand in for pause times (no pause instrumentation
-   in this container). *)
-type gc_delta = {
-  g_minor : float;  (* minor words allocated *)
-  g_promoted : float;  (* of which promoted to the major heap *)
-  g_minor_cols : int;
-  g_major_cols : int;
-}
-
-let gc_measure f =
-  Gc.full_major ();
-  let s0 = Gc.quick_stat () in
-  let x = f () in
-  let s1 = Gc.quick_stat () in
-  ( x,
-    {
-      g_minor = s1.Gc.minor_words -. s0.Gc.minor_words;
-      g_promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words;
-      g_minor_cols = s1.Gc.minor_collections - s0.Gc.minor_collections;
-      g_major_cols = s1.Gc.major_collections - s0.Gc.major_collections;
-    } )
-
-let per_event x events = x /. float_of_int (max 1 events)
-
-(* ------------------------------------------------------------------ *)
-(* E12: the sharded many-session runtime                               *)
-
-type e12_row = {
-  f_jobs : int;
-  f_wall : float;
-  f_sessions_per_s : float;
-  f_events_per_s : float;
-  f_digest : string;  (* over every per-session outcome: must not vary with jobs *)
-}
-
-let e12_sessions = 128
-let e12_job_counts = [ 1; 2; 4 ]
-let e12_kernel_reps = 200
-
-(* A fingerprint of every per-session result — ids, event counts, end
-   times, and the full traces — so "deterministic across jobs" is
-   checked on everything observable, not just the aggregate counters. *)
-let e12_digest outcomes =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "|"
-          (List.concat_map
-             (fun (o : Session.outcome) ->
-               Printf.sprintf "%d:%s:%d:%.6f:%d" o.Session.id o.Session.scenario
-                 o.Session.events o.Session.end_time o.Session.violations
-               :: List.map Mediactl_obs.Trace.event_to_json
-                    (Mediactl_obs.Trace.Packed.to_events o.Session.trace))
-             outcomes)))
-
-let e12_write_json ~heap_s ~wheel_s ~kernel_agree ~alloc rows deterministic =
-  let oc = open_out "BENCH_fleet.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"e12\",\n";
-  Printf.fprintf oc "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.fprintf oc
-    "  \"kernel\": { \"runs\": %d, \"heap_s\": %.4f, \"wheel_s\": %.4f, \
-     \"wheel_speedup\": %.3f, \"agree\": %b },\n"
-    e12_kernel_reps heap_s wheel_s
-    (heap_s /. Float.max 1e-9 wheel_s)
-    kernel_agree;
-  Printf.fprintf oc
-    "  \"fleet\": { \"sessions\": %d, \"scenario\": \"mixed\", \"loss\": 0.05, \
-     \"deterministic\": %b, \"rows\": [\n"
-    e12_sessions deterministic;
-  let base = (List.hd rows).f_wall in
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"jobs\": %d, \"wall_s\": %.4f, \"sessions_per_s\": %.1f, \
-         \"events_per_s\": %.0f, \"speedup\": %.2f }%s\n"
-        r.f_jobs r.f_wall r.f_sessions_per_s r.f_events_per_s
-        (base /. Float.max 1e-9 r.f_wall)
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc "  ] }";
-  (match alloc with
-  | None -> ()
-  | Some (d, events) ->
-    Printf.fprintf oc
-      ",\n\
-      \  \"alloc\": { \"jobs\": 1, \"events\": %d, \"minor_words_per_event\": %.1f, \
-       \"promoted_words_per_event\": %.2f, \"minor_collections\": %d, \
-       \"major_collections\": %d }"
-      events
-      (per_event d.g_minor events)
-      (per_event d.g_promoted events)
-      d.g_minor_cols d.g_major_cols);
-  Printf.fprintf oc "\n}\n";
-  close_out oc;
-  Format.printf "@.wrote BENCH_fleet.json@."
-
-let e12 () =
-  header "E12  Sharded many-session runtime: timer wheel and domain scaling";
-  (* Part 1: the engine's hot path.  The same E9 kernel (Figure-13
-     relink, 5% loss, reliability layer, so the queue churns with
-     retransmission timers) under the timer wheel and under the
-     reference leftist heap.  The wheel must agree event-for-event and
-     be no slower. *)
-  let kernel_agree =
-    List.for_all
-      (fun seed ->
-        let w, _ = fig13_impaired ~sched:Mediactl_sim.Engine.Wheel ~seed ~loss:0.05 () in
-        let h, _ = fig13_impaired ~sched:Mediactl_sim.Engine.Heap ~seed ~loss:0.05 () in
-        Float.equal w h)
-      (List.init 25 (fun i -> 7000 + i))
-  in
-  let time sched =
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to e12_kernel_reps do
-      ignore (fig13_impaired ~sched ~seed:(6000 + i) ~loss:0.05 ())
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  (* Warm both arms, then interleave-free timed passes. *)
-  ignore (time Mediactl_sim.Engine.Heap);
-  ignore (time Mediactl_sim.Engine.Wheel);
-  let heap_s = time Mediactl_sim.Engine.Heap in
-  let wheel_s = time Mediactl_sim.Engine.Wheel in
-  Format.printf "scheduler on the E9 kernel (%d runs): heap %.3fs, wheel %.3fs (%.2fx)%s@."
-    e12_kernel_reps heap_s wheel_s
-    (heap_s /. Float.max 1e-9 wheel_s)
-    (if kernel_agree then ", identical convergence latencies" else "  DISAGREE");
-  (* Part 2: aggregate throughput of a mixed lossy fleet as domains are
-     added, with the determinism guarantee checked on every row. *)
-  let mk ~id ~rng = Scenario.session ~loss:0.05 Scenario.Mixed ~id ~rng in
-  Format.printf "@.fleet of %d mixed sessions at 5%% loss (machine has %d recommended domains):@."
-    e12_sessions
-    (Domain.recommended_domain_count ());
-  Format.printf "%6s %10s %14s %14s %9s@." "jobs" "wall s" "sessions/s" "events/s" "speedup";
-  let alloc = ref None in
-  let rows =
-    List.map
-      (fun jobs ->
-        let (outcomes, summary), gc =
-          gc_measure (fun () ->
-              Fleet.run ~jobs ~until:60_000.0 ~sessions:e12_sessions ~seed:11 mk)
-        in
-        (* Allocation accounting is per-domain, so only the jobs-1 row
-           (everything on this domain) is meaningful. *)
-        if jobs = 1 then begin
-          let events =
-            List.fold_left (fun acc o -> acc + o.Session.events) 0 outcomes
-          in
-          alloc := Some (gc, events)
-        end;
-        {
-          f_jobs = jobs;
-          f_wall = summary.Fleet.wall_s;
-          f_sessions_per_s = summary.Fleet.sessions_per_s;
-          f_events_per_s = summary.Fleet.events_per_s;
-          f_digest = e12_digest outcomes;
-        })
-      e12_job_counts
-  in
-  let base = (List.hd rows).f_wall in
-  List.iter
-    (fun r ->
-      Format.printf "%6d %10.3f %14.1f %14.0f %8.2fx@." r.f_jobs r.f_wall r.f_sessions_per_s
-        r.f_events_per_s
-        (base /. Float.max 1e-9 r.f_wall))
-    rows;
-  let deterministic =
-    match rows with
-    | [] -> true
-    | r :: rest -> List.for_all (fun r' -> r'.f_digest = r.f_digest) rest
-  in
-  Format.printf "per-session results across job counts: %s@."
-    (if deterministic then "bit-identical (traces, end times, verdicts)"
-     else "DIFFER — determinism bug");
-  (match !alloc with
-  | Some (d, events) ->
-    Format.printf
-      "allocation (jobs 1): %.1f minor words/event, %.2f promoted words/event, %d minor \
-       / %d major GCs@."
-      (per_event d.g_minor events)
-      (per_event d.g_promoted events)
-      d.g_minor_cols d.g_major_cols
-  | None -> ());
-  if !json_mode then
-    e12_write_json ~heap_s ~wheel_s ~kernel_agree ~alloc:!alloc rows deterministic
 
 (* ------------------------------------------------------------------ *)
 (* E14: the wall-clock runtime                                         *)
@@ -1112,469 +757,12 @@ let e14 () =
     "granularity, so the paper's analytic formulas apply unchanged to a real daemon.@."
 
 (* ------------------------------------------------------------------ *)
-(* E15: allocation profile of the hot path                             *)
-
-let e15_reps = 400
-let e15_sessions = 128
-
-let e15 () =
-  header "E15  Allocation profile: minor words per event on the hot path";
-  (* Part 1: the two tracing arms over the same E9 kernel workload
-     (Figure-13 relink under 5% loss with the reliability layer).  The
-     delta between the ring arm and the untraced run is the allocation
-     cost of observability itself, the zero-allocation claim under
-     test. *)
-  let run_once ~seed = ignore (fig13_impaired ~seed ~loss:0.05 ()) in
-  for i = 1 to 20 do
-    run_once ~seed:(8100 + i)
-  done;
-  let (), untraced =
-    gc_measure (fun () ->
-        for i = 1 to e15_reps do
-          run_once ~seed:(8200 + i)
-        done)
-  in
-  let ring_events = ref 0 in
-  let (), ringed =
-    gc_measure (fun () ->
-        for i = 1 to e15_reps do
-          let (), p =
-            Mediactl_obs.Trace.recording_packed (fun () -> run_once ~seed:(8200 + i))
-          in
-          ring_events := !ring_events + Mediactl_obs.Trace.Packed.length p
-        done)
-  in
-  Format.printf "@.tracing arms on the E9 kernel (fig13 relink, loss=0.05, %d runs each):@."
-    e15_reps;
-  Format.printf "%10s %14s %10s %12s %10s %10s@." "arm" "minor words" "w/event"
-    "promoted/ev" "minor GCs" "major GCs";
-  let row name d events =
-    Format.printf "%10s %14.0f %10.1f %12.2f %10d %10d@." name d.g_minor
-      (per_event d.g_minor events)
-      (per_event d.g_promoted events)
-      d.g_minor_cols d.g_major_cols
-  in
-  row "untraced" untraced !ring_events;
-  row "ring" ringed !ring_events;
-  let ring_cost = per_event (ringed.g_minor -. untraced.g_minor) !ring_events in
-  Format.printf "tracing cost: ring %+.1f w/event@." ring_cost;
-  (* Part 2: where a fleet session's allocations go.  [max_events 0]
-     stops the timed drive before its first event, so that arm buys
-     network build + untimed settle + boot (plus the analysis of the
-     tiny settle trace); the analyze arm re-runs metrics and monitor
-     replay over captured traces; the drive share is what remains of a
-     full run. *)
-  let mk ~id ~rng = Scenario.session ~loss:0.05 Scenario.Mixed ~id ~rng in
-  let run_arm ?max_events () =
-    gc_measure (fun () ->
-        let total_events = ref 0 and total_trace = ref 0 in
-        for id = 0 to e15_sessions - 1 do
-          let s = mk ~id ~rng:(Mediactl_sim.Rng.create (9000 + id)) in
-          let o = Session.run ~until:60_000.0 ?max_events s in
-          total_events := !total_events + o.Session.events;
-          total_trace := !total_trace + Mediactl_obs.Trace.Packed.length o.Session.trace
-        done;
-        (!total_events, !total_trace))
-  in
-  ignore (run_arm ());
-  let (_ : int * int), setup = run_arm ~max_events:0 () in
-  let (full_events, full_trace), full = run_arm () in
-  let outcomes =
-    List.init e15_sessions (fun id ->
-        Session.run ~until:60_000.0 (mk ~id ~rng:(Mediactl_sim.Rng.create (9000 + id))))
-  in
-  let (), analyze =
-    gc_measure (fun () ->
-        List.iter
-          (fun o ->
-            ignore (Mediactl_obs.Metrics.of_packed o.Session.trace);
-            ignore (Mediactl_obs.Monitor.replay_packed o.Session.trace))
-          outcomes)
-  in
-  let drive_minor = Float.max 0.0 (full.g_minor -. setup.g_minor -. analyze.g_minor) in
-  let share x = 100.0 *. x /. Float.max 1.0 full.g_minor in
-  Format.printf
-    "@.fleet session phases (%d mixed sessions at 5%% loss, %d engine events, %d trace \
-     entries):@."
-    e15_sessions full_events full_trace;
-  Format.printf "%10s %14s %8s %10s@." "phase" "minor words" "share" "w/event";
-  Format.printf "%10s %14.0f %7.1f%% %10.1f@." "setup" setup.g_minor (share setup.g_minor)
-    (per_event setup.g_minor full_events);
-  Format.printf "%10s %14.0f %7.1f%% %10.1f@." "drive" drive_minor (share drive_minor)
-    (per_event drive_minor full_events);
-  Format.printf "%10s %14.0f %7.1f%% %10.1f@." "analyze" analyze.g_minor
-    (share analyze.g_minor)
-    (per_event analyze.g_minor full_events);
-  Format.printf "%10s %14.0f %7.1f%% %10.1f@." "total" full.g_minor 100.0
-    (per_event full.g_minor full_events);
-  if !json_mode then begin
-    let oc = open_out "BENCH_alloc.json" in
-    let arm name d events =
-      Printf.sprintf
-        "    { \"arm\": %S, \"minor_words\": %.0f, \"minor_words_per_event\": %.1f, \
-         \"promoted_words_per_event\": %.2f, \"minor_collections\": %d, \
-         \"major_collections\": %d }"
-        name d.g_minor
-        (per_event d.g_minor events)
-        (per_event d.g_promoted events)
-        d.g_minor_cols d.g_major_cols
-    in
-    Printf.fprintf oc
-      "{\n\
-      \  \"experiment\": \"e15\",\n\
-      \  \"kernel_runs\": %d,\n\
-      \  \"arms\": [\n\
-       %s,\n\
-       %s\n\
-      \  ],\n\
-      \  \"tracing_cost_w_per_event\": { \"ring\": %.1f },\n\
-      \  \"fleet_phases\": { \"sessions\": %d, \"events\": %d, \"trace_entries\": %d,\n\
-      \    \"setup_minor_words\": %.0f, \"drive_minor_words\": %.0f, \
-       \"analyze_minor_words\": %.0f, \"total_minor_words\": %.0f,\n\
-      \    \"total_minor_words_per_event\": %.1f }\n\
-       }\n"
-      e15_reps
-      (arm "untraced" untraced !ring_events)
-      (arm "ring" ringed !ring_events)
-      ring_cost e15_sessions full_events full_trace setup.g_minor drive_minor
-      analyze.g_minor full.g_minor
-      (per_event full.g_minor full_events);
-    close_out oc;
-    Format.printf "@.wrote BENCH_alloc.json@."
-  end
-
-(* ------------------------------------------------------------------ *)
-(* E16: steady-state churn                                             *)
-
-(* How many sessions can stay resident in one process while arrivals
-   and hangups keep turning the population over?  Each cell holds a
-   target population for a churn horizon (shorter at the larger
-   populations so the whole sweep stays CI-sized); the paper-relevant
-   numbers are events/s against resident count, the max observed pause
-   proxy, and the fleet digest — which must not move across job
-   counts. *)
-
-type e16_row = {
-  ch_pop : int;
-  ch_duration : float;
-  ch_jobs : int;
-  ch_wall : float;
-  ch_started : int;
-  ch_retired : int;
-  ch_peak : int;
-  ch_events : int;
-  ch_events_per_s : float;
-  ch_sessions_per_s : float;
-  ch_max_pause_ms : float;
-  ch_max_batch_ms : float;
-  ch_minor_words : float;
-  ch_minor_cols : int;
-  ch_major_cols : int;
-  ch_conformant : int;
-  ch_satisfied : int;
-  ch_digest : string;
-}
-
-let e16_cells = [ (1_000, 4_000.0); (10_000, 1_500.0); (100_000, 300.0) ]
-let e16_job_counts = [ 1; 2; 4 ]
-let e16_mean_holding = 4_000.0
-
-let e16_run ~pop ~duration ~jobs =
-  let mk ~id ~rng = Scenario.churn_session Scenario.Path ~id ~rng in
-  let s =
-    Fleet.churn ~jobs ~target_population:pop ~mean_holding:e16_mean_holding ~duration
-      ~seed:11 mk
-  in
-  {
-    ch_pop = pop;
-    ch_duration = duration;
-    ch_jobs = jobs;
-    ch_wall = s.Fleet.c_wall_s;
-    ch_started = s.Fleet.c_started;
-    ch_retired = s.Fleet.c_retired;
-    ch_peak = s.Fleet.c_peak_resident;
-    ch_events = s.Fleet.c_engine_events;
-    ch_events_per_s = s.Fleet.c_events_per_s;
-    ch_sessions_per_s = s.Fleet.c_sessions_per_s;
-    ch_max_pause_ms = s.Fleet.c_gc.Fleet.max_pause_s *. 1000.0;
-    ch_max_batch_ms = s.Fleet.c_gc.Fleet.max_batch_s *. 1000.0;
-    ch_minor_words = s.Fleet.c_gc.Fleet.minor_words;
-    ch_minor_cols = s.Fleet.c_gc.Fleet.minor_collections;
-    ch_major_cols = s.Fleet.c_gc.Fleet.major_collections;
-    ch_conformant = s.Fleet.c_conformant;
-    ch_satisfied = s.Fleet.c_satisfied;
-    ch_digest = s.Fleet.c_digest;
-  }
-
-let e16_write_json rows deterministic =
-  let oc = open_out "BENCH_churn.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"e16\",\n";
-  Printf.fprintf oc "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.fprintf oc "  \"scenario\": \"path\",\n";
-  Printf.fprintf oc "  \"mean_holding_ms\": %.0f,\n" e16_mean_holding;
-  Printf.fprintf oc "  \"deterministic\": %b,\n" deterministic;
-  Printf.fprintf oc "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"population\": %d, \"duration_ms\": %.0f, \"jobs\": %d, \"wall_s\": %.4f, \
-         \"started\": %d, \"retired\": %d, \"peak_resident\": %d, \"events\": %d, \
-         \"events_per_s\": %.0f, \"sessions_per_s\": %.1f, \"max_pause_ms\": %.3f, \
-         \"max_quiet_batch_ms\": %.3f, \"minor_words\": %.0f, \"minor_collections\": %d, \
-         \"major_collections\": %d, \"conformant\": %d, \"satisfied\": %d, \"digest\": \
-         \"%s\" }%s\n"
-        r.ch_pop r.ch_duration r.ch_jobs r.ch_wall r.ch_started r.ch_retired r.ch_peak
-        r.ch_events r.ch_events_per_s r.ch_sessions_per_s r.ch_max_pause_ms
-        r.ch_max_batch_ms r.ch_minor_words r.ch_minor_cols r.ch_major_cols r.ch_conformant
-        r.ch_satisfied r.ch_digest
-        (if i = last then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Format.printf "@.wrote BENCH_churn.json@."
-
-let e16 () =
-  header "E16  Churn: steady-state populations, slot recycling, GC pauses";
-  Format.printf
-    "path sessions, mean holding %.0f ms, arrivals at the steady-state rate (machine has \
-     %d recommended domains):@."
-    e16_mean_holding
-    (Domain.recommended_domain_count ());
-  Format.printf "%10s %5s %9s %9s %9s %12s %11s %11s@." "population" "jobs" "wall s"
-    "started" "peak" "events/s" "pause ms" "quiet ms";
-  let rows =
-    List.concat_map
-      (fun (pop, duration) ->
-        let rows =
-          List.map
-            (fun jobs ->
-              let r = e16_run ~pop ~duration ~jobs in
-              Format.printf "%10d %5d %9.2f %9d %9d %12.0f %11.3f %11.3f@." r.ch_pop
-                r.ch_jobs r.ch_wall r.ch_started r.ch_peak r.ch_events_per_s
-                r.ch_max_pause_ms r.ch_max_batch_ms;
-              r)
-            e16_job_counts
-        in
-        (match rows with
-        | r :: rest ->
-          let same = List.for_all (fun r' -> r'.ch_digest = r.ch_digest) rest in
-          Format.printf "%10d %5s digest %s across jobs %s@." pop ""
-            (String.sub r.ch_digest 0 12)
-            (if same then "(bit-identical)" else "DIFFERS — determinism bug")
-        | [] -> ());
-        rows)
-      e16_cells
-  in
-  let deterministic =
-    List.for_all
-      (fun (pop, _) ->
-        match List.filter (fun r -> r.ch_pop = pop) rows with
-        | [] -> true
-        | r :: rest -> List.for_all (fun r' -> r'.ch_digest = r.ch_digest) rest)
-      e16_cells
-  in
-  let peak = List.fold_left (fun acc r -> max acc r.ch_peak) 0 rows in
-  Format.printf "peak resident sessions in one process: %d; per-session digests %s@." peak
-    (if deterministic then "independent of the job count"
-     else "VARY with the job count — determinism bug");
-  if !json_mode then e16_write_json rows deterministic
-
-(* ------------------------------------------------------------------ *)
-(* E17: N-party topologies — 3-party checking and the conference fleet *)
-
-type e17_check_row = {
-  n_name : string;
-  n_states : int;
-  n_transitions : int;
-  n_terminals : int;
-  n_seq_s : float;
-  n_par_s : float;
-  n_agree : bool;
-  n_passed : bool;
-}
-
-let e17_jobs = 4
-let e17_parties = 3
-let e17_sessions = 256
-let e17_job_counts = [ 1; 2; 4 ]
-let e17_churn_pop = 500
-let e17_churn_duration = 4_000.0
-
-(* The N=3 star configurations: every leg an openslot facing the mixer,
-   one interior flowlink per leg (clean, then under a loss+dup budget).
-   The reachable space is the product of the three leg spaces coupled
-   through the shared fault budgets, so these are the smallest
-   conference models that still exercise every cross-leg interleaving
-   class; EXPERIMENTS.md E17 records the larger chaos-1 sweep. *)
-let e17_configs () =
-  let parties = List.init e17_parties (fun _ -> Semantics.Open_end) in
-  [
-    PM.conf_config ~parties ~flowlinks:1 ~chaos:0 ~modifies:0 ();
-    PM.conf_config
-      ~faults:{ PM.losses = 1; dups = 1; unrestricted = false }
-      ~parties ~flowlinks:1 ~chaos:0 ~modifies:0 ();
-  ]
-
-let e17_check config =
-  let r1 = MC_check.run ~max_states:e10_cap ~jobs:1 config in
-  let r4 = MC_check.run ~max_states:e10_cap ~jobs:e17_jobs config in
-  {
-    n_name = PM.config_name config;
-    n_states = r1.MC_check.states;
-    n_transitions = r1.MC_check.transitions;
-    n_terminals = r1.MC_check.terminals;
-    n_seq_s = r1.MC_check.time_s;
-    n_par_s = r4.MC_check.time_s;
-    n_agree =
-      r1.MC_check.states = r4.MC_check.states
-      && r1.MC_check.transitions = r4.MC_check.transitions
-      && r1.MC_check.terminals = r4.MC_check.terminals
-      && MC_check.passed r1 = MC_check.passed r4;
-    n_passed = MC_check.passed r1;
-  }
-
-let e17_write_json checks fleet_rows fleet_det churn_rows churn_det =
-  let rate s t = float_of_int s /. Float.max 1e-9 t in
-  let seq = List.fold_left (fun acc r -> acc +. r.n_seq_s) 0.0 checks in
-  let par = List.fold_left (fun acc r -> acc +. r.n_par_s) 0.0 checks in
-  let oc = open_out "BENCH_conf.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"experiment\": \"e17\",\n";
-  Printf.fprintf oc "  \"parties\": %d,\n" e17_parties;
-  Printf.fprintf oc "  \"jobs\": %d,\n" e17_jobs;
-  Printf.fprintf oc "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.fprintf oc
-    "  \"note\": \"3-party star configs checked exhaustively at jobs:1 and jobs:%d \
-     (agree = bit-identical counts and equal verdicts), plus the N-party conference \
-     fleet and churn digests across job counts.\",\n"
-    e17_jobs;
-  Printf.fprintf oc "  \"checks\": [\n";
-  let last = List.length checks - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"config\": %S, \"states\": %d, \"transitions\": %d, \"terminals\": %d, \
-         \"seq_s\": %.4f, \"par_s\": %.4f, \"seq_states_per_s\": %.0f, \
-         \"par_states_per_s\": %.0f, \"agree\": %b, \"passed\": %b }%s\n"
-        r.n_name r.n_states r.n_transitions r.n_terminals r.n_seq_s r.n_par_s
-        (rate r.n_states r.n_seq_s) (rate r.n_states r.n_par_s) r.n_agree r.n_passed
-        (if i = last then "" else ","))
-    checks;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc
-    "  \"check_totals\": { \"seq_s\": %.4f, \"par_s\": %.4f, \"all_agree\": %b, \
-     \"all_passed\": %b },\n"
-    seq par
-    (List.for_all (fun r -> r.n_agree) checks)
-    (List.for_all (fun r -> r.n_passed) checks);
-  Printf.fprintf oc
-    "  \"fleet\": { \"scenario\": \"conf\", \"sessions\": %d, \"deterministic\": %b, \
-     \"rows\": [\n"
-    e17_sessions fleet_det;
-  let last = List.length fleet_rows - 1 in
-  List.iteri
-    (fun i (jobs, (s : Fleet.summary), digest) ->
-      Printf.fprintf oc
-        "    { \"jobs\": %d, \"wall_s\": %.4f, \"sessions_per_s\": %.1f, \
-         \"events_per_s\": %.0f, \"conformant\": %d, \"satisfied\": %d, \"digest\": \
-         \"%s\" }%s\n"
-        jobs s.Fleet.wall_s s.Fleet.sessions_per_s s.Fleet.events_per_s s.Fleet.conformant
-        s.Fleet.satisfied digest
-        (if i = last then "" else ","))
-    fleet_rows;
-  Printf.fprintf oc "  ] },\n";
-  Printf.fprintf oc
-    "  \"churn\": { \"population\": %d, \"duration_ms\": %.0f, \"deterministic\": %b, \
-     \"rows\": [\n"
-    e17_churn_pop e17_churn_duration churn_det;
-  let last = List.length churn_rows - 1 in
-  List.iteri
-    (fun i (jobs, (s : Fleet.churn_summary)) ->
-      Printf.fprintf oc
-        "    { \"jobs\": %d, \"wall_s\": %.4f, \"started\": %d, \"retired\": %d, \
-         \"events_per_s\": %.0f, \"conformant\": %d, \"satisfied\": %d, \"digest\": \
-         \"%s\" }%s\n"
-        jobs s.Fleet.c_wall_s s.Fleet.c_started s.Fleet.c_retired s.Fleet.c_events_per_s
-        s.Fleet.c_conformant s.Fleet.c_satisfied s.Fleet.c_digest
-        (if i = last then "" else ","))
-    churn_rows;
-  Printf.fprintf oc "  ] }\n}\n";
-  close_out oc;
-  Format.printf "@.wrote BENCH_conf.json@."
-
-let e17 () =
-  header "E17  N-party topologies: 3-party checking and the conference fleet";
-  Format.printf "3-party star configurations, exhaustive, jobs 1 vs %d:@.@." e17_jobs;
-  Format.printf "%-40s %9s %9s | %8s %8s@." "config" "states" "trans" "seq" "par";
-  let checks =
-    List.map
-      (fun config ->
-        let r = e17_check config in
-        Format.printf "%-40s %9d %9d | %7.2fs %7.2fs%s%s@." r.n_name r.n_states
-          r.n_transitions r.n_seq_s r.n_par_s
-          (if r.n_agree then "" else "  DISAGREE")
-          (if r.n_passed then "" else "  FAILED");
-        r)
-      (e17_configs ())
-  in
-  Format.printf "@.conference fleet: %d sessions of %d-party conf, loss-free:@."
-    e17_sessions e17_parties;
-  Format.printf "%6s %10s %14s %14s@." "jobs" "wall s" "sessions/s" "events/s";
-  let fleet_rows =
-    List.map
-      (fun jobs ->
-        let outcomes, summary =
-          Fleet.run ~jobs ~until:60_000.0 ~sessions:e17_sessions ~seed:11 (fun ~id ~rng ->
-            Scenario.session ~parties:e17_parties Scenario.Conf ~id ~rng)
-        in
-        Format.printf "%6d %10.3f %14.1f %14.0f@." jobs summary.Fleet.wall_s
-          summary.Fleet.sessions_per_s summary.Fleet.events_per_s;
-        (jobs, summary, e12_digest outcomes))
-      e17_job_counts
-  in
-  let fleet_det =
-    match fleet_rows with
-    | (_, _, d) :: rest -> List.for_all (fun (_, _, d') -> d' = d) rest
-    | [] -> true
-  in
-  Format.printf "fleet digests across jobs: %s@."
-    (if fleet_det then "bit-identical" else "DIFFER — determinism bug");
-  Format.printf "@.conference churn: target %d resident, %.0f ms horizon:@." e17_churn_pop
-    e17_churn_duration;
-  let churn_rows =
-    List.map
-      (fun jobs ->
-        let s =
-          Fleet.churn ~jobs ~target_population:e17_churn_pop ~mean_holding:e16_mean_holding
-            ~duration:e17_churn_duration ~seed:11 (fun ~id ~rng ->
-              Scenario.churn_session ~parties:e17_parties Scenario.Conf ~id ~rng)
-        in
-        Format.printf "jobs %d: %d started / %d retired, digest %s@." jobs s.Fleet.c_started
-          s.Fleet.c_retired
-          (String.sub s.Fleet.c_digest 0 12);
-        (jobs, s))
-      e17_job_counts
-  in
-  let churn_det =
-    match churn_rows with
-    | (_, r) :: rest -> List.for_all (fun (_, r') -> r'.Fleet.c_digest = r.Fleet.c_digest) rest
-    | [] -> true
-  in
-  Format.printf "churn digests across jobs: %s@."
-    (if churn_det then "bit-identical" else "DIFFER — determinism bug");
-  if !json_mode then e17_write_json checks fleet_rows fleet_det churn_rows churn_det
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks                                                    *)
-
-(* ------------------------------------------------------------------ *)
 (*  E18: lint runtime — the full interprocedural analysis over the    *)
 (*  repo tree, gated in CI so the callgraph stays cheap enough to     *)
 (*  run on every push.                                                *)
 
 let e18_reps = 3
+let json_mode = ref false
 
 let e18_write_json ~files ~wall_s ~errors ~warnings ~allowed =
   let oc = open_out "BENCH_lint.json" in
@@ -1618,82 +806,11 @@ let e18 () =
   if !json_mode then
     e18_write_json ~files:report.Driver.files ~wall_s:!best ~errors ~warnings ~allowed
 
-let micro () =
-  header "Micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let open Toolkit in
-  let local_a = Local.endpoint ~owner:"A" (Address.v "10.0.0.1" 5000) [ Codec.G711 ] in
-  let local_b = Local.endpoint ~owner:"B" (Address.v "10.0.0.2" 5000) [ Codec.G711 ] in
-  let open_hold flowlinks () =
-    match
-      Chain.create ~left:(Chain.Open_spec (local_a, Medium.Audio)) ~flowlinks
-        ~right:(Chain.Hold_spec local_b) ()
-    with
-    | Ok chain -> ignore (Chain.run chain)
-    | Error _ -> assert false
-  in
-  let slot_handshake () =
-    let desc_b = Local.descriptor local_b in
-    let s = Mediactl_protocol.Slot.create ~label:"a" Mediactl_protocol.Slot.Channel_initiator in
-    match Mediactl_protocol.Slot.send_open s Medium.Audio (Local.descriptor local_a) with
-    | Ok (s, _) -> (
-      match Mediactl_protocol.Slot.receive s (Signal.Oack desc_b) with
-      | Ok (s, _, _) ->
-        ignore (Mediactl_protocol.Slot.send_select s (Local.selector_for local_a desc_b))
-      | Error _ -> assert false)
-    | Error _ -> assert false
-  in
-  let mc_small () =
-    ignore
-      (Mediactl_mc.Check.run
-         (Mediactl_mc.Path_model.path_config ~left:Semantics.Open_end ~right:Semantics.Close_end
-            ~flowlinks:0 ~chaos:0 ~modifies:0 ()))
-  in
-  let prepaid_replay () =
-    let net = settle (Prepaid.build ()) in
-    let net = settle (fst (Prepaid.snapshot1 net)) in
-    let net = settle (fst (Prepaid.snapshot2 net)) in
-    ignore (settle (fst (Prepaid.snapshot3 net)))
-  in
-  let tests =
-    [
-      Test.make ~name:"slot open/oack/select" (Staged.stage slot_handshake);
-      Test.make ~name:"chain settle (0 flowlinks)" (Staged.stage (open_hold 0));
-      Test.make ~name:"chain settle (2 flowlinks)" (Staged.stage (open_hold 2));
-      Test.make ~name:"model-check open/close path" (Staged.stage mc_small);
-      Test.make ~name:"prepaid snapshots 0-3" (Staged.stage prepaid_replay);
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  Format.printf "%-32s %16s@." "benchmark" "time/run";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] ->
-            let pretty =
-              if est > 1_000_000.0 then Printf.sprintf "%10.2f ms" (est /. 1_000_000.0)
-              else if est > 1_000.0 then Printf.sprintf "%10.2f us" (est /. 1_000.0)
-              else Printf.sprintf "%10.0f ns" est
-            in
-            Format.printf "%-32s %16s@." name pretty
-          | Some _ | None -> Format.printf "%-32s %16s@." name "(no estimate)")
-        analyzed)
-    tests
-
 (* ------------------------------------------------------------------ *)
 
 let experiments =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7);
-    ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e14", e14);
-    ("e15", e15); ("e16", e16); ("e17", e17); ("e18", e18); ("micro", micro) ]
+    ("e8", e8); ("e9", e9); ("e11", e11); ("e14", e14); ("e18", e18) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -52,35 +52,44 @@ let run_prepaid () =
   print_edges "snapshot 4:" (Prepaid.flows (settle net));
   0
 
+(* Always recorded: the chart is the receives of the timed run, so the
+   bracket is drained once the untimed settles are done.  Returns the
+   whole trace, settles included. *)
 let run_fig13 seed n c loss =
-  let net = settle (Prepaid.build ()) in
-  let net = settle (fst (Prepaid.snapshot1 net)) in
-  let net = settle (fst (Prepaid.snapshot2 net)) in
-  let net = settle (fst (Prepaid.snapshot3 net)) in
-  let sim = Timed.create ~seed ~n ~c net in
-  Timed.observe sim;
-  let net_layer = impaired ~seed ~loss sim in
-  let a_tx = ref nan and c_tx = ref nan in
-  let transmits r owner net =
-    match Netsys.slot net r with
-    | Some slot -> (
-      Mediactl_protocol.Slot.tx_enabled slot
-      &&
-      match slot.Mediactl_protocol.Slot.remote_desc with
-      | Some d -> fst (Mediactl_types.Descriptor.id d) = owner
-      | None -> false)
-    | None -> false
+  let settled, timed =
+    Obs.Trace.recording_packed (fun () ->
+        let net = settle (Prepaid.build ()) in
+        let net = settle (fst (Prepaid.snapshot1 net)) in
+        let net = settle (fst (Prepaid.snapshot2 net)) in
+        let net = settle (fst (Prepaid.snapshot3 net)) in
+        let settled = Obs.Trace.drain () in
+        let sim = Timed.create ~seed ~n ~c net in
+        Timed.observe sim;
+        let net_layer = impaired ~seed ~loss sim in
+        let a_tx = ref nan and c_tx = ref nan in
+        let transmits r owner net =
+          match Netsys.slot net r with
+          | Some slot -> (
+            Mediactl_protocol.Slot.tx_enabled slot
+            &&
+            match slot.Mediactl_protocol.Slot.remote_desc with
+            | Some d -> fst (Mediactl_types.Descriptor.id d) = owner
+            | None -> false)
+          | None -> false
+        in
+        Timed.when_true sim (transmits Prepaid.a_slot "C") (fun t -> a_tx := t);
+        Timed.when_true sim (transmits Prepaid.c_slot "A") (fun t -> c_tx := t);
+        Timed.apply sim Prepaid.snapshot4_pc;
+        Timed.apply sim Prepaid.snapshot4_pbx;
+        let _ = Timed.run sim in
+        Format.printf "A transmits toward C at %.1f ms; C toward A at %.1f ms (2n+3c = %.1f)@.@."
+          !a_tx !c_tx
+          ((2.0 *. n) +. (3.0 *. c));
+        report_impairment net_layer;
+        settled)
   in
-  Timed.when_true sim (transmits Prepaid.a_slot "C") (fun t -> a_tx := t);
-  Timed.when_true sim (transmits Prepaid.c_slot "A") (fun t -> c_tx := t);
-  Timed.apply sim Prepaid.snapshot4_pc;
-  Timed.apply sim Prepaid.snapshot4_pbx;
-  let _ = Timed.run sim in
-  Format.printf "A transmits toward C at %.1f ms; C toward A at %.1f ms (2n+3c = %.1f)@.@." !a_tx
-    !c_tx ((2.0 *. n) +. (3.0 *. c));
-  report_impairment net_layer;
-  Format.printf "message-sequence chart:@.%a" Timed.pp_trace sim;
-  0
+  Format.printf "message-sequence chart:@.%a" Obs.Trace.pp_msc timed;
+  Obs.Trace.Packed.append settled timed
 
 let run_relink seed n c boxes j loss =
   let net, _ = Netsys.run (Relink.build ~boxes ~j) in
@@ -219,24 +228,7 @@ let verify_trace scenario ~loss ~left ~right ~flowlinks trace =
 let run scenario n c boxes j seed loss left right flowlinks trace metrics verify sessions
     jobs fleet_scenario parties churn target_population duration mean_holding arrival_rate
     =
-  match scenario with
-  | `Fleet ->
-    if churn then
-      run_churn seed n c loss jobs fleet_scenario parties target_population duration
-        mean_holding arrival_rate
-    else run_fleet seed n c loss sessions jobs fleet_scenario parties
-  | (`Prepaid | `Fig13 | `Relink | `Sip | `Path) as scenario ->
-  let go () =
-    match scenario with
-    | `Prepaid -> run_prepaid ()
-    | `Fig13 -> run_fig13 seed n c loss
-    | `Relink -> run_relink seed n c boxes j loss
-    | `Sip -> run_sip seed n c
-    | `Path -> run_path seed n c loss left right flowlinks
-  in
-  if trace = None && metrics = None && not verify then go ()
-  else begin
-    let code, packed = Obs.Trace.recording_packed go in
+  let export code packed =
     (match trace with
     | Some path ->
       let b = Buffer.create 4096 in
@@ -254,7 +246,26 @@ let run scenario n c boxes j seed loss left right flowlinks trace metrics verify
       if verify then verify_trace scenario ~loss ~left ~right ~flowlinks packed else 0
     in
     if code <> 0 then code else vcode
-  end
+  in
+  match scenario with
+  | `Fleet ->
+    if churn then
+      run_churn seed n c loss jobs fleet_scenario parties target_population duration
+        mean_holding arrival_rate
+    else run_fleet seed n c loss sessions jobs fleet_scenario parties
+  | `Fig13 -> export 0 (run_fig13 seed n c loss)
+  | (`Prepaid | `Relink | `Sip | `Path) as scenario ->
+    let go () =
+      match scenario with
+      | `Prepaid -> run_prepaid ()
+      | `Relink -> run_relink seed n c boxes j loss
+      | `Sip -> run_sip seed n c
+      | `Path -> run_path seed n c loss left right flowlinks
+    in
+    if trace = None && metrics = None && not verify then go ()
+    else
+      let code, packed = Obs.Trace.recording_packed go in
+      export code packed
 
 let scenario =
   Arg.(required & pos 0 (some (enum [ ("prepaid", `Prepaid); ("fig13", `Fig13); ("relink", `Relink); ("sip", `Sip); ("path", `Path); ("fleet", `Fleet) ])) None

@@ -66,18 +66,6 @@ let hygiene_scope rel =
 
 let iface_scope rel = starts_with "lib/" rel
 
-(* MARS001 path allowlist: files whose Marshal use is sanctioned.  The
-   seed baseline is intentionally verbatim (PR 2 keeps it as the E10
-   comparison point), so the waiver lives here instead of as an
-   attribute edit to the file. *)
-let builtin_path_allows =
-  [
-    ( "bench/seed_baseline.ml",
-      Finding.Marshal,
-      "verbatim seed checker kept as the E10 baseline; its Marshal keys are the measured \
-       artifact" );
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* File discovery                                                      *)
 
@@ -146,14 +134,7 @@ let lint_units ?(rules = all_rules) units =
           if rules.dsan && dsan_scope rel then Dsan.check ctx structure;
           if rules.totality && totality_scope rel then Totality.check ctx structure;
           if rules.hygiene && hygiene_scope rel then Hygiene.check ctx structure;
-          if rules.marshal then begin
-            match List.find_opt (fun (p, _, _) -> String.equal p rel) builtin_path_allows with
-            | Some (_, rule, justification) ->
-              ctx.Ctx.allowed <-
-                { Finding.a_rule = rule; a_file = rel; a_line = 1; justification }
-                :: ctx.Ctx.allowed
-            | None -> Marshal_rule.check ctx structure
-          end;
+          if rules.marshal then Marshal_rule.check ctx structure;
           if rules.iface && iface_scope rel && not has_mli then begin
             let pos = { Lexing.pos_fname = rel; pos_lnum = 1; pos_bol = 0; pos_cnum = 0 } in
             let line1 = { Location.loc_start = pos; loc_end = pos; loc_ghost = true } in

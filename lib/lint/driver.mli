@@ -7,8 +7,7 @@
       [lib/obs/monitor.ml]
     - HYG001: [lib/sim/], [lib/runtime/], [lib/net/], [lib/protocol/],
       [lib/signaling/], [lib/core/], [lib/daemon/], [lib/apps/]
-    - MARS001: every scanned file except the builtin path allowlist
-      ([bench/seed_baseline.ml])
+    - MARS001: every scanned file
     - ALLOC001: every scanned file — scope is the reachable set of the
       tree-wide callgraph, not a path prefix.
 

@@ -5,7 +5,7 @@ type rule =
   | Totality  (** TOT001: wildcard branch over [Signal.t]/[Slot_state.t] *)
   | Hygiene  (** HYG001: unguarded [Trace.emit]/metrics bump on a hot path *)
   | Iface  (** IFACE001: lib/ module without an [.mli] interface *)
-  | Marshal  (** MARS001: [Marshal] use outside the allowlisted seed baseline *)
+  | Marshal  (** MARS001: any [Marshal] use *)
   | Fmt  (** FMT001: whitespace discipline (tabs, trailing space, CRLF, final newline) *)
   | Alloc  (** ALLOC001: allocation site reachable from a [@@lint.hotpath] root *)
   | Bad_allow  (** LINT001: malformed [@@lint.allow] attribute *)
@@ -56,7 +56,7 @@ let rule_doc = function
   | Totality -> "wildcard branch over a protocol sum type (Signal.t/Slot_state.t)"
   | Hygiene -> "unguarded Trace/Metrics emission on a hot path"
   | Iface -> "lib/ module without an .mli interface"
-  | Marshal -> "Marshal use outside the allowlisted seed baseline"
+  | Marshal -> "Marshal use (sharing-sensitive, non-canonical serialisation)"
   | Fmt -> "whitespace discipline (tabs, trailing space, CRLF, final newline)"
   | Alloc -> "allocation site reachable from a [@@lint.hotpath] root"
   | Bad_allow -> "malformed [@@lint.allow] attribute"

@@ -11,7 +11,7 @@ type rule =
   | Totality  (** TOT001: wildcard branch over [Signal.t]/[Slot_state.t] *)
   | Hygiene  (** HYG001: unguarded [Trace.emit]/metrics bump on a hot path *)
   | Iface  (** IFACE001: lib/ module without an [.mli] interface *)
-  | Marshal  (** MARS001: [Marshal] use outside the allowlisted seed baseline *)
+  | Marshal  (** MARS001: any [Marshal] use *)
   | Fmt
       (** FMT001: whitespace discipline — tabs, trailing whitespace, CRLF,
           missing final newline.  The mechanical subset of the pinned

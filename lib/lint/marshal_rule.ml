@@ -6,10 +6,9 @@ open Parsetree
    leaks into the bytes, which split structurally-equal states and
    inflated the seed checker's state counts 1.71x (measured by E10).
    The packed codec ([Path_model.pack]/[unpack]) is the canonical
-   encoding; the one sanctioned [Marshal] use is the verbatim seed
-   baseline kept for that comparison ([bench/seed_baseline.ml],
-   allowlisted by the driver).  Any other use — in lib, bin, bench,
-   test or examples — is a finding. *)
+   encoding, and no file is exempt: any use — in lib, bin, bench, test
+   or examples — is a finding, waivable only by an [@lint.allow]
+   attribute at the use site. *)
 
 let check ctx structure =
   let iter =

@@ -1,5 +1,4 @@
 (** MARS001 — flags any [Marshal.*] use; the canonical packed codec
-    is the sanctioned serialisation, and the verbatim seed baseline is
-    allowlisted by the driver. *)
+    is the sanctioned serialisation. *)
 
 val check : Ctx.t -> Parsetree.structure -> unit

@@ -176,13 +176,14 @@ let pp_report ppf r =
       | Semantics.Closed_or_flowing -> "(<>[] allClosed) \\/ ([]<> allFlowing)"
   in
   if r.config.Path_model.environment_ends then
-    Format.fprintf ppf "%-34s %9d states %10d trans %6.2fs  safety:%s  (segment: safety lemma only)"
+    Format.fprintf ppf
+      "%-34s %9d states %10d trans %8d terminals %6.2fs  safety:%s  (segment: safety lemma only)"
       (Path_model.config_name r.config)
-      r.states r.transitions r.time_s safety
+      r.states r.transitions r.terminals r.time_s safety
   else
-    Format.fprintf ppf "%-34s %9d states %10d trans %6.2fs  safety:%s  %s: %s"
+    Format.fprintf ppf "%-34s %9d states %10d trans %8d terminals %6.2fs  safety:%s  %s: %s"
       (Path_model.config_name r.config)
-      r.states r.transitions r.time_s safety spec_label spec_result
+      r.states r.transitions r.terminals r.time_s safety spec_label spec_result
 
 let run_standard ?max_states ?jobs ?faults ~chaos ~modifies () =
   List.map (run ?max_states ?jobs) (Path_model.standard_configs ?faults ~chaos ~modifies ())

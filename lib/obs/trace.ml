@@ -816,3 +816,12 @@ let pp_kind ppf = function
   | Net { chan; decision } -> Format.fprintf ppf "net %s %s" chan (decision_name decision)
 
 let pp_event ppf (e : event) = Format.fprintf ppf "#%d %8.1f  %a" e.seq e.at pp_kind e.kind
+
+(* One row per receive, in the column layout of the paper's charts. *)
+let pp_msc ppf p =
+  for i = 0 to Packed.length p - 1 do
+    if Packed.tag p i = tag_sig_recv then
+      Format.fprintf ppf "%8.1f ms  %-6s -> %-6s  %s.%d  %a@." (Packed.at p i)
+        (Packed.sig_peer p i) (Packed.sig_box p i) (Packed.sig_chan p i) (Packed.sig_tun p i)
+        Signal.pp (Packed.sig_signal p i)
+  done

@@ -230,6 +230,14 @@ val replay : capture -> unit
 val pp_kind : Format.formatter -> kind -> unit
 val pp_event : Format.formatter -> event -> unit
 
+val pp_msc : Format.formatter -> Packed.t -> unit
+(** The message-sequence chart of a recorded run, in the style of the
+    paper's Figures 10 and 13: one line per [Sig_recv] entry, oldest
+    first, giving the time the receiver's reaction committed, the
+    sending and receiving boxes, the channel and tunnel, and the
+    signal.  To chart only a timed run, leave its untimed settle out
+    of the packed trace (drain the bracket after the settle). *)
+
 val event_to_json : event -> string
 (** One JSON object, no trailing newline.  Built by the same field
     writers as {!Packed.add_jsonl}. *)

@@ -590,13 +590,6 @@ let inject t { s_chan; s_tun; to_ } signal =
   if failed t then None
   else Some (dispatch_signal t to_ { chan = s_chan; tun = s_tun } signal)
 
-let peek_signal t ~chan ~tun ~at =
-  match find_chan t chan with
-  | None -> None
-  | Some channel ->
-    let end_ = Channel.end_of channel at in
-    Tunnel.peek ~at:end_ (Channel.tunnel channel tun)
-
 let quiescent t =
   List.for_all
     (fun (_, channel) ->

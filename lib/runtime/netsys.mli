@@ -104,9 +104,6 @@ val take_meta : t -> chan:string -> at:string -> (Meta.t * t) option
 val deliverables : t -> send list
 (** Signals ready for delivery, per tunnel end. *)
 
-val peek_signal : t -> chan:string -> tun:int -> at:string -> Signal.t option
-(** The oldest signal awaiting delivery at a box, without consuming it. *)
-
 val deliver : t -> send -> (t * send list) option
 (** Deliver the oldest signal on that tunnel toward that box; [None] if
     nothing is pending there. *)

@@ -97,12 +97,7 @@ let analyze t ~events ~end_time trace =
 let run ?until ?max_events t =
   let (events, end_time), trace =
     Trace.recording_packed (fun () ->
-      (* Sessions never read the driver's message-sequence chart — the
-         observation trace is the record — so skip building it. *)
-      let sim =
-        Timed.create ~seed:t.s_seed ?sched:t.s_sched ~record_msc:false ~n:t.s_n ~c:t.s_c
-          (t.s_make ())
-      in
+      let sim = Timed.create ~seed:t.s_seed ?sched:t.s_sched ~n:t.s_n ~c:t.s_c (t.s_make ()) in
       t.s_sim <- Some sim;
       Timed.observe sim;
       t.s_boot t;
@@ -130,10 +125,7 @@ let launch ?until ?max_events t =
   | Some _ -> invalid_arg "Session.launch: session already running"
   | None -> ());
   Trace.recording_packed (fun () ->
-    let sim =
-      Timed.create ~seed:t.s_seed ?sched:t.s_sched ~record_msc:false ~n:t.s_n ~c:t.s_c
-        (t.s_make ())
-    in
+    let sim = Timed.create ~seed:t.s_seed ?sched:t.s_sched ~n:t.s_n ~c:t.s_c (t.s_make ()) in
     t.s_sim <- Some sim;
     Timed.observe sim;
     t.s_boot t;

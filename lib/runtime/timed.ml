@@ -11,15 +11,6 @@ type event =
   | Meta_arrival of { chan : string; at : string }
   | Scripted of int  (* index into the scripted-action table *)
 
-type trace_entry = {
-  at : float;  (** when the receiving box's reaction commits *)
-  from_box : string;
-  to_box : string;
-  chan : string;
-  tun : int;
-  signal : Mediactl_types.Signal.t;
-}
-
 (* The driver runs over one of two engines: the discrete-event simulator
    (virtual clock, [Engine.run] drives it) or an external scheduler —
    typically the wall-clock select loop of [Mediactl_daemon_core.Wallclock] —
@@ -35,41 +26,37 @@ and t = {
   mutable network : Netsys.t;
   n : float;
   c : float;
-  record_msc : bool;  (* build [trace_entry]s for message-sequence charts *)
   scripted : (t -> unit) Vec.t;  (* index = registration order *)
   mutable meta_handlers : (t -> chan:string -> at:string -> Meta.t -> unit) list;
   mutable step_hooks : (t -> unit) list;
   mutable watches : (int * (Netsys.t -> bool) * (float -> unit)) list;
   mutable watch_seq : int;
-  mutable trace_rev : trace_entry list;
   mutable impairment : (t -> frame -> float list) option;
   mutable delivery_filter : (t -> frame -> bool) option;
   mutable frame_seq : int;
 }
 
-let make engine ~record_msc ~n ~c network =
+let make engine ~n ~c network =
   {
     engine;
     network;
     n;
     c;
-    record_msc;
     scripted = Vec.create ();
     meta_handlers = [];
     step_hooks = [];
     watches = [];
     watch_seq = 0;
-    trace_rev = [];
     impairment = None;
     delivery_filter = None;
     frame_seq = 0;
   }
 
-let create ?(seed = 42) ?sched ?(record_msc = true) ?(n = 34.0) ?(c = 20.0) network =
-  make (Sim (Engine.create ~seed ?sched ())) ~record_msc ~n ~c network
+let create ?(seed = 42) ?sched ?(n = 34.0) ?(c = 20.0) network =
+  make (Sim (Engine.create ~seed ?sched ())) ~n ~c network
 
-let create_external ~now ~schedule ?(record_msc = true) ?(n = 34.0) ?(c = 20.0) network =
-  make (Ext { ext_now = now; ext_schedule = schedule }) ~record_msc ~n ~c network
+let create_external ~now ~schedule ?(n = 34.0) ?(c = 20.0) network =
+  make (Ext { ext_now = now; ext_schedule = schedule }) ~n ~c network
 
 let net t = t.network
 
@@ -166,28 +153,6 @@ and handle t event =
   (match event with
   | Arrival send -> sched t ~delay:t.c (Process send)
   | Process send -> (
-    (* Record the signal for message-sequence charts before consuming
-       it from the tunnel. *)
-    (if t.record_msc then
-       match Netsys.peer_of_chan t.network ~chan:send.Netsys.s_chan ~box:send.Netsys.to_ with
-       | Some from_box -> (
-         match
-           Netsys.peek_signal t.network ~chan:send.Netsys.s_chan ~tun:send.Netsys.s_tun
-             ~at:send.Netsys.to_
-         with
-         | Some signal ->
-           t.trace_rev <-
-             {
-               at = now t;
-               from_box;
-               to_box = send.Netsys.to_;
-               chan = send.Netsys.s_chan;
-               tun = send.Netsys.s_tun;
-               signal;
-             }
-             :: t.trace_rev
-         | None -> ())
-       | None -> ());
     match Netsys.deliver t.network send with
     | None -> ()
     | Some (network, sends) ->
@@ -200,30 +165,12 @@ and handle t event =
       | None -> true
       | Some filter -> filter t frame
     in
-    if deliverable then begin
-      (if t.record_msc then
-         match
-           Netsys.peer_of_chan t.network ~chan:frame.f_send.Netsys.s_chan
-             ~box:frame.f_send.Netsys.to_
-         with
-         | Some from_box ->
-           t.trace_rev <-
-             {
-               at = now t;
-               from_box;
-               to_box = frame.f_send.Netsys.to_;
-               chan = frame.f_send.Netsys.s_chan;
-               tun = frame.f_send.Netsys.s_tun;
-               signal = frame.f_signal;
-             }
-             :: t.trace_rev
-         | None -> ());
+    if deliverable then (
       match Netsys.inject t.network frame.f_send frame.f_signal with
       | None -> ()
       | Some (network, sends) ->
         t.network <- network;
-        emit t ~lead:0.0 sends
-    end
+        emit t ~lead:0.0 sends)
   | Meta_arrival { chan; at } -> (
     match Netsys.take_meta t.network ~chan ~at with
     | None -> ()
@@ -268,12 +215,3 @@ let run ?until ?max_events t =
   | Sim e -> Engine.run e ?until ?max_events (fun _ ev -> handle t ev)
   | Ext _ ->
     invalid_arg "Timed.run: externally driven engine (the owning event loop runs the driver)"
-
-let trace t = List.rev t.trace_rev
-
-let pp_trace ppf t =
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%8.1f ms  %-6s -> %-6s  %s.%d  %a@." e.at e.from_box e.to_box e.chan
-        e.tun Mediactl_types.Signal.pp e.signal)
-    (trace t)

@@ -18,22 +18,20 @@ type t
 val create :
   ?seed:int ->
   ?sched:Mediactl_sim.Engine.sched ->
-  ?record_msc:bool ->
   ?n:float ->
   ?c:float ->
   Netsys.t ->
   t
 (** [create net] wraps a network.  Defaults: [n] = 34.0, [c] = 20.0
     (milliseconds), timer-wheel scheduler ([sched] selects the reference
-    heap for benchmarking).  [record_msc] (default [true]) keeps the
-    per-delivery {!trace_entry} log behind {!trace}/{!pp_trace}; drivers
-    that never read it (the fleet kernel) pass [false], which removes a
-    record allocation per delivery from the hot path. *)
+    heap for benchmarking).  The driver keeps no log of its own: run it
+    inside a {!Mediactl_obs.Trace.recording_packed} bracket (with
+    {!observe}) to record what it delivers, and render the receive
+    entries with {!Mediactl_obs.Trace.pp_msc}. *)
 
 val create_external :
   now:(unit -> float) ->
   schedule:(delay:float -> (unit -> unit) -> unit) ->
-  ?record_msc:bool ->
   ?n:float ->
   ?c:float ->
   Netsys.t ->
@@ -46,7 +44,7 @@ val create_external :
     a thunk to run when its delay (in the caller's time units,
     conventionally milliseconds) elapses.  The caller drives the loop:
     {!run} raises [Invalid_argument] on such a driver, and everything
-    else ({!apply}, {!when_true}, {!set_impairment}, traces...) behaves
+    else ({!apply}, {!when_true}, {!set_impairment}...) behaves
     identically on either engine. *)
 
 val net : t -> Netsys.t
@@ -130,23 +128,3 @@ val inject_frame : t -> delay:float -> frame -> unit
     after [delay] and its reaction commits [c] later.  Used by
     retransmission layers; the caller chooses [delay] (typically
     [n] plus jitter).  Negative delays are clamped to 0. *)
-
-(** {2 Message-sequence charts}
-
-    Every delivered tunnel signal is recorded with the time its
-    receiver's reaction committed, so runs can be rendered as charts in
-    the style of the paper's Figures 10 and 13. *)
-
-type trace_entry = {
-  at : float;
-  from_box : string;
-  to_box : string;
-  chan : string;
-  tun : int;
-  signal : Mediactl_types.Signal.t;
-}
-
-val trace : t -> trace_entry list
-(** Delivered signals, oldest first. *)
-
-val pp_trace : Format.formatter -> t -> unit

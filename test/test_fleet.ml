@@ -528,6 +528,29 @@ let pinned_conf parties want () =
     (Printf.sprintf "%d-party conf batch digest" parties)
     want (Fleet.digest outcomes)
 
+(* The 3-party conference batch and churn of the retired E17
+   experiment (seed 11): every session conformant and satisfied. *)
+let test_pinned_conf3_batch () =
+  let outcomes, summary =
+    Fleet.run ~jobs:1 ~until:60_000.0 ~sessions:256 ~seed:11 (fun ~id ~rng ->
+        Scenario.session ~parties:3 Scenario.Conf ~id ~rng)
+  in
+  check tint "conformant" 256 summary.Fleet.conformant;
+  check tint "satisfied" 256 summary.Fleet.satisfied;
+  check Alcotest.string "3-party conf batch digest" "2b2e6fffb0add994d80bde76c5dc411e"
+    (Fleet.digest outcomes)
+
+let test_pinned_conf3_churn () =
+  let s =
+    Fleet.churn ~jobs:1 ~target_population:500 ~mean_holding:4_000.0 ~duration:4_000.0 ~seed:11
+      (fun ~id ~rng -> Scenario.churn_session ~parties:3 Scenario.Conf ~id ~rng)
+  in
+  check tint "retired" 978 s.Fleet.c_retired;
+  check tint "conformant" 978 s.Fleet.c_conformant;
+  check tint "satisfied" 978 s.Fleet.c_satisfied;
+  check Alcotest.string "3-party conf churn digest" "bd963279127260ec062a90f05d68a95f"
+    s.Fleet.c_digest
+
 let () =
   Alcotest.run "fleet"
     [
@@ -588,5 +611,8 @@ let () =
             (pinned_conf 2 "056ff15f1508891e10f64e1e52564bc9");
           Alcotest.test_case "fleet run, 20 4-party confs at 5% loss" `Quick
             (pinned_conf 4 "967ba69097cc1f5be38f4ffd2ec421ef");
+          Alcotest.test_case "fleet run, 256 3-party confs" `Quick test_pinned_conf3_batch;
+          Alcotest.test_case "churn, 500 3-party confs over 4000 ms" `Quick
+            test_pinned_conf3_churn;
         ] );
     ]

@@ -151,13 +151,6 @@ let mars_flags_use () =
   check_rules ~msg:"Marshal use" [ "MARS001" ]
     (lint ~rel:"lib/mc/keys.ml" "let key s = Marshal.to_string s []\n")
 
-let mars_seed_baseline_allowlisted () =
-  let findings, allowed =
-    lint ~rel:"bench/seed_baseline.ml" "let key s = Marshal.to_string s []\n"
-  in
-  Alcotest.(check (list string)) "no findings" [] (rules findings);
-  Alcotest.(check int) "driver-level waiver recorded" 1 (List.length allowed)
-
 let iface_flags_missing_mli () =
   check_rules ~msg:"lib module without interface" [ "IFACE001" ]
     (lint ~has_mli:false "let x = 1\n")
@@ -472,7 +465,6 @@ let () =
       ( "rules",
         [
           Alcotest.test_case "marshal flagged" `Quick mars_flags_use;
-          Alcotest.test_case "seed baseline allowlisted" `Quick mars_seed_baseline_allowlisted;
           Alcotest.test_case "missing mli flagged" `Quick iface_flags_missing_mli;
           Alcotest.test_case "executables exempt from iface" `Quick iface_ignores_executables;
           Alcotest.test_case "allow needs justification" `Quick allow_requires_justification;

@@ -10,6 +10,7 @@ open Mediactl_apps
 module Policy = Mediactl_net.Policy
 module Impair = Mediactl_net.Impair
 module Reliable = Mediactl_net.Reliable
+module Trace = Mediactl_obs.Trace
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -57,20 +58,30 @@ let test_partition_drops_everything () =
   check tbool "healed" true (Impair.fate t ~chan:"c" = [ 0.0 ]);
   check tbool "other links unaffected" true (Impair.fate t ~chan:"d" = [ 0.0 ])
 
+let jsonl trace =
+  let b = Buffer.create 4096 in
+  Trace.Packed.add_jsonl b trace;
+  Buffer.contents b
+
 (* --- frame transport vs the reliable path ----------------------------- *)
 
-(* Run the relink scenario and return its full message-sequence trace. *)
+(* Run the relink scenario and return its rendered message-sequence
+   chart: every receive of the timed run. *)
 let relink_trace ~attach ~boxes ~j =
   let net, _ = Netsys.run (Relink.build ~boxes ~j) in
-  let sim = Timed.create ~n:34.0 ~c:20.0 net in
-  attach sim;
   let done_at = ref nan in
-  Timed.when_true sim
-    (fun net -> Relink.left_transmits net && Relink.right_transmits net)
-    (fun t -> done_at := t);
-  Timed.apply sim (Relink.relink ~j);
-  let _ = Timed.run sim in
-  (Timed.trace sim, !done_at)
+  let (), trace =
+    Trace.recording_packed (fun () ->
+        let sim = Timed.create ~n:34.0 ~c:20.0 net in
+        Timed.observe sim;
+        attach sim;
+        Timed.when_true sim
+          (fun net -> Relink.left_transmits net && Relink.right_transmits net)
+          (fun t -> done_at := t);
+        Timed.apply sim (Relink.relink ~j);
+        ignore (Timed.run sim))
+  in
+  (Format.asprintf "%a" Trace.pp_msc trace, !done_at)
 
 let prop_zero_loss_bit_identical =
   QCheck2.Test.make ~name:"impaired runs at loss p=0 are bit-identical to unimpaired runs"
@@ -163,14 +174,53 @@ let test_reliable_converges_under_loss () =
 let test_lossy_runs_deterministic () =
   let go () =
     let net, _ = Netsys.run (Relink.build ~boxes:2 ~j:1) in
-    let sim = Timed.create ~seed:11 ~n:34.0 ~c:20.0 net in
-    let impair = Impair.create ~seed:11 ~default:(Policy.lossy ~dup:0.1 ~jitter:4.0 0.2) () in
-    let _rel = Reliable.attach impair sim in
-    Timed.apply sim (Relink.relink ~j:1);
-    let _ = Timed.run sim in
-    (Timed.trace sim, Timed.now sim)
+    let now, trace =
+      Trace.recording_packed (fun () ->
+          let sim = Timed.create ~seed:11 ~n:34.0 ~c:20.0 net in
+          Timed.observe sim;
+          let impair =
+            Impair.create ~seed:11 ~default:(Policy.lossy ~dup:0.1 ~jitter:4.0 0.2) ()
+          in
+          let _rel = Reliable.attach impair sim in
+          Timed.apply sim (Relink.relink ~j:1);
+          ignore (Timed.run sim);
+          Timed.now sim)
+    in
+    (jsonl trace, now)
   in
-  check tbool "equal seeds, identical runs" true (go () = go ())
+  let first = go () in
+  check tbool "recorded" true (fst first <> "");
+  check tbool "equal seeds, identical runs" true (first = go ())
+
+(* The Figure-13 relink at 5% loss with the reliability layer attached,
+   as packed JSONL.  Retransmission timers keep the queue churning, so
+   this is where the timer wheel and the reference heap must agree on
+   every event and its order, equal timestamps included. *)
+let fig13_lossy_jsonl ~sched ~seed =
+  let settle net = fst (Netsys.run net) in
+  let net = settle (Prepaid.build ()) in
+  let net = settle (fst (Prepaid.snapshot1 net)) in
+  let net = settle (fst (Prepaid.snapshot2 net)) in
+  let net = settle (fst (Prepaid.snapshot3 net)) in
+  let (), trace =
+    Trace.recording_packed (fun () ->
+        let sim = Timed.create ~seed ~sched ~n:34.0 ~c:20.0 net in
+        Timed.observe sim;
+        let impair = Impair.create ~seed ~default:(Policy.lossy 0.05) () in
+        let _rel = Reliable.attach impair sim in
+        Timed.apply sim Prepaid.snapshot4_pc;
+        Timed.apply sim Prepaid.snapshot4_pbx;
+        ignore (Timed.run sim))
+  in
+  jsonl trace
+
+let test_wheel_matches_heap () =
+  for seed = 7000 to 7024 do
+    check Alcotest.string
+      (Printf.sprintf "seed %d" seed)
+      (fig13_lossy_jsonl ~sched:Mediactl_sim.Engine.Heap ~seed)
+      (fig13_lossy_jsonl ~sched:Mediactl_sim.Engine.Wheel ~seed)
+  done
 
 let test_partition_heal_recovers () =
   let sim = Timed.create ~seed:9 ~n:34.0 ~c:20.0 (two_box ()) in
@@ -221,5 +271,10 @@ let () =
           Alcotest.test_case "deterministic in the seed" `Quick test_lossy_runs_deterministic;
           Alcotest.test_case "partition then heal" `Quick test_partition_heal_recovers;
           Alcotest.test_case "timeout gives up" `Quick test_timeout_gives_up;
+        ] );
+      ( "scheduler",
+        [
+          Alcotest.test_case "wheel and heap agree on the Fig. 13 relink" `Quick
+            test_wheel_matches_heap;
         ] );
     ]

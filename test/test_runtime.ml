@@ -142,22 +142,32 @@ let test_timed_trace_is_chronological () =
   let net = List.fold_left Netsys.add_box Netsys.empty [ "L"; "R" ] in
   let net = Netsys.connect net ~chan:"c" ~initiator:"L" ~acceptor:"R" () in
   let net, _ = Netsys.bind_hold net (Netsys.slot_ref ~box:"R" ~chan:"c" ()) (local "R" "10.0.0.2") in
-  let sim = Timed.create net in
-  Timed.apply sim (fun net ->
-      Netsys.bind_open net (Netsys.slot_ref ~box:"L" ~chan:"c" ()) (local "L" "10.0.0.1")
-        Medium.Audio);
-  let _ = Timed.run sim in
-  let trace = Timed.trace sim in
+  let module T = Mediactl_obs.Trace in
+  let (), packed =
+    T.recording_packed (fun () ->
+        let sim = Timed.create net in
+        Timed.observe sim;
+        Timed.apply sim (fun net ->
+            Netsys.bind_open net (Netsys.slot_ref ~box:"L" ~chan:"c" ()) (local "L" "10.0.0.1")
+              Medium.Audio);
+        ignore (Timed.run sim))
+  in
+  let trace =
+    List.filter_map
+      (fun (e : T.event) ->
+        match e.T.kind with T.Sig_recv s -> Some (e.T.at, s) | _ -> None)
+      (T.Packed.to_events packed)
+  in
   (* open, oack, select, select *)
   check tint "four signals" 4 (List.length trace);
   let rec sorted = function
     | [] | [ _ ] -> true
-    | a :: (b :: _ as rest) -> a.Timed.at <= b.Timed.at && sorted rest
+    | (a, _) :: ((b, _) :: _ as rest) -> a <= b && sorted rest
   in
   check tbool "chronological" true (sorted trace);
   check tbool "first is the open" true
     (match trace with
-    | e :: _ -> Mediactl_types.Signal.name e.Timed.signal = "open" && e.Timed.to_box = "R"
+    | (_, s) :: _ -> Mediactl_types.Signal.name s.T.signal = "open" && s.T.box = "R"
     | [] -> false)
 
 let prop_lines_settle =
