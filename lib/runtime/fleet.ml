@@ -242,8 +242,6 @@ type shard_report = {
   sr_slots : int;
   sr_minor : float;
   sr_promoted : float;
-  sr_minor_cols : int;
-  sr_major_cols : int;
   sr_max_pause : float;
   sr_max_batch : float;
   sr_pause_batches : int;
@@ -340,6 +338,11 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
   end;
   let total = Vec.length ats in
   let shard k () =
+    (* The words window opens before the arrival prefill and reads this
+       domain's own counters: [Gc.quick_stat]'s word totals cover every
+       domain, so summing its per-shard deltas would count each word
+       once per shard. *)
+    let minor0, promoted0, _ = Gc.counters () in
     let wheel = Twheel.create () in
     let seqr = ref 0 in
     for i = 0 to total - 1 do
@@ -380,7 +383,6 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
       Spool.release pool slot
     in
     let scratch = Vec.create () in
-    let g0 = Gc.quick_stat () in
     let acct = { pa_max_pause = 0.0; pa_max_batch = 0.0; pa_pause_batches = 0 } in
     (* Named [on_tick], not [dispatch]: the callgraph resolves
        same-file names syntactically, so reusing the [drain_wheel]
@@ -413,7 +415,7 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
     in
     drain_wheel wheel scratch acct on_tick;
     Spool.iter_live (fun slot _ -> retire_slot slot) pool;
-    let g1 = Gc.quick_stat () in
+    let minor1, promoted1, _ = Gc.counters () in
     {
       sr_acc = acc;
       sr_started = !started;
@@ -427,15 +429,15 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
       sr_digest = digest;
       sr_peak = Spool.peak pool;
       sr_slots = Spool.capacity pool;
-      sr_minor = g1.Gc.minor_words -. g0.Gc.minor_words;
-      sr_promoted = g1.Gc.promoted_words -. g0.Gc.promoted_words;
-      sr_minor_cols = g1.Gc.minor_collections - g0.Gc.minor_collections;
-      sr_major_cols = g1.Gc.major_collections - g0.Gc.major_collections;
+      sr_minor = minor1 -. minor0;
+      sr_promoted = promoted1 -. promoted0;
       sr_max_pause = acct.pa_max_pause;
       sr_max_batch = acct.pa_max_batch;
       sr_pause_batches = acct.pa_pause_batches;
     }
   in
+  (* Collections are process-wide: one delta around all the shards. *)
+  let g0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let reports =
     if jobs = 1 then [ shard 0 () ]
@@ -478,8 +480,8 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
       {
         minor_words = sumf (fun r -> r.sr_minor);
         promoted_words = sumf (fun r -> r.sr_promoted);
-        minor_collections = sum (fun r -> r.sr_minor_cols);
-        major_collections = sum (fun r -> r.sr_major_cols);
+        minor_collections = g_end.Gc.minor_collections - g0.Gc.minor_collections;
+        major_collections = g_end.Gc.major_collections - g0.Gc.major_collections;
         heap_words = g_end.Gc.heap_words;
         top_heap_words = g_end.Gc.top_heap_words;
         max_pause_s = maxf (fun r -> r.sr_max_pause);

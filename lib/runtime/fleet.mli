@@ -80,10 +80,12 @@ val digest : Session.outcome list -> string
     per-session outcome behind it — is bit-identical whatever [jobs]
     is. *)
 
-(** GC observation aggregated over the shard drive loops.  Word and
-    collection counts are [Gc.quick_stat] deltas summed across shards
-    (minor figures are per-domain in OCaml 5; heap figures describe
-    the shared major heap).  [max_pause_s] is a {e proxy}, not a
+(** GC observation over the shards.  Word counts are each shard's
+    domain-local [Gc.counters] delta, from before its arrival prefill
+    to after its final drain, summed across shards.  Collection counts
+    are one process-wide [Gc.quick_stat] delta around all the shards,
+    since a collection in OCaml 5 involves every domain; heap figures
+    describe the shared major heap.  [max_pause_s] is a {e proxy}, not a
     stop-the-world measurement: the wall time of the slowest
     [Twheel.drain_due] batch (at most {!churn} batch size events)
     during which the collection count advanced — an upper bound that

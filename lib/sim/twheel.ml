@@ -9,7 +9,14 @@
    the time an event is delivered it sits in a level-0 slot of its exact
    tick.  Buckets are sorted by (key, seq) as they become due, which
    makes the pop order exactly the (key, seq) lexicographic order of the
-   reference heap ({!Pqueue}), including the FIFO tie-break. *)
+   reference heap ({!Pqueue}), including the FIFO tie-break.
+
+   A cell whose tick is at or behind the cursor is already due.  It is
+   consed onto the unsorted [late] list, and [settle] sorts that list
+   once and merges it into [ready] before anything reads [ready]: so a
+   burst of n due inserts (churn's t = 0 prefill puts its whole
+   population at one key) costs one O(n log n) sort, not n walks of a
+   sorted list. *)
 
 let bits = 5
 let wsize = 1 lsl bits (* 32 slots per level *)
@@ -24,6 +31,7 @@ type 'a t = {
   occ : int array; (* per-level slot-occupancy bitmask *)
   mutable cur : int; (* cursor tick, in level-0 granularity *)
   mutable ready : 'a cell list; (* due cells, sorted by (key, seq) *)
+  mutable late : 'a cell list; (* due cells not yet merged into [ready], unsorted *)
   mutable overflow : 'a cell list; (* beyond the wheel's horizon *)
   mutable size : int;
 }
@@ -36,6 +44,7 @@ let create ?(resolution = 1.0) () =
     occ = Array.make levels 0;
     cur = 0;
     ready = [];
+    late = [];
     overflow = [];
     size = 0;
   }
@@ -48,26 +57,41 @@ let horizon = bits * levels
 let cell_precedes a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
 
 (* Every list the wheel stores is a cons chain; re-linking a cell as it
-   cascades down the levels or merges into [ready] IS the data
-   structure, not incidental garbage.  Each cell is re-consed at most
-   [levels] + O(bucket) times over its lifetime, so E15 charges the
-   linkage to scheduling, and the steady-state drain figure already
-   includes it — hence the binding-level waivers below. *)
-let rec insert_sorted cell = function
-  | [] -> [ cell ]
-  | c :: _ as l when cell_precedes cell c -> cell :: l
-  | c :: rest -> c :: insert_sorted cell rest
-[@@lint.allow "alloc: sorted-bucket linkage; amortized O(levels) conses per cell, E15 charges it to scheduling"]
+   cascades down the levels, goes onto [late] or merges into [ready] IS
+   the data structure, not incidental garbage.  Each cell is re-consed
+   at most [levels] + O(bucket) times over its lifetime, so the linkage
+   is charged to scheduling — hence the waivers below. *)
 
 (* Hoisted so [sort_cells] passes a static closure, not a fresh one per
-   refill. *)
+   settle. *)
 let cell_compare a b = if cell_precedes a b then -1 else 1
 
 let sort_cells cells =
   (List.sort cell_compare cells
   [@lint.allow
-    "alloc: one sort per due bucket; bucket lists are short and the work is already counted \
-     in E15's drain phase"])
+    "alloc: one sort per due bucket or late burst; O(n log n) once per burst, where a sorted \
+     insert would walk the due list per cell"])
+
+(* Copies [ready] only up to the last late cell and shares the rest;
+   tail-modulo-cons keeps the stack flat however long [ready] is. *)
+let[@tail_mod_cons] rec merge ready late =
+  match ready with
+  | [] -> late
+  | r :: ready' -> (
+    match late with
+    | [] -> ready
+    | l :: late' ->
+      if cell_precedes l r then l :: merge ready late' else r :: merge ready' late)
+[@@lint.allow "alloc: due-list linkage; one cons per merged cell, same cons-chain budget as the buckets"]
+
+(* Every reader of [ready] settles first.  When nothing is due yet,
+   [merge] returns the sorted late list itself. *)
+let settle t =
+  match t.late with
+  | [] -> ()
+  | cells ->
+    t.late <- [];
+    t.ready <- merge t.ready (sort_cells cells)
 
 (* The level at which [tick] and [cur] first share every
    more-significant digit; digits below it differ, so the slot index at
@@ -79,7 +103,10 @@ let rec level_of ~tick ~cur l =
 
 let place t cell =
   let tick = tick_of t cell.key in
-  if tick <= t.cur then t.ready <- insert_sorted cell t.ready
+  if tick <= t.cur then
+    t.late <-
+      (cell :: t.late
+      [@lint.allow "alloc: late linkage; same cons-chain budget as the buckets"])
   else if tick lsr horizon <> t.cur lsr horizon then
     t.overflow <-
       (cell :: t.overflow
@@ -89,7 +116,7 @@ let place t cell =
     let slot = (tick lsr (bits * l)) land wmask in
     t.slots.(l).(slot) <-
       (cell :: t.slots.(l).(slot)
-      [@lint.allow "alloc: bucket linkage; same cons-chain budget as [insert_sorted]"]);
+      [@lint.allow "alloc: bucket linkage; amortized O(levels) conses per cell, charged to scheduling"]);
     t.occ.(l) <- t.occ.(l) lor (1 lsl slot)
   end
 
@@ -125,11 +152,6 @@ let next_occupied mask from =
     let m = mask land (-1 lsl from) in
     if m = 0 then -1 else lowbit_idx m 0
 
-(* Move the next due bucket into [ready].  Precondition: [ready] is
-   empty and at least one cell is stored in the wheel or the overflow
-   list.  Scans each level from just past the cursor's digit; a hit at
-   level 0 is the bucket, a hit higher up jumps the cursor to that
-   slot's base tick and cascades its cells down before rescanning. *)
 (* Earliest tick among [cells]; monomorphic int compare (a polymorphic
    [min] would box nothing here but trips ALLOC001's float-boxing rule,
    and the explicit compare is free anyway). *)
@@ -139,6 +161,14 @@ let rec min_tick t acc = function
     let k = tick_of t c.key in
     min_tick t (if k < acc then k else acc) tl
 
+(* Advance the cursor to the next occupied slot.  Precondition: [ready]
+   and [late] are empty and at least one cell is stored in the wheel or
+   the overflow list.  Scans each level from just past the cursor's
+   digit; a hit at level 0 is the due bucket, sorted into [ready]; a
+   hit higher up jumps the cursor to that slot's base tick and cascades
+   its cells down, those at the new cursor tick landing in [late].  So
+   after a cascade or a rebase [fill] must settle before it reads
+   [ready] again. *)
 let rec refill t l =
   if l >= levels then begin
     (* Wheel exhausted: everything left lives past the horizon.  Rebase
@@ -146,8 +176,7 @@ let rec refill t l =
     let cells = t.overflow in
     t.overflow <- [];
     t.cur <- min_tick t max_int cells;
-    place_all t cells;
-    if t.ready = [] then refill t 0
+    place_all t cells
   end
   else begin
     let digit = (t.cur lsr (bits * l)) land wmask in
@@ -157,33 +186,35 @@ let rec refill t l =
       let prefix = t.cur lsr (bits * (l + 1)) in
       t.cur <- ((prefix lsl bits) lor i) lsl (bits * l);
       let cells = take_slot t l i in
-      if l = 0 then t.ready <- sort_cells cells
-      else begin
-        place_all t cells;
-        if t.ready = [] then refill t 0
-      end
+      if l = 0 then t.ready <- sort_cells cells else place_all t cells
     end
   end
 
-let rec pop t =
-  match t.ready with
-  | c :: rest ->
-    t.ready <- rest;
-    t.size <- t.size - 1;
-    Some (c.key, c.seq, c.value)
-  | [] ->
-    if t.size = 0 then None
-    else begin
-      refill t 0;
-      pop t
-    end
+(* Make the earliest cells due: settle [late] into [ready], and advance
+   the cursor until something is.  Precondition: [size > 0]. *)
+let rec fill t =
+  settle t;
+  if t.ready = [] then begin
+    refill t 0;
+    fill t
+  end
+
+let pop t =
+  if t.size = 0 then None
+  else begin
+    fill t;
+    match t.ready with
+    | c :: rest ->
+      t.ready <- rest;
+      t.size <- t.size - 1;
+      Some (c.key, c.seq, c.value)
+    | [] -> None
+  end
 
 let peek_key t =
   if t.size = 0 then None
   else begin
-    while t.ready = [] do
-      refill t 0
-    done;
+    fill t;
     match t.ready with
     | c :: _ -> Some c.key
     | [] -> None
@@ -198,9 +229,7 @@ let peek_key t =
 let next_key t =
   if t.size = 0 then nan
   else begin
-    while t.ready = [] do
-      refill t 0
-    done;
+    fill t;
     match t.ready with
     | c :: _ -> c.key
     | [] -> nan
@@ -233,9 +262,7 @@ let rec drain_go t out ~max ~key n =
 let drain_due t ~max out =
   if max <= 0 || t.size = 0 then 0
   else begin
-    while t.ready = [] do
-      refill t 0
-    done;
+    fill t;
     match t.ready with
     | [] -> 0
     | first :: _ ->

@@ -5,9 +5,17 @@
     resolution)]; becoming-due buckets are sorted by [(key, seq)], so
     the pop order is {e exactly} the order of the reference leftist heap
     ({!Pqueue}), including the FIFO tie-break among equal keys — a
-    property the test suite checks with qcheck.  Insert and pop are
-    amortised O(1) against the heap's O(log n), which matters because
-    per-event scheduling dominates the simulation kernels.
+    property the test suite checks with qcheck.
+
+    Cost: {!insert} is O(1).  A cell ahead of the cursor is consed onto
+    its bucket; a cell already due (its tick at or behind the cursor's)
+    is consed onto an unsorted late list.  Ordering is paid once, where
+    cells become due: a bucket is sorted when the cursor reaches it, and
+    the late list is sorted and merged into the due list by the next
+    {!pop}, {!peek_key}, {!next_key} or {!drain_due}.  Taking a cell off
+    the due list is O(1), and advancing the cursor re-links each cell at
+    most once per level.  So n inserts at one key cost one O(n log n)
+    sort, where the heap pays O(log n) per insert and per pop.
 
     Resolution bounds: keys must be non-negative and the wheel spans
     [32^8] ticks (about 35 years of simulated time at the default 1 ms

@@ -379,6 +379,23 @@ let test_conf_churn_jobs_independent () =
   check tint "lossy conf churn conformant" retired conformant;
   check tint "every retiree satisfied closed-or-flowing" retired satisfied
 
+(* Each shard counts only its own domain's words, so the same churn
+   split across two domains reports about the words it reports on one;
+   the small excess is the second domain's own set-up. *)
+let test_churn_minor_words_per_domain () =
+  let minor jobs =
+    let s =
+      Fleet.churn ~jobs ~target_population:300 ~mean_holding:1_000.0 ~duration:1_000.0
+        ~seed:13 (fun ~id ~rng -> Scenario.churn_session Scenario.Path ~id ~rng)
+    in
+    s.Fleet.c_gc.Fleet.minor_words
+  in
+  let m1 = minor 1 and m2 = minor 2 in
+  check tbool
+    (Printf.sprintf "jobs 2 reports %.0f minor words, jobs 1 %.0f (at most 1.15x)" m2 m1)
+    true
+    (m1 > 0.0 && m2 <= 1.15 *. m1)
+
 (* --- shared starts --------------------------------------------------------- *)
 
 (* One case per distinct start build, each run through the lifecycle
@@ -587,6 +604,8 @@ let () =
             test_conf_churn_jobs_independent;
           Alcotest.test_case "horizon drain retires everything" `Quick
             test_churn_retires_everything;
+          Alcotest.test_case "minor words counted once at jobs 2" `Quick
+            test_churn_minor_words_per_domain;
         ] );
       ( "starts",
         [

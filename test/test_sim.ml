@@ -250,6 +250,121 @@ let test_twheel_drain_max () =
   check tint "next key drains alone" 1 n3;
   check tbool "later key untouched until due" true (Vec.to_list out = [ 5 ])
 
+(* The due path: capped drains leave part of an equal-key batch in the
+   due list, and the inserts between drains land at the key just
+   drained, inside the cursor's current tick, or ahead of it.  The
+   first two are already due, so they wait in the late list and are
+   merged into a non-empty due list; the reference heap pops the same
+   cells one at a time.  Each drained cell must be the heap's next pop,
+   and a drain that stops short of its cap must have taken the whole
+   equal-key run. *)
+let prop_twheel_capped_drain_merge =
+  QCheck2.Test.make ~name:"capped drains merging due inserts match per-event heap pops"
+    ~count:300
+    QCheck2.Gen.(
+      triple (float_range 0.25 4.0)
+        (list_size (int_range 1 60) (int_range 0 40))
+        (list_size (int_range 1 80)
+           (pair (int_range 1 8)
+              (list_size (int_range 0 3) (pair (int_range 0 2) (int_range 0 12))))))
+    (fun (resolution, keys, script) ->
+      let w = Twheel.create ~resolution () in
+      let h = ref Pqueue.empty in
+      let seq = ref 0 in
+      let insert key =
+        Twheel.insert w ~key ~seq:!seq !seq;
+        h := Pqueue.insert !h ~key ~seq:!seq !seq;
+        incr seq
+      in
+      List.iter (fun k -> insert (float_of_int k /. 4.0)) keys;
+      let out = Vec.create () in
+      let ok = ref true in
+      let script = ref script in
+      while not (Twheel.is_empty w) do
+        let cap, inserts =
+          match !script with
+          | step :: rest ->
+            script := rest;
+            step
+          | [] -> (8, [])
+        in
+        let due = Twheel.next_key w in
+        Vec.clear out;
+        let n = Twheel.drain_due w ~max:cap out in
+        if n < 1 || n > cap then ok := false;
+        for i = 0 to n - 1 do
+          match pop_heap h with
+          | Some (k, _, v) -> if not (Float.equal k due) || v <> Vec.get out i then ok := false
+          | None -> ok := false
+        done;
+        (if n < cap then
+           match Pqueue.peek_key !h with
+           | Some k -> if k <= due then ok := false
+           | None -> ());
+        let tick_end = Float.of_int (int_of_float (due /. resolution) + 1) *. resolution in
+        List.iter
+          (fun (where, o) ->
+            insert
+              (match where with
+              | 0 -> due
+              | 1 -> due +. ((tick_end -. due) *. float_of_int o /. 13.0)
+              | _ -> tick_end +. (resolution *. float_of_int o /. 4.0)))
+          inserts
+      done;
+      !ok && Pqueue.size !h = 0)
+
+(* A burst of due inserts costs one sort, not a sorted insert each:
+   10,000 cells at one key, drained 64 at a time, allocate a bounded
+   number of words per cell (under 50 in a dev build, nearly all of it
+   the sort; a sorted insert per cell costs about 15,000). *)
+let test_twheel_due_burst_linear () =
+  let n = 10_000 in
+  let w = Twheel.create () in
+  let out = Vec.create () in
+  let words0 = Gc.minor_words () in
+  for seq = 0 to n - 1 do
+    Twheel.insert w ~key:0.0 ~seq seq
+  done;
+  let drained = ref 0 in
+  while not (Twheel.is_empty w) do
+    Vec.clear out;
+    drained := !drained + Twheel.drain_due w ~max:64 out
+  done;
+  let per_cell = (Gc.minor_words () -. words0) /. float_of_int n in
+  check tint "every cell drained" n !drained;
+  check tbool
+    (Printf.sprintf "%.1f minor words per cell (at most 100)" per_cell)
+    true (per_cell <= 100.0)
+
+(* Merging a late cell behind a long due list must not take a stack
+   frame per due cell: a shard's population can be 10^5-10^6 cells.
+   The drain runs under a 16k-word stack limit, which a frame per
+   cell of 100,000 would overflow. *)
+let test_twheel_merge_flat_stack () =
+  let n = 100_000 in
+  let w = Twheel.create () in
+  for seq = 0 to n - 1 do
+    Twheel.insert w ~key:0.0 ~seq seq
+  done;
+  let out = Vec.create () in
+  let first = Twheel.drain_due w ~max:1 out in
+  Twheel.insert w ~key:0.5 ~seq:n n;
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.stack_limit = 16_384 };
+  let drained =
+    Fun.protect
+      ~finally:(fun () -> Gc.set saved)
+      (fun () ->
+        let drained = ref first in
+        while not (Twheel.is_empty w) do
+          Vec.clear out;
+          drained := !drained + Twheel.drain_due w ~max:4096 out
+        done;
+        !drained)
+  in
+  check tint "every cell drained" (n + 1) drained;
+  check tint "the late cell comes last" n (Vec.get out (Vec.length out - 1))
+
 (* End-to-end: an engine under each scheduler, with handlers that keep
    scheduling (including zero delays, which tie with the current time),
    must deliver the identical event sequence. *)
@@ -515,6 +630,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_twheel_overflow;
           QCheck_alcotest.to_alcotest prop_twheel_drain_batch;
           QCheck_alcotest.to_alcotest prop_twheel_drain_reschedule;
+          QCheck_alcotest.to_alcotest prop_twheel_capped_drain_merge;
+          Alcotest.test_case "due burst allocates linearly" `Quick test_twheel_due_burst_linear;
+          Alcotest.test_case "merge keeps the stack flat" `Quick test_twheel_merge_flat_stack;
         ] );
       ( "rng",
         [
