@@ -49,9 +49,10 @@ type event = { seq : int; at : float; kind : kind }
    are per-domain artifacts that must never cross a domain boundary,
    so the snapshot — always taken on the owning domain — rewrites each
    into an index into a per-snapshot array of decoded (interned)
-   [Signal.t] values.  String ids need no rewriting: a snapshot shares
-   the intern table itself (see [Packed.t]).  A packed trace can then
-   be shipped to and decoded on any domain. *)
+   [Signal.t] values; the words themselves are kept beside them only
+   for the owning domain's JSONL memo.  String ids need no rewriting: a
+   snapshot shares the intern table itself (see [Packed.t]).  A packed
+   trace can then be shipped to and decoded on any domain. *)
 
 let stride = 7
 
@@ -110,7 +111,16 @@ let decision_of_code code extra =
    usually a pointer compare rather than a [caml_hash]. *)
 let str_cache_size = 256
 
+(* Every ring gets an id no other ring in the process ever has.  A
+   snapshot carries its ring's id as its {e home}: the one domain on
+   which its string ids and signal words mean what the domain's tables
+   say (see [Packed.add_jsonl] and [Packed.append]).  Ids start at 1;
+   0 is no home. *)
+let no_home = 0
+let next_ring_id = Atomic.make 1
+
 type ring = {
+  r_id : int;
   mutable ints : int array;  (* [stride] words per event *)
   mutable ats : float array;  (* one unboxed timestamp per event *)
   mutable rlen : int;  (* events recorded since the last drain *)
@@ -118,10 +128,13 @@ type ring = {
   mutable strs : string array;  (* id -> string; replaced, never rewritten, on growth *)
   mutable nstrs : int;
   str_cache : (string, int) Ident_cache.t;
+  mutable memo_keys : int array;  (* the JSONL memo: [stride] words per slot, empty until used *)
+  mutable memo_tails : string array;  (* per slot: the line after its timestamp *)
 }
 
 let fresh_ring () =
   {
+    r_id = Atomic.fetch_and_add next_ring_id 1;
     ints = [||];
     ats = [||];
     rlen = 0;
@@ -130,6 +143,8 @@ let fresh_ring () =
     nstrs = 0;
     (* a fresh block no caller can hold *)
     str_cache = Ident_cache.create str_cache_size ~absent:(String.make 1 '\000') 0;
+    memo_keys = [||];
+    memo_tails = [||];
   }
 
 (* [Hashtbl.find] rather than [find_opt]: the miss path must not
@@ -207,7 +222,9 @@ let enabled () = (ctx ()).on
 let set_clock f = (ctx ()).clock <- f
 let reset_clock () = (ctx ()).clock <- (fun () -> 0.0)
 
-(* Ring writers, one per entry shape.  Unused fields stay 0. *)
+(* Ring writers, one per entry shape.  Each writes all [stride] words,
+   unused fields as 0, so that equal entries are equal word for word
+   whatever the ring slot held before (the JSONL memo keys on them). *)
 
 let ring_sig c tag ~chan ~tun ~box ~peer ~initiator signal =
   let r = c.ring in
@@ -229,7 +246,11 @@ let ring_meta c tag ~chan ~box =
   let ints = r.ints in
   ints.(base) <- tag;
   ints.(base + 1) <- str_id r chan;
-  ints.(base + 2) <- str_id r box
+  ints.(base + 2) <- str_id r box;
+  ints.(base + 3) <- 0;
+  ints.(base + 4) <- 0;
+  ints.(base + 5) <- 0;
+  ints.(base + 6) <- 0
 
 let ring_quad c tag a b d e =
   let r = c.ring in
@@ -240,7 +261,9 @@ let ring_quad c tag a b d e =
   ints.(base + 1) <- str_id r a;
   ints.(base + 2) <- str_id r b;
   ints.(base + 3) <- str_id r d;
-  ints.(base + 4) <- str_id r e
+  ints.(base + 4) <- str_id r e;
+  ints.(base + 5) <- 0;
+  ints.(base + 6) <- 0
 
 let ring_net c ~chan decision =
   let r = c.ring in
@@ -250,7 +273,10 @@ let ring_net c ~chan decision =
   ints.(base) <- tag_net;
   ints.(base + 1) <- str_id r chan;
   ints.(base + 2) <- code_of_decision decision;
-  ints.(base + 3) <- decision_extra decision
+  ints.(base + 3) <- decision_extra decision;
+  ints.(base + 4) <- 0;
+  ints.(base + 5) <- 0;
+  ints.(base + 6) <- 0
 
 let emit kind =
   let c = ctx () in
@@ -313,7 +339,9 @@ let net ~chan decision =
    below escape strings and print integers in place, building no
    intermediate string.  [event_to_json] drives them from a structured
    event, [Packed.add_jsonl] from the flat arrays of a packed trace
-   without decoding its entries — the same bytes either way. *)
+   without decoding its entries — the same bytes either way.  On its
+   home domain [Packed.add_jsonl] also remembers what they wrote for
+   each entry (the memo below), and copies that for an equal entry. *)
 
 let hex = "0123456789abcdef"
 
@@ -416,12 +444,14 @@ let kind_name tag =
   else if tag = tag_goal then "goal"
   else "net"
 
-(* The object's opening: sequence number, timestamp, and the kind. *)
-let add_head b ~seq ~at tag =
+(* The object's opening: sequence number and timestamp, then the kind. *)
+let add_stamp b ~seq ~at =
   Buffer.add_string b "{\"seq\":";
   add_int b seq;
   Buffer.add_string b ",\"t\":";
-  add_ms b at;
+  add_ms b at
+
+let add_kind b tag =
   Buffer.add_string b ",\"kind\":\"";
   Buffer.add_string b (kind_name tag);
   Buffer.add_char b '"'
@@ -476,7 +506,10 @@ let add_meta_fields b ~chan ~box =
   add_str_field b "box" box
 
 let add_event b (e : event) =
-  let head tag = add_head b ~seq:e.seq ~at:e.at tag in
+  let head tag =
+    add_stamp b ~seq:e.seq ~at:e.at;
+    add_kind b tag
+  in
   let sig_entry tag s =
     head tag;
     add_sig_fields b ~chan:s.chan ~tun:s.tun ~box:s.box ~peer:s.peer ~initiator:s.initiator;
@@ -519,7 +552,13 @@ module Packed = struct
      ids into a new array and leaves the old one as it was.  A snapshot
      therefore reads [p_strs] only below [p_nstrs], and while the
      recording domain keeps appending above that count, no location a
-     snapshot reads is ever written again. *)
+     snapshot reads is ever written again.
+
+     [p_home] is the id of the ring whose table the string ids index
+     and whose domain packed the signal words in [p_words]; it is an
+     int, never the ring itself, which is mutable and stays on its
+     domain.  A trace whose entries come from more than one ring has
+     no home. *)
   type t = {
     p_base : int;  (* sequence number of the first entry *)
     p_len : int;
@@ -530,6 +569,8 @@ module Packed = struct
     p_strs : string array;  (* string id -> string, shared with the table *)
     p_nstrs : int;  (* the ids this snapshot may read *)
     p_sigs : Signal.t array;  (* per-snapshot: signal index -> signal *)
+    p_words : int array;  (* signal index -> its [Signal_pack] word; empty without a home *)
+    p_home : int;
   }
 
   let length t = t.p_len
@@ -590,32 +631,88 @@ module Packed = struct
       f (event t i)
     done
 
-  (* Each distinct signal's fields are rendered once per trace and then
-     copied for every entry that carries it. *)
-  let add_jsonl b t =
-    let scratch = Buffer.create 128 in
-    let frags =
-      Array.map
-        (fun signal ->
-          Buffer.clear scratch;
-          add_signal scratch signal;
-          Buffer.contents scratch)
-        t.p_sigs
+  (* Signal [k] of the trace: rendered the first time an entry carries
+     it, and copied from [frags] for every later one. *)
+  let add_frag b t frags k =
+    if String.length frags.(k) > 0 then Buffer.add_string b frags.(k)
+    else begin
+      let start = Buffer.length b in
+      add_signal b t.p_sigs.(k);
+      frags.(k) <- Buffer.sub b start (Buffer.length b - start)
+    end
+
+  (* Entry [i]'s line after its timestamp, through the newline. *)
+  let add_tail b t frags i =
+    let tg = tag t i in
+    add_kind b tg;
+    if tg = tag_sig_send || tg = tag_sig_recv then begin
+      add_sig_fields b ~chan:(str t i 1) ~tun:(field t i 2) ~box:(str t i 3) ~peer:(str t i 4)
+        ~initiator:(field t i 5 = 1);
+      add_frag b t frags (field t i 6)
+    end
+    else if tg = tag_meta_send || tg = tag_meta_recv then
+      add_meta_fields b ~chan:(str t i 1) ~box:(str t i 2)
+    else if tg = tag_slot || tg = tag_goal then
+      add_quad_fields b tg (str t i 1) (str t i 2) (str t i 3) (str t i 4)
+    else add_net_fields b ~chan:(str t i 1) ~code:(field t i 2) ~extra:(field t i 3);
+    Buffer.add_string b "}\n"
+
+  (* The JSONL memo.  On a trace's home domain, [add_jsonl] keeps each
+     entry's tail — what [add_tail] writes — in a direct-mapped table in
+     the domain's ring.  The key is the entry's [stride] words with a
+     signal entry's per-snapshot index replaced by the signal's
+     [Signal_pack] word.  On its domain a key always renders the same
+     bytes: the string table is append-only and the signal tables are
+     never cleared.  An entry whose whole key sits in its slot is copied
+     from there; any other is rendered and takes the slot over.  The
+     sessions of one scenario on one domain repeat their entries' shapes,
+     and then nearly every entry is a copy. *)
+  let memo_slots = 2048
+
+  let memo_mix h x = (h lxor x) * 0x2545F4914F6CDD1D
+
+  (* Words 0 to 5 of an entry; word 6 is the signal's, and differs
+     between the entry and its key. *)
+  let rec mix_words ints base k h =
+    if k = 6 then h else mix_words ints base (k + 1) (memo_mix h ints.(base + k))
+
+  let rec same_words keys kb ints base k =
+    k = 6 || (keys.(kb + k) = ints.(base + k) && same_words keys kb ints base (k + 1))
+
+  let memo_init r =
+    if Array.length r.memo_keys = 0 then begin
+      r.memo_keys <- Array.make (memo_slots * stride) (-1);
+      r.memo_tails <- Array.make memo_slots ""
+    end
+
+  let add_tail_memo b r t frags i =
+    let ints = t.p_ints and base = i * stride in
+    let tg = ints.(base) in
+    let w =
+      if tg = tag_sig_send || tg = tag_sig_recv then t.p_words.(ints.(base + 6))
+      else ints.(base + 6)
     in
+    let h = memo_mix (mix_words ints base 0 0) w in
+    let slot = (h lxor (h lsr 32)) land (memo_slots - 1) in
+    let keys = r.memo_keys and kb = slot * stride in
+    if same_words keys kb ints base 0 && keys.(kb + 6) = w then
+      Buffer.add_string b r.memo_tails.(slot)
+    else begin
+      let start = Buffer.length b in
+      add_tail b t frags i;
+      Array.blit ints base keys kb 6;
+      keys.(kb + 6) <- w;
+      r.memo_tails.(slot) <- Buffer.sub b start (Buffer.length b - start)
+    end
+
+  let add_jsonl b t =
+    let frags = Array.make (Array.length t.p_sigs) "" in
+    let r = (ctx ()).ring in
+    let home = t.p_home = r.r_id in
+    if home then memo_init r;
     for i = 0 to t.p_len - 1 do
-      let tg = tag t i in
-      add_head b ~seq:(seq t i) ~at:(at t i) tg;
-      if tg = tag_sig_send || tg = tag_sig_recv then begin
-        add_sig_fields b ~chan:(str t i 1) ~tun:(field t i 2) ~box:(str t i 3) ~peer:(str t i 4)
-          ~initiator:(field t i 5 = 1);
-        Buffer.add_string b frags.(field t i 6)
-      end
-      else if tg = tag_meta_send || tg = tag_meta_recv then
-        add_meta_fields b ~chan:(str t i 1) ~box:(str t i 2)
-      else if tg = tag_slot || tg = tag_goal then
-        add_quad_fields b tg (str t i 1) (str t i 2) (str t i 3) (str t i 4)
-      else add_net_fields b ~chan:(str t i 1) ~code:(field t i 2) ~extra:(field t i 3);
-      Buffer.add_string b "}\n"
+      add_stamp b ~seq:(seq t i) ~at:(at t i);
+      if home then add_tail_memo b r t frags i else add_tail b t frags i
     done
 
   let empty =
@@ -627,74 +724,102 @@ module Packed = struct
       p_strs = [||];
       p_nstrs = 0;
       p_sigs = [||];
+      p_words = [||];
+      p_home = no_home;
     }
   [@@lint.allow "race: the arrays are zero-length — nothing to mutate, safe to share"]
 
-  (* Join two snapshots into one trace.  Each carries its own string
-     table, read up to its count, so the second segment's string ids
-     and signal indices are rewritten against the merged tables;
-     timestamps are kept verbatim (the segments come from consecutive
-     recording brackets over one session clock). *)
+  (* The string table of two traces with no common home: [a]'s up to
+     its count, then each string of [b]'s that [a] lacks.  Returns it
+     with its count and the map from [b]'s ids to its own. *)
+  let merge_strs a b =
+    let ids : (string, int) Hashtbl.t = Hashtbl.create a.p_nstrs in
+    for i = 0 to a.p_nstrs - 1 do
+      if not (Hashtbl.mem ids a.p_strs.(i)) then Hashtbl.add ids a.p_strs.(i) i
+    done;
+    let extra = ref [] in
+    let nstrs = ref a.p_nstrs in
+    let remap =
+      Array.init b.p_nstrs (fun j ->
+          let s = b.p_strs.(j) in
+          match Hashtbl.find_opt ids s with
+          | Some i -> i
+          | None ->
+            let i = !nstrs in
+            Hashtbl.add ids s i;
+            extra := s :: !extra;
+            incr nstrs;
+            i)
+    in
+    (Array.append (Array.sub a.p_strs 0 a.p_nstrs) (Array.of_list (List.rev !extra)), !nstrs, remap)
+
+  (* Rewrite the string ids of the entry at [base] through [remap]. *)
+  let remap_entry ints base remap =
+    let tg = ints.(base) in
+    let s k = ints.(base + k) <- remap.(ints.(base + k)) in
+    if tg = tag_sig_send || tg = tag_sig_recv then begin
+      s 1;
+      s 3;
+      s 4
+    end
+    else if tg = tag_meta_send || tg = tag_meta_recv then begin
+      s 1;
+      s 2
+    end
+    else if tg = tag_slot || tg = tag_goal then begin
+      s 1;
+      s 2;
+      s 3;
+      s 4
+    end
+    else s 1
+
+  (* Join two snapshots into one trace, numbered on from [a]'s first
+     entry; timestamps are kept verbatim (the segments come from
+     consecutive recording brackets over one session clock), and [b]'s
+     signal indices move past [a]'s signals.  Two segments with one home
+     read one append-only table, so the join keeps whichever snapshot of
+     it has the larger count — every id of either is valid there — and
+     keeps the home.  Any other pair has [b]'s string ids rewritten
+     against a merged table, and no home. *)
   let append a b =
     if a.p_len = 0 then b
     else if b.p_len = 0 then a
     else begin
-      let ids : (string, int) Hashtbl.t = Hashtbl.create a.p_nstrs in
-      for i = 0 to a.p_nstrs - 1 do
-        if not (Hashtbl.mem ids a.p_strs.(i)) then Hashtbl.add ids a.p_strs.(i) i
-      done;
-      let extra = ref [] in
-      let nstrs = ref a.p_nstrs in
-      let remap =
-        Array.init b.p_nstrs (fun j ->
-            let s = b.p_strs.(j) in
-            match Hashtbl.find_opt ids s with
-            | Some i -> i
-            | None ->
-              let i = !nstrs in
-              Hashtbl.add ids s i;
-              extra := s :: !extra;
-              incr nstrs;
-              i)
-      in
-      let strs = Array.append (Array.sub a.p_strs 0 a.p_nstrs) (Array.of_list (List.rev !extra)) in
-      let sigs = Array.append a.p_sigs b.p_sigs in
-      let sig_off = Array.length a.p_sigs in
       let len = a.p_len + b.p_len in
       let ints = Array.make (len * stride) 0 in
       Array.blit a.p_ints 0 ints 0 (a.p_len * stride);
       Array.blit b.p_ints 0 ints (a.p_len * stride) (b.p_len * stride);
-      let ats = Array.append a.p_ats b.p_ats in
+      let sig_off = Array.length a.p_sigs in
       for i = a.p_len to len - 1 do
         let base = i * stride in
         let tg = ints.(base) in
-        let s k = ints.(base + k) <- remap.(ints.(base + k)) in
-        if tg = tag_sig_send || tg = tag_sig_recv then begin
-          s 1;
-          s 3;
-          s 4;
+        if tg = tag_sig_send || tg = tag_sig_recv then
           ints.(base + 6) <- ints.(base + 6) + sig_off
-        end
-        else if tg = tag_meta_send || tg = tag_meta_recv then begin
-          s 1;
-          s 2
-        end
-        else if tg = tag_slot || tg = tag_goal then begin
-          s 1;
-          s 2;
-          s 3;
-          s 4
-        end
-        else s 1
       done;
+      let strs, nstrs, words, home =
+        if a.p_home <> no_home && a.p_home = b.p_home then begin
+          let larger = if a.p_nstrs >= b.p_nstrs then a else b in
+          (larger.p_strs, larger.p_nstrs, Array.append a.p_words b.p_words, a.p_home)
+        end
+        else begin
+          let strs, nstrs, remap = merge_strs a b in
+          for i = a.p_len to len - 1 do
+            remap_entry ints (i * stride) remap
+          done;
+          (strs, nstrs, [||], no_home)
+        end
+      in
       {
         p_base = a.p_base;
         p_len = len;
         p_ints = ints;
-        p_ats = ats;
+        p_ats = Array.append a.p_ats b.p_ats;
         p_strs = strs;
-        p_nstrs = !nstrs;
-        p_sigs = sigs;
+        p_nstrs = nstrs;
+        p_sigs = Array.append a.p_sigs b.p_sigs;
+        p_words = words;
+        p_home = home;
       }
     end
 end
@@ -707,7 +832,7 @@ let snapshot ~base r =
   let ints = Array.sub r.ints 0 (len * stride) in
   let ats = Array.sub r.ats 0 len in
   let sig_idx : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let sigs_rev = ref [] in
+  let words_rev = ref [] in
   let nsigs = ref 0 in
   for i = 0 to len - 1 do
     let base = i * stride in
@@ -720,13 +845,14 @@ let snapshot ~base r =
         | None ->
           let idx = !nsigs in
           Hashtbl.add sig_idx word idx;
-          sigs_rev := Signal_pack.unpack word :: !sigs_rev;
+          words_rev := word :: !words_rev;
           incr nsigs;
           idx
       in
       ints.(base + 6) <- idx
     end
   done;
+  let words = Array.of_list (List.rev !words_rev) in
   {
     Packed.p_base = base;
     p_len = len;
@@ -734,7 +860,9 @@ let snapshot ~base r =
     p_ats = ats;
     p_strs = r.strs;
     p_nstrs = r.nstrs;
-    p_sigs = Array.of_list (List.rev !sigs_rev);
+    p_sigs = Array.map Signal_pack.unpack words;
+    p_words = words;
+    p_home = r.r_id;
   }
 
 let drain () =
@@ -766,12 +894,12 @@ let recording_packed f =
    word stay valid for the ring's domain as long as it lives (the
    string table is append-only, the signal tables are never cleared),
    so replay is one blit into the same ring — which is also why a
-   capture remembers its ring and refuses any other. *)
-type capture = { c_ring : ring; c_len : int; c_ints : int array }
+   capture remembers its ring's id and refuses any other ring. *)
+type capture = { c_home : int; c_len : int; c_ints : int array }
 
 let capture f =
   let c = ctx () in
-  if not c.on then (f (), { c_ring = c.ring; c_len = 0; c_ints = [||] })
+  if not c.on then (f (), { c_home = c.ring.r_id; c_len = 0; c_ints = [||] })
   else begin
     let from = c.base + c.ring.rlen in
     let x = f () in
@@ -779,13 +907,13 @@ let capture f =
     if from < c.base then invalid_arg "Trace.capture: the ring was drained during the capture";
     let first = from - c.base in
     let len = r.rlen - first in
-    (x, { c_ring = r; c_len = len; c_ints = Array.sub r.ints (first * stride) (len * stride) })
+    (x, { c_home = r.r_id; c_len = len; c_ints = Array.sub r.ints (first * stride) (len * stride) })
   end
 
 let replay cap =
   let c = ctx () in
   if c.on && cap.c_len > 0 then begin
-    if cap.c_ring != c.ring then
+    if cap.c_home <> c.ring.r_id then
       invalid_arg "Trace.replay: the capture was recorded on another domain";
     let r = c.ring in
     let first = r.rlen in

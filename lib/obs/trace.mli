@@ -165,7 +165,16 @@ module Packed : sig
       consecutive drains concatenates to that of one bracket.  It is written
       straight from the packed arrays — no entry is decoded, each
       distinct signal is rendered once — so it is the cheap way to hash
-      or export a packed trace. *)
+      or export a packed trace.
+
+      Cost.  Every entry's sequence number and timestamp are written.
+      On the domain that recorded the trace, the rest of an entry's line
+      is copied from a memo of the lines that domain has rendered, when
+      an equal entry (the same strings, signal and fields) is there; the
+      memo has a fixed number of slots and is made on the domain's first
+      render.  Any other entry, and every entry of a trace rendered on
+      another domain or joined from two domains' segments, is written
+      field by field. *)
 
   val empty : t
   (** The zero-length trace ([append empty t = t]); a cheap slot filler
@@ -173,12 +182,17 @@ module Packed : sig
 
   val append : t -> t -> t
   (** [append a b] is the events of [a] followed by those of [b] as one
-      self-contained trace: the second segment's string ids and signal
-      indices are rewritten against the merged tables, timestamps are
-      preserved verbatim, and the result is numbered on from [a]'s
-      first entry.  This is how a churned session's setup and teardown
-      recording brackets are joined into one session trace at
-      retirement. *)
+      self-contained trace: timestamps are preserved verbatim, and the
+      result is numbered on from [a]'s first entry.  This is how a
+      churned session's setup and teardown recording brackets are
+      joined into one session trace at retirement.
+
+      Cost.  Two segments recorded on one domain share its string
+      table, so their join copies their entries and nothing else, and
+      keeps rendering on that domain through the memo of
+      {!add_jsonl}.  Segments from two domains are joined by rewriting
+      [b]'s string ids against a table merged from both, which costs
+      time and space in the two tables' sizes. *)
 end
 
 val recording_packed : (unit -> 'a) -> 'a * Packed.t

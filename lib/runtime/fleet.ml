@@ -143,12 +143,34 @@ let clear_cell cl =
   cl.cl_setup <- Trace.Packed.empty;
   cl.cl_setup_events <- 0
 
+(* [%.6f] for the digest header: an end time on a whole millisecond,
+   where simulated clocks mostly stop, prints exactly as its integer and
+   ".000000"; anything else goes through [Printf]. *)
+let add_fixed6 b x =
+  if Float.is_integer x && x < 1e15 && not (Float.sign_bit x) then begin
+    Buffer.add_string b (string_of_int (int_of_float x));
+    Buffer.add_string b ".000000"
+  end
+  else Printf.bprintf b "%.6f" x
+
+(* The digest's scratch, one per domain and kept across calls.  A
+   session's rendered outcome runs to a few KB, past the 256 words a
+   minor-heap block may hold, so a fresh buffer, or the string
+   [Buffer.contents] would copy out of it, goes straight to the major
+   heap on every retirement.  [sc_bytes] holds the bytes MD5 reads. *)
+type scratch = { sc_buf : Buffer.t; mutable sc_bytes : Bytes.t }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { sc_buf = Buffer.create 4096; sc_bytes = Bytes.create 4096 })
+
 (* One MD5 per retired session over the {e resolved} outcome — decoded
    event JSON, never raw intern ids, which are domain-history artifacts
    — then XOR-combined.  XOR is commutative, so the fleet digest does
    not depend on retirement interleaving or shard count: the property
    E16 and the CI smoke assert across [jobs]. *)
-let digest_outcome buf (o : Session.outcome) =
+let digest_outcome (o : Session.outcome) =
+  let sc = Domain.DLS.get scratch_key in
+  let buf = sc.sc_buf in
   Buffer.clear buf;
   Buffer.add_string buf (string_of_int o.Session.id);
   Buffer.add_char buf ':';
@@ -156,7 +178,7 @@ let digest_outcome buf (o : Session.outcome) =
   Buffer.add_char buf ':';
   Buffer.add_string buf (string_of_int o.Session.events);
   Buffer.add_char buf ':';
-  Buffer.add_string buf (Printf.sprintf "%.6f" o.Session.end_time);
+  add_fixed6 buf o.Session.end_time;
   Buffer.add_char buf ':';
   Buffer.add_string buf (if o.Session.conformant then "ok" else "bad");
   Buffer.add_string buf (string_of_int o.Session.violations);
@@ -176,7 +198,11 @@ let digest_outcome buf (o : Session.outcome) =
     Trace.Packed.add_jsonl buf o.Session.trace;
     Buffer.truncate buf (Buffer.length buf - 1)
   end;
-  Digest.string (Buffer.contents buf)
+  let len = Buffer.length buf in
+  if Bytes.length sc.sc_bytes < len then
+    sc.sc_bytes <- Bytes.create (Stdlib.max len (2 * Bytes.length sc.sc_bytes));
+  Buffer.blit buf 0 sc.sc_bytes 0 len;
+  Digest.subbytes sc.sc_bytes 0 len
 
 (* Digest.t is a 16-byte string; XOR it into the accumulator. *)
 let digest_xor acc (d : string) =
@@ -187,8 +213,8 @@ let digest_xor acc (d : string) =
   done
 
 let digest outcomes =
-  let acc = Bytes.make 16 '\000' and buf = Buffer.create 4096 in
-  List.iter (fun o -> digest_xor acc (digest_outcome buf o)) outcomes;
+  let acc = Bytes.make 16 '\000' in
+  List.iter (fun o -> digest_xor acc (digest_outcome o)) outcomes;
   Digest.to_hex (Bytes.to_string acc)
 
 type gc_report = {
@@ -353,7 +379,6 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
     done;
     let pool = Spool.create ~make:fresh_cell ~clear:clear_cell () in
     let acc = Metrics.Acc.create () in
-    let buf = Buffer.create 4096 in
     let digest = Bytes.make 16 '\000' in
     let started = ref 0 in
     let retired = ref 0 in
@@ -379,7 +404,7 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
         | Some (Monitor.Undetermined _) -> incr und
         | None -> ());
         Metrics.Acc.add acc o.Session.metrics;
-        digest_xor digest (digest_outcome buf o));
+        digest_xor digest (digest_outcome o));
       Spool.release pool slot
     in
     let scratch = Vec.create () in

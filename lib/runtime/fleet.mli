@@ -1,9 +1,9 @@
 (** The sharded many-session runtime.
 
     [run] drives [sessions] independent {!Session}s, partitioned
-    round-robin (by session id) across [jobs] domains, each shard
-    running its sessions sequentially on its own event loop with its
-    own domain-local trace context.
+    block-cyclically by session id across [jobs] domains (see
+    {!shard_of}), each shard running its sessions sequentially on its
+    own event loop with its own domain-local trace context.
 
     {b Determinism.}  Every session's random stream is {!Rng.split}
     from the root seed up front, in id order, before any shard starts;
@@ -56,7 +56,16 @@ val digest : Session.outcome list -> string
 (** The fleet digest of a set of outcomes, in hex: one MD5 per session
     over its observable fields and its trace's JSONL, XOR-combined, so
     it ignores the order of the list.  {!churn}'s [c_digest] is the
-    same digest over every retired session. *)
+    same digest over every retired session.
+
+    Each session's fields and JSONL are written into a buffer the
+    calling domain keeps, and hashed from a copy of the bytes that the
+    domain also keeps, so in steady state a session costs its rendering
+    and its MD5 and allocates no copy of its text.  The JSONL is
+    cheapest for outcomes recorded on the calling domain, whose entries'
+    lines that domain has rendered before (see
+    {!Mediactl_obs.Trace.Packed.add_jsonl}); at [jobs > 1] the outcomes
+    of {!run} were recorded on other domains and are rendered in full. *)
 
 (** {2 Churn}
 

@@ -502,6 +502,71 @@ let test_start_built_untraced () =
       check tresult (name ^ ": recorded run after an untraced build") cold after_untraced)
     start_cases
 
+(* --- the digest ------------------------------------------------------------ *)
+
+(* [Fleet.digest] hashes each outcome's rendering where it was written.
+   A path session's rendering is about 4.4 KB, past the 256 words a
+   minor-heap block may hold, so a copy of it per outcome would be
+   allocated straight in the major heap: about 550 words each.  After
+   one warm-up digest on the domain, 1,000 churned outcomes must
+   allocate less than a word each there, read from the domain's own
+   counters as major minus promoted words. *)
+let test_digest_in_place () =
+  let direct, per_outcome_bytes =
+    on_fresh_domain (fun () ->
+        let root = Rng.create 17 in
+        let outcomes =
+          List.init 1000 (fun id ->
+              let s = Scenario.churn_session Scenario.Path ~id ~rng:(Rng.split root) in
+              let events, setup = Session.launch ~until:60_000.0 s in
+              Session.retire ~setup ~setup_events:events s)
+        in
+        ignore (Fleet.digest outcomes);
+        let _, promoted0, major0 = Gc.counters () in
+        ignore (Sys.opaque_identity (Fleet.digest outcomes));
+        let _, promoted1, major1 = Gc.counters () in
+        let b = Buffer.create 4096 in
+        Obs.Trace.Packed.add_jsonl b (List.hd outcomes).Session.trace;
+        (major1 -. major0 -. (promoted1 -. promoted0), Buffer.length b))
+  in
+  check tbool
+    (Printf.sprintf "%.0f words allocated in the major heap for 1,000 outcomes of %d bytes" direct
+       per_outcome_bytes)
+    true
+    (per_outcome_bytes > 2048 && direct < 1000.0)
+
+(* The header prints the end time as [%.6f] does, on the fast path for
+   whole milliseconds and through [Printf] for everything else. *)
+let prop_digest_end_time =
+  QCheck2.Test.make ~name:"header end time prints as %.6f" ~count:500
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, map float_of_int (int_range 0 10_000_000));
+          (3, float_range (-1e6) 1e6);
+          (1, map (fun x -> x *. 1e12) (float_range 0.0 1e6));
+          ( 1,
+            oneofl
+              [ 0.0; -0.0; -1.0; -2.5; 0.5e-6; 1e-7; 999999999999999.0; 1e15; 2e15; 1e20;
+                4503599627370497.0; infinity; neg_infinity; nan ] );
+        ])
+    (fun end_time ->
+      let o =
+        {
+          Session.id = 3;
+          scenario = "path";
+          events = 7;
+          end_time;
+          trace = Obs.Trace.Packed.empty;
+          metrics = Obs.Metrics.empty;
+          conformant = true;
+          violations = 0;
+          verdict = None;
+        }
+      in
+      String.equal (Fleet.digest [ o ])
+        (Digest.to_hex (Digest.string (Printf.sprintf "3:path:7:%.6f:ok0:-" end_time))))
+
 (* --- pinned digests --------------------------------------------------------- *)
 
 (* Fixed-seed digests: any change to session behaviour or to a single
@@ -612,6 +677,11 @@ let () =
           Alcotest.test_case "cold and warm digests agree" `Quick test_shared_start_cold_warm;
           Alcotest.test_case "warm sessions share one start" `Quick test_shared_start_is_shared;
           Alcotest.test_case "an untraced build is not kept" `Quick test_start_built_untraced;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "hashed in place" `Quick test_digest_in_place;
+          QCheck_alcotest.to_alcotest prop_digest_end_time;
         ] );
       ( "pinned",
         [

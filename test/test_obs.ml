@@ -304,30 +304,191 @@ let gen_trace_kind =
         map2 (fun chan decision -> Trace.Net { chan; decision }) gen_text gen_decision;
       ])
 
+(* [(kind, at)] entries as events numbered from 0, and recorded as one
+   bracket on this domain. *)
+let events entries = List.mapi (fun seq (kind, at) -> { Trace.seq; at; kind }) entries
+let record entries = repack (events entries)
+
+let reference entries =
+  String.concat "" (List.map (fun e -> Json_ref.event_to_json e ^ "\n") (events entries))
+
+(* Intern 1,000 strings that no generated entry has ([gen_text] never
+   makes '\001'): more than the table of a domain that has recorded a
+   few random traces holds, so the table doubles. *)
+let force_table_doubling () =
+  ignore
+    (Trace.recording_packed (fun () ->
+         for i = 0 to 999 do
+           Trace.meta_send ~chan:(Printf.sprintf "\001%d" i) ~box:"\001"
+         done))
+
+(* The same entries with every string changed, one to one: recorded
+   first on a fresh domain, they get the ids and signal words the
+   originals get first on another fresh domain, and render otherwise. *)
+let twin_str s = "~" ^ s
+let twin_desc (d : Descriptor.t) = { d with Descriptor.owner = twin_str d.Descriptor.owner }
+
+let twin_signal = function
+  | Signal.Open (m, d) -> Signal.Open (m, twin_desc d)
+  | Signal.Oack d -> Signal.Oack (twin_desc d)
+  | Signal.Describe d -> Signal.Describe (twin_desc d)
+  | Signal.Select s ->
+    let owner, version = s.Selector.responds_to in
+    Signal.Select { s with Selector.responds_to = (twin_str owner, version) }
+  | (Signal.Close | Signal.Closeack) as s -> s
+
+let twin_sig (s : Trace.sig_event) =
+  {
+    s with
+    Trace.chan = twin_str s.Trace.chan;
+    box = twin_str s.Trace.box;
+    peer = twin_str s.Trace.peer;
+    signal = twin_signal s.Trace.signal;
+  }
+
+let twin_kind = function
+  | Trace.Sig_send s -> Trace.Sig_send (twin_sig s)
+  | Trace.Sig_recv s -> Trace.Sig_recv (twin_sig s)
+  | Trace.Meta_send { chan; box } -> Trace.Meta_send { chan = twin_str chan; box = twin_str box }
+  | Trace.Meta_recv { chan; box } -> Trace.Meta_recv { chan = twin_str chan; box = twin_str box }
+  | Trace.Slot_transition { slot; from_; to_; cause } ->
+    Trace.Slot_transition
+      { slot = twin_str slot; from_ = twin_str from_; to_ = twin_str to_; cause = twin_str cause }
+  | Trace.Goal { goal; slot; from_; to_ } ->
+    Trace.Goal
+      { goal = twin_str goal; slot = twin_str slot; from_ = twin_str from_; to_ = twin_str to_ }
+  | Trace.Net { chan; decision } -> Trace.Net { chan = twin_str chan; decision }
+
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
 (* Both library renderers — the packed writer over a ring capture and
    [event_to_json] over the structured events — must reproduce the
-   reference sprintf renderer byte for byte. *)
+   reference sprintf renderer byte for byte.  The packed writer is held
+   to it on every path it takes:
+   - on the trace's home domain, twice: first with a cold memo, then
+     with the entries' lines in the memo;
+   - on a domain whose memo holds the same keys with other lines: a
+     twin trace recorded there first has the same string ids and
+     signal words;
+   - on a third domain;
+   - after [append] joins two brackets of one domain, with the string
+     table doubled between them;
+   - after [append] joins brackets of two domains. *)
 let prop_json_matches_reference =
   QCheck2.Test.make ~name:"packed writer and event_to_json match the reference renderer" ~count:300
     QCheck2.Gen.(list_size (int_range 0 40) (pair gen_trace_kind gen_at))
     (fun entries ->
-      let clock = ref (List.map snd entries) in
-      let (), packed =
-        Trace.recording_packed (fun () ->
-            Trace.set_clock (fun () ->
-                match !clock with
-                | t :: rest ->
-                  clock := rest;
-                  t
-                | [] -> 0.0);
-            List.iter (fun (k, _) -> Trace.emit k) entries)
+      let expected = reference entries in
+      let first = List.filteri (fun i _ -> i < List.length entries / 2) entries in
+      let rest = List.filteri (fun i _ -> i >= List.length entries / 2) entries in
+      let home_ok, p, first_home =
+        on_fresh_domain (fun () ->
+            let p = record entries in
+            let cold = jsonl p in
+            let warm = jsonl p in
+            (String.equal cold expected && String.equal warm expected, p, record first))
       in
-      let events = List.mapi (fun seq (kind, at) -> { Trace.seq; at; kind }) entries in
-      let expected = String.concat "" (List.map (fun e -> Json_ref.event_to_json e ^ "\n") events) in
+      let other_ok, same_home, cross =
+        on_fresh_domain (fun () ->
+            let twins = List.map (fun (k, at) -> (twin_kind k, at)) entries in
+            let q = record twins in
+            let twin_ok = String.equal (jsonl q) (reference twins) in
+            let foreign_ok = String.equal (jsonl p) expected in
+            let a = record first in
+            force_table_doubling ();
+            let b = record rest in
+            let same_home = Trace.Packed.append a b in
+            let cross = Trace.Packed.append first_home b in
+            (* the same-home join twice: cold, then warm *)
+            let joined_ok =
+              String.equal (jsonl same_home) expected
+              && String.equal (jsonl same_home) expected
+              && String.equal (jsonl cross) expected
+            in
+            (twin_ok && foreign_ok && joined_ok, same_home, cross))
+      in
       let b = Buffer.create 256 in
-      Trace.Packed.add_jsonl b packed;
-      String.equal (Buffer.contents b) expected
-      && List.for_all (fun e -> String.equal (Trace.event_to_json e) (Json_ref.event_to_json e)) events)
+      Trace.Packed.add_jsonl b (record entries);
+      home_ok && other_ok
+      && String.equal (Buffer.contents b) expected
+      && List.for_all (fun p -> String.equal (jsonl p) expected) [ p; same_home; cross ]
+      && List.for_all
+           (fun e -> String.equal (Trace.event_to_json e) (Json_ref.event_to_json e))
+           (events entries))
+
+(* More distinct entries than the memo has slots, whose keys differ
+   only in the signal word or in one string id: every render, cold or
+   warm, on the home domain or off it, must still match the reference. *)
+let test_jsonl_memo_eviction () =
+  let signal i =
+    Signal.Open
+      ( Medium.Audio,
+        Descriptor.make ~owner:(Printf.sprintf "o%d" i) ~version:1 (Address.v "10.0.0.1" 7)
+          [ Codec.G711 ] )
+  in
+  let signals =
+    List.init 2500 (fun i ->
+        let s =
+          { Trace.chan = "c"; tun = 0; box = "A"; peer = "B"; initiator = true; signal = signal i }
+        in
+        (Trace.Sig_send s, float_of_int i))
+  in
+  let one_field k =
+    List.init 600 (fun i ->
+        let f j = if j = k then Printf.sprintf "s%d" i else "x" in
+        (Trace.Slot_transition { slot = f 1; from_ = f 2; to_ = f 3; cause = f 4 }, 1.5))
+  in
+  let entries = signals @ List.concat_map one_field [ 1; 2; 3; 4 ] in
+  let expected = reference entries in
+  (* the same signals in the other order: each trace numbers its signals
+     from 0, so here every index stands for another signal *)
+  let reversed = List.rev signals in
+  let p, home_ok, reversed_ok =
+    on_fresh_domain (fun () ->
+        let p = record entries in
+        let cold = jsonl p in
+        let warm = jsonl p in
+        ( p,
+          String.equal cold expected && String.equal warm expected,
+          String.equal (jsonl (record reversed)) (reference reversed) ))
+  in
+  check tbool "cold and warm renders on the home domain" true home_ok;
+  check tbool "a second trace of the same signals on the home domain" true reversed_ok;
+  check tbool "rendered on another domain" true (String.equal (jsonl p) expected)
+
+(* Two brackets of one domain share its string table, so joining them
+   costs what they hold, not what the domain has interned: the same
+   join allocates no more after 50,000 more strings are interned.
+   Counted as minor words plus words allocated straight in the major
+   heap. *)
+let test_append_cost_flat () =
+  let small, big =
+    on_fresh_domain (fun () ->
+        let bracket chan =
+          snd
+            (Trace.recording_packed (fun () ->
+                 for _ = 1 to 16 do
+                   Trace.meta_send ~chan ~box:"b";
+                   Trace.net ~chan (Trace.Passed 1)
+                 done))
+        in
+        let cost a b =
+          let minor0, promoted0, major0 = Gc.counters () in
+          ignore (Sys.opaque_identity (Trace.Packed.append a b));
+          let minor1, promoted1, major1 = Gc.counters () in
+          minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)
+        in
+        let small = cost (bracket "x") (bracket "y") in
+        ignore
+          (Trace.recording_packed (fun () ->
+               for i = 1 to 50_000 do
+                 Trace.meta_send ~chan:(string_of_int i) ~box:"b"
+               done));
+        (small, cost (bracket "x") (bracket "z")))
+  in
+  check tbool
+    (Printf.sprintf "%.0f words to join before, %.0f after 50,000 more strings" small big)
+    true (big <= small)
 
 (* --- drains and the live monitor ----------------------------------------- *)
 
@@ -782,6 +943,8 @@ let () =
           Alcotest.test_case "jsonl shape" `Quick test_jsonl_roundtrip_shape;
           Alcotest.test_case "ring matches sink jsonl" `Quick test_ring_matches_sink_jsonl;
           QCheck_alcotest.to_alcotest prop_json_matches_reference;
+          Alcotest.test_case "jsonl memo eviction" `Quick test_jsonl_memo_eviction;
+          Alcotest.test_case "same-domain append cost is flat" `Quick test_append_cost_flat;
           QCheck_alcotest.to_alcotest prop_intern_caches;
           QCheck_alcotest.to_alcotest prop_drains_match_one_bracket;
           Alcotest.test_case "ring growth and reuse" `Quick test_ring_growth_and_reuse;
