@@ -403,7 +403,7 @@ let fig13_impaired ~seed ~loss =
   let net = settle (fst (Prepaid.snapshot1 net)) in
   let net = settle (fst (Prepaid.snapshot2 net)) in
   let net = settle (fst (Prepaid.snapshot3 net)) in
-  let sim = Timed.create ~seed ~n:paper_n ~c:paper_c net in
+  let sim = Timed.create ~n:paper_n ~c:paper_c net in
   let impair =
     Mediactl_net.Impair.create ~seed ~default:(Mediactl_net.Policy.lossy loss) ()
   in
@@ -418,7 +418,7 @@ let fig13_impaired ~seed ~loss =
 
 let chain3_impaired ~seed ~loss =
   let net, _ = Netsys.run (Relink.build ~boxes:3 ~j:2) in
-  let sim = Timed.create ~seed ~n:paper_n ~c:paper_c net in
+  let sim = Timed.create ~n:paper_n ~c:paper_c net in
   let impair =
     Mediactl_net.Impair.create ~seed ~default:(Mediactl_net.Policy.lossy loss) ()
   in
@@ -506,7 +506,7 @@ let e9 () =
 let e11_traced_path ~seed ~loss ~flowlinks =
   snd
     (Mediactl_obs.Trace.recording_packed (fun () ->
-         let sim = Timed.create ~seed ~n:paper_n ~c:paper_c (Pathlab.topology ~flowlinks ()) in
+         let sim = Timed.create ~n:paper_n ~c:paper_c (Pathlab.topology ~flowlinks ()) in
          Timed.observe sim;
          if loss > 0.0 then begin
            let impair =

@@ -63,7 +63,7 @@ let run_fig13 seed n c loss =
         let net = settle (fst (Prepaid.snapshot2 net)) in
         let net = settle (fst (Prepaid.snapshot3 net)) in
         let settled = Obs.Trace.drain () in
-        let sim = Timed.create ~seed ~n ~c net in
+        let sim = Timed.create ~n ~c net in
         Timed.observe sim;
         let net_layer = impaired ~seed ~loss sim in
         let a_tx = ref nan and c_tx = ref nan in
@@ -93,7 +93,7 @@ let run_fig13 seed n c loss =
 
 let run_relink seed n c boxes j loss =
   let net, _ = Netsys.run (Relink.build ~boxes ~j) in
-  let sim = Timed.create ~seed ~n ~c net in
+  let sim = Timed.create ~n ~c net in
   Timed.observe sim;
   let net_layer = impaired ~seed ~loss sim in
   let done_at = ref nan in
@@ -125,7 +125,7 @@ let run_sip seed n c =
    out.  Bounded by sim time because some configurations never settle
    (an openslot facing a closeslot reopens forever). *)
 let run_path seed n c loss left right flowlinks =
-  let sim = Timed.create ~seed ~n ~c (Pathlab.topology ~flowlinks ()) in
+  let sim = Timed.create ~n ~c (Pathlab.topology ~flowlinks ()) in
   Timed.observe sim;
   let net_layer = impaired ~seed ~loss sim in
   let flowing_at = ref nan in

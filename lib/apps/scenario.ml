@@ -73,9 +73,9 @@ let conf2_users =
 (* Shared starts
 
    A scenario's starting network is a pure function of its build: no
-   build reads the session's stream, clock, latencies, scheduler or
-   loss (all of those are consumed in [boot]), and a [Netsys.t] is
-   persistent — every operation on it returns a new value.  So each
+   build reads the session's stream, clock, latencies or loss (all of
+   those are consumed in [boot]), and a [Netsys.t] is persistent —
+   every operation on it returns a new value.  So each
    domain builds and settles a start once, inside the first session's
    recording, and keeps the settled network with a {!Trace.capture} of
    the entries the build recorded.  Every later session of that build
@@ -137,8 +137,8 @@ let judged ~loss obligation legs =
 
 (* openslot--openslot path configuration, judged against its Section V
    obligation ([]<> bothFlowing). *)
-let path ?sched ?n ?c ~loss ~id ~rng () =
-  Session.create ?sched ?n ?c ~id ~scenario:"path" ~rng
+let path ?n ?c ~loss ~id ~rng () =
+  Session.create ?n ?c ~id ~scenario:"path" ~rng
     ~judge:
       (judged ~loss
          (Pathlab.obligation Semantics.Open_end Semantics.Open_end)
@@ -153,9 +153,9 @@ let path ?sched ?n ?c ~loss ~id ~rng () =
 (* Click-to-Dial (Figure 6).  The callee device answers or is busy,
    drawn from the session stream, so a fleet exercises both program
    branches deterministically. *)
-let ctd ?sched ?n ?c ~loss ~id ~rng () =
+let ctd ?n ?c ~loss ~id ~rng () =
   let local name = Local.endpoint ~owner:name (Address.v "10.0.0.7" 5000) [ Codec.G711 ] in
-  Session.create ?sched ?n ?c ~id ~scenario:"ctd" ~rng
+  Session.create ?n ?c ~id ~scenario:"ctd" ~rng
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -197,9 +197,9 @@ let conf_boot ~loss ~names ~parties t =
   Timed.apply sim (Conference.full_mute ~user:muted);
   Timed.after sim 400.0 (fun sim -> Timed.apply sim (Conference.unmute ~user:muted))
 
-let conf ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
+let conf ?n ?c ?(parties = 3) ~loss ~id ~rng () =
   let names = List.map fst (Conference.default_users parties) in
-  Session.create ?sched ?n ?c ~id ~scenario:"conf" ~rng
+  Session.create ?n ?c ~id ~scenario:"conf" ~rng
     ~judge:
       (judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing
          (Conference.legs ~users:names))
@@ -209,8 +209,8 @@ let conf ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
 (* The pre-generalization conference shape — three named users, no
    policy wiring, no verdict — kept runnable so its fleet digests stay
    comparable with historical baselines. *)
-let conf2 ?sched ?n ?c ~loss ~id ~rng () =
-  Session.create ?sched ?n ?c ~id ~scenario:"conf2" ~rng
+let conf2 ?n ?c ~loss ~id ~rng () =
+  Session.create ?n ?c ~id ~scenario:"conf2" ~rng
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -224,8 +224,8 @@ let conf2 ?sched ?n ?c ~loss ~id ~rng () =
 (* Attended transfer: customer--agent established untimed, the transfer
    fires at 300 ms, and the obligation judges the customer's final path
    to the supervisor. *)
-let transfer ?sched ?n ?c ~loss ~id ~rng () =
-  Session.create ?sched ?n ?c ~id ~scenario:"transfer" ~rng
+let transfer ?n ?c ~loss ~id ~rng () =
+  Session.create ?n ?c ~id ~scenario:"transfer" ~rng
     ~judge:
       (judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing [ Feature.transfer_leg ])
     ~boot:(fun t ->
@@ -237,11 +237,11 @@ let transfer ?sched ?n ?c ~loss ~id ~rng () =
 (* Barge-in: a two-party conference becomes three-party mid-call when a
    supervisor joins through [Conference.add_user]; every leg including
    the late one must end up flowing. *)
-let barge ?sched ?n ?c ~loss ~id ~rng () =
+let barge ?n ?c ~loss ~id ~rng () =
   let names = List.map fst (Conference.default_users 2) in
   let joiner = List.nth (Conference.default_users 3) 2 in
   let roster = names @ [ fst joiner ] in
-  Session.create ?sched ?n ?c ~id ~scenario:"barge" ~rng
+  Session.create ?n ?c ~id ~scenario:"barge" ~rng
     ~judge:
       (judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing
          (Conference.legs ~users:roster))
@@ -261,8 +261,8 @@ let barge ?sched ?n ?c ~loss ~id ~rng () =
 (* Music on hold: the hold box parks the agent and relinks the customer
    to the music server at 250 ms, then restores the talk path at
    600 ms; the customer--agent leg must end flowing. *)
-let moh ?sched ?n ?c ~loss ~id ~rng () =
-  Session.create ?sched ?n ?c ~id ~scenario:"moh" ~rng
+let moh ?n ?c ~loss ~id ~rng () =
+  Session.create ?n ?c ~id ~scenario:"moh" ~rng
     ~judge:(judged ~loss Mediactl_obs.Monitor.Always_eventually_flowing [ Feature.moh_leg ])
     ~boot:(fun t ->
       attach_loss ~loss t;
@@ -273,8 +273,8 @@ let moh ?sched ?n ?c ~loss ~id ~rng () =
 
 (* The prepaid running example, snapshots 1-3 settled untimed, then the
    Figure-13 concurrent snapshot-4 convergence under the clock. *)
-let prepaid ?sched ?n ?c ~loss ~id ~rng () =
-  Session.create ?sched ?n ?c ~id ~scenario:"prepaid" ~rng
+let prepaid ?n ?c ~loss ~id ~rng () =
+  Session.create ?n ?c ~id ~scenario:"prepaid" ~rng
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -284,8 +284,8 @@ let prepaid ?sched ?n ?c ~loss ~id ~rng () =
 
 (* Collaborative TV (Figure 8): pause, play, and the daughter leaving,
    spaced out under the timed driver. *)
-let collab_tv ?sched ?n ?c ~loss ~id ~rng () =
-  Session.create ?sched ?n ?c ~id ~scenario:"ctv" ~rng
+let collab_tv ?n ?c ~loss ~id ~rng () =
+  Session.create ?n ?c ~id ~scenario:"ctv" ~rng
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -294,19 +294,19 @@ let collab_tv ?sched ?n ?c ~loss ~id ~rng () =
       Timed.after sim 600.0 (fun sim -> Timed.apply sim Collab_tv.daughter_leaves))
     (start Collab_tv_start)
 
-let rec session ?sched ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
+let rec session ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
   match kind with
-  | Path -> path ?sched ?n ?c ~loss ~id ~rng ()
-  | Ctd -> ctd ?sched ?n ?c ~loss ~id ~rng ()
-  | Conf -> conf ?sched ?n ?c ?parties ~loss ~id ~rng ()
-  | Conf2 -> conf2 ?sched ?n ?c ~loss ~id ~rng ()
-  | Prepaid -> prepaid ?sched ?n ?c ~loss ~id ~rng ()
-  | Collab_tv -> collab_tv ?sched ?n ?c ~loss ~id ~rng ()
-  | Transfer -> transfer ?sched ?n ?c ~loss ~id ~rng ()
-  | Barge -> barge ?sched ?n ?c ~loss ~id ~rng ()
-  | Moh -> moh ?sched ?n ?c ~loss ~id ~rng ()
+  | Path -> path ?n ?c ~loss ~id ~rng ()
+  | Ctd -> ctd ?n ?c ~loss ~id ~rng ()
+  | Conf -> conf ?n ?c ?parties ~loss ~id ~rng ()
+  | Conf2 -> conf2 ?n ?c ~loss ~id ~rng ()
+  | Prepaid -> prepaid ?n ?c ~loss ~id ~rng ()
+  | Collab_tv -> collab_tv ?n ?c ~loss ~id ~rng ()
+  | Transfer -> transfer ?n ?c ~loss ~id ~rng ()
+  | Barge -> barge ?n ?c ~loss ~id ~rng ()
+  | Moh -> moh ?n ?c ~loss ~id ~rng ()
   | Mixed ->
-    session ?sched ?n ?c ~loss ?parties (List.nth all (id mod List.length all)) ~id ~rng
+    session ?n ?c ~loss ?parties (List.nth all (id mod List.length all)) ~id ~rng
 
 (* The churned path: opened at arrival, torn down at hangup by
    re-engaging both ends to [Close_end].  The obligation weakens from
@@ -314,8 +314,8 @@ let rec session ?sched ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
    its closed quiescent cutoff — to the §V disjunction
    [(<>[] bothClosed) \/ ([]<> bothFlowing)], the same shape the
    daemon judges hung-up calls against. *)
-let path_churn ?sched ?n ?c ~loss ~id ~rng () =
-  Session.create ?sched ?n ?c ~id ~scenario:"path" ~rng
+let path_churn ?n ?c ~loss ~id ~rng () =
+  Session.create ?n ?c ~id ~scenario:"path" ~rng
     ~judge:
       (judged ~loss Mediactl_obs.Monitor.Closed_or_flowing [ Pathlab.ends ~flowlinks:0 ])
     ~hangup:(fun t ->
@@ -333,9 +333,9 @@ let path_churn ?sched ?n ?c ~loss ~id ~rng () =
    [conf]; retirement hangs every leg up from both ends, so the §V
    disjunction (<>[] allClosed) \/ ([]<> allFlowing) — quantified over
    all N legs — is what a torn-down conference is judged against. *)
-let conf_churn ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
+let conf_churn ?n ?c ?(parties = 3) ~loss ~id ~rng () =
   let names = List.map fst (Conference.default_users parties) in
-  Session.create ?sched ?n ?c ~id ~scenario:"conf" ~rng
+  Session.create ?n ?c ~id ~scenario:"conf" ~rng
     ~judge:
       (judged ~loss Mediactl_obs.Monitor.Closed_or_flowing (Conference.legs ~users:names))
     ~hangup:(fun t ->
@@ -344,21 +344,15 @@ let conf_churn ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
     ~boot:(conf_boot ~loss ~names ~parties)
     (start (Conf_start parties))
 
-(* Churn default scheduler is the heap: a quiesced resident's leftist
-   heap is an empty leaf, while a per-session timer wheel pins its
-   8x32 slot arrays for the whole residency — dead weight times 100k
-   residents.  The wheel still drives the churn timeline itself (one
-   per shard, in [Fleet.churn]). *)
-let rec churn_session ?(sched = Mediactl_sim.Engine.Heap) ?n ?c ?(loss = 0.0) ?parties kind
-    ~id ~rng =
+let rec churn_session ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
   match kind with
-  | Path -> path_churn ~sched ?n ?c ~loss ~id ~rng ()
-  | Conf -> conf_churn ~sched ?n ?c ?parties ~loss ~id ~rng ()
+  | Path -> path_churn ?n ?c ~loss ~id ~rng ()
+  | Conf -> conf_churn ?n ?c ?parties ~loss ~id ~rng ()
   | Mixed ->
-    churn_session ~sched ?n ?c ~loss ?parties
+    churn_session ?n ?c ~loss ?parties
       (List.nth all (id mod List.length all))
       ~id ~rng
   | (Ctd | Conf2 | Prepaid | Collab_tv | Transfer | Barge | Moh) as k ->
     (* These scenarios run their whole story at setup and have no
        separate teardown goals; retirement just finalizes them. *)
-    session ~sched ?n ?c ~loss k ~id ~rng
+    session ?n ?c ~loss k ~id ~rng

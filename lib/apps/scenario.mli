@@ -53,7 +53,6 @@ val to_string : kind -> string
 val of_string : string -> kind option
 
 val session :
-  ?sched:Mediactl_sim.Engine.sched ->
   ?n:float ->
   ?c:float ->
   ?loss:float ->
@@ -70,7 +69,6 @@ val session :
     the other kinds. *)
 
 val churn_session :
-  ?sched:Mediactl_sim.Engine.sched ->
   ?n:float ->
   ?c:float ->
   ?loss:float ->
@@ -86,7 +84,4 @@ val churn_session :
     both its ends; both are judged against the §V disjunction
     [(<>[] allClosed) \/ ([]<> allFlowing)] (over one leg or N)
     instead of [[]<> allFlowing].  The program scenarios run their
-    whole story at setup and retire as a bare finalization.  [sched]
-    defaults to the {e heap} engine: a quiesced resident's heap is an
-    empty leaf, where a per-session timer wheel would pin ~2 KB of
-    slot arrays per resident for the whole holding time. *)
+    whole story at setup and retire as a bare finalization. *)

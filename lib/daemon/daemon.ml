@@ -212,7 +212,10 @@ let handle_wait t conn ~id ~what ~timeout_ms =
   with_call t conn id (fun call ->
     let pred = match what with `Flowing -> Call.flowing call | `Closed -> Call.closed call in
     let answered = ref false in
-    Timed.when_true t.driver pred (fun at ->
+    (* A watch is dropped only once its predicate holds, so it also
+       holds once the WAIT is answered: a timed-out WAIT on a condition
+       that never comes true must not stay on the driver for good. *)
+    Timed.when_true t.driver (fun net -> !answered || pred net) (fun at ->
       if (not !answered) && conn.live then begin
         answered := true;
         send_line t conn (Control.ok "wait %s %s %.1f" id (Control.what_to_string what) at)

@@ -1,8 +1,8 @@
 open Mediactl_sim
 
 (* The wall-clock engine: a single-threaded select loop owning a timer
-   queue of thunks and a set of readable file descriptors.  Timers reuse
-   the simulator's leftist heap ([Pqueue]) keyed in wall milliseconds
+   queue of thunks and a set of readable file descriptors.  Timers sit
+   on the simulator's event queue ([Pqueue]) keyed in wall milliseconds
    since [create]; fd readiness comes from [Unix.select], with the
    timeout clipped to the next deadline so timers fire on schedule even
    while the loop sits in select.
@@ -14,7 +14,7 @@ open Mediactl_sim
 
 type t = {
   origin : float;  (* gettimeofday at create *)
-  mutable timers : (unit -> unit) Pqueue.t;
+  timers : (unit -> unit) Pqueue.t;
   mutable tseq : int;
   mutable readers : (Unix.file_descr * (unit -> unit)) list;
   mutable stopping : bool;
@@ -24,7 +24,7 @@ type t = {
 let create () =
   {
     origin = Unix.gettimeofday ();
-    timers = Pqueue.empty;
+    timers = Pqueue.create ();
     tseq = 0;
     readers = [];
     stopping = false;
@@ -35,7 +35,7 @@ let now t = (Unix.gettimeofday () -. t.origin) *. 1000.0
 
 let after t ~delay thunk =
   let key = now t +. Float.max 0.0 delay in
-  t.timers <- Pqueue.insert t.timers ~key ~seq:t.tseq thunk;
+  Pqueue.insert t.timers ~key ~seq:t.tseq thunk;
   t.tseq <- t.tseq + 1
 
 let on_readable t fd callback =
@@ -48,20 +48,13 @@ let pending_timers t = Pqueue.size t.timers
 
 (* Run every timer whose deadline has passed.  Timers may add timers
    (they re-enter through [after]) and may stop the loop. *)
-let run_due t =
-  let rec go () =
-    if not t.stopping then
-      match Pqueue.peek_key t.timers with
-      | Some key when key <= now t -> (
-        match Pqueue.pop t.timers with
-        | None -> ()
-        | Some ((_, _, thunk), rest) ->
-          t.timers <- rest;
-          thunk ();
-          go ())
-      | Some _ | None -> ()
-  in
-  go ()
+let rec run_due t =
+  if (not t.stopping) && (not (Pqueue.is_empty t.timers)) && Pqueue.min_key t.timers <= now t
+  then begin
+    let thunk = Pqueue.pop_min t.timers in
+    thunk ();
+    run_due t
+  end
 
 (* Cap on one select sleep so a [stop] from a signal handler (rather
    than from a callback) is noticed promptly. *)
@@ -69,9 +62,8 @@ let max_slice = 0.25
 
 let select_once t =
   let timeout =
-    match Pqueue.peek_key t.timers with
-    | Some key -> Float.min max_slice (Float.max 0.0 ((key -. now t) /. 1000.0))
-    | None -> max_slice
+    if Pqueue.is_empty t.timers then max_slice
+    else Float.min max_slice (Float.max 0.0 ((Pqueue.min_key t.timers -. now t) /. 1000.0))
   in
   let fds = List.map fst t.readers in
   match Unix.select fds [] [] timeout with

@@ -24,7 +24,7 @@ open Parsetree
 
 type node = {
   id : int;
-  name : string;  (* dotted lexical path, e.g. "Twheel.drain_due.go" *)
+  name : string;  (* dotted lexical path, e.g. "Fleet.churn.shard.on_tick" *)
   segs : string list;
   file : string;  (* rel path of the defining unit *)
   line : int;
@@ -198,8 +198,8 @@ let rec last_seg = function [] -> "" | [ x ] -> x | _ :: tl -> last_seg tl
    - unqualified: same-file nodes of that name, else top-level nodes
      whose module qualifier matches a top-level [open] of the file;
    - qualified: nodes whose qualifier is a suffix of the reference's
-     qualifier or vice versa, so [Mediactl_sim.Twheel.drain_due],
-     [Twheel.drain_due] and (from inside trace.ml) [Packed.append]
+     qualifier or vice versa, so [Mediactl_sim.Pqueue.drain_due],
+     [Pqueue.drain_due] and (from inside trace.ml) [Packed.append]
      all land on the right node.  Module *aliases* are not chased. *)
 let resolve t ~file path =
   let last = last_seg path in

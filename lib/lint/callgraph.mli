@@ -3,7 +3,7 @@
 
     Nodes are named function-literal bindings — top level, inside
     nested modules, and local [let f x = ...] at any depth — qualified
-    by their lexical path (["Twheel.drain_due.go"]; the head segment
+    by their lexical path (["Fleet.churn.shard.on_tick"]; the head segment
     comes from the file name).  An edge is any identifier reference in
     a node's body (nested nodes' bodies excluded) that resolves to an
     intra-repo node by qualified-suffix matching; ambiguous references
@@ -51,7 +51,7 @@ val reach : t -> (int, int option) Hashtbl.t
     ([None] for roots). *)
 
 val chain : t -> (int, int option) Hashtbl.t -> int -> string list
-(** Root-first call chain ["Engine.run_wheel"; ...; "Twheel.refill"]
+(** Root-first call chain ["Fleet.drain_timeline"; ...; "Pqueue.sift_down"]
     explaining why a node is reachable. *)
 
 val notes : t -> (string * Location.t * string) list

@@ -118,14 +118,15 @@ let pp_summary ppf s =
    from the root stream, each id's private stream split off in id
    order — so, exactly as in [run], a session's outcome is a pure
    function of [(id, stream)] and the fleet digest is independent of
-   [jobs].  Each shard then drives its own timer wheel of arrival and
-   hangup ticks: an arrival draws the session's holding time from the
-   session stream (before [mk] consumes it, fixing the draw order),
-   launches the session, and parks it in a pooled slot; the hangup
-   tick retires it — teardown bracket, metrics, monitor, digest — into
-   the shard accumulator and recycles the slot.  Nothing per-session
-   survives retirement except the accumulator's counters, so memory
-   tracks the peak resident population, not the total arrivals. *)
+   [jobs].  Each shard then drives its own timeline, a {!Pqueue} of
+   arrival and hangup ticks: an arrival draws the session's holding
+   time from the session stream (before [mk] consumes it, fixing the
+   draw order), launches the session, and parks it in a pooled slot;
+   the hangup tick retires it — teardown bracket, metrics, monitor,
+   digest — into the shard accumulator and recycles the slot.  Nothing
+   per-session survives retirement except the accumulator's counters,
+   so memory tracks the peak resident population, not the total
+   arrivals. *)
 
 type cell = {
   mutable cl_id : int;
@@ -273,7 +274,7 @@ type shard_report = {
   sr_pause_batches : int;
 }
 
-(* Wheel ticks are packed into one immediate int — bit 0 tags the
+(* Timeline ticks are packed into one immediate int — bit 0 tags the
    shape, the rest carries the payload — so the churn timeline itself
    allocates nothing per scheduled event, the same discipline
    [Signal_pack] applies to signal words. *)
@@ -307,10 +308,10 @@ let collections () =
    ALLOC001: work items arrive as packed immediate ints and are handed
    to [dispatch] — a closure parameter, so arrival/retirement code is
    charged to its own E15 phase, not to the drain loop. *)
-let rec drain_wheel wheel scratch acct dispatch =
-  if not (Twheel.is_empty wheel) then begin
+let rec drain_timeline timeline scratch acct dispatch =
+  if not (Pqueue.is_empty timeline) then begin
     Vec.clear scratch;
-    let n = Twheel.drain_due wheel ~max:churn_batch scratch in
+    let n = Pqueue.drain_due timeline ~max:churn_batch scratch in
     let c0 = collections () in
     let t0 =
       (Unix.gettimeofday ()
@@ -329,7 +330,7 @@ let rec drain_wheel wheel scratch acct dispatch =
       acct.pa_pause_batches <- acct.pa_pause_batches + 1
     end
     else if dt > acct.pa_max_batch then acct.pa_max_batch <- dt;
-    drain_wheel wheel scratch acct dispatch
+    drain_timeline timeline scratch acct dispatch
   end
 [@@lint.hotpath]
 
@@ -369,11 +370,11 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
        domain, so summing its per-shard deltas would count each word
        once per shard. *)
     let minor0, promoted0, _ = Gc.counters () in
-    let wheel = Twheel.create () in
+    let timeline = Pqueue.create () in
     let seqr = ref 0 in
     for i = 0 to total - 1 do
       if shard_of ~jobs ~sessions:total i = k then begin
-        Twheel.insert wheel ~key:(Vec.get ats i) ~seq:!seqr (tick_arrive i);
+        Pqueue.insert timeline ~key:(Vec.get ats i) ~seq:!seqr (tick_arrive i);
         incr seqr
       end
     done;
@@ -410,7 +411,7 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
     let scratch = Vec.create () in
     let acct = { pa_max_pause = 0.0; pa_max_batch = 0.0; pa_pause_batches = 0 } in
     (* Named [on_tick], not [dispatch]: the callgraph resolves
-       same-file names syntactically, so reusing the [drain_wheel]
+       same-file names syntactically, so reusing the [drain_timeline]
        parameter's name would alias this function into the hot
        reachable set and defeat the closure boundary. *)
     let on_tick w =
@@ -431,14 +432,14 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
         incr started;
         let hang = Vec.get ats i +. holding in
         if hang < duration then begin
-          Twheel.insert wheel ~key:hang ~seq:!seqr (tick_hangup slot);
+          Pqueue.insert timeline ~key:hang ~seq:!seqr (tick_hangup slot);
           incr seqr
         end
         (* else: still resident at the horizon; the final drain
            below retires it. *)
       end
     in
-    drain_wheel wheel scratch acct on_tick;
+    drain_timeline timeline scratch acct on_tick;
     Spool.iter_live (fun slot _ -> retire_slot slot) pool;
     let minor1, promoted1, _ = Gc.counters () in
     {

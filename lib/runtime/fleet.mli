@@ -96,7 +96,7 @@ val digest : Session.outcome list -> string
     since a collection in OCaml 5 involves every domain; heap figures
     describe the shared major heap.  [max_pause_s] is a {e proxy}, not a
     stop-the-world measurement: the wall time of the slowest
-    [Twheel.drain_due] batch (at most {!churn} batch size events)
+    [Pqueue.drain_due] batch (at most {!churn} batch size events)
     during which the collection count advanced — an upper bound that
     includes the batch's own mutator work, which [max_batch_s], the
     slowest collection-free batch, baselines. *)

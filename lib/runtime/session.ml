@@ -22,8 +22,6 @@ type t = {
   s_id : int;
   s_scenario : string;
   s_rng : Rng.t;
-  s_seed : int;  (* engine seed, forked from the session stream at create *)
-  s_sched : Engine.sched option;
   s_n : float;
   s_c : float;
   s_make : unit -> Netsys.t;
@@ -33,13 +31,15 @@ type t = {
   mutable s_sim : Timed.t option;
 }
 
-let create ?sched ?(n = 34.0) ?(c = 20.0) ?hangup ?judge ~id ~scenario ~rng ~boot make =
+let create ?(n = 34.0) ?(c = 20.0) ?hangup ?judge ~id ~scenario ~rng ~boot make =
+  (* A draw nothing reads.  It stays because every later draw on the
+     session stream — and so every committed fleet and churn digest —
+     is positioned after it. *)
+  ignore (Rng.fork_seed rng);
   {
     s_id = id;
     s_scenario = scenario;
     s_rng = rng;
-    s_seed = Rng.fork_seed rng;
-    s_sched = sched;
     s_n = n;
     s_c = c;
     s_make = make;
@@ -59,8 +59,6 @@ let sim t =
   | None -> invalid_arg "Session.sim: session not running (only valid from boot onward)"
 
 let judge t = Option.map (fun j p -> Monitor.judge j (Monitor.run_packed p)) t.s_judge
-let latency_n t = t.s_n
-let latency_c t = t.s_c
 
 (* The wall-clock path: the caller owns the engine (and therefore the
    loop), so the session only assembles its network, wraps it in the
@@ -97,7 +95,7 @@ let analyze t ~events ~end_time trace =
 let run ?until ?max_events t =
   let (events, end_time), trace =
     Trace.recording_packed (fun () ->
-      let sim = Timed.create ~seed:t.s_seed ?sched:t.s_sched ~n:t.s_n ~c:t.s_c (t.s_make ()) in
+      let sim = Timed.create ~n:t.s_n ~c:t.s_c (t.s_make ()) in
       t.s_sim <- Some sim;
       Timed.observe sim;
       t.s_boot t;
@@ -125,7 +123,7 @@ let launch ?until ?max_events t =
   | Some _ -> invalid_arg "Session.launch: session already running"
   | None -> ());
   Trace.recording_packed (fun () ->
-    let sim = Timed.create ~seed:t.s_seed ?sched:t.s_sched ~n:t.s_n ~c:t.s_c (t.s_make ()) in
+    let sim = Timed.create ~n:t.s_n ~c:t.s_c (t.s_make ()) in
     t.s_sim <- Some sim;
     Timed.observe sim;
     t.s_boot t;

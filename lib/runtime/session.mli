@@ -10,11 +10,10 @@
     recording, so the captured trace is complete from the first [open]
     and the Fig. 5 conformance monitor can replay it from scratch.
 
-    Determinism: the engine seed is forked from the session's stream at
-    {!create}, and all in-scenario draws come from the same stream, so a
-    session's outcome is a pure function of its [(id, rng)] pair — the
-    property {!Fleet} relies on to make results independent of the
-    domain count. *)
+    Determinism: the engine draws nothing, and all in-scenario draws
+    come from the session's stream, so a session's outcome is a pure
+    function of its [(id, rng)] pair — the property {!Fleet} relies on
+    to make results independent of the domain count. *)
 
 open Mediactl_sim
 open Mediactl_obs
@@ -22,7 +21,6 @@ open Mediactl_obs
 type t
 
 val create :
-  ?sched:Engine.sched ->
   ?n:float ->
   ?c:float ->
   ?hangup:(t -> unit) ->
@@ -49,7 +47,7 @@ val create :
     re-engaging the path goals to [Close_end]).
     [judge], if given, is the temporal obligation the captured trace is
     judged against; the verdict comes from the same monitor run as the
-    outcome's report and metrics.  [n], [c], and [sched] are passed to
+    outcome's report and metrics.  [n] and [c] are passed to
     {!Timed.create}. *)
 
 val id : t -> int
@@ -68,9 +66,6 @@ val judge : t -> (Trace.Packed.t -> Monitor.verdict) option
     runs the monitor over the trace it is given), for callers that
     drive the session externally and must evaluate the verdict
     themselves. *)
-
-val latency_n : t -> float
-val latency_c : t -> float
 
 val boot_external : t -> make_driver:(Netsys.t -> Timed.t) -> Timed.t
 (** [boot_external t ~make_driver] runs the session on an engine the

@@ -1,7 +1,7 @@
 (* A slot pool for per-shard resident-session bookkeeping.
 
    A churn shard holds its resident sessions in numbered slots so the
-   hot path works with flat indices — the timer wheel schedules
+   hot path works with flat indices — the shard timeline schedules
    [Hangup slot], not a heap-allocated closure per arrival — and so
    the cells that carry per-session state are recycled: a retired
    session's cell is pushed on a LIFO free list and handed to the next

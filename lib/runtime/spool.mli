@@ -1,7 +1,7 @@
 (** A slot pool for per-shard resident-session bookkeeping.
 
     A churn shard keeps its resident sessions in numbered slots: the
-    timer wheel schedules [Hangup slot] as a flat index, and the cells
+    shard timeline schedules [Hangup slot] as a flat index, and the cells
     carrying per-session state are recycled through a LIFO free list —
     the same buffer-reuse discipline the trace ring and the
     [Signal_pack] intern tables apply — so the pool's footprint tracks

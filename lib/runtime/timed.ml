@@ -29,8 +29,7 @@ and t = {
   scripted : (t -> unit) Vec.t;  (* index = registration order *)
   mutable meta_handlers : (t -> chan:string -> at:string -> Meta.t -> unit) list;
   mutable step_hooks : (t -> unit) list;
-  mutable watches : (int * (Netsys.t -> bool) * (float -> unit)) list;
-  mutable watch_seq : int;
+  mutable watches : ((Netsys.t -> bool) * (float -> unit)) list;
   mutable impairment : (t -> frame -> float list) option;
   mutable delivery_filter : (t -> frame -> bool) option;
   mutable frame_seq : int;
@@ -46,14 +45,12 @@ let make engine ~n ~c network =
     meta_handlers = [];
     step_hooks = [];
     watches = [];
-    watch_seq = 0;
     impairment = None;
     delivery_filter = None;
     frame_seq = 0;
   }
 
-let create ?(seed = 42) ?sched ?(n = 34.0) ?(c = 20.0) network =
-  make (Sim (Engine.create ~seed ?sched ())) ~n ~c network
+let create ?(n = 34.0) ?(c = 20.0) network = make (Sim (Engine.create ())) ~n ~c network
 
 let create_external ~now ~schedule ?(n = 34.0) ?(c = 20.0) network =
   make (Ext { ext_now = now; ext_schedule = schedule }) ~n ~c network
@@ -105,7 +102,7 @@ let run_watches t =
     let now = now t in
     let still =
       List.filter
-        (fun (_, pred, callback) ->
+        (fun (pred, callback) ->
           if pred t.network then begin
             callback now;
             false
@@ -116,9 +113,7 @@ let run_watches t =
     t.watches <- still
 
 let when_true t pred callback =
-  let id = t.watch_seq in
-  t.watch_seq <- id + 1;
-  t.watches <- (id, pred, callback) :: t.watches;
+  t.watches <- (pred, callback) :: t.watches;
   run_watches t
 
 (* [sched]/[emit]/[handle] are mutually recursive because an external

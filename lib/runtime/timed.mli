@@ -15,19 +15,13 @@ open Mediactl_types
 
 type t
 
-val create :
-  ?seed:int ->
-  ?sched:Mediactl_sim.Engine.sched ->
-  ?n:float ->
-  ?c:float ->
-  Netsys.t ->
-  t
-(** [create net] wraps a network.  Defaults: [n] = 34.0, [c] = 20.0
-    (milliseconds), timer-wheel scheduler ([sched] selects the reference
-    heap for benchmarking).  The driver keeps no log of its own: run it
-    inside a {!Mediactl_obs.Trace.recording_packed} bracket (with
-    {!observe}) to record what it delivers, and render the receive
-    entries with {!Mediactl_obs.Trace.pp_msc}. *)
+val create : ?n:float -> ?c:float -> Netsys.t -> t
+(** [create net] wraps a network over a fresh {!Mediactl_sim.Engine}.
+    Defaults: [n] = 34.0, [c] = 20.0 (milliseconds).  The driver keeps
+    no log of its own: run it inside a
+    {!Mediactl_obs.Trace.recording_packed} bracket (with {!observe}) to
+    record what it delivers, and render the receive entries with
+    {!Mediactl_obs.Trace.pp_msc}. *)
 
 val create_external :
   now:(unit -> float) ->

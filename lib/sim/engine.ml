@@ -1,114 +1,32 @@
-type sched = Wheel | Heap
+type 'e t = { mutable clock : float; queue : 'e Pqueue.t; mutable seq : int }
 
-(* The timer wheel is the production scheduler; the persistent leftist
-   heap stays as the reference implementation (same ordering contract,
-   qcheck-checked) and as a bench comparison point. *)
-type 'e queue = Wheel_q of 'e Twheel.t | Heap_q of { mutable q : 'e Pqueue.t; mutable n : int }
-
-type 'e t = {
-  mutable clock : float;
-  queue : 'e queue;
-  mutable seq : int;
-  rng : Rng.t;
-}
-
-let create ?(seed = 42) ?(sched = Wheel) ?(resolution = 1.0) () =
-  let queue =
-    match sched with
-    | Wheel -> Wheel_q (Twheel.create ~resolution ())
-    | Heap -> Heap_q { q = Pqueue.empty; n = 0 }
-  in
-  { clock = 0.0; queue; seq = 0; rng = Rng.create seed }
-
+let create () = { clock = 0.0; queue = Pqueue.create (); seq = 0 }
 let now t = t.clock
-let rng t = t.rng
 
 let schedule t ~delay event =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  let key = t.clock +. delay in
-  (match t.queue with
-  | Wheel_q w -> Twheel.insert w ~key ~seq:t.seq event
-  | Heap_q h ->
-    h.q <- Pqueue.insert h.q ~key ~seq:t.seq event;
-    h.n <- h.n + 1);
+  Pqueue.insert t.queue ~key:(t.clock +. delay) ~seq:t.seq event;
   t.seq <- t.seq + 1
 
-let pending t =
-  match t.queue with
-  | Wheel_q w -> Twheel.size w
-  | Heap_q h -> h.n
-
-let peek_key t =
-  match t.queue with
-  | Wheel_q w -> Twheel.peek_key w
-  | Heap_q h -> Pqueue.peek_key h.q
-
-let pop t =
-  match t.queue with
-  | Wheel_q w -> (
-    match Twheel.pop w with
-    | None -> None
-    | Some (time, _, event) -> Some (time, event))
-  | Heap_q h -> (
-    match Pqueue.pop h.q with
-    | None -> None
-    | Some ((time, _, event), rest) ->
-      h.q <- rest;
-      h.n <- h.n - 1;
-      Some (time, event))
-
-(* The wheel path drains due events in equal-key batches through a
-   reused scratch vector: one [drain_due] replaces a peek/pop pair per
-   event, so the steady-state loop allocates nothing per event (the
-   scratch grows to the largest batch once and is then reused).  Batch
-   dispatch is order-identical to per-event pops — see
-   {!Twheel.drain_due} for the argument.  The heap stays on the
-   original per-event loop: it is the reference implementation the
-   qcheck suite compares against. *)
-(* The batch loop is a top-level function, not a [while] in [run]: the
+(* The event loop is a top-level function, not a [while] in [run]: the
    recursion threads [processed] as an accumulator (no counter refs on
    the hot loop), and — because it is where [@@lint.hotpath] roots the
    allocation lint — the handler arrives as a parameter, which is
    exactly ALLOC001's reachability boundary: the dispatched event code
-   is charged to its own phase, not to the drain loop. *)
-let rec run_wheel t w scratch ~until ~max_events handler processed =
-  if processed >= max_events || Twheel.is_empty w then processed
+   is charged to its own phase, not to the loop. *)
+let rec run_loop t ~until ~max_events handler processed =
+  if processed >= max_events || Pqueue.is_empty t.queue then processed
   else
-    let time = Twheel.next_key w in
-    if not (time <= until) then processed
+    let time = Pqueue.min_key t.queue in
+    if time > until then processed
     else begin
-      Vec.clear scratch;
-      let n = Twheel.drain_due w ~max:(max_events - processed) scratch in
-      if n = 0 then processed
-      else begin
-        t.clock <- time;
-        for i = 0 to n - 1 do
-          handler t (Vec.get scratch i)
-        done;
-        run_wheel t w scratch ~until ~max_events handler (processed + n)
-      end
+      t.clock <- time;
+      handler t (Pqueue.pop_min t.queue);
+      run_loop t ~until ~max_events handler (processed + 1)
     end
 [@@lint.hotpath]
 
 let run t ?(until = infinity) ?(max_events = max_int) handler =
-  match t.queue with
-  | Wheel_q w ->
-    (* The scratch vector is per-run, not per-batch: it grows to the
-       largest batch once and is then reused. *)
-    run_wheel t w (Vec.create ()) ~until ~max_events handler 0
-  | Heap_q _ ->
-    let processed = ref 0 in
-    let continue = ref true in
-    while !continue && !processed < max_events do
-      match peek_key t with
-      | None -> continue := false
-      | Some time when time > until -> continue := false
-      | Some _ -> (
-        match pop t with
-        | None -> continue := false
-        | Some (time, event) ->
-          t.clock <- time;
-          handler t event;
-          incr processed)
-    done;
-    !processed
+  let processed = run_loop t ~until ~max_events handler 0 in
+  if Pqueue.is_empty t.queue then Pqueue.release t.queue;
+  processed

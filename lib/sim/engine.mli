@@ -2,34 +2,25 @@
 
     Events are opaque to the engine; the driver supplies a handler that
     reacts to each event (mutating its own world and scheduling further
-    events).  Simultaneous events fire in scheduling order, which keeps
-    runs deterministic. *)
+    events).  Events sit on a {!Pqueue} keyed by [(time, seq)], [seq]
+    counting schedules, so simultaneous events fire in scheduling order
+    and runs are deterministic. *)
 
 type 'e t
 
-(** Which event-queue implementation backs the engine.  [Wheel] (the
-    default) is the hierarchical timer wheel of {!Twheel}; [Heap] is the
-    persistent leftist heap of {!Pqueue}, kept as the reference
-    implementation.  Both pop in identical [(time, seq)] order, so the
-    choice affects performance only. *)
-type sched = Wheel | Heap
-
-val create : ?seed:int -> ?sched:sched -> ?resolution:float -> unit -> 'e t
-(** [resolution] is the wheel's tick width in simulated time units
-    (default 1.0); ignored by the heap. *)
+val create : unit -> 'e t
 
 val now : 'e t -> float
 (** Current simulation time; starts at 0. *)
-
-val rng : 'e t -> Rng.t
 
 val schedule : 'e t -> delay:float -> 'e -> unit
 (** Schedule an event [delay] time units from now.  Raises
     [Invalid_argument] on negative delays. *)
 
-val pending : 'e t -> int
-
 val run : 'e t -> ?until:float -> ?max_events:int -> ('e t -> 'e -> unit) -> int
 (** Process events in timestamp order until the queue is empty, the
     clock passes [until], or [max_events] events have fired.  Returns
-    the number of events processed. *)
+    the number of events processed.  A run that empties the queue
+    releases its storage ({!Pqueue.release}), so an idle engine holds
+    no arrays; a later {!schedule} continues from the same clock and
+    sequence counter. *)

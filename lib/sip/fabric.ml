@@ -4,6 +4,7 @@ type event = Deliver of { from_ : string; to_ : string; msg : Sip_msg.t } | Act 
 
 type t = {
   engine : event Engine.t;
+  rng : Rng.t;
   n : float;
   c : float;
   mutable handlers : (string * (from:string -> Sip_msg.t -> unit)) list;
@@ -14,7 +15,8 @@ type t = {
 
 let create ?(seed = 7) ?(n = 34.0) ?(c = 20.0) () =
   {
-    engine = Engine.create ~seed ();
+    engine = Engine.create ();
+    rng = Rng.create seed;
     n;
     c;
     handlers = [];
@@ -26,7 +28,7 @@ let create ?(seed = 7) ?(n = 34.0) ?(c = 20.0) () =
 let n t = t.n
 let c t = t.c
 let now t = Engine.now t.engine
-let rng t = Engine.rng t.engine
+let rng t = t.rng
 
 let register t name handler =
   t.handlers <- (name, handler) :: List.remove_assoc name t.handlers

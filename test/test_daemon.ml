@@ -510,6 +510,41 @@ let test_status_sees_pipelined_requests () =
       (String.ends_with ~suffix:"undetermined at cutoff: signals still in flight" status)
   | _ -> Alcotest.fail "expected one CALL status line"
 
+(* A WAIT that times out on a condition that never comes true (an
+   open end facing a closed one never flows) must not leave its watch
+   on the daemon's driver: the words the driver reaches after 500 such
+   WAITs stay within a small bound of the words after one. *)
+let test_timed_out_waits_drop_their_watches () =
+  let driver_words waits =
+    let path = fresh_sock () in
+    let d = Daemon.create ~n:2.0 ~c:1.0 ~listener:(listen_on path) () in
+    let loop = Daemon.loop d in
+    let fd = Transport.connect (Transport.Unix_sock path) in
+    let words = ref 0 in
+    let _, failures =
+      scripted_client loop fd
+        ~finally:(fun () ->
+          (* The client rides the daemon's loop: unhook it first, so
+             the lines it kept are not counted as the daemon's. *)
+          Wallclock.remove_fd loop fd;
+          words := Obj.reachable_words (Obj.repr (Daemon.driver d));
+          Daemon.shutdown d)
+        ((Control.Create { id = "w1"; left = Semantics.Open_end; right = Semantics.Close_end }
+         :: List.init waits (fun _ ->
+                Control.Wait { id = "w1"; what = `Flowing; timeout_ms = 1.0 }))
+        @ [ Control.Ping ])
+    in
+    Daemon.run d;
+    Transport.close_quiet fd;
+    check tint "every WAIT timed out" waits (List.length !failures);
+    !words
+  in
+  let one = driver_words 1 in
+  let many = driver_words 500 in
+  check tbool
+    (Printf.sprintf "%d words after 500 timed-out WAITs, %d after 1 (at most 256 more)" many one)
+    true (many <= one + 256)
+
 (* A control client that streams 1 MiB with no newline is told its line
    is too long and disconnected once the line passes the wire frame
    cap, instead of growing the daemon's buffer without bound; a second
@@ -589,5 +624,7 @@ let () =
           Alcotest.test_case "status sees pipelined requests" `Quick
             test_status_sees_pipelined_requests;
           Alcotest.test_case "overlong control line is refused" `Quick test_overlong_control_line;
+          Alcotest.test_case "timed-out waits drop their watches" `Quick
+            test_timed_out_waits_drop_their_watches;
         ] );
     ]

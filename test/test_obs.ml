@@ -25,7 +25,7 @@ let tstr = Alcotest.string
    schedule further actions on the driver before it runs. *)
 let path_run ?(left = Semantics.Open_end) ?(right = Semantics.Open_end) ?(flowlinks = 0)
     ?(loss = 0.0) ?(script = fun _ -> ()) ~seed () =
-  let sim = Timed.create ~seed ~n:34.0 ~c:20.0 (Pathlab.topology ~flowlinks ()) in
+  let sim = Timed.create ~n:34.0 ~c:20.0 (Pathlab.topology ~flowlinks ()) in
   Timed.observe sim;
   if loss > 0.0 then begin
     let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in
@@ -48,7 +48,7 @@ let conf_users = List.map fst (Conference.default_users 3)
 let conf_run ?(loss = 0.0) ?(script = fun _ -> ()) ~seed () =
   let users = Conference.default_users 3 in
   let net = fst (Netsys.run (Conference.build ~users)) in
-  let sim = Timed.create ~seed ~n:34.0 ~c:20.0 net in
+  let sim = Timed.create ~n:34.0 ~c:20.0 net in
   Timed.observe sim;
   if loss > 0.0 then begin
     let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in

@@ -1,4 +1,4 @@
-(* Tests for the discrete-event substrate: priority queue, deterministic
+(* Tests for the discrete-event substrate: the event queue, deterministic
    RNG, statistics, and the engine itself. *)
 
 open Mediactl_sim
@@ -7,280 +7,290 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 
-(* --- priority queue -------------------------------------------------- *)
+(* --- event queue ------------------------------------------------------ *)
+
+let drain_values q =
+  let rec go acc = if Pqueue.is_empty q then List.rev acc else go (Pqueue.pop_min q :: acc) in
+  go []
 
 let test_pqueue_order () =
-  let q = Pqueue.empty in
-  let q = Pqueue.insert q ~key:3.0 ~seq:0 "c" in
-  let q = Pqueue.insert q ~key:1.0 ~seq:1 "a" in
-  let q = Pqueue.insert q ~key:2.0 ~seq:2 "b" in
-  let rec drain q acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some ((_, _, v), q) -> drain q (v :: acc)
-  in
-  check tbool "sorted" true (drain q [] = [ "a"; "b"; "c" ])
+  let q = Pqueue.create () in
+  Pqueue.insert q ~key:3.0 ~seq:0 "c";
+  Pqueue.insert q ~key:1.0 ~seq:1 "a";
+  Pqueue.insert q ~key:2.0 ~seq:2 "b";
+  check tbool "sorted" true (drain_values q = [ "a"; "b"; "c" ])
 
 let test_pqueue_ties_fifo () =
-  let q = Pqueue.empty in
-  let q = Pqueue.insert q ~key:1.0 ~seq:0 "first" in
-  let q = Pqueue.insert q ~key:1.0 ~seq:1 "second" in
-  let q = Pqueue.insert q ~key:1.0 ~seq:2 "third" in
-  let rec drain q acc =
-    match Pqueue.pop q with
-    | None -> List.rev acc
-    | Some ((_, _, v), q) -> drain q (v :: acc)
-  in
-  check tbool "fifo among ties" true (drain q [] = [ "first"; "second"; "third" ])
+  let q = Pqueue.create () in
+  Pqueue.insert q ~key:1.0 ~seq:0 "first";
+  Pqueue.insert q ~key:1.0 ~seq:1 "second";
+  Pqueue.insert q ~key:1.0 ~seq:2 "third";
+  check tbool "fifo among ties" true (drain_values q = [ "first"; "second"; "third" ])
 
 let test_pqueue_size () =
-  let q = List.fold_left (fun q i -> Pqueue.insert q ~key:(float_of_int i) ~seq:i i)
-      Pqueue.empty (List.init 10 Fun.id) in
+  let q = Pqueue.create () in
+  List.iter (fun i -> Pqueue.insert q ~key:(float_of_int i) ~seq:i i) (List.init 10 Fun.id);
   check tint "size" 10 (Pqueue.size q);
-  check tbool "peek" true (Pqueue.peek_key q = Some 0.0)
+  check tbool "peek" true (Pqueue.min_key q = 0.0)
 
 let prop_pqueue_sorted =
   QCheck2.Test.make ~name:"pqueue pops keys in nondecreasing order" ~count:300
     QCheck2.Gen.(list_size (int_range 0 60) (float_range 0.0 100.0))
     (fun keys ->
-      let q =
-        List.fold_left
-          (fun (q, seq) k -> (Pqueue.insert q ~key:k ~seq (), seq + 1))
-          (Pqueue.empty, 0) keys
-        |> fst
+      let q = Pqueue.create () in
+      List.iteri (fun seq k -> Pqueue.insert q ~key:k ~seq k) keys;
+      let rec drain last =
+        Pqueue.is_empty q
+        ||
+        let k = Pqueue.pop_min q in
+        k >= last && drain k
       in
-      let rec drain q last =
-        match Pqueue.pop q with
-        | None -> true
-        | Some ((k, _, ()), q) -> k >= last && drain q k
-      in
-      drain q neg_infinity)
+      drain neg_infinity)
 
-(* --- timer wheel ------------------------------------------------------ *)
+(* Fresh blocks made and dropped in functions of their own, so no
+   stack slot of the test keeps one alive. *)
+let[@inline never] fill_fresh q weak n =
+  for i = 0 to n - 1 do
+    let v = Bytes.make 16 'x' in
+    Weak.set weak i (Some v);
+    Pqueue.insert q ~key:(float_of_int (i mod 4)) ~seq:i v
+  done
 
-(* The wheel must be observationally identical to the reference heap:
-   same (key, seq, value) pop sequence, including the FIFO tie-break at
-   equal keys, under any interleaving of inserts and pops. *)
+let[@inline never] pop_and_drop q n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Pqueue.pop_min q))
+  done
 
-let pop_heap h =
-  match Pqueue.pop !h with
-  | None -> None
-  | Some ((k, s, v), rest) ->
-    h := rest;
-    Some (k, s, v)
+(* A popped value must be collectable while the queue still holds
+   others: a slot it vacated may not keep it. *)
+let test_pqueue_popped_collectable () =
+  let n = 40 and popped = 25 in
+  let q = Pqueue.create () in
+  let weak = Weak.create n in
+  fill_fresh q weak n;
+  pop_and_drop q popped;
+  Gc.full_major ();
+  let ids = List.init n Fun.id in
+  (* Value i has key i mod 4 and seq i, so the 25 pops take the ten
+     cells of key 0, the ten of key 1 and the first five of key 2. *)
+  let queued = List.filter (fun i -> i mod 4 = 3 || (i mod 4 = 2 && i >= 22)) ids in
+  check tint "still queued" (n - popped) (Pqueue.size q);
+  check (Alcotest.list tint) "only the queued values are reachable" queued
+    (List.filter (Weak.check weak) ids)
 
-let test_twheel_order_and_ties () =
-  let w = Twheel.create () in
-  Twheel.insert w ~key:3.0 ~seq:0 "c";
-  Twheel.insert w ~key:1.0 ~seq:1 "a";
-  Twheel.insert w ~key:1.0 ~seq:2 "a2";
-  Twheel.insert w ~key:2.0 ~seq:3 "b";
-  let rec drain acc =
-    match Twheel.pop w with
-    | None -> List.rev acc
-    | Some (_, _, v) -> drain (v :: acc)
-  in
-  check tbool "sorted, fifo ties" true (drain [] = [ "a"; "a2"; "b"; "c" ])
+(* The reference queue for the cases below: a list kept sorted by
+   (key, seq), inserted into by a linear walk. *)
+module Sorted = struct
+  type 'a t = { mutable cells : (float * int * 'a) list }
+
+  let create () = { cells = [] }
+  let is_empty m = m.cells = []
+
+  let insert m ~key ~seq v =
+    let rec go = function
+      | ((k, s, _) as c) :: rest when k < key || (k = key && s < seq) -> c :: go rest
+      | cells -> (key, seq, v) :: cells
+    in
+    m.cells <- go m.cells
+
+  let pop m =
+    match m.cells with
+    | [] -> None
+    | c :: rest ->
+      m.cells <- rest;
+      Some c
+
+  let min_key m = match m.cells with (k, _, _) :: _ -> Some k | [] -> None
+end
+
+(* Pop with the key, for comparison with [Sorted.pop]. *)
+let pop_keyed q =
+  if Pqueue.is_empty q then None
+  else
+    let k = Pqueue.min_key q in
+    Some (k, Pqueue.pop_min q)
+
+(* Batches and interleavings.  They report under the group name
+   twheel, the queue they were first written for, so their results
+   compare across runs. *)
+
+let test_queue_order_and_ties () =
+  let q = Pqueue.create () in
+  Pqueue.insert q ~key:3.0 ~seq:0 "c";
+  Pqueue.insert q ~key:1.0 ~seq:1 "a";
+  Pqueue.insert q ~key:1.0 ~seq:2 "a2";
+  Pqueue.insert q ~key:2.0 ~seq:3 "b";
+  check tbool "sorted, fifo ties" true (drain_values q = [ "a"; "a2"; "b"; "c" ])
 
 (* Keys drawn from a small integer grid so equal keys (exercising the
-   seq tie-break) are common; each insert is followed by 0-3 pops so
-   cursor advance interleaves with placement. *)
-let prop_twheel_heap_equiv =
-  QCheck2.Test.make ~name:"timer wheel pops exactly like the leftist heap" ~count:500
-    QCheck2.Gen.(
-      pair
-        (float_range 0.05 8.0)
-        (list_size (int_range 0 80) (pair (int_range 0 400) (int_range 0 3))))
-    (fun (resolution, script) ->
-      let w = Twheel.create ~resolution () in
-      let h = ref Pqueue.empty in
+   seq tie-break) are common; each insert is followed by 0-3 pops, so
+   the heap is sifted at every size it passes through. *)
+let prop_pqueue_interleaved =
+  QCheck2.Test.make ~name:"inserts and pops match a sorted list" ~count:500
+    QCheck2.Gen.(list_size (int_range 0 80) (pair (int_range 0 400) (int_range 0 3)))
+    (fun script ->
+      let q = Pqueue.create () and m = Sorted.create () in
       let seq = ref 0 in
       let ok = ref true in
-      let pop_both () = if Twheel.pop w <> pop_heap h then ok := false in
+      let pop_both () =
+        match (pop_keyed q, Sorted.pop m) with
+        | Some (k, v), Some (k', _, v') -> if not (Float.equal k k' && v = v') then ok := false
+        | None, None -> ()
+        | Some _, None | None, Some _ -> ok := false
+      in
       List.iter
         (fun (k, pops) ->
           let key = float_of_int k /. 4.0 in
-          Twheel.insert w ~key ~seq:!seq !seq;
-          h := Pqueue.insert !h ~key ~seq:!seq !seq;
+          Pqueue.insert q ~key ~seq:!seq !seq;
+          Sorted.insert m ~key ~seq:!seq !seq;
           incr seq;
           for _ = 1 to pops do
             pop_both ()
           done)
         script;
-      while not (Twheel.is_empty w) || Pqueue.size !h > 0 do
+      while not (Pqueue.is_empty q && Sorted.is_empty m) do
         pop_both ()
       done;
-      !ok && Twheel.pop w = None)
-
-(* Far-future keys spill into the overflow list and are rebased back
-   onto the levels as the cursor reaches them. *)
-let prop_twheel_overflow =
-  QCheck2.Test.make ~name:"timer wheel overflow horizon preserves heap order" ~count:100
-    QCheck2.Gen.(list_size (int_range 0 40) (float_range 0.0 5e12))
-    (fun keys ->
-      let w = Twheel.create ~resolution:1.0 () in
-      let h = ref Pqueue.empty in
-      List.iteri
-        (fun seq key ->
-          Twheel.insert w ~key ~seq ();
-          h := Pqueue.insert !h ~key ~seq ())
-        keys;
-      let ok = ref true in
-      while not (Twheel.is_empty w) do
-        if Twheel.pop w <> pop_heap h then ok := false
-      done;
-      !ok && pop_heap h = None)
+      !ok && Pqueue.size q = 0)
 
 (* Batch draining must be observationally identical to per-event pops:
    [drain_due] takes the maximal equal-earliest-key run, in (key, seq)
    order, and leaves nothing at that key behind. *)
-let prop_twheel_drain_batch =
+let prop_drain_batch =
   QCheck2.Test.make ~name:"drain_due takes the whole due batch in heap order" ~count:300
-    QCheck2.Gen.(
-      pair (float_range 0.05 8.0) (list_size (int_range 1 60) (int_range 0 40)))
-    (fun (resolution, keys) ->
-      let w = Twheel.create ~resolution () in
-      let h = ref Pqueue.empty in
+    QCheck2.Gen.(list_size (int_range 1 60) (int_range 0 40))
+    (fun keys ->
+      let q = Pqueue.create () and m = Sorted.create () in
       List.iteri
         (fun seq k ->
           let key = float_of_int k /. 4.0 in
-          Twheel.insert w ~key ~seq seq;
-          h := Pqueue.insert !h ~key ~seq seq)
+          Pqueue.insert q ~key ~seq seq;
+          Sorted.insert m ~key ~seq seq)
         keys;
       let out = Vec.create () in
       let ok = ref true in
-      while not (Twheel.is_empty w) do
-        let due = Twheel.next_key w in
+      while not (Pqueue.is_empty q) do
+        let due = Pqueue.min_key q in
         Vec.clear out;
-        let n = Twheel.drain_due w ~max:max_int out in
+        let n = Pqueue.drain_due q ~max:max_int out in
         if n = 0 || n <> Vec.length out then ok := false;
-        (* The batch is exactly the heap's run of [due]-keyed cells. *)
+        (* The batch is exactly the model's run of [due]-keyed cells. *)
         for i = 0 to n - 1 do
-          match pop_heap h with
-          | Some (k, _, v) ->
-            if not (Float.equal k due) || v <> Vec.get out i then ok := false
+          match Sorted.pop m with
+          | Some (k, _, v) -> if not (Float.equal k due) || v <> Vec.get out i then ok := false
           | None -> ok := false
         done;
-        (* Nothing at the due key may remain in either structure. *)
-        (match Pqueue.pop !h with
-        | Some ((k, _, _), _) -> if Float.equal k due then ok := false
-        | None -> ());
-        (match Twheel.peek_key w with
-        | Some k -> if k <= due then ok := false
-        | None -> ())
+        (* Nothing at the due key may remain in either queue. *)
+        (match Sorted.min_key m with Some k -> if Float.equal k due then ok := false | None -> ());
+        if (not (Pqueue.is_empty q)) && Pqueue.min_key q <= due then ok := false
       done;
-      !ok && Pqueue.size !h = 0)
+      !ok && Sorted.is_empty m)
 
 (* The engine pattern over [drain_due]: dispatching a batch makes its
    handlers reschedule at exactly the drained key.  Those cells carry
    higher seqs than the whole batch, so they land in the {e next}
    batch — precisely where per-event popping (reschedule after each
    pop) would deliver them.  Both arms must log the same sequence. *)
-let prop_twheel_drain_reschedule =
+let prop_drain_reschedule =
   QCheck2.Test.make ~name:"drain_due with same-key reschedules matches per-pop order"
     ~count:200
-    QCheck2.Gen.(
-      pair (float_range 0.05 4.0) (list_size (int_range 1 40) (int_range 0 15)))
-    (fun (resolution, keys) ->
+    QCheck2.Gen.(list_size (int_range 1 40) (int_range 0 15))
+    (fun keys ->
       let cap = List.length keys + 60 in
       let reschedules v = v mod 3 = 0 in
-      (* Arm 1: the wheel, whole-batch drain, reschedules after drain. *)
-      let w = Twheel.create ~resolution () in
-      let seqw = ref 0 in
-      let insw key v =
-        Twheel.insert w ~key ~seq:!seqw v;
-        incr seqw
+      (* Arm 1: the queue, whole-batch drain, reschedules after drain. *)
+      let q = Pqueue.create () in
+      let seqq = ref 0 in
+      let insq key v =
+        Pqueue.insert q ~key ~seq:!seqq v;
+        incr seqq
       in
-      List.iteri (fun i k -> insw (float_of_int k /. 2.0) i) keys;
+      List.iteri (fun i k -> insq (float_of_int k /. 2.0) i) keys;
       let out = Vec.create () in
-      let logw = ref [] in
-      let nextw = ref (List.length keys) in
-      while not (Twheel.is_empty w) do
-        let due = Twheel.next_key w in
+      let logq = ref [] in
+      let nextq = ref (List.length keys) in
+      while not (Pqueue.is_empty q) do
+        let due = Pqueue.min_key q in
         Vec.clear out;
-        let _ = Twheel.drain_due w ~max:max_int out in
+        let _ = Pqueue.drain_due q ~max:max_int out in
         Vec.iter
           (fun v ->
-            logw := (due, v) :: !logw;
-            if reschedules v && !nextw < cap then begin
-              insw due !nextw;
-              incr nextw
+            logq := (due, v) :: !logq;
+            if reschedules v && !nextq < cap then begin
+              insq due !nextq;
+              incr nextq
             end)
           out
       done;
-      (* Arm 2: the reference heap, one pop (and reschedule) at a time. *)
-      let h = ref Pqueue.empty in
-      let seqh = ref 0 in
-      let insh key v =
-        h := Pqueue.insert !h ~key ~seq:!seqh v;
-        incr seqh
+      (* Arm 2: the sorted list, one pop (and reschedule) at a time. *)
+      let m = Sorted.create () in
+      let seqm = ref 0 in
+      let insm key v =
+        Sorted.insert m ~key ~seq:!seqm v;
+        incr seqm
       in
-      List.iteri (fun i k -> insh (float_of_int k /. 2.0) i) keys;
-      let logh = ref [] in
-      let nexth = ref (List.length keys) in
+      List.iteri (fun i k -> insm (float_of_int k /. 2.0) i) keys;
+      let logm = ref [] in
+      let nextm = ref (List.length keys) in
       let continue = ref true in
       while !continue do
-        match pop_heap h with
+        match Sorted.pop m with
         | None -> continue := false
         | Some (k, _, v) ->
-          logh := (k, v) :: !logh;
-          if reschedules v && !nexth < cap then begin
-            insh k !nexth;
-            incr nexth
+          logm := (k, v) :: !logm;
+          if reschedules v && !nextm < cap then begin
+            insm k !nextm;
+            incr nextm
           end
       done;
-      !logw = !logh)
+      !logq = !logm)
 
 (* [max] caps one drain without reordering: the rest of the batch
    stays due and comes out first on the next call. *)
-let test_twheel_drain_max () =
-  let w = Twheel.create () in
+let test_drain_max () =
+  let q = Pqueue.create () in
   for seq = 0 to 4 do
-    Twheel.insert w ~key:2.0 ~seq seq
+    Pqueue.insert q ~key:2.0 ~seq seq
   done;
-  Twheel.insert w ~key:5.0 ~seq:5 5;
+  Pqueue.insert q ~key:5.0 ~seq:5 5;
   let out = Vec.create () in
-  let n1 = Twheel.drain_due w ~max:2 out in
+  let n1 = Pqueue.drain_due q ~max:2 out in
   check tint "capped drain" 2 n1;
-  let n2 = Twheel.drain_due w ~max:10 out in
+  let n2 = Pqueue.drain_due q ~max:10 out in
   check tint "rest of the batch" 3 n2;
   check tbool "batch in seq order" true (Vec.to_list out = [ 0; 1; 2; 3; 4 ]);
   Vec.clear out;
-  let n3 = Twheel.drain_due w ~max:10 out in
+  let n3 = Pqueue.drain_due q ~max:10 out in
   check tint "next key drains alone" 1 n3;
   check tbool "later key untouched until due" true (Vec.to_list out = [ 5 ])
 
-(* The due path: capped drains leave part of an equal-key batch in the
-   due list, and the inserts between drains land at the key just
-   drained, inside the cursor's current tick, or ahead of it.  The
-   first two are already due, so they wait in the late list and are
-   merged into a non-empty due list; the reference heap pops the same
-   cells one at a time.  Each drained cell must be the heap's next pop,
-   and a drain that stops short of its cap must have taken the whole
-   equal-key run. *)
-let prop_twheel_capped_drain_merge =
+(* Capped drains leave part of an equal-key batch queued, and the
+   inserts between drains land at the key just drained, just after it,
+   or further ahead; the sorted list pops the same cells one at a time.
+   Each drained cell must be the model's next pop, and a drain that
+   stops short of its cap must have taken the whole equal-key run. *)
+let prop_capped_drain_merge =
   QCheck2.Test.make ~name:"capped drains merging due inserts match per-event heap pops"
     ~count:300
     QCheck2.Gen.(
-      triple (float_range 0.25 4.0)
+      pair
         (list_size (int_range 1 60) (int_range 0 40))
         (list_size (int_range 1 80)
            (pair (int_range 1 8)
               (list_size (int_range 0 3) (pair (int_range 0 2) (int_range 0 12))))))
-    (fun (resolution, keys, script) ->
-      let w = Twheel.create ~resolution () in
-      let h = ref Pqueue.empty in
+    (fun (keys, script) ->
+      let q = Pqueue.create () and m = Sorted.create () in
       let seq = ref 0 in
       let insert key =
-        Twheel.insert w ~key ~seq:!seq !seq;
-        h := Pqueue.insert !h ~key ~seq:!seq !seq;
+        Pqueue.insert q ~key ~seq:!seq !seq;
+        Sorted.insert m ~key ~seq:!seq !seq;
         incr seq
       in
       List.iter (fun k -> insert (float_of_int k /. 4.0)) keys;
       let out = Vec.create () in
       let ok = ref true in
       let script = ref script in
-      while not (Twheel.is_empty w) do
+      while not (Pqueue.is_empty q) do
         let cap, inserts =
           match !script with
           | step :: rest ->
@@ -288,99 +298,98 @@ let prop_twheel_capped_drain_merge =
             step
           | [] -> (8, [])
         in
-        let due = Twheel.next_key w in
+        let due = Pqueue.min_key q in
         Vec.clear out;
-        let n = Twheel.drain_due w ~max:cap out in
+        let n = Pqueue.drain_due q ~max:cap out in
         if n < 1 || n > cap then ok := false;
         for i = 0 to n - 1 do
-          match pop_heap h with
+          match Sorted.pop m with
           | Some (k, _, v) -> if not (Float.equal k due) || v <> Vec.get out i then ok := false
           | None -> ok := false
         done;
         (if n < cap then
-           match Pqueue.peek_key !h with
-           | Some k -> if k <= due then ok := false
-           | None -> ());
-        let tick_end = Float.of_int (int_of_float (due /. resolution) + 1) *. resolution in
+           match Sorted.min_key m with Some k -> if k <= due then ok := false | None -> ());
         List.iter
           (fun (where, o) ->
             insert
               (match where with
               | 0 -> due
-              | 1 -> due +. ((tick_end -. due) *. float_of_int o /. 13.0)
-              | _ -> tick_end +. (resolution *. float_of_int o /. 4.0)))
+              | 1 -> due +. (float_of_int o /. 13.0)
+              | _ -> due +. 1.0 +. (float_of_int o /. 4.0)))
           inserts
       done;
-      !ok && Pqueue.size !h = 0)
+      !ok && Sorted.is_empty m)
 
-(* A burst of due inserts costs one sort, not a sorted insert each:
-   10,000 cells at one key, drained 64 at a time, allocate a bounded
-   number of words per cell (under 50 in a dev build, nearly all of it
-   the sort; a sorted insert per cell costs about 15,000). *)
-let test_twheel_due_burst_linear () =
+(* Churn's t = 0 prefill puts a shard's whole population at one key:
+   10,000 cells at one key, drained 64 at a time.  The first pass grows
+   the arrays by doubling, a bounded number of words per cell (about
+   15 here, counting the major heap, where large arrays go); once they
+   have grown, a second pass allocates nothing per insert or per pop. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_due_burst_linear () =
   let n = 10_000 in
-  let w = Twheel.create () in
+  let q = Pqueue.create () in
   let out = Vec.create () in
-  let words0 = Gc.minor_words () in
-  for seq = 0 to n - 1 do
-    Twheel.insert w ~key:0.0 ~seq seq
-  done;
-  let drained = ref 0 in
-  while not (Twheel.is_empty w) do
-    Vec.clear out;
-    drained := !drained + Twheel.drain_due w ~max:64 out
-  done;
-  let per_cell = (Gc.minor_words () -. words0) /. float_of_int n in
-  check tint "every cell drained" n !drained;
+  let pass () =
+    let words0 = allocated_words () in
+    for seq = 0 to n - 1 do
+      Pqueue.insert q ~key:0.0 ~seq seq
+    done;
+    let drained = ref 0 in
+    while not (Pqueue.is_empty q) do
+      Vec.clear out;
+      drained := !drained + Pqueue.drain_due q ~max:64 out
+    done;
+    check tint "every cell drained" n !drained;
+    (allocated_words () -. words0) /. float_of_int n
+  in
+  let growing = pass () in
+  let grown = pass () in
   check tbool
-    (Printf.sprintf "%.1f minor words per cell (at most 100)" per_cell)
-    true (per_cell <= 100.0)
+    (Printf.sprintf "%.1f words per cell while growing (at most 32)" growing)
+    true (growing <= 32.0);
+  check tbool (Printf.sprintf "%.2f words per cell once grown (under 1)" grown) true (grown < 1.0)
 
-(* Merging a late cell behind a long due list must not take a stack
-   frame per due cell: a shard's population can be 10^5-10^6 cells.
-   The drain runs under a 16k-word stack limit, which a frame per
-   cell of 100,000 would overflow. *)
-let test_twheel_merge_flat_stack () =
-  let n = 100_000 in
-  let w = Twheel.create () in
-  for seq = 0 to n - 1 do
-    Twheel.insert w ~key:0.0 ~seq seq
-  done;
-  let out = Vec.create () in
-  let first = Twheel.drain_due w ~max:1 out in
-  Twheel.insert w ~key:0.5 ~seq:n n;
-  let saved = Gc.get () in
-  Gc.set { saved with Gc.stack_limit = 16_384 };
-  let drained =
-    Fun.protect
-      ~finally:(fun () -> Gc.set saved)
-      (fun () ->
-        let drained = ref first in
-        while not (Twheel.is_empty w) do
-          Vec.clear out;
-          drained := !drained + Twheel.drain_due w ~max:4096 out
-        done;
-        !drained)
-  in
-  check tint "every cell drained" (n + 1) drained;
-  check tint "the late cell comes last" n (Vec.get out (Vec.length out - 1))
-
-(* End-to-end: an engine under each scheduler, with handlers that keep
-   scheduling (including zero delays, which tie with the current time),
-   must deliver the identical event sequence. *)
+(* End-to-end: the engine against a per-event reference over the
+   sorted list, with handlers that keep scheduling — zero delays,
+   which tie with the current time, and equal delays, which tie with
+   each other — must deliver the identical event sequence. *)
 let test_engine_sched_equiv () =
-  let run sched =
-    let engine = Engine.create ~sched () in
-    let log = ref [] in
-    List.iteri (fun i d -> Engine.schedule engine ~delay:d i) [ 5.0; 1.0; 1.0; 9.0; 0.0 ];
-    let handler e v =
-      log := (Engine.now e, v) :: !log;
-      if v < 40 then Engine.schedule e ~delay:(float_of_int (v mod 7)) (v + 10)
-    in
-    let _ = Engine.run engine handler in
-    List.rev !log
+  let initial = [ 5.0; 1.0; 1.0; 9.0; 0.0; 1.0 ] in
+  let reactions v =
+    if v >= 40 then []
+    else if v mod 3 = 0 then [ (0.0, v + 10); (2.0, v + 11) ]
+    else [ (float_of_int (v mod 7), v + 10) ]
   in
-  check tbool "wheel and heap engines agree" true (run Engine.Wheel = run Engine.Heap)
+  let engine = Engine.create () in
+  let log = ref [] in
+  List.iteri (fun i d -> Engine.schedule engine ~delay:d i) initial;
+  let handler e v =
+    log := (Engine.now e, v) :: !log;
+    List.iter (fun (d, v') -> Engine.schedule e ~delay:d v') (reactions v)
+  in
+  let processed = Engine.run engine handler in
+  let m = Sorted.create () in
+  let seq = ref 0 in
+  let schedule ~now d v =
+    Sorted.insert m ~key:(now +. d) ~seq:!seq v;
+    incr seq
+  in
+  List.iteri (fun i d -> schedule ~now:0.0 d i) initial;
+  let reference = ref [] in
+  let continue = ref true in
+  while !continue do
+    match Sorted.pop m with
+    | None -> continue := false
+    | Some (now, _, v) ->
+      reference := (now, v) :: !reference;
+      List.iter (fun (d, v') -> schedule ~now d v') (reactions v)
+  done;
+  check tint "every event processed" (List.length !reference) processed;
+  check tbool "engine matches the per-event reference" true (!log = !reference)
 
 (* --- rng -------------------------------------------------------------- *)
 
@@ -611,6 +620,26 @@ let test_engine_negative_delay () =
   Alcotest.check_raises "negative" (Invalid_argument "Engine.schedule: negative delay")
     (fun () -> Engine.schedule engine ~delay:(-1.0) ())
 
+(* A run that empties the queue releases its arrays, so an idle engine
+   (a dormant churn resident's) reaches only its own few blocks; a
+   later schedule continues from the same clock, and equal times still
+   fire in scheduling order. *)
+let test_engine_release () =
+  let engine = Engine.create () in
+  for i = 0 to 99 do
+    Engine.schedule engine ~delay:(float_of_int (i mod 7)) i
+  done;
+  let _ = Engine.run engine (fun _ _ -> ()) in
+  let words = Obj.reachable_words (Obj.repr engine) in
+  check tbool (Printf.sprintf "%d words reachable when idle (at most 16)" words) true (words <= 16);
+  let log = ref [] in
+  Engine.schedule engine ~delay:2.0 100;
+  Engine.schedule engine ~delay:1.0 101;
+  Engine.schedule engine ~delay:2.0 102;
+  let _ = Engine.run engine (fun e v -> log := (Engine.now e, v) :: !log) in
+  check tbool "continues from the clock, (time, seq) order" true
+    (List.rev !log = [ (7.0, 101); (8.0, 100); (8.0, 102) ])
+
 let () =
   Alcotest.run "sim"
     [
@@ -620,19 +649,18 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_pqueue_ties_fifo;
           Alcotest.test_case "size/peek" `Quick test_pqueue_size;
           QCheck_alcotest.to_alcotest prop_pqueue_sorted;
+          Alcotest.test_case "popped value is collectable" `Quick test_pqueue_popped_collectable;
         ] );
       ( "twheel",
         [
-          Alcotest.test_case "ordering and ties" `Quick test_twheel_order_and_ties;
+          Alcotest.test_case "ordering and ties" `Quick test_queue_order_and_ties;
           Alcotest.test_case "engine scheduler equivalence" `Quick test_engine_sched_equiv;
-          Alcotest.test_case "drain_due max cap" `Quick test_twheel_drain_max;
-          QCheck_alcotest.to_alcotest prop_twheel_heap_equiv;
-          QCheck_alcotest.to_alcotest prop_twheel_overflow;
-          QCheck_alcotest.to_alcotest prop_twheel_drain_batch;
-          QCheck_alcotest.to_alcotest prop_twheel_drain_reschedule;
-          QCheck_alcotest.to_alcotest prop_twheel_capped_drain_merge;
-          Alcotest.test_case "due burst allocates linearly" `Quick test_twheel_due_burst_linear;
-          Alcotest.test_case "merge keeps the stack flat" `Quick test_twheel_merge_flat_stack;
+          Alcotest.test_case "drain_due max cap" `Quick test_drain_max;
+          QCheck_alcotest.to_alcotest prop_pqueue_interleaved;
+          QCheck_alcotest.to_alcotest prop_drain_batch;
+          QCheck_alcotest.to_alcotest prop_drain_reschedule;
+          QCheck_alcotest.to_alcotest prop_capped_drain_merge;
+          Alcotest.test_case "due burst allocates linearly" `Quick test_due_burst_linear;
         ] );
       ( "rng",
         [
@@ -655,5 +683,6 @@ let () =
           Alcotest.test_case "cascade" `Quick test_engine_cascade;
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
+          Alcotest.test_case "emptied run releases the queue" `Quick test_engine_release;
         ] );
     ]
