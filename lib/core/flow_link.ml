@@ -11,16 +11,17 @@ let pp_side ppf = function
   | Left -> Format.pp_print_string ppf "left"
   | Right -> Format.pp_print_string ppf "right"
 
-(* Per-side bookkeeping.  [utd]: this side has been sent the other
-   side's current descriptor.  [close_pending]: a close received on the
-   other side must be propagated to this side.  [pending_sel]: a fresh
-   selector received on the other side, waiting until this side can
-   carry it. *)
-type side_state = { utd : bool; close_pending : bool; pending_sel : Selector.t option }
+(* Per-side bookkeeping.  [v_utd]: this side has been sent the other
+   side's current descriptor.  [v_close_pending]: a close received on
+   the other side must be propagated to this side.  [v_pending_sel]: a
+   fresh selector received on the other side, waiting until this side
+   can carry it.  The goal object stores the record it exposes, so
+   [view] and [of_views] copy nothing. *)
+type side_view = { v_utd : bool; v_close_pending : bool; v_pending_sel : Selector.t option }
 
-let initial_side = { utd = false; close_pending = false; pending_sel = None }
+let initial_side = { v_utd = false; v_close_pending = false; v_pending_sel = None }
 
-type t = { left_st : side_state; right_st : side_state; filter_selectors : bool }
+type t = { left_st : side_view; right_st : side_view; filter_selectors : bool }
 
 type outcome = {
   goal : t;
@@ -41,19 +42,11 @@ let set t side st =
   | Left -> { t with left_st = st }
   | Right -> { t with right_st = st }
 
-let up_to_date t side = (get t side).utd
-
-type side_view = { v_utd : bool; v_close_pending : bool; v_pending_sel : Selector.t option }
-
-let view t side =
-  let st = get t side in
-  { v_utd = st.utd; v_close_pending = st.close_pending; v_pending_sel = st.pending_sel }
+let up_to_date t side = (get t side).v_utd
+let view = get
 
 let of_views ?(filter_selectors = true) ~left ~right () =
-  let side_state v =
-    { utd = v.v_utd; close_pending = v.v_close_pending; pending_sel = v.v_pending_sel }
-  in
-  { left_st = side_state left; right_st = side_state right; filter_selectors }
+  { left_st = left; right_st = right; filter_selectors }
 
 let filters_selectors t = t.filter_selectors
 
@@ -90,19 +83,19 @@ let step_side w s =
   let slot_o = slot_of w o in
   let st_s = get w.goal s in
   let st_o = get w.goal o in
-  if st_s.close_pending then
+  if st_s.v_close_pending then
     if Slot.is_live slot_s then
       (* Propagate a close received on the other side. *)
       let* slot_s, signal = slot_op (Slot.send_close slot_s) in
       let w = with_slot w s slot_s in
-      let w = { w with goal = set w.goal s { st_s with close_pending = false } } in
+      let w = { w with goal = set w.goal s { st_s with v_close_pending = false } } in
       Ok (Some (emit w s signal))
     else
       (* Already dead; the propagation is moot. *)
-      Ok (Some { w with goal = set w.goal s { st_s with close_pending = false } })
+      Ok (Some { w with goal = set w.goal s { st_s with v_close_pending = false } })
   else
     match slot_o.Slot.remote_desc, Slot.described slot_o with
-    | Some desc_o, true when Slot.is_closed slot_s && not st_o.close_pending -> (
+    | Some desc_o, true when Slot.is_closed slot_s && not st_o.v_close_pending -> (
       (* Bias toward media flow: open the dead slot with the descriptor
          cached on the live side. *)
       match slot_o.Slot.medium with
@@ -110,27 +103,27 @@ let step_side w s =
       | Some m ->
         let* slot_s, signal = slot_op (Slot.send_open slot_s m desc_o) in
         let w = with_slot w s slot_s in
-        let w = { w with goal = set w.goal s { st_s with utd = true } } in
+        let w = { w with goal = set w.goal s { st_s with v_utd = true } } in
         Ok (Some (emit w s signal)))
     | Some desc_o, true when Slot.is_opened slot_s ->
       (* Accept the open on [s] with the other side's descriptor. *)
       let* slot_s, signal = slot_op (Slot.send_oack slot_s desc_o) in
       let w = with_slot w s slot_s in
-      let w = { w with goal = set w.goal s { st_s with utd = true } } in
+      let w = { w with goal = set w.goal s { st_s with v_utd = true } } in
       Ok (Some (emit w s signal))
-    | Some desc_o, true when Slot.is_flowing slot_s && not st_s.utd ->
+    | Some desc_o, true when Slot.is_flowing slot_s && not st_s.v_utd ->
       (* Refresh this side with the other side's current descriptor. *)
       let* slot_s, signal = slot_op (Slot.send_describe slot_s desc_o) in
       let w = with_slot w s slot_s in
-      let w = { w with goal = set w.goal s { st_s with utd = true } } in
+      let w = { w with goal = set w.goal s { st_s with v_utd = true } } in
       Ok (Some (emit w s signal))
     | (Some _ | None), _ -> (
       (* Selector forwarding: a pending selector can go out on [s] once
          [s] is flowing, provided it still answers the descriptor cached
          on [s] (otherwise it is obsolete and discarded). *)
-      match st_s.pending_sel with
+      match st_s.v_pending_sel with
       | Some sel when Slot.is_flowing slot_s -> (
-        let clear = { st_s with pending_sel = None } in
+        let clear = { st_s with v_pending_sel = None } in
         let fresh =
           match slot_s.Slot.remote_desc with
           | Some desc_s -> Selector.responds_to_descriptor sel desc_s
@@ -183,33 +176,33 @@ let apply_note w s note =
     (* A new descriptor was cached on [s]: the other side is no longer
        up to date. *)
     let st_o = get w.goal o in
-    let w = { w with goal = set w.goal o { st_o with utd = false } } in
+    let w = { w with goal = set w.goal o { st_o with v_utd = false } } in
     let* () = medium_precondition (fst w.slots) (snd w.slots) in
     Ok w
   | Slot.Race_lost ->
     (* Our own open on [s] was discarded by the peer; whatever we sent
        with it no longer counts. *)
     let st_s = get w.goal s in
-    Ok { w with goal = set w.goal s { st_s with utd = false } }
+    Ok { w with goal = set w.goal s { st_s with v_utd = false } }
   | Slot.New_selector -> (
     match (slot_of w s).Slot.recv_sel with
     | Some sel ->
       let st_o = get w.goal o in
-      Ok { w with goal = set w.goal o { st_o with pending_sel = Some sel } }
+      Ok { w with goal = set w.goal o { st_o with v_pending_sel = Some sel } }
     | None -> Ok w)
   | Slot.Closed_by_peer ->
     (* Propagate the close; everything cached about this side is void. *)
     let st_o = get w.goal o in
     let goal =
       set
-        (set w.goal s { utd = false; close_pending = false; pending_sel = None })
+        (set w.goal s initial_side)
         o
-        { st_o with close_pending = true; pending_sel = None }
+        { st_o with v_close_pending = true; v_pending_sel = None }
     in
     Ok { w with goal }
   | Slot.Close_confirmed ->
     let st_s = get w.goal s in
-    Ok { w with goal = set w.goal s { st_s with utd = false } }
+    Ok { w with goal = set w.goal s { st_s with v_utd = false } }
   | Slot.Race_won | Slot.Dropped _ -> Ok w
 
 let on_signal t ~left ~right s signal =
@@ -247,7 +240,7 @@ let on_signal t ~left ~right s signal = traced ~left ~right (on_signal t ~left ~
 
 let pp ppf t =
   let side ppf st =
-    Format.fprintf ppf "utd=%b close=%b pending=%b" st.utd st.close_pending
-      (st.pending_sel <> None)
+    Format.fprintf ppf "utd=%b close=%b pending=%b" st.v_utd st.v_close_pending
+      (st.v_pending_sel <> None)
   in
   Format.fprintf ppf "flowLink(left:{%a} right:{%a})" side t.left_st side t.right_st

@@ -69,6 +69,8 @@ type side_view = {
 }
 
 val view : t -> side -> side_view
+(** The goal object's own record for that side, not a copy: reading it
+    allocates nothing. *)
 
 val of_views : ?filter_selectors:bool -> left:side_view -> right:side_view -> unit -> t
 (** Rebuild a goal object from its persisted views — the inverse of

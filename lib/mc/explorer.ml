@@ -54,6 +54,10 @@ module Barrier = struct
     Mutex.unlock b.m
 end
 
+(* Intern tables keyed by packed state strings: [String.hash] and
+   [String.equal] in place of the polymorphic hash and compare. *)
+module Keys = Hashtbl.Make (String)
+
 module Make (S : SYSTEM) = struct
   type graph = {
     states : S.state array;
@@ -72,7 +76,7 @@ module Make (S : SYSTEM) = struct
   (* successor edges, no freeze copy.                                  *)
 
   let explore_seq ~max_states initial =
-    let ids : (string, int) Hashtbl.t = Hashtbl.create 4096 in
+    let ids : int Keys.t = Keys.create 4096 in
     let states = vec_create () in
     let row = vec_create () in
     let dst = vec_create () in
@@ -80,12 +84,12 @@ module Make (S : SYSTEM) = struct
     let capped = ref false in
     let intern state =
       let key = S.pack state in
-      match Hashtbl.find_opt ids key with
-      | Some id -> id
-      | None ->
+      match Keys.find ids key with
+      | id -> id
+      | exception Not_found ->
         let id = states.len in
         vec_push states state;
-        Hashtbl.add ids key id;
+        Keys.add ids key id;
         id
     in
     ignore (intern initial : int);
@@ -153,7 +157,7 @@ module Make (S : SYSTEM) = struct
   }
 
   type shard = {
-    table : (string, int) Hashtbl.t;  (* packed key -> local id *)
+    table : int Keys.t;  (* packed key -> local id *)
     sstates : S.state vec;
     mutable frontier : int vec;  (* local ids to expand this level *)
     mutable fresh : int vec;  (* local ids discovered this level *)
@@ -191,7 +195,7 @@ module Make (S : SYSTEM) = struct
     in
     let mk_shard () =
       {
-        table = Hashtbl.create 4096;
+        table = Keys.create 4096;
         sstates = vec_create ();
         frontier = vec_create ();
         fresh = vec_create ();
@@ -218,12 +222,12 @@ module Make (S : SYSTEM) = struct
     (* Owner-side intern: only the domain whose shard a key hashes into
        ever touches that shard's table, so no lock is needed. *)
     let intern_local sh d key state =
-      match Hashtbl.find_opt sh.table key with
-      | Some i -> (i * jobs) + d
-      | None ->
+      match Keys.find sh.table key with
+      | i -> (i * jobs) + d
+      | exception Not_found ->
         let i = sh.sstates.len in
         vec_push sh.sstates state;
-        Hashtbl.add sh.table key i;
+        Keys.add sh.table key i;
         vec_push sh.fresh i;
         (i * jobs) + d
     in
@@ -234,7 +238,7 @@ module Make (S : SYSTEM) = struct
          too is built by its owning domain. *)
       if d = owner0 then begin
         vec_push sh.sstates (local_state key0 initial);
-        Hashtbl.add sh.table key0 0;
+        Keys.add sh.table key0 0;
         vec_push sh.frontier 0
       end;
       let running = ref true in
@@ -278,12 +282,12 @@ module Make (S : SYSTEM) = struct
                the key) runs only on a genuine miss. *)
             let key = b.bkey.data.(k) in
             let g_v =
-              match Hashtbl.find_opt sh.table key with
-              | Some i -> (i * jobs) + d
-              | None ->
+              match Keys.find sh.table key with
+              | i -> (i * jobs) + d
+              | exception Not_found ->
                 let i = sh.sstates.len in
                 vec_push sh.sstates (local_state key b.bst.data.(k));
-                Hashtbl.add sh.table key i;
+                Keys.add sh.table key i;
                 vec_push sh.fresh i;
                 (i * jobs) + d
             in

@@ -110,9 +110,11 @@ let error s = s.err
 
 let medium = Medium.Audio
 
-let endpoint_local which =
-  let owner, host, port = if which then ("L", "10.0.0.1", 5000) else ("R", "10.0.0.2", 5002) in
-  Local.endpoint ~owner (Address.v host port) [ Codec.G711; Codec.G726 ]
+(* Built once, so every state shares the two locals and their addresses:
+   the codec recognises a sender address by physical equality first. *)
+let local_l = Local.endpoint ~owner:"L" (Address.v "10.0.0.1" 5000) [ Codec.G711; Codec.G726 ]
+let local_r = Local.endpoint ~owner:"R" (Address.v "10.0.0.2" 5002) [ Codec.G711; Codec.G726 ]
+let endpoint_local which = if which then local_l else local_r
 
 (* Every leg reuses the same owner/address namespace ("L", "R", "FL%d")
    — legal because legs are signal-disjoint, and required so the packed
@@ -264,12 +266,18 @@ let pp_state ppf s =
 
 let get_leg s k = List.nth s.legs k
 
-let set_leg s k g =
-  { s with legs = List.mapi (fun i old -> if i = k then g else old) s.legs }
+(* [l] with [x] at index [i]: copies the cells before [i] and shares the
+   tail after it. *)
+let rec replace_nth l i x =
+  match l with
+  | [] -> invalid_arg "Path_model.replace_nth"
+  | y :: rest -> if i = 0 then x :: rest else y :: replace_nth rest (i - 1) x
+
+let set_leg s k g = { s with legs = replace_nth s.legs k g }
 
 let set_tun s k i q =
   let g = get_leg s k in
-  set_leg s k { g with tuns = List.mapi (fun j old -> if j = i then q else old) g.tuns }
+  set_leg s k { g with tuns = replace_nth g.tuns i q }
 
 let send_from_left s k i signal =
   set_tun s k i (Tunnel.send ~from:Tunnel.A signal (List.nth (get_leg s k).tuns i))
@@ -279,7 +287,7 @@ let send_from_right s k i signal =
 
 let set_link s k j link =
   let g = get_leg s k in
-  set_leg s k { g with links = List.mapi (fun j' old -> if j' = j then link else old) g.links }
+  set_leg s k { g with links = replace_nth g.links j link }
 
 let route_link_out s k j out =
   List.fold_left
@@ -519,141 +527,111 @@ let head_toward s k i direction =
 
 let mute_choices = [ Mute.none; Mute.both; Mute.in_only; Mute.out_only ]
 
+(* Every delivery, then every network fault, then each leg's end and
+   link moves, in leg and position order.  Moves are consed newest first
+   onto one list, reversed once at the end. *)
 let successors s =
   match s.err with
   | Some _ -> []
   | None ->
-    let n_legs = List.length s.legs in
-    let deliveries =
-      List.concat
-        (List.init n_legs (fun k ->
-             List.concat
-               (List.mapi
-                  (fun i q ->
-                    let rightward =
-                      if Tunnel.pending ~toward:Tunnel.B q <> [] then
-                        [ (Deliver (k, i, Rightward), deliver s k i Rightward) ]
-                      else []
-                    in
-                    let leftward =
-                      if Tunnel.pending ~toward:Tunnel.A q <> [] then
-                        [ (Deliver (k, i, Leftward), deliver s k i Leftward) ]
-                      else []
-                    in
-                    rightward @ leftward)
-                  (get_leg s k).tuns)
-             |> List.filter_map (fun (label, r) ->
-                    match r with
-                    | Some s' -> Some (label, s')
-                    | None -> None)))
+    let moves = ref [] in
+    let add label s' = moves := (label, s') :: !moves in
+    let add_delivery k i direction =
+      match deliver s k i direction with
+      | Some s' -> add (Deliver (k, i, direction)) s'
+      | None -> ()
     in
+    List.iteri
+      (fun k g ->
+        List.iteri
+          (fun i q ->
+            if Tunnel.has_pending ~toward:Tunnel.B q then add_delivery k i Rightward;
+            if Tunnel.has_pending ~toward:Tunnel.A q then add_delivery k i Leftward)
+          g.tuns)
+      s.legs;
+    let add_faults k i direction =
+      match head_toward s k i direction with
+      | None -> ()
+      | Some head ->
+        if s.unrestricted || idempotent head then begin
+          (if s.losses_left > 0 then
+             match lose s k i direction with
+             | Some s' -> add (Lose (k, i, direction)) { s' with losses_left = s.losses_left - 1 }
+             | None -> ());
+          if s.dups_left > 0 then
+            match deliver ~consume:false s k i direction with
+            | Some s' -> add (Dup (k, i, direction)) { s' with dups_left = s.dups_left - 1 }
+            | None -> ()
+        end
+    in
+    if s.losses_left > 0 || s.dups_left > 0 then
+      List.iteri
+        (fun k g ->
+          List.iteri
+            (fun i _ ->
+              add_faults k i Rightward;
+              add_faults k i Leftward)
+            g.tuns)
+        s.legs;
     let end_moves k which =
       let e = get_end s k which in
       match e.phase with
       | Chaos budget ->
-        let switch =
-          if e.environment then [] else [ (Switch_end (k, which), switch_end s k which) ]
-        in
-        let chaos =
-          if budget <= 0 then []
-          else
-            List.map
-              (fun (name, act) ->
-                let s' =
-                  of_slot_result s
-                    (fun (slot, signal) ->
-                      let e' = { e with phase = Chaos (budget - 1); slot } in
-                      endpoint_emit (set_end s k which e') k which [ signal ])
-                    (act ())
-                in
-                (Chaos_end (k, which, name), s'))
-              (chaos_actions e.local e.slot)
-        in
-        switch @ chaos
+        if not e.environment then add (Switch_end (k, which)) (switch_end s k which);
+        if budget > 0 then
+          List.iter
+            (fun (name, act) ->
+              add
+                (Chaos_end (k, which, name))
+                (of_slot_result s
+                   (fun (slot, signal) ->
+                     let e' = { e with phase = Chaos (budget - 1); slot } in
+                     endpoint_emit (set_end s k which e') k which [ signal ])
+                   (act ())))
+            (chaos_actions e.local e.slot)
       | Goal_open _ | Goal_hold _ ->
-        if e.modifies_left <= 0 then []
-        else
-          List.filter_map
+        if e.modifies_left > 0 then
+          List.iter
             (fun mute ->
-              if Mute.equal mute e.local.Local.mute then None
-              else Some (Modify (k, which, mute), modify_end s k which mute))
+              if not (Mute.equal mute e.local.Local.mute) then
+                add (Modify (k, which, mute)) (modify_end s k which mute))
             mute_choices
-      | Goal_close _ -> []
+      | Goal_close _ -> ()
     in
-    let link_moves k j =
-      let link = List.nth (get_leg s k).links j in
+    let link_chaos k j link budget side slot =
+      List.iter
+        (fun (name, act) ->
+          add
+            (Chaos_link (k, j, side, name))
+            (of_slot_result s
+               (fun (slot', signal) ->
+                 let link' =
+                   let link = { link with lphase = L_chaos (budget - 1) } in
+                   match side with
+                   | Flow_link.Left -> { link with lslot = slot' }
+                   | Flow_link.Right -> { link with rslot = slot' }
+                 in
+                 route_link_out (set_link s k j link') k j [ (side, signal) ])
+               (act ())))
+        (chaos_actions link.llocal slot)
+    in
+    let link_moves k j link =
       match link.lphase with
       | L_chaos budget ->
-        let switch = [ (Switch_link (k, j), switch_link s k j) ] in
-        let chaos_on side slot =
-          if budget <= 0 then []
-          else
-            List.map
-              (fun (name, act) ->
-                let s' =
-                  of_slot_result s
-                    (fun (slot', signal) ->
-                      let link' =
-                        let link = { link with lphase = L_chaos (budget - 1) } in
-                        match side with
-                        | Flow_link.Left -> { link with lslot = slot' }
-                        | Flow_link.Right -> { link with rslot = slot' }
-                      in
-                      route_link_out (set_link s k j link') k j [ (side, signal) ])
-                    (act ())
-                in
-                (Chaos_link (k, j, side, name), s'))
-              (chaos_actions link.llocal slot)
-        in
-        switch @ chaos_on Flow_link.Left link.lslot @ chaos_on Flow_link.Right link.rslot
-      | L_goal _ -> []
+        add (Switch_link (k, j)) (switch_link s k j);
+        if budget > 0 then begin
+          link_chaos k j link budget Flow_link.Left link.lslot;
+          link_chaos k j link budget Flow_link.Right link.rslot
+        end
+      | L_goal _ -> ()
     in
-    let fault_moves =
-      if s.losses_left <= 0 && s.dups_left <= 0 then []
-      else
-        List.concat
-          (List.init n_legs (fun k ->
-               List.concat
-                 (List.mapi
-                    (fun i _ ->
-                      List.concat_map
-                        (fun direction ->
-                          match head_toward s k i direction with
-                          | None -> []
-                          | Some head ->
-                            let faultable = s.unrestricted || idempotent head in
-                            let losses =
-                              if s.losses_left <= 0 || not faultable then []
-                              else
-                                match lose s k i direction with
-                                | None -> []
-                                | Some s' ->
-                                  [
-                                    ( Lose (k, i, direction),
-                                      { s' with losses_left = s.losses_left - 1 } );
-                                  ]
-                            in
-                            let dups =
-                              if s.dups_left <= 0 || not faultable then []
-                              else
-                                match deliver ~consume:false s k i direction with
-                                | None -> []
-                                | Some s' ->
-                                  [
-                                    ( Dup (k, i, direction),
-                                      { s' with dups_left = s.dups_left - 1 } );
-                                  ]
-                            in
-                            losses @ dups)
-                        [ Rightward; Leftward ])
-                    (get_leg s k).tuns)))
-    in
-    deliveries @ fault_moves
-    @ List.concat
-        (List.init n_legs (fun k ->
-             end_moves k L @ end_moves k R
-             @ List.concat
-                 (List.init (List.length (get_leg s k).links) (fun j -> link_moves k j))))
+    List.iteri
+      (fun k g ->
+        end_moves k L;
+        end_moves k R;
+        List.iteri (link_moves k) g.links)
+      s.legs;
+    List.rev !moves
 
 (* ------------------------------------------------------------------ *)
 (* Packed state codec                                                  *)
@@ -682,27 +660,70 @@ let successors s =
    - an endpoint's [local] field never changes — only the goal object's
      embedded copy accumulates mute/version updates. *)
 
-(* [Char.chr] raises on anything outside one byte, so a budget or
-   version outgrowing the codec fails loudly instead of colliding. *)
-let byte b n = Buffer.add_char b (Char.chr n)
+(* The writer: one byte scratch per domain, reused by every [pack] on
+   that domain.  [pack] runs once per transition, so it writes its bytes
+   in place and allocates nothing but the key it returns, which
+   [Bytes.sub_string] copies out: the parallel explorer's mailboxes hold
+   keys across its level barrier, so a key must never alias the
+   scratch.  Domain-local storage keeps the reuse safe under parallel
+   exploration. *)
+type writer = { mutable bytes : Bytes.t; mutable len : int }
 
-let addr_l = (endpoint_local true).Local.addr
-let addr_r = (endpoint_local false).Local.addr
+let scratch = Domain.DLS.new_key (fun () -> { bytes = Bytes.create 256; len = 0 })
+
+(* Room for [n] more bytes, doubling the scratch when it is short. *)
+let reserve w n =
+  if w.len + n > Bytes.length w.bytes then begin
+    let bytes =
+      (Bytes.create (Int.max (2 * Bytes.length w.bytes) (w.len + n))
+      [@lint.allow
+        "alloc: scratch growth, at most a few doublings per domain over a whole exploration; \
+         the steady state writes into the grown scratch"])
+    in
+    Bytes.blit w.bytes 0 bytes 0 w.len;
+    w.bytes <- bytes
+  end
+
+(* One byte per field, keeping [Char.chr]'s contract in a single test:
+   a budget, a version, a queue length or a flowlink index outside
+   0-255 raises [Invalid_argument "Char.chr"], so an outgrown codec
+   fails loudly instead of colliding.  The capacity check keeps every
+   store inside the scratch.  Inlined, since it runs once per key byte. *)
+let[@inline] byte w n =
+  if n lsr 8 <> 0 then invalid_arg "Char.chr";
+  let len = w.len in
+  if len >= Bytes.length w.bytes then reserve w 1;
+  Bytes.unsafe_set w.bytes len (Char.unsafe_chr n);
+  w.len <- len + 1
+
+let put_string w str =
+  let n = String.length str in
+  reserve w n;
+  Bytes.blit_string str 0 w.bytes w.len n;
+  w.len <- w.len + n
+
+let addr_l = local_l.Local.addr
+let addr_r = local_r.Local.addr
 let addr_srv = (Local.server ~owner:"FL0").Local.addr
+
+let unknown_owner owner = invalid_arg ("Path_model.pack: unknown owner " ^ owner)
+
+(* The decimal flowlink index of an ["FL<j>"] owner, read in place. *)
+let rec owner_digits owner i j =
+  if i = String.length owner then j
+  else
+    match owner.[i] with
+    | '0' .. '9' as c when j < 256 -> owner_digits owner (i + 1) ((j * 10) + Char.code c - 48)
+    | _ -> unknown_owner owner
 
 let owner_code owner =
   match owner with
   | "L" -> 0
   | "R" -> 1
   | _ ->
-    let fl =
-      if String.length owner > 2 && String.sub owner 0 2 = "FL" then
-        int_of_string_opt (String.sub owner 2 (String.length owner - 2))
-      else None
-    in
-    (match fl with
-    | Some j -> 2 + j
-    | None -> invalid_arg ("Path_model.pack: unknown owner " ^ owner))
+    if String.length owner > 2 && owner.[0] = 'F' && owner.[1] = 'L' then
+      2 + owner_digits owner 2 0
+    else unknown_owner owner
 
 let base_local_of_code = function
   | 0 -> endpoint_local true
@@ -710,7 +731,10 @@ let base_local_of_code = function
   | c -> Local.server ~owner:(Printf.sprintf "FL%d" (c - 2))
 
 let addr_code a =
-  if Address.equal a addr_l then 0
+  if a == addr_l then 0
+  else if a == addr_r then 1
+  else if a == addr_srv then 2
+  else if Address.equal a addr_l then 0
   else if Address.equal a addr_r then 1
   else if Address.equal a addr_srv then 2
   else invalid_arg "Path_model.pack: unknown sender address"
@@ -732,12 +756,20 @@ let medium_of_code = function
   | 2 -> Medium.Text
   | _ -> Medium.Audio_video
 
-let codec_code c =
-  let rec idx i = function
-    | [] -> invalid_arg "Path_model.pack: unknown codec"
-    | c' :: rest -> if Codec.equal c c' then i else idx (i + 1) rest
-  in
-  idx 0 Codec.all
+(* A codec's position in [Codec.all], which [codec_of_code] inverts. *)
+let codec_code = function
+  | Codec.G711 -> 0
+  | Codec.G726 -> 1
+  | Codec.G729 -> 2
+  | Codec.Ilbc -> 3
+  | Codec.L16 -> 4
+  | Codec.Amr_wb -> 5
+  | Codec.H261 -> 6
+  | Codec.H263 -> 7
+  | Codec.H264 -> 8
+  | Codec.Mpeg4 -> 9
+  | Codec.T140 -> 10
+  | Codec.Rtt -> 11
 
 let codec_of_code i = List.nth Codec.all i
 
@@ -746,16 +778,17 @@ let mute_code (m : Mute.t) =
 
 let mute_of_code c = { Mute.mute_in = c land 1 <> 0; mute_out = c land 2 <> 0 }
 
-let put_desc b (d : Descriptor.t) =
-  byte b ((owner_code d.Descriptor.owner * 2) lor (if Descriptor.offers_media d then 1 else 0));
-  byte b d.Descriptor.version
+let put_desc w (d : Descriptor.t) =
+  let media = match d.Descriptor.offer with Descriptor.No_media -> 0 | Descriptor.Media _ -> 1 in
+  byte w ((owner_code d.Descriptor.owner * 2) lor media);
+  byte w d.Descriptor.version
 
-let put_sel b (s : Selector.t) =
+let put_sel w (s : Selector.t) =
   let r_owner, r_version = s.Selector.responds_to in
-  byte b (addr_code s.Selector.sender);
-  byte b (owner_code r_owner);
-  byte b r_version;
-  byte b
+  byte w (addr_code s.Selector.sender);
+  byte w (owner_code r_owner);
+  byte w r_version;
+  byte w
     (match s.Selector.choice with
     | Selector.No_media -> 0
     | Selector.Chosen c -> 1 + codec_code c)
@@ -786,22 +819,22 @@ let get_sel r =
   in
   Selector.make ~responds_to:(r_owner, r_version) ~sender choice
 
-let put_signal b = function
+let put_signal w = function
   | Signal.Open (m, d) ->
-    byte b 0;
-    byte b (medium_code m);
-    put_desc b d
+    byte w 0;
+    byte w (medium_code m);
+    put_desc w d
   | Signal.Oack d ->
-    byte b 1;
-    put_desc b d
-  | Signal.Close -> byte b 2
-  | Signal.Closeack -> byte b 3
+    byte w 1;
+    put_desc w d
+  | Signal.Close -> byte w 2
+  | Signal.Closeack -> byte w 3
   | Signal.Describe d ->
-    byte b 4;
-    put_desc b d
+    byte w 4;
+    put_desc w d
   | Signal.Select s ->
-    byte b 5;
-    put_sel b s
+    byte w 5;
+    put_sel w s
 
 let get_signal r =
   match rd r with
@@ -828,22 +861,31 @@ let slot_state_of_code = function
   | 3 -> Slot_state.Flowing
   | _ -> Slot_state.Closing
 
-let put_opt b put = function
+let put_opt w put = function
   | None -> ()
-  | Some x -> put b x
+  | Some x -> put w x
 
-let put_slot b (slot : Slot.t) =
-  byte b
+let rec put_list w put = function
+  | [] -> ()
+  | x :: rest ->
+    put w x;
+    put_list w put rest
+
+let presence i = function None -> 0 | Some _ -> 1 lsl i
+
+let put_slot w (slot : Slot.t) =
+  byte w
     (slot_state_code slot.Slot.state
     lor match slot.Slot.medium with None -> 0 | Some m -> (1 + medium_code m) lsl 3);
-  let bit i = function None -> 0 | Some _ -> 1 lsl i in
-  byte b
-    (bit 0 slot.Slot.remote_desc lor bit 1 slot.Slot.sent_desc lor bit 2 slot.Slot.recv_sel
-    lor bit 3 slot.Slot.sent_sel);
-  put_opt b put_desc slot.Slot.remote_desc;
-  put_opt b put_desc slot.Slot.sent_desc;
-  put_opt b put_sel slot.Slot.recv_sel;
-  put_opt b put_sel slot.Slot.sent_sel
+  byte w
+    (presence 0 slot.Slot.remote_desc
+    lor presence 1 slot.Slot.sent_desc
+    lor presence 2 slot.Slot.recv_sel
+    lor presence 3 slot.Slot.sent_sel);
+  put_opt w put_desc slot.Slot.remote_desc;
+  put_opt w put_desc slot.Slot.sent_desc;
+  put_opt w put_sel slot.Slot.recv_sel;
+  put_opt w put_sel slot.Slot.sent_sel
 
 let get_slot r ~label ~role =
   let tag = rd r in
@@ -858,27 +900,27 @@ let get_slot r ~label ~role =
 
 (* A goal object's local differs from the position's base local only in
    its mute flags and version. *)
-let put_goal_local b (l : Local.t) =
-  byte b (mute_code l.Local.mute);
-  byte b l.Local.version
+let put_goal_local w (l : Local.t) =
+  byte w (mute_code l.Local.mute);
+  byte w l.Local.version
 
 let get_goal_local r base =
   let mute = mute_of_code (rd r) in
   let version = rd r in
   { base with Local.mute; version }
 
-let put_phase b = function
+let put_phase w = function
   | Chaos n ->
-    byte b 0;
-    byte b n
+    byte w 0;
+    byte w n
   | Goal_open g ->
-    byte b 1;
-    byte b (medium_code (Open_slot.medium g));
-    put_goal_local b (Open_slot.local g)
-  | Goal_close _ -> byte b 2
+    byte w 1;
+    byte w (medium_code (Open_slot.medium g));
+    put_goal_local w (Open_slot.local g)
+  | Goal_close _ -> byte w 2
   | Goal_hold g ->
-    byte b 3;
-    put_goal_local b (Hold_slot.local g)
+    byte w 3;
+    put_goal_local w (Hold_slot.local g)
 
 let get_phase r base =
   match rd r with
@@ -889,10 +931,10 @@ let get_phase r base =
   | 2 -> Goal_close Close_slot.v
   | _ -> Goal_hold (Hold_slot.v (get_goal_local r base))
 
-let put_endpoint b e =
-  put_phase b e.phase;
-  byte b e.modifies_left;
-  put_slot b e.slot
+let put_endpoint w e =
+  put_phase w e.phase;
+  byte w e.modifies_left;
+  put_slot w e.slot
 
 let get_endpoint r ~kind ~environment which =
   let base = endpoint_local (which = L) in
@@ -906,29 +948,29 @@ let get_endpoint r ~kind ~environment which =
   let slot = get_slot r ~label ~role in
   { phase; slot; local = base; kind; modifies_left; environment }
 
-let put_side_view b (v : Flow_link.side_view) =
-  byte b
+let put_side_view w (v : Flow_link.side_view) =
+  byte w
     ((if v.Flow_link.v_utd then 1 else 0)
     lor (if v.Flow_link.v_close_pending then 2 else 0)
     lor match v.Flow_link.v_pending_sel with None -> 0 | Some _ -> 4);
-  match v.Flow_link.v_pending_sel with None -> () | Some s -> put_sel b s
+  match v.Flow_link.v_pending_sel with None -> () | Some s -> put_sel w s
 
 let get_side_view r =
   let tag = rd r in
   let v_pending_sel = if tag land 4 <> 0 then Some (get_sel r) else None in
   { Flow_link.v_utd = tag land 1 <> 0; v_close_pending = tag land 2 <> 0; v_pending_sel }
 
-let put_link b l =
+let put_link w l =
   (match l.lphase with
   | L_chaos n ->
-    byte b 0;
-    byte b n
+    byte w 0;
+    byte w n
   | L_goal fl ->
-    byte b (if Flow_link.filters_selectors fl then 1 else 2);
-    put_side_view b (Flow_link.view fl Flow_link.Left);
-    put_side_view b (Flow_link.view fl Flow_link.Right));
-  put_slot b l.lslot;
-  put_slot b l.rslot
+    byte w (if Flow_link.filters_selectors fl then 1 else 2);
+    put_side_view w (Flow_link.view fl Flow_link.Left);
+    put_side_view w (Flow_link.view fl Flow_link.Right));
+  put_slot w l.lslot;
+  put_slot w l.rslot
 
 let get_link r j =
   let lphase =
@@ -943,13 +985,17 @@ let get_link r j =
   let rslot = get_slot r ~label:(Printf.sprintf "fl%d.r" j) ~role:Slot.Channel_initiator in
   { lphase; lslot; rslot; llocal = Local.server ~owner:(Printf.sprintf "FL%d" j) }
 
-let put_tunnel b q =
-  let put_dir signals =
-    byte b (List.length signals);
-    List.iter (put_signal b) signals
-  in
-  put_dir (Tunnel.pending ~toward:Tunnel.B q);
-  put_dir (Tunnel.pending ~toward:Tunnel.A q)
+(* A queue is written from its packed words, decoded here on the
+   writing domain, where they are canonical. *)
+let put_word w word = put_signal w (Signal_pack.unpack word)
+
+let put_queue w words =
+  byte w (List.length words);
+  put_list w put_word words
+
+let put_tunnel w q =
+  put_queue w (Tunnel.queue_toward ~toward:Tunnel.B q);
+  put_queue w (Tunnel.queue_toward ~toward:Tunnel.A q)
 
 let get_tunnel r =
   let get_dir from q =
@@ -965,33 +1011,29 @@ let get_tunnel r =
   let q = get_dir Tunnel.A Tunnel.empty in
   get_dir Tunnel.B q
 
-(* One scratch buffer per domain: [pack] runs millions of times per
-   exploration, and a fresh [Buffer.create] each call would double the
-   minor-heap traffic of the intern hot path.  Domain-local storage
-   keeps the reuse safe under parallel exploration. *)
-let pack_buf = Domain.DLS.new_key (fun () -> Buffer.create 256)
+let put_leg w g =
+  put_endpoint w g.outer;
+  put_list w put_link g.links;
+  put_list w put_tunnel g.tuns;
+  put_endpoint w g.inner
 
 let pack s =
-  let b = Domain.DLS.get pack_buf in
-  Buffer.clear b;
-  List.iter
-    (fun g ->
-      put_endpoint b g.outer;
-      List.iter (put_link b) g.links;
-      List.iter (put_tunnel b) g.tuns;
-      put_endpoint b g.inner)
-    s.legs;
+  let w = Domain.DLS.get scratch in
+  w.len <- 0;
+  put_list w put_leg s.legs;
   (match s.err with
-  | None -> byte b 0
+  | None -> byte w 0
   | Some msg ->
-    byte b 1;
+    byte w 1;
     let n = String.length msg in
-    byte b (n land 0xff);
-    byte b (n lsr 8);
-    Buffer.add_string b msg);
-  byte b s.losses_left;
-  byte b s.dups_left;
-  Buffer.contents b
+    byte w (n land 0xff);
+    byte w (n lsr 8);
+    put_string w msg);
+  byte w s.losses_left;
+  byte w s.dups_left;
+  (Bytes.sub_string w.bytes 0 w.len
+  [@lint.allow "alloc: the key itself, the one block pack exists to return"])
+[@@lint.hotpath]
 
 (* Explicit recursion rather than [List.init]: the reads must happen in
    position order, and [List.init] does not specify one. *)

@@ -169,7 +169,12 @@ val pack : state -> string
     locals, the [unrestricted] flag) is omitted, so keys are tens of
     bytes where a [Marshal] snapshot is hundreds.  Legs are packed in
     order, so a path topology produces byte-for-byte the historical
-    two-ended encoding.  The explorer interns states under these keys. *)
+    two-ended encoding.  The explorer interns states under these keys.
+
+    Each call writes into a per-domain scratch and allocates only the
+    returned string, which never aliases the scratch.  Budgets,
+    versions, queue lengths and flowlink indices take one byte each: a
+    value outside 0–255 raises [Invalid_argument] rather than collide. *)
 
 val unpack : config -> string -> state
 (** [unpack c (pack s)] rebuilds [s] exactly, for any state [s] of

@@ -36,6 +36,12 @@ val pending : toward:end_ -> t -> Signal.t list
 val has_pending : toward:end_ -> t -> bool
 (** Allocation-free [pending ~toward t <> []]. *)
 
+val queue_toward : toward:end_ -> t -> int list
+(** The queue itself: {!Signal_pack} words in flight toward that end,
+    oldest first.  Reading it allocates nothing.  The words are
+    domain-local, so decode each with [Signal_pack.unpack] on the domain
+    that built the tunnel. *)
+
 val in_flight : t -> int
 (** Total signals in both directions. *)
 

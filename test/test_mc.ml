@@ -379,17 +379,175 @@ let prop_pack_roundtrip_unrestricted =
   QCheck2.Test.make ~name:"round-trip survives protocol-error states" ~count:400 walk_gen
     (fun choices -> roundtrip config (state_of_walk config choices))
 
-let test_pack_distinguishes_states () =
-  (* Spot check of injectivity: in a fully explored small model, packed
-     keys are pairwise distinct (they are the intern keys, so a
-     collision would have merged two states during exploration). *)
-  let config =
-    Path_model.path_config ~left:Semantics.Open_end ~right:Semantics.Hold_end ~flowlinks:0
-      ~chaos:1 ~modifies:1 ()
+(* The path model as an explorer system, for the tests that need its
+   states in discovery order. *)
+module PE = Explorer.Make (struct
+  type state = Path_model.state
+  type label = Path_model.label
+
+  let successors = Path_model.successors
+  let pack = Path_model.pack
+  let pp_label = Path_model.pp_label
+  let pp_state = Path_model.pp_state
+end)
+
+let loss1 = { Path_model.losses = 1; dups = 0; unrestricted = false }
+
+let open_fl_open =
+  Path_model.path_config ~faults:loss1 ~left:Semantics.Open_end ~right:Semantics.Open_end
+    ~flowlinks:1 ~chaos:1 ~modifies:0 ()
+
+let open_hold =
+  Path_model.path_config ~left:Semantics.Open_end ~right:Semantics.Hold_end ~flowlinks:0
+    ~chaos:1 ~modifies:1 ()
+
+let close_open_any =
+  Path_model.path_config
+    ~faults:{ Path_model.losses = 1; dups = 1; unrestricted = true }
+    ~left:Semantics.Close_end ~right:Semantics.Open_end ~flowlinks:0 ~chaos:2 ~modifies:0 ()
+
+let explored config = PE.explore ~jobs:1 (Path_model.initial config)
+
+let test_pack_keys_pinned () =
+  (* The byte format is a contract: [unpack], the parallel explorer's
+     prefix sharding and every committed state count rest on it.  The
+     digest covers every key, length-prefixed, in discovery order, so a
+     changed byte, a reordered field or a reordered successor all show. *)
+  let pinned config ~states ~errors digest =
+    let g = explored config in
+    let name = Path_model.config_name config in
+    let b = Buffer.create 65536 in
+    Array.iter
+      (fun s ->
+        let k = Path_model.pack s in
+        Buffer.add_string b (string_of_int (String.length k));
+        Buffer.add_char b ':';
+        Buffer.add_string b k)
+      g.PE.states;
+    let n_errors =
+      Array.fold_left
+        (fun n s -> if Option.is_some (Path_model.error s) then n + 1 else n)
+        0 g.PE.states
+    in
+    check tint (name ^ " states") states (Array.length g.PE.states);
+    check tint (name ^ " error states") errors n_errors;
+    check tstring (name ^ " key digest") digest (Digest.to_hex (Digest.string (Buffer.contents b)))
   in
-  let r = Check.run config in
-  check tbool "nontrivial" true (r.Check.states > 10);
-  check tbool "passed" true (Check.passed r)
+  pinned open_fl_open ~states:2_532 ~errors:0 "66d911bb5c617ea74e4ee5da23ce0c22";
+  pinned open_hold ~states:3_188 ~errors:0 "ac7ff9e158de9e2dbf598c2163246f16";
+  pinned close_open_any ~states:8_705 ~errors:1_357 "ee9c6447aa23daf3713b2f055731f020";
+  pinned (conf3 ()) ~states:15_625 ~errors:0 "581fc5a51bdfda3068989ef30fa2e853"
+
+let test_oversized_budgets_fail () =
+  (* One byte per budget: a value that outgrows it must raise, never
+     wrap into a key another state owns. *)
+  let packs ~modifies ~chaos ~losses ~dups =
+    let c =
+      Path_model.path_config
+        ~faults:{ Path_model.losses; dups; unrestricted = false }
+        ~left:Semantics.Open_end ~right:Semantics.Open_end ~flowlinks:1 ~chaos ~modifies ()
+    in
+    match Path_model.pack (Path_model.initial c) with
+    | (_ : string) -> true
+    | exception Invalid_argument _ -> false
+  in
+  List.iter
+    (fun n ->
+      let fits = n < 256 in
+      let budget name ~modifies ~chaos ~losses ~dups =
+        check tbool (Printf.sprintf "%s %d" name n) fits (packs ~modifies ~chaos ~losses ~dups)
+      in
+      budget "modifies" ~modifies:n ~chaos:0 ~losses:0 ~dups:0;
+      budget "chaos" ~modifies:0 ~chaos:n ~losses:0 ~dups:0;
+      budget "losses" ~modifies:0 ~chaos:0 ~losses:n ~dups:0;
+      budget "dups" ~modifies:0 ~chaos:0 ~losses:0 ~dups:n)
+    [ 255; 256 ]
+
+module State_set = Set.Make (struct
+  type t = Path_model.state
+
+  let compare = compare
+end)
+
+(* Reachable states deduplicated structurally, by a BFS that never
+   packs: the count the keyed explorer must reproduce. *)
+let structural_count config =
+  let rec level seen = function
+    | [] -> State_set.cardinal seen
+    | frontier ->
+      let seen, next =
+        List.fold_left
+          (fun acc s ->
+            List.fold_left
+              (fun (seen, next) (_, s') ->
+                if State_set.mem s' seen then (seen, next) else (State_set.add s' seen, s' :: next))
+              acc (Path_model.successors s))
+          (seen, []) frontier
+      in
+      level seen next
+  in
+  let s0 = Path_model.initial config in
+  level (State_set.singleton s0) [ s0 ]
+
+let test_pack_distinguishes_states () =
+  (* The packed keys are the intern keys: a collision would merge two
+     states during exploration, and a key that varied for equal states
+     would split one.  Either way the keyed count leaves the structural
+     one. *)
+  List.iter
+    (fun (config, states) ->
+      let name = Path_model.config_name config in
+      let r = Check.run config in
+      check tint (name ^ " keyed states") states r.Check.states;
+      check tint (name ^ " structural states") states (structural_count config);
+      check tbool (name ^ " passed") true (Check.passed r))
+    [ (open_hold, 3_188); (open_fl_open, 2_532) ]
+
+let test_pack_allocates_only_its_key () =
+  (* [pack] writes into a reused per-domain scratch, so each call's
+     only allocation is the returned key's own block: a header word and
+     [len / 8 + 1] words of bytes and padding. *)
+  let words_of_pack s =
+    let w0 = Gc.minor_words () in
+    let k = Path_model.pack s in
+    let w1 = Gc.minor_words () in
+    (k, int_of_float (w1 -. w0))
+  in
+  List.iter
+    (fun config ->
+      let g = explored config in
+      let name = Path_model.config_name config in
+      ignore (Path_model.pack g.PE.states.(0) : string);
+      let n = Array.length g.PE.states in
+      let over = ref 0 and words = ref 0 and key_words = ref 0 in
+      Array.iter
+        (fun s ->
+          let k, w = words_of_pack s in
+          let kw = (String.length k / 8) + 2 in
+          if w <> kw then incr over;
+          words := !words + w;
+          key_words := !key_words + kw)
+        g.PE.states;
+      if !over > 0 then
+        Alcotest.failf
+          "%s: %d of %d packs allocate beyond their key (%.1f words per pack, keys %.1f)" name
+          !over n
+          (float_of_int !words /. float_of_int n)
+          (float_of_int !key_words /. float_of_int n))
+    [ open_fl_open; close_open_any; conf3 () ]
+
+let test_long_keys () =
+  (* A 64-party star's keys run past a kilobyte, longer than any key
+     above, so packing one grows the per-domain scratch mid-key; the
+     grown key must still round-trip. *)
+  let config =
+    Path_model.conf_config
+      ~parties:(List.init 64 (fun _ -> Semantics.Open_end))
+      ~flowlinks:1 ~chaos:0 ~modifies:0 ()
+  in
+  let s = state_of_walk config (List.init 60 (fun i -> i * 7)) in
+  check tbool "over a kilobyte" true (String.length (Path_model.pack s) > 1024);
+  check tbool "round-trips" true (roundtrip config s)
 
 let () =
   Alcotest.run "mc"
@@ -462,5 +620,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_pack_roundtrip_unrestricted;
           Alcotest.test_case "intern keys distinguish states" `Quick
             test_pack_distinguishes_states;
+          Alcotest.test_case "pack keys are pinned" `Quick test_pack_keys_pinned;
+          Alcotest.test_case "oversized budgets fail loudly" `Quick test_oversized_budgets_fail;
+          Alcotest.test_case "pack allocates only its key" `Quick test_pack_allocates_only_its_key;
+          Alcotest.test_case "long keys grow the scratch" `Quick test_long_keys;
         ] );
     ]
