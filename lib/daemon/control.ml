@@ -69,9 +69,10 @@ let parse line =
       match w with "flowing" -> Some `Flowing | "closed" -> Some `Closed | _ -> None
     in
     match (what, float_of_string_opt t) with
-    | Some what, Some timeout_ms when timeout_ms > 0.0 -> Ok (Wait { id; what; timeout_ms })
+    | Some what, Some timeout_ms when Float.is_finite timeout_ms && timeout_ms > 0.0 ->
+      Ok (Wait { id; what; timeout_ms })
     | None, _ -> err "bad wait condition %S: expected flowing or closed" w
-    | _, (Some _ | None) -> err "bad wait timeout %S: expected positive milliseconds" t)
+    | _, (Some _ | None) -> err "bad wait timeout %S: expected finite positive milliseconds" t)
   | [ "QUIT" ] -> Ok Quit
   | verb :: _ -> err "unknown or malformed request %S" verb
   | [] -> err "empty request"

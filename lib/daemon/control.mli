@@ -24,7 +24,7 @@ type request =
   | Status of string option  (** all calls, or one *)
   | Wait of { id : string; what : [ `Flowing | `Closed ]; timeout_ms : float }
       (** answer when the call's local end reaches the state, or [ERR]
-          at the timeout *)
+          at the timeout, which is finite and positive *)
   | Quit
 
 val parse : string -> (request, string) result

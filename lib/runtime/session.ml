@@ -92,18 +92,6 @@ let analyze t ~events ~end_time trace =
     verdict = Option.map (fun j -> Monitor.judge j machines) t.s_judge;
   }
 
-let run ?until ?max_events t =
-  let (events, end_time), trace =
-    Trace.recording_packed (fun () ->
-      let sim = Timed.create ~n:t.s_n ~c:t.s_c (t.s_make ()) in
-      t.s_sim <- Some sim;
-      Timed.observe sim;
-      t.s_boot t;
-      let events = Timed.run ?until ?max_events sim in
-      (events, Timed.now sim))
-  in
-  analyze t ~events ~end_time trace
-
 (* ------------------------------------------------------------------ *)
 (* Phased lifecycle (churn)
 
@@ -128,6 +116,10 @@ let launch ?until ?max_events t =
     Timed.observe sim;
     t.s_boot t;
     Timed.run ?until ?max_events sim)
+
+let run ?until ?max_events t =
+  let events, trace = launch ?until ?max_events t in
+  analyze t ~events ~end_time:(Timed.now (sim t)) trace
 
 let retire ?(grace = 30_000.0) ?max_events ~setup ~setup_events t =
   let sim =

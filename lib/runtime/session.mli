@@ -99,9 +99,11 @@ val run : ?until:float -> ?max_events:int -> t -> outcome
 (** Build, boot, and drive the session to quiescence (or to the bound),
     recording its trace into the domain-local ring buffer
     ({!Trace.recording_packed}); then derive metrics and monitor
-    results through the packed accessors.  A session is single-use:
-    run it once.  [run] does not execute the [hangup] closure — use
-    the phased {!launch}/{!retire} pair for churned lifecycles. *)
+    results through the packed accessors: {!launch}, then the analysis
+    {!retire} ends with.  A session is single-use: a second [run]
+    raises [Invalid_argument].  [run] does not execute the [hangup]
+    closure — use the phased {!launch}/{!retire} pair for churned
+    lifecycles. *)
 
 (** {2 Phased lifecycle (churn)}
 

@@ -1,11 +1,17 @@
 (* End-to-end tests of signaling paths: goal objects at both ends,
    flowlinks in the middle, tunnels in between (paper sections V-VII).
-   These check that each path type converges to the behaviour its
-   temporal specification demands, under deterministic and random
-   schedules, with mute changes and endpoint reprogramming. *)
+   Each path is a [Netsys] network laid out by [Pathlab] the way the
+   model checker lays out its path configurations, so these run the
+   executor that fleets, churn and the daemon run.  They check that
+   each path type converges to the behaviour its temporal specification
+   demands, under deterministic and random schedules, with mute changes
+   and endpoint reprogramming. *)
 
 open Mediactl_types
+open Mediactl_protocol
 open Mediactl_core
+open Mediactl_runtime
+open Mediactl_apps
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -17,239 +23,298 @@ let addr_b = Address.v "10.0.0.2" 5002
 let local_a () = Local.endpoint ~owner:"A" addr_a [ Codec.G711; Codec.G726 ]
 let local_b () = Local.endpoint ~owner:"B" addr_b [ Codec.G711; Codec.G729 ]
 
-let open_a () = Chain.Open_spec (local_a (), Medium.Audio)
-let open_b () = Chain.Open_spec (local_b (), Medium.Audio)
-let hold_b () = Chain.Hold_spec (local_b ())
-let hold_a () = Chain.Hold_spec (local_a ())
+(* How a path end is programmed: the goal object its box binds to the
+   end slot. *)
+type end_spec =
+  | Open_spec of Local.t
+  | Close_spec
+  | Hold_spec of Local.t
 
-let ok = function
-  | Ok x -> x
-  | Error e -> Alcotest.failf "goal error: %s" (Goal_error.to_string e)
+let open_a () = Open_spec (local_a ())
+let open_b () = Open_spec (local_b ())
+let hold_b () = Hold_spec (local_b ())
+let hold_a () = Hold_spec (local_a ())
 
-let make ?initiator_left ~left ~flowlinks ~right () =
-  ok (Chain.create ?initiator_left ~left ~flowlinks ~right ())
+(* A path: its network, and the flowlink count that locates its right
+   end. *)
+type path = { net : Netsys.t; flowlinks : int }
 
-let settle chain =
-  let chain, quiescent = ok (Chain.run chain) in
+let lend _ = Pathlab.left_slot
+let rend p = Pathlab.right_slot ~flowlinks:p.flowlinks
+
+let ok net =
+  match Netsys.err net with
+  | None -> net
+  | Some e -> Alcotest.failf "network error: %s" e
+
+(* Bind a goal to a path end, as a box program does when it changes
+   state.  [Open_spec] requires the slot to be closed (the openslot
+   precondition). *)
+let reprogram p r spec =
+  let net, _ =
+    match spec with
+    | Open_spec local -> Netsys.bind_open p.net r local Medium.Audio
+    | Close_spec -> Netsys.bind_close p.net r
+    | Hold_spec local -> Netsys.bind_hold p.net r local
+  in
+  { p with net = ok net }
+
+let engage ~left ~right p = reprogram (reprogram p (lend p) left) (rend p) right
+
+let make ~left ~flowlinks ~right () =
+  engage ~left ~right { net = Pathlab.topology ~flowlinks (); flowlinks }
+
+let modify p r mute =
+  let net, _ = Netsys.modify p.net r mute in
+  { p with net = ok net }
+
+let deliver p send =
+  match Netsys.deliver p.net send with
+  | Some (net, _) -> { p with net = ok net }
+  | None -> Alcotest.fail "a deliverable tunnel end had nothing to deliver"
+
+let settle p =
+  let net, quiescent = Netsys.run ~max_steps:10_000 p.net in
+  let net = ok net in
   check tbool "quiescent" true quiescent;
-  chain
+  { p with net }
+
+(* --- observations ------------------------------------------------------- *)
+
+let slot p r =
+  match Netsys.slot p.net r with Some s -> s | None -> Alcotest.fail "no slot at a path end"
+
+let left_slot p = slot p (lend p)
+let right_slot p = slot p (rend p)
+let both_flowing p = Pathlab.both_flowing ~flowlinks:p.flowlinks p.net
+let both_closed p = Pathlab.both_closed ~flowlinks:p.flowlinks p.net
+
+let mute p r =
+  match Netsys.binding p.net r with
+  | Some (Netsys.Open_b g) -> Some (Open_slot.local g).Local.mute
+  | Some (Netsys.Hold_b g) -> Some (Hold_slot.local g).Local.mute
+  | Some (Netsys.Close_b _ | Netsys.Link_b _ | Netsys.Unbound) | None -> None
+
+(* The section-V enabledness equations at the path ends; vacuously true
+   when an end has no mute flags (closeslot). *)
+let enabled_agrees p =
+  match mute p (lend p), mute p (rend p) with
+  | Some left_mute, Some right_mute ->
+    (not (both_flowing p))
+    || Semantics.enabled_agrees ~left_mute ~right_mute ~left:(left_slot p) ~right:(right_slot p)
+  | (Some _ | None), _ -> true
+
+(* The safety condition checked in quiescent states (paper section
+   VIII-A): every slot on the path is closed or flowing. *)
+let final_states_clean p =
+  let clean (_, s) =
+    match s.Slot.state with
+    | Slot_state.Closed | Slot_state.Flowing -> true
+    | Slot_state.Opening | Slot_state.Opened | Slot_state.Closing -> false
+  in
+  List.for_all (fun box -> List.for_all clean (Netsys.slots_of_box p.net box)) (Netsys.boxes p.net)
+
+(* Every signal queued on the path: each pending tunnel end popped until
+   it is empty. *)
+let signals_in_flight p =
+  let rec count net send n =
+    match Netsys.take net send with None -> n | Some (_, net) -> count net send (n + 1)
+  in
+  List.fold_left (fun n send -> count p.net send n) 0 (Netsys.deliverables p.net)
 
 (* --- convergence per path type, across flowlink counts --------------- *)
 
-let assert_flowing chain =
-  check tbool "bothFlowing" true (Chain.both_flowing chain);
-  check tbool "enabled agrees" true (Chain.enabled_agrees chain);
-  check tbool "clean states" true (Chain.final_states_clean chain)
+let assert_flowing p =
+  check tbool "bothFlowing" true (both_flowing p);
+  check tbool "enabled agrees" true (enabled_agrees p);
+  check tbool "clean states" true (final_states_clean p)
 
 let test_open_hold_flows flowlinks () =
-  let chain = make ~left:(open_a ()) ~flowlinks ~right:(hold_b ()) () in
-  assert_flowing (settle chain)
+  let p = make ~left:(open_a ()) ~flowlinks ~right:(hold_b ()) () in
+  assert_flowing (settle p)
 
 let test_open_open_flows flowlinks () =
-  let chain = make ~left:(open_a ()) ~flowlinks ~right:(open_b ()) () in
-  assert_flowing (settle chain)
+  let p = make ~left:(open_a ()) ~flowlinks ~right:(open_b ()) () in
+  assert_flowing (settle p)
 
 let test_close_close_stays_closed flowlinks () =
-  let chain = make ~left:Chain.Close_spec ~flowlinks ~right:Chain.Close_spec () in
-  let chain = settle chain in
-  check tbool "bothClosed" true (Chain.both_closed chain)
+  let p = make ~left:Close_spec ~flowlinks ~right:Close_spec () in
+  let p = settle p in
+  check tbool "bothClosed" true (both_closed p)
 
 let test_close_hold_stays_closed flowlinks () =
-  let chain = make ~left:Chain.Close_spec ~flowlinks ~right:(hold_b ()) () in
-  let chain = settle chain in
-  check tbool "bothClosed" true (Chain.both_closed chain)
+  let p = make ~left:Close_spec ~flowlinks ~right:(hold_b ()) () in
+  let p = settle p in
+  check tbool "bothClosed" true (both_closed p)
 
 let test_hold_hold_stays_closed flowlinks () =
   (* Nobody asks to open: the disjunctive spec is satisfied by
      remaining closed. *)
-  let chain = make ~left:(hold_a ()) ~flowlinks ~right:(hold_b ()) () in
-  let chain = settle chain in
-  check tbool "bothClosed" true (Chain.both_closed chain)
+  let p = make ~left:(hold_a ()) ~flowlinks ~right:(hold_b ()) () in
+  let p = settle p in
+  check tbool "bothClosed" true (both_closed p)
+
+(* Deliver the first pending signal [steps] times, or until none is
+   pending, checking after each delivery that the path is not
+   bothFlowing. *)
+let rec never_flows label p steps =
+  if steps > 0 then
+    match Netsys.deliverables p.net with
+    | [] -> ()
+    | send :: _ ->
+      let p = deliver p send in
+      check tbool label false (both_flowing p);
+      never_flows label p (steps - 1)
 
 let test_open_close_never_flows flowlinks () =
   (* This path never quiesces (the openslot keeps retrying), but it
      must never reach bothFlowing. *)
-  let chain = make ~left:(open_a ()) ~flowlinks ~right:Chain.Close_spec () in
-  let rec drive chain steps =
-    if steps = 0 then ()
-    else
-      match Chain.deliverable chain with
-      | [] -> ()
-      | (i, d) :: _ -> (
-        match Chain.deliver chain i d with
-        | None -> ()
-        | Some r ->
-          let chain = ok r in
-          check tbool "never bothFlowing" false (Chain.both_flowing chain);
-          drive chain (steps - 1))
-  in
-  drive chain 200
+  let p = make ~left:(open_a ()) ~flowlinks ~right:Close_spec () in
+  never_flows "never bothFlowing" p 200
 
 (* --- open race (both ends open simultaneously) ----------------------- *)
 
 let test_open_open_race_no_flowlink () =
   (* A single tunnel with opens from both ends: the initiator side wins
      and the path still converges to bothFlowing. *)
-  let chain = make ~left:(open_a ()) ~flowlinks:0 ~right:(open_b ()) () in
-  check tint "two opens in flight" 2 (Chain.signals_in_flight chain);
-  assert_flowing (settle chain)
+  let p = make ~left:(open_a ()) ~flowlinks:0 ~right:(open_b ()) () in
+  check tint "two opens in flight" 2 (signals_in_flight p);
+  assert_flowing (settle p)
 
 let test_open_open_race_initiator_right () =
-  let chain =
-    make ~initiator_left:[ false ] ~left:(open_a ()) ~flowlinks:0 ~right:(open_b ()) ()
-  in
-  assert_flowing (settle chain)
+  let net = List.fold_left Netsys.add_box Netsys.empty [ "L"; "R" ] in
+  let net = Netsys.connect net ~chan:"ch0" ~initiator:"R" ~acceptor:"L" () in
+  let p = engage ~left:(open_a ()) ~right:(open_b ()) { net; flowlinks = 0 } in
+  assert_flowing (settle p)
 
 (* --- mute behaviour --------------------------------------------------- *)
 
 let test_mute_out_stops_media () =
-  let chain = make ~left:(open_a ()) ~flowlinks:1 ~right:(hold_b ()) () in
-  let chain = settle chain in
-  assert_flowing chain;
-  let chain = ok (Chain.modify chain Chain.Lend Mute.out_only) in
-  let chain = settle chain in
-  check tbool "bothFlowing again" true (Chain.both_flowing chain);
-  check tbool "enabled agrees" true (Chain.enabled_agrees chain);
+  let p = make ~left:(open_a ()) ~flowlinks:1 ~right:(hold_b ()) () in
+  let p = settle p in
+  assert_flowing p;
+  let p = modify p (lend p) Mute.out_only in
+  let p = settle p in
+  check tbool "bothFlowing again" true (both_flowing p);
+  check tbool "enabled agrees" true (enabled_agrees p);
   (* Right end no longer receives: L muted its output. *)
-  check tbool "right rx off" false (Mediactl_protocol.Slot.rx_enabled (Chain.right_slot chain));
-  check tbool "left rx on" true (Mediactl_protocol.Slot.rx_enabled (Chain.left_slot chain))
+  check tbool "right rx off" false (Slot.rx_enabled (right_slot p));
+  check tbool "left rx on" true (Slot.rx_enabled (left_slot p))
 
 let test_mute_in_stops_reception () =
-  let chain = make ~left:(open_a ()) ~flowlinks:1 ~right:(hold_b ()) () in
-  let chain = settle chain in
-  let chain = ok (Chain.modify chain Chain.Rend Mute.in_only) in
-  let chain = settle chain in
-  check tbool "bothFlowing" true (Chain.both_flowing chain);
-  check tbool "enabled agrees" true (Chain.enabled_agrees chain);
-  check tbool "right rx off" false (Mediactl_protocol.Slot.rx_enabled (Chain.right_slot chain));
-  check tbool "left rx on" true (Mediactl_protocol.Slot.rx_enabled (Chain.left_slot chain))
+  let p = make ~left:(open_a ()) ~flowlinks:1 ~right:(hold_b ()) () in
+  let p = settle p in
+  let p = modify p (rend p) Mute.in_only in
+  let p = settle p in
+  check tbool "bothFlowing" true (both_flowing p);
+  check tbool "enabled agrees" true (enabled_agrees p);
+  check tbool "right rx off" false (Slot.rx_enabled (right_slot p));
+  check tbool "left rx on" true (Slot.rx_enabled (left_slot p))
 
 let test_unmute_restores () =
-  let chain = make ~left:(open_a ()) ~flowlinks:1 ~right:(hold_b ()) () in
-  let chain = settle chain in
-  let chain = ok (Chain.modify chain Chain.Lend Mute.both) in
-  let chain = settle chain in
+  let p = make ~left:(open_a ()) ~flowlinks:1 ~right:(hold_b ()) () in
+  let p = settle p in
+  let p = modify p (lend p) Mute.both in
+  let p = settle p in
   check tbool "no media either way" true
-    ((not (Mediactl_protocol.Slot.rx_enabled (Chain.left_slot chain)))
-    && not (Mediactl_protocol.Slot.rx_enabled (Chain.right_slot chain)));
-  let chain = ok (Chain.modify chain Chain.Lend Mute.none) in
-  let chain = settle chain in
-  check tbool "restored" true
-    (Mediactl_protocol.Slot.rx_enabled (Chain.left_slot chain)
-    && Mediactl_protocol.Slot.rx_enabled (Chain.right_slot chain));
-  assert_flowing chain
+    ((not (Slot.rx_enabled (left_slot p))) && not (Slot.rx_enabled (right_slot p)));
+  let p = modify p (lend p) Mute.none in
+  let p = settle p in
+  check tbool "restored" true (Slot.rx_enabled (left_slot p) && Slot.rx_enabled (right_slot p));
+  assert_flowing p
 
 let test_concurrent_modifies_converge () =
   (* Idempotent describes/selects travelling in opposite directions do
      not constrain each other (paper section VI-C). *)
-  let chain = make ~left:(open_a ()) ~flowlinks:1 ~right:(open_b ()) () in
-  let chain = settle chain in
-  let chain = ok (Chain.modify chain Chain.Lend Mute.out_only) in
-  let chain = ok (Chain.modify chain Chain.Rend Mute.out_only) in
-  let chain = settle chain in
-  check tbool "bothFlowing" true (Chain.both_flowing chain);
-  check tbool "enabled agrees" true (Chain.enabled_agrees chain);
+  let p = make ~left:(open_a ()) ~flowlinks:1 ~right:(open_b ()) () in
+  let p = settle p in
+  let p = modify p (lend p) Mute.out_only in
+  let p = modify p (rend p) Mute.out_only in
+  let p = settle p in
+  check tbool "bothFlowing" true (both_flowing p);
+  check tbool "enabled agrees" true (enabled_agrees p);
   check tbool "silent both ways" true
-    ((not (Mediactl_protocol.Slot.rx_enabled (Chain.left_slot chain)))
-    && not (Mediactl_protocol.Slot.rx_enabled (Chain.right_slot chain)))
+    ((not (Slot.rx_enabled (left_slot p))) && not (Slot.rx_enabled (right_slot p)))
 
 (* --- reprogramming (box program state changes) ------------------------ *)
 
 let test_reprogram_hold_to_close () =
-  let chain = make ~left:(open_a ()) ~flowlinks:1 ~right:(hold_b ()) () in
-  let chain = settle chain in
-  let chain = ok (Chain.reprogram chain Chain.Rend Chain.Close_spec) in
+  let p = make ~left:(open_a ()) ~flowlinks:1 ~right:(hold_b ()) () in
+  let p = settle p in
+  let p = reprogram p (rend p) Close_spec in
   (* Now an open/close path: it never flows again. *)
-  let rec drive chain steps =
-    if steps = 0 then chain
-    else
-      match Chain.deliverable chain with
-      | [] -> chain
-      | (i, d) :: _ -> (
-        match Chain.deliver chain i d with
-        | None -> chain
-        | Some r ->
-          let chain = ok r in
-          check tbool "never flows again" false (Chain.both_flowing chain);
-          drive chain (steps - 1))
-  in
-  ignore (drive chain 300)
+  never_flows "never flows again" p 300
 
 let test_reprogram_close_to_hold_then_flow () =
-  let chain = make ~left:(open_a ()) ~flowlinks:1 ~right:Chain.Close_spec () in
+  let p = make ~left:(open_a ()) ~flowlinks:1 ~right:Close_spec () in
   (* Let the first reject happen. *)
-  let chain, _ = ok (Chain.run ~max_steps:40 chain) in
-  check tbool "not flowing" false (Chain.both_flowing chain);
+  let net, _ = Netsys.run ~max_steps:40 p.net in
+  let p = { p with net = ok net } in
+  check tbool "not flowing" false (both_flowing p);
   (* The right box program changes its mind; reprogramming is legal
      whenever the slot is closed at that moment.  Retry a few times
      because the openslot keeps re-opening. *)
-  let rec try_reprogram chain attempts =
+  let rec try_reprogram p attempts =
     if attempts = 0 then Alcotest.fail "never found a closed moment"
-    else if Mediactl_protocol.Slot.is_closed (Chain.right_slot chain) then
-      ok (Chain.reprogram chain Chain.Rend (hold_b ()))
+    else if Slot.is_closed (right_slot p) then reprogram p (rend p) (hold_b ())
     else
-      match Chain.deliverable chain with
+      match Netsys.deliverables p.net with
       | [] -> Alcotest.fail "stuck"
-      | (i, d) :: _ ->
-        let chain = ok (Option.get (Chain.deliver chain i d)) in
-        try_reprogram chain (attempts - 1)
+      | send :: _ -> try_reprogram (deliver p send) (attempts - 1)
   in
-  let chain = try_reprogram chain 100 in
-  assert_flowing (settle chain)
+  let p = try_reprogram p 100 in
+  assert_flowing (settle p)
 
 (* --- random schedules -------------------------------------------------- *)
 
-let random_settle rng chain max_steps =
-  let rec loop chain steps =
-    if steps >= max_steps then (chain, false)
+let random_settle rng p max_steps =
+  let rec loop p steps =
+    if steps >= max_steps then (p, false)
     else
-      match Chain.deliverable chain with
-      | [] -> (chain, true)
+      match Netsys.deliverables p.net with
+      | [] -> (p, true)
       | choices ->
-        let i, d = List.nth choices (Random.State.int rng (List.length choices)) in
-        let chain = ok (Option.get (Chain.deliver chain i d)) in
-        loop chain (steps + 1)
+        let send = List.nth choices (Random.State.int rng (List.length choices)) in
+        loop (deliver p send) (steps + 1)
   in
-  loop chain 0
+  loop p 0
 
 let prop_random_schedule_converges =
   QCheck2.Test.make ~name:"open/hold converges under any schedule" ~count:200
     QCheck2.Gen.(pair (int_range 0 3) int)
     (fun (flowlinks, seed) ->
       let rng = Random.State.make [| seed |] in
-      let chain = make ~left:(open_a ()) ~flowlinks ~right:(hold_b ()) () in
-      let chain, quiescent = random_settle rng chain 2000 in
-      quiescent && Chain.both_flowing chain && Chain.enabled_agrees chain
-      && Chain.final_states_clean chain)
+      let p = make ~left:(open_a ()) ~flowlinks ~right:(hold_b ()) () in
+      let p, quiescent = random_settle rng p 2000 in
+      quiescent && both_flowing p && enabled_agrees p && final_states_clean p)
 
 let prop_random_modifies_converge =
   QCheck2.Test.make ~name:"random mutes still reconverge to bothFlowing" ~count:150
     QCheck2.Gen.(triple (int_range 0 2) int (list_size (int_range 1 4) (pair bool (pair bool bool))))
     (fun (flowlinks, seed, modifies) ->
       let rng = Random.State.make [| seed |] in
-      let chain = make ~left:(open_a ()) ~flowlinks ~right:(open_b ()) () in
-      let chain, _ = random_settle rng chain 2000 in
-      let chain =
+      let p = make ~left:(open_a ()) ~flowlinks ~right:(open_b ()) () in
+      let p, _ = random_settle rng p 2000 in
+      let p =
         List.fold_left
-          (fun chain (left_end, (mi, mo)) ->
-            let which = if left_end then Chain.Lend else Chain.Rend in
-            let mute = { Mute.mute_in = mi; mute_out = mo } in
-            let chain = ok (Chain.modify chain which mute) in
-            fst (random_settle rng chain 2000))
-          chain modifies
+          (fun p (left_end, (mi, mo)) ->
+            let which = if left_end then lend p else rend p in
+            let p = modify p which { Mute.mute_in = mi; mute_out = mo } in
+            fst (random_settle rng p 2000))
+          p modifies
       in
-      let chain, quiescent = random_settle rng chain 2000 in
-      quiescent && Chain.both_flowing chain && Chain.enabled_agrees chain)
+      let p, quiescent = random_settle rng p 2000 in
+      quiescent && both_flowing p && enabled_agrees p)
 
 let prop_close_paths_close =
   QCheck2.Test.make ~name:"paths with a closing end finish bothClosed" ~count:200
     QCheck2.Gen.(triple (int_range 0 3) int bool)
     (fun (flowlinks, seed, hold_at_right) ->
       let rng = Random.State.make [| seed |] in
-      let right = if hold_at_right then hold_b () else Chain.Close_spec in
-      let chain = make ~left:Chain.Close_spec ~flowlinks ~right () in
-      let chain, quiescent = random_settle rng chain 2000 in
-      quiescent && Chain.both_closed chain)
+      let right = if hold_at_right then hold_b () else Close_spec in
+      let p = make ~left:Close_spec ~flowlinks ~right () in
+      let p, quiescent = random_settle rng p 2000 in
+      quiescent && both_closed p)
 
 let prop_reprogram_storm =
   (* Endpoints are reprogrammed repeatedly at random moments with random
@@ -259,41 +324,35 @@ let prop_reprogram_storm =
     QCheck2.Gen.(triple (int_range 0 2) int (list_size (int_range 1 5) (pair bool (int_range 0 2))))
     (fun (flowlinks, seed, reprograms) ->
       let rng = Random.State.make [| seed |] in
-      let chain = make ~left:(open_a ()) ~flowlinks ~right:(hold_b ()) () in
+      let p = make ~left:(open_a ()) ~flowlinks ~right:(hold_b ()) () in
       let goal_of = function
         | 0 -> hold_b ()
-        | 1 -> Chain.Close_spec
+        | 1 -> Close_spec
         | _ -> open_b ()
       in
-      let chain =
+      let p =
         List.fold_left
-          (fun chain (left_end, goal_ix) ->
-            let chain, _ = random_settle rng chain (1 + Random.State.int rng 40) in
-            let which = if left_end then Chain.Lend else Chain.Rend in
-            let spec = goal_of goal_ix in
+          (fun p (left_end, goal_ix) ->
+            let p, _ = random_settle rng p (1 + Random.State.int rng 40) in
+            let which = if left_end then lend p else rend p in
+            match goal_of goal_ix with
             (* openSlot requires a closed slot; skip illegal moments. *)
-            let slot = if left_end then Chain.left_slot chain else Chain.right_slot chain in
-            match spec with
-            | Chain.Open_spec _ when not (Mediactl_protocol.Slot.is_closed slot) -> chain
-            | _ -> ok (Chain.reprogram chain which spec))
-          chain reprograms
+            | Open_spec _ when not (Slot.is_closed (slot p which)) -> p
+            | spec -> reprogram p which spec)
+          p reprograms
       in
       (* Make the final configuration deterministic: openslot vs holdslot. *)
-      let chain =
-        if Mediactl_protocol.Slot.is_closed (Chain.left_slot chain) then
-          ok (Chain.reprogram chain Chain.Lend (open_a ()))
-        else chain
-      in
-      let chain = ok (Chain.reprogram chain Chain.Rend (hold_b ())) in
-      match Chain.left_kind chain, Chain.right_kind chain with
-      | Mediactl_core.Semantics.Open_end, Mediactl_core.Semantics.Hold_end ->
-        let chain, quiescent = random_settle rng chain 4000 in
-        quiescent && Chain.both_flowing chain && Chain.final_states_clean chain
-      | _ ->
+      let p = if Slot.is_closed (left_slot p) then reprogram p (lend p) (open_a ()) else p in
+      let p = reprogram p (rend p) (hold_b ()) in
+      match Netsys.binding p.net (lend p) with
+      | Some (Netsys.Open_b _) ->
+        let p, quiescent = random_settle rng p 4000 in
+        quiescent && both_flowing p && final_states_clean p
+      | Some (Netsys.Close_b _ | Netsys.Hold_b _ | Netsys.Link_b _ | Netsys.Unbound) | None ->
         (* The left slot was not closed when we tried to re-open it:
            it is under an earlier goal; just require clean settling. *)
-        let chain, quiescent = random_settle rng chain 4000 in
-        quiescent || Chain.final_states_clean chain)
+        let p, quiescent = random_settle rng p 4000 in
+        quiescent || final_states_clean p)
 
 let prop_flowlink_transparency =
   (* Section III-A: a path of a given type can have any number of tunnels
@@ -306,22 +365,21 @@ let prop_flowlink_transparency =
     (fun (k, seed, modifies) ->
       let run flowlinks =
         let rng = Random.State.make [| seed |] in
-        let chain = make ~left:(open_a ()) ~flowlinks ~right:(hold_b ()) () in
-        let chain, _ = random_settle rng chain 4000 in
-        let chain =
+        let p = make ~left:(open_a ()) ~flowlinks ~right:(hold_b ()) () in
+        let p, _ = random_settle rng p 4000 in
+        let p =
           List.fold_left
-            (fun chain (left_end, (mi, mo)) ->
-              let which = if left_end then Chain.Lend else Chain.Rend in
-              let chain = ok (Chain.modify chain which { Mute.mute_in = mi; mute_out = mo }) in
-              fst (random_settle rng chain 4000))
-            chain modifies
+            (fun p (left_end, (mi, mo)) ->
+              let which = if left_end then lend p else rend p in
+              let p = modify p which { Mute.mute_in = mi; mute_out = mo } in
+              fst (random_settle rng p 4000))
+            p modifies
         in
-        let chain, quiescent = random_settle rng chain 4000 in
+        let p, quiescent = random_settle rng p 4000 in
         let observe slot =
-          Mediactl_protocol.Slot.
-            (slot.state, tx_enabled slot, rx_enabled slot, tx_codec slot, rx_codec slot)
+          Slot.(slot.state, tx_enabled slot, rx_enabled slot, tx_codec slot, rx_codec slot)
         in
-        (quiescent, observe (Chain.left_slot chain), observe (Chain.right_slot chain))
+        (quiescent, observe (left_slot p), observe (right_slot p))
       in
       run 0 = run k)
 

@@ -202,7 +202,10 @@ let test_control_roundtrip () =
 let test_control_rejects_junk () =
   List.iter
     (fun line -> check tbool line true (Result.is_error (Control.parse line)))
-    [ "FROB c1"; "CREATE"; "CREATE c1 open sideways"; "WAIT c1 flowing not-a-number"; "DIAL c1" ]
+    [
+      "FROB c1"; "CREATE"; "CREATE c1 open sideways"; "WAIT c1 flowing not-a-number";
+      "WAIT c1 flowing inf"; "WAIT c1 flowing infinity"; "WAIT c1 flowing 1e400"; "DIAL c1";
+    ]
 
 let test_control_response_shapes () =
   check tbool "ok" true (Control.is_ok (Control.ok "fine"));
