@@ -12,13 +12,6 @@ let local_r = Local.endpoint ~owner:"R" (Address.v "10.3.0.2" 5000) audio
 let chan_name i = Printf.sprintf "ch%d" i
 let link_box j = Printf.sprintf "FL%d" j
 
-let bind_end net ~box ~chan kind local =
-  let r = Netsys.slot_ref ~box ~chan () in
-  match kind with
-  | Semantics.Open_end -> fst (Netsys.bind_open net r local Medium.Audio)
-  | Semantics.Close_end -> fst (Netsys.bind_close net r)
-  | Semantics.Hold_end -> fst (Netsys.bind_hold net r local)
-
 let node_name ~flowlinks i =
   if i = 0 then "L" else if i = flowlinks + 1 then "R" else link_box (i - 1)
 
@@ -65,8 +58,8 @@ let engage_right kind ~flowlinks net = engage kind (right_slot ~flowlinks) local
 
 let build ?(left = Semantics.Open_end) ?(right = Semantics.Open_end) ?(flowlinks = 0) () =
   let net = topology ~flowlinks () in
-  let net = bind_end net ~box:"L" ~chan:(chan_name 0) left local_l in
-  bind_end net ~box:"R" ~chan:(chan_name flowlinks) right local_r
+  let net = fst (engage_left left net) in
+  fst (engage_right right ~flowlinks net)
 
 (* The end identities in the coordinates trace events use. *)
 let ends ~flowlinks =

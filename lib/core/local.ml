@@ -26,8 +26,6 @@ let server ~owner =
     version = 0;
   }
 
-let is_server t = t.codecs = [] && t.willing = []
-
 let descriptor t =
   if t.mute.Mute.mute_in || t.codecs = [] then
     Descriptor.no_media ~owner:t.owner ~version:t.version t.addr

@@ -32,8 +32,6 @@ val endpoint' :
 val server : owner:string -> t
 (** A server-side face: mutes both directions, placeholder address. *)
 
-val is_server : t -> bool
-
 val descriptor : t -> Descriptor.t
 (** The descriptor this face currently advertises: [noMedia] when
     [mute.mute_in] is set or the face is a server face, else the codec

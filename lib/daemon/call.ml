@@ -83,13 +83,8 @@ let local_of t box =
 
 let slot_of t box = Netsys.slot_ref ~box ~chan:t.c_chan ()
 
-let engage t net box kind =
-  let r = slot_of t box in
-  match kind with
-  (* the any-state variant throughout, so RESUME can re-open from Held *)
-  | Semantics.Open_end -> Netsys.bind_open_any net r (local_of t box) Medium.Audio
-  | Semantics.Close_end -> Netsys.bind_close net r
-  | Semantics.Hold_end -> Netsys.bind_hold net r (local_of t box)
+(* the any-state start of every kind, so RESUME can re-open from Held *)
+let engage t net box kind = Netsys.bind_end net (slot_of t box) kind (local_of t box) Medium.Audio
 
 let make ~id ~role ~left ~right =
   {

@@ -67,11 +67,7 @@ let spec c = List.hd (leg_specs c)
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
 
-type end_phase =
-  | Chaos of int
-  | Goal_open of Open_slot.t
-  | Goal_close of Close_slot.t
-  | Goal_hold of Hold_slot.t
+type end_phase = Chaos of int | Goal of End_goal.t
 
 type endpoint = {
   phase : end_phase;
@@ -187,7 +183,7 @@ let leg_ends_flowing k s = ends_flowing_leg (List.nth s.legs k)
 let settled_end e =
   match e.phase with
   | Chaos _ -> e.environment  (* an environment end never settles *)
-  | Goal_open _ | Goal_close _ | Goal_hold _ -> true
+  | Goal _ -> true
 
 let settled_link l =
   match l.lphase with
@@ -328,6 +324,17 @@ let set_end s k which e =
   | L -> set_leg s k { g with outer = e }
   | R -> set_leg s k { g with inner = e }
 
+(* Commit a goal's start or step at end [which] of leg [k], whose
+   endpoint record is [e]: the goal it leaves becomes the end's phase,
+   and its signals go into the end's tunnel. *)
+let step_end s k which e r =
+  of_result s
+    (fun (o : End_goal.outcome) ->
+      endpoint_emit
+        (set_end s k which { e with phase = Goal o.End_goal.goal; slot = o.End_goal.slot })
+        k which o.End_goal.out)
+    r
+
 let endpoint_receive s k which signal =
   let e = get_end s k which in
   match e.phase with
@@ -338,80 +345,20 @@ let endpoint_receive s k which signal =
       (fun (slot, auto, _notes) ->
         endpoint_emit (set_end s k which { e with slot }) k which auto)
       (Slot.receive e.slot signal)
-  | Goal_open g ->
-    of_result s
-      (fun (o : Open_slot.outcome) ->
-        endpoint_emit
-          (set_end s k which
-             { e with phase = Goal_open o.Open_slot.goal; slot = o.Open_slot.slot })
-          k which o.Open_slot.out)
-      (Open_slot.on_signal g e.slot signal)
-  | Goal_close g ->
-    of_result s
-      (fun (o : Close_slot.outcome) ->
-        endpoint_emit
-          (set_end s k which
-             { e with phase = Goal_close o.Close_slot.goal; slot = o.Close_slot.slot })
-          k which o.Close_slot.out)
-      (Close_slot.on_signal g e.slot signal)
-  | Goal_hold g ->
-    of_result s
-      (fun (o : Hold_slot.outcome) ->
-        endpoint_emit
-          (set_end s k which
-             { e with phase = Goal_hold o.Hold_slot.goal; slot = o.Hold_slot.slot })
-          k which o.Hold_slot.out)
-      (Hold_slot.on_signal g e.slot signal)
+  | Goal g -> step_end s k which e (End_goal.on_signal g e.slot signal)
 
 let switch_end s k which =
   let e = get_end s k which in
-  match e.kind with
-  | Semantics.Open_end ->
-    of_result s
-      (fun (o : Open_slot.outcome) ->
-        endpoint_emit
-          (set_end s k which
-             { e with phase = Goal_open o.Open_slot.goal; slot = o.Open_slot.slot })
-          k which o.Open_slot.out)
-      (Open_slot.assume e.local medium e.slot)
-  | Semantics.Close_end ->
-    of_result s
-      (fun (o : Close_slot.outcome) ->
-        endpoint_emit
-          (set_end s k which
-             { e with phase = Goal_close o.Close_slot.goal; slot = o.Close_slot.slot })
-          k which o.Close_slot.out)
-      (Close_slot.start e.slot)
-  | Semantics.Hold_end ->
-    of_result s
-      (fun (o : Hold_slot.outcome) ->
-        endpoint_emit
-          (set_end s k which
-             { e with phase = Goal_hold o.Hold_slot.goal; slot = o.Hold_slot.slot })
-          k which o.Hold_slot.out)
-      (Hold_slot.start e.local e.slot)
+  step_end s k which e (End_goal.engage e.kind e.local medium e.slot)
 
 let modify_end s k which mute =
   let e = get_end s k which in
-  let budgeted e = { e with modifies_left = e.modifies_left - 1 } in
   match e.phase with
-  | Goal_open g ->
-    of_result s
-      (fun (o : Open_slot.outcome) ->
-        endpoint_emit
-          (set_end s k which
-             (budgeted { e with phase = Goal_open o.Open_slot.goal; slot = o.Open_slot.slot }))
-          k which o.Open_slot.out)
-      (Open_slot.modify g e.slot mute)
-  | Goal_hold g ->
-    of_result s
-      (fun (o : Hold_slot.outcome) ->
-        endpoint_emit
-          (set_end s k which
-             (budgeted { e with phase = Goal_hold o.Hold_slot.goal; slot = o.Hold_slot.slot }))
-          k which o.Hold_slot.out)
-      (Hold_slot.modify g e.slot mute)
-  | Chaos _ | Goal_close _ -> s
+  | Goal g ->
+    step_end s k which
+      { e with modifies_left = e.modifies_left - 1 }
+      (End_goal.modify g e.slot mute)
+  | Chaos _ -> s
 
 (* The protocol-legal spontaneous sends available to a chaotic slot. *)
 let chaos_actions local slot =
@@ -589,14 +536,14 @@ let successors s =
                      endpoint_emit (set_end s k which e') k which [ signal ])
                    (act ())))
             (chaos_actions e.local e.slot)
-      | Goal_open _ | Goal_hold _ ->
-        if e.modifies_left > 0 then
+      | Goal g ->
+        (* A closeslot has no media face to modify. *)
+        if e.modifies_left > 0 && End_goal.kind g <> Semantics.Close_end then
           List.iter
             (fun mute ->
               if not (Mute.equal mute e.local.Local.mute) then
                 add (Modify (k, which, mute)) (modify_end s k which mute))
             mute_choices
-      | Goal_close _ -> ()
     in
     let link_chaos k j link budget side slot =
       List.iter
@@ -913,23 +860,23 @@ let put_phase w = function
   | Chaos n ->
     byte w 0;
     byte w n
-  | Goal_open g ->
+  | Goal (End_goal.Open { local; want }) ->
     byte w 1;
-    byte w (medium_code (Open_slot.medium g));
-    put_goal_local w (Open_slot.local g)
-  | Goal_close _ -> byte w 2
-  | Goal_hold g ->
+    byte w (medium_code want);
+    put_goal_local w local
+  | Goal End_goal.Close -> byte w 2
+  | Goal (End_goal.Hold { local }) ->
     byte w 3;
-    put_goal_local w (Hold_slot.local g)
+    put_goal_local w local
 
 let get_phase r base =
   match rd r with
   | 0 -> Chaos (rd r)
   | 1 ->
-    let m = medium_of_code (rd r) in
-    Goal_open (Open_slot.v (get_goal_local r base) m)
-  | 2 -> Goal_close Close_slot.v
-  | _ -> Goal_hold (Hold_slot.v (get_goal_local r base))
+    let want = medium_of_code (rd r) in
+    Goal (End_goal.Open { local = get_goal_local r base; want })
+  | 2 -> Goal End_goal.Close
+  | _ -> Goal (End_goal.Hold { local = get_goal_local r base })
 
 let put_endpoint w e =
   put_phase w e.phase;

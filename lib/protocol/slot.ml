@@ -239,14 +239,3 @@ let pp ppf t =
   Format.fprintf ppf "%s[%a%s%s]" t.label Slot_state.pp t.state
     (if tx_enabled t then " tx" else "")
     (if rx_enabled t then " rx" else "")
-
-let pp_note ppf = function
-  | Opened_by_peer -> Format.pp_print_string ppf "opened-by-peer"
-  | Accepted_by_peer -> Format.pp_print_string ppf "accepted-by-peer"
-  | Closed_by_peer -> Format.pp_print_string ppf "closed-by-peer"
-  | Close_confirmed -> Format.pp_print_string ppf "close-confirmed"
-  | Race_won -> Format.pp_print_string ppf "race-won"
-  | Race_lost -> Format.pp_print_string ppf "race-lost"
-  | New_descriptor -> Format.pp_print_string ppf "new-descriptor"
-  | New_selector -> Format.pp_print_string ppf "new-selector"
-  | Dropped s -> Format.fprintf ppf "dropped-%s" (Signal.name s)

@@ -129,4 +129,3 @@ val equal : t -> t -> bool
     model checker to canonicalize global states. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_note : Format.formatter -> note -> unit

@@ -4,8 +4,6 @@ let is_live = function
   | Opening | Opened | Flowing -> true
   | Closed | Closing -> false
 
-let is_dead s = not (is_live s)
-
 let all = [ Closed; Opening; Opened; Flowing; Closing ]
 
 let equal a b =

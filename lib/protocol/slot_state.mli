@@ -11,9 +11,6 @@ val is_live : t -> bool
 (** [Opening], [Opened], or [Flowing] — the "live" shorthand of the
     flowlink state-matching diagram (paper Figure 12). *)
 
-val is_dead : t -> bool
-(** [Closed] or [Closing]. *)
-
 val all : t list
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -20,8 +20,7 @@ let react timed ~box local behavior =
           (* Mark the slot as owned-but-ringing by binding nothing; the
              passive slot semantics keep the protocol consistent. *)
           ())
-      | Some (Netsys.Open_b _ | Netsys.Close_b _ | Netsys.Hold_b _ | Netsys.Link_b _) | None ->
-        ())
+      | Some (Netsys.End_b _ | Netsys.Link_b _) | None -> ())
     (Netsys.slots_of_box net box)
 
 let install timed ~box local behavior =
@@ -39,7 +38,3 @@ let install timed ~box local behavior =
   scan timed
 
 let hang_up timed ~box ~chan = Timed.send_meta timed ~chan ~from:box Meta.Teardown
-
-let accept_now timed ~box ~chan local =
-  Timed.apply timed (fun net ->
-      Netsys.bind_hold net (Netsys.slot_ref ~box ~chan ()) local)

@@ -22,5 +22,3 @@ val hang_up : Timed.t -> box:string -> chan:string -> unit
 (** The device's user abandons the call: a [Teardown] meta-signal toward
     the peer box. *)
 
-val accept_now : Timed.t -> box:string -> chan:string -> Local.t -> unit
-(** For [No_answer] devices: the user finally picks up. *)

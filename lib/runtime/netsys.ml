@@ -10,12 +10,7 @@ let slot_ref ~box ~chan ?(tun = 0) () = { box; key = { chan; tun } }
 
 type send = { s_chan : string; s_tun : int; to_ : string }
 
-type binding =
-  | Open_b of Open_slot.t
-  | Close_b of Close_slot.t
-  | Hold_b of Hold_slot.t
-  | Link_b of string * Flow_link.side
-  | Unbound
+type binding = End_b of End_goal.t | Link_b of string * Flow_link.side | Unbound
 
 type box = {
   slots : (slot_key * Slot.t) list;
@@ -146,7 +141,7 @@ let dissolve_link box id =
 let release_slot box key =
   match find_key key box.bindings with
   | Some (Link_b (id, _)) -> dissolve_link box id
-  | Some (Open_b _ | Close_b _ | Hold_b _ | Unbound) | None ->
+  | Some (End_b _ | Unbound) | None ->
     { box with bindings = replace_key key Unbound box.bindings }
 
 let disconnect t ~chan =
@@ -288,7 +283,17 @@ let of_goal_result t f = function
   | Ok x -> f x
   | Error e -> (fail t (Goal_error.to_string e), [])
 
-let bind_endpoint t { box = box_name; key } start =
+(* Commit a goal's start or step at [key] of [box]: the goal it leaves
+   becomes the slot's binding, and its signals go into the slot's
+   tunnel. *)
+let step_end t box_name box key r =
+  of_goal_result t
+    (fun (o : End_goal.outcome) ->
+      let box = with_binding (with_slot box key o.End_goal.slot) key (End_b o.End_goal.goal) in
+      emit_signals (set_box t box_name box) box_name key o.End_goal.out)
+    r
+
+let bind_goal t { box = box_name; key } start =
   if failed t then (t, [])
   else
     match find_box t box_name with
@@ -296,38 +301,12 @@ let bind_endpoint t { box = box_name; key } start =
     | Some box -> (
       match find_key key box.slots with
       | None -> (fail t (Printf.sprintf "no slot %s.%d in %s" key.chan key.tun box_name), [])
-      | Some slot ->
-        let box = release_slot box key in
-        of_goal_result t
-          (fun (b, slot, out) ->
-            let box = with_binding (with_slot box key slot) key b in
-            emit_signals (set_box t box_name box) box_name key out)
-          (start slot))
+      | Some slot -> step_end t box_name (release_slot box key) key (start slot))
 
-let bind_open t r local medium =
-  bind_endpoint t r (fun slot ->
-      Result.map
-        (fun (o : Open_slot.outcome) -> (Open_b o.Open_slot.goal, o.Open_slot.slot, o.Open_slot.out))
-        (Open_slot.start local medium slot))
-
-let bind_open_any t r local medium =
-  bind_endpoint t r (fun slot ->
-      Result.map
-        (fun (o : Open_slot.outcome) -> (Open_b o.Open_slot.goal, o.Open_slot.slot, o.Open_slot.out))
-        (Open_slot.assume local medium slot))
-
-let bind_close t r =
-  bind_endpoint t r (fun slot ->
-      Result.map
-        (fun (o : Close_slot.outcome) ->
-          (Close_b o.Close_slot.goal, o.Close_slot.slot, o.Close_slot.out))
-        (Close_slot.start slot))
-
-let bind_hold t r local =
-  bind_endpoint t r (fun slot ->
-      Result.map
-        (fun (o : Hold_slot.outcome) -> (Hold_b o.Hold_slot.goal, o.Hold_slot.slot, o.Hold_slot.out))
-        (Hold_slot.start local slot))
+let bind_open t r local medium = bind_goal t r (End_goal.open_slot local medium)
+let bind_end t r kind local medium = bind_goal t r (End_goal.engage kind local medium)
+let bind_close t r = bind_goal t r End_goal.close_slot
+let bind_hold t r local = bind_goal t r (End_goal.hold_slot local)
 
 let route_link_emissions t box_name k1 k2 out =
   let t, rev =
@@ -372,32 +351,15 @@ let bind_link t ~box:box_name ~id k1 k2 =
               route_link_emissions (set_box t box_name box) box_name k1 k2 o.Flow_link.out)
             (Flow_link.start s1 s2))
 
-let unbind t { box = box_name; key } =
-  if failed t then t
-  else
-    match find_box t box_name with
-    | None -> fail t (Printf.sprintf "unknown box %s" box_name)
-    | Some box -> set_box t box_name (release_slot box key)
-
 let modify t ({ box = box_name; key } as r) mute =
   if failed t then (t, [])
   else
     match find_box t box_name, slot t r, binding t r with
     | None, _, _ | _, None, _ | _, _, None ->
       (fail t (Printf.sprintf "modify: no slot %s.%d in %s" key.chan key.tun box_name), [])
-    | Some box, Some slot, Some (Open_b g) ->
-      of_goal_result t
-        (fun (o : Open_slot.outcome) ->
-          let box = with_binding (with_slot box key o.Open_slot.slot) key (Open_b o.Open_slot.goal) in
-          emit_signals (set_box t box_name box) box_name key o.Open_slot.out)
-        (Open_slot.modify g slot mute)
-    | Some box, Some slot, Some (Hold_b g) ->
-      of_goal_result t
-        (fun (o : Hold_slot.outcome) ->
-          let box = with_binding (with_slot box key o.Hold_slot.slot) key (Hold_b o.Hold_slot.goal) in
-          emit_signals (set_box t box_name box) box_name key o.Hold_slot.out)
-        (Hold_slot.modify g slot mute)
-    | Some _, Some _, Some (Close_b _ | Link_b _ | Unbound) ->
+    | Some box, Some slot, Some (End_b g) ->
+      step_end t box_name box key (End_goal.modify g slot mute)
+    | Some _, Some _, Some (Link_b _ | Unbound) ->
       (fail t "modify: slot is not endpoint-bound", [])
 
 (* ------------------------------------------------------------------ *)
@@ -481,7 +443,20 @@ let first_deliverable t =
        (reversed channel list); O(channels), charged by E15 to settling"])
 [@@lint.hotpath]
 
+(* Emitting the receive here — rather than in [Channel.receive_signal] —
+   puts the event at the commit point shared by both delivery paths:
+   direct delivery and impaired frames re-injected by [Timed].  (The
+   impairment path pops the tunnel via [take] long before the frame is
+   actually delivered, so the pop is not the receive.) *)
 let dispatch_signal t box_name key signal =
+  if Mediactl_obs.Trace.enabled () then
+    (match find_chan t key.chan with
+    | Some channel ->
+      Mediactl_obs.Trace.sig_recv ~chan:(Channel.label channel) ~tun:key.tun ~box:box_name
+        ~peer:(Channel.peer_of channel box_name)
+        ~initiator:(String.equal (Channel.initiator channel) box_name)
+        signal
+    | None -> ());
   match find_box t box_name with
   | None -> (fail t (Printf.sprintf "unknown box %s" box_name), [])
   | Some box -> (
@@ -503,35 +478,10 @@ let dispatch_signal t box_name key signal =
         | Error e -> (fail t (Slot.error_to_string e), [])
         | Ok (slot, auto, _notes) ->
           emit_signals (set_box t box_name (with_slot box key slot)) box_name key auto))
-    | Some (Open_b g) -> (
+    | Some (End_b g) -> (
       match find_key key box.slots with
       | None -> (fail t "missing slot", [])
-      | Some slot ->
-        of_goal_result t
-          (fun (o : Open_slot.outcome) ->
-            let box = with_binding (with_slot box key o.Open_slot.slot) key (Open_b o.Open_slot.goal) in
-            emit_signals (set_box t box_name box) box_name key o.Open_slot.out)
-          (Open_slot.on_signal g slot signal))
-    | Some (Close_b g) -> (
-      match find_key key box.slots with
-      | None -> (fail t "missing slot", [])
-      | Some slot ->
-        of_goal_result t
-          (fun (o : Close_slot.outcome) ->
-            let box =
-              with_binding (with_slot box key o.Close_slot.slot) key (Close_b o.Close_slot.goal)
-            in
-            emit_signals (set_box t box_name box) box_name key o.Close_slot.out)
-          (Close_slot.on_signal g slot signal))
-    | Some (Hold_b g) -> (
-      match find_key key box.slots with
-      | None -> (fail t "missing slot", [])
-      | Some slot ->
-        of_goal_result t
-          (fun (o : Hold_slot.outcome) ->
-            let box = with_binding (with_slot box key o.Hold_slot.slot) key (Hold_b o.Hold_slot.goal) in
-            emit_signals (set_box t box_name box) box_name key o.Hold_slot.out)
-          (Hold_slot.on_signal g slot signal))
+      | Some slot -> step_end t box_name box key (End_goal.on_signal g slot signal))
     | Some (Link_b (id, side)) -> (
       match find_str id box.links with
       | None -> (fail t (Printf.sprintf "dangling link %s" id), [])
@@ -547,22 +497,6 @@ let dispatch_signal t box_name key signal =
               in
               route_link_emissions (set_box t box_name box) box_name k1 k2 o.Flow_link.out)
             (Flow_link.on_signal fl ~left:s1 ~right:s2 side signal))))
-
-(* Emitting the receive here — rather than in [Channel.receive_signal] —
-   puts the event at the commit point shared by both delivery paths:
-   direct delivery and impaired frames re-injected by [Timed].  (The
-   impairment path pops the tunnel via [take] long before the frame is
-   actually delivered, so the pop is not the receive.) *)
-let dispatch_signal t box_name key signal =
-  if Mediactl_obs.Trace.enabled () then
-    (match find_chan t key.chan with
-    | Some channel ->
-      Mediactl_obs.Trace.sig_recv ~chan:(Channel.label channel) ~tun:key.tun ~box:box_name
-        ~peer:(Channel.peer_of channel box_name)
-        ~initiator:(String.equal (Channel.initiator channel) box_name)
-        signal
-    | None -> ());
-  dispatch_signal t box_name key signal
 
 let deliver t { s_chan; s_tun; to_ } =
   if failed t then None
@@ -590,14 +524,6 @@ let inject t { s_chan; s_tun; to_ } signal =
   if failed t then None
   else Some (dispatch_signal t to_ { chan = s_chan; tun = s_tun } signal)
 
-let quiescent t =
-  List.for_all
-    (fun (_, channel) ->
-      List.for_all
-        (fun tun -> Tunnel.is_empty (Channel.tunnel channel tun))
-        (List.init (Channel.tunnel_count channel) Fun.id))
-    t.chans
-
 let run ?(max_steps = 100_000) t =
   let rec loop t steps =
     if failed t then (t, false)
@@ -614,8 +540,3 @@ let run ?(max_steps = 100_000) t =
 
 let find_link t ~box ~id =
   match find_box t box with None -> None | Some b -> find_str id b.links
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>net{%d boxes, %d channels%s}@]" (List.length t.boxes)
-    (List.length t.chans)
-    (match t.error with None -> "" | Some e -> "; ERROR " ^ e)

@@ -4,9 +4,9 @@
     Boxes hold slots; each slot is the endpoint of a tunnel of a
     signaling channel between two boxes.  The dynamic association between
     slots and goal objects — the paper's [Maps] object (section VII) — is
-    the [binding] of each slot: an openslot, closeslot, or holdslot goal
-    object, membership in a flowlink, or [Unbound] while a box program has
-    not yet decided.
+    the [binding] of each slot: an endpoint goal (an openslot, closeslot,
+    or holdslot), membership in a flowlink, or [Unbound] while a box
+    program has not yet decided.
 
     The structure is pure: operations return a new network plus the list
     of {e sends} they caused, so a timed driver can schedule each signal's
@@ -30,9 +30,7 @@ val slot_ref : box:string -> chan:string -> ?tun:int -> unit -> slot_ref
 type send = { s_chan : string; s_tun : int; to_ : string }
 
 type binding =
-  | Open_b of Open_slot.t
-  | Close_b of Close_slot.t
-  | Hold_b of Hold_slot.t
+  | End_b of End_goal.t
   | Link_b of string * Flow_link.side  (** member of the named flowlink *)
   | Unbound
 
@@ -77,19 +75,17 @@ val slots_of_box : t -> string -> (slot_key * Slot.t) list
 val bind_open : t -> slot_ref -> Local.t -> Medium.t -> t * send list
 (** Requires the slot closed (the openSlot precondition). *)
 
-val bind_open_any : t -> slot_ref -> Local.t -> Medium.t -> t * send list
-(** The any-state variant ({!Open_slot.assume}). *)
-
 val bind_close : t -> slot_ref -> t * send list
 val bind_hold : t -> slot_ref -> Local.t -> t * send list
+
+val bind_end : t -> slot_ref -> Semantics.end_kind -> Local.t -> Medium.t -> t * send list
+(** Bind a goal of the given kind through its any-state start
+    ({!End_goal.engage}), whatever the slot's state. *)
 
 val bind_link : t -> box:string -> id:string -> slot_key -> slot_key -> t * send list
 (** Flowlink two slots of the same box.  Slots currently in other
     flowlinks are released first (the released partner becomes
     [Unbound]). *)
-
-val unbind : t -> slot_ref -> t
-(** Make a slot [Unbound] (dissolving its flowlink if it was in one). *)
 
 val modify : t -> slot_ref -> Mute.t -> t * send list
 (** Change the mute flags of an endpoint-bound slot. *)
@@ -124,9 +120,6 @@ val run : ?max_steps:int -> t -> t * bool
 (** Drain all signal queues in deterministic order ([true] = quiescent).
     Meta-signals are left for the application layer. *)
 
-val quiescent : t -> bool
-
 (** {2 Inspection} *)
 
 val find_link : t -> box:string -> id:string -> (Flow_link.t * slot_key * slot_key) option
-val pp : Format.formatter -> t -> unit

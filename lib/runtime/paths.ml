@@ -5,14 +5,10 @@ type endpoint = { ref_ : Netsys.slot_ref; kind : Semantics.end_kind option }
 type t = { left : endpoint; right : endpoint; tunnels : int }
 
 let kind_of_binding = function
-  | Netsys.Open_b _ -> Some Semantics.Open_end
-  | Netsys.Close_b _ -> Some Semantics.Close_end
-  | Netsys.Hold_b _ -> Some Semantics.Hold_end
+  | Netsys.End_b g -> Some (End_goal.kind g)
   | Netsys.Link_b _ | Netsys.Unbound -> None
 
-let is_path_end = function
-  | Netsys.Link_b _ -> false
-  | Netsys.Open_b _ | Netsys.Close_b _ | Netsys.Hold_b _ | Netsys.Unbound -> true
+let is_path_end = function Netsys.Link_b _ -> false | Netsys.End_b _ | Netsys.Unbound -> true
 
 (* The slot at the far end of the same tunnel. *)
 let across net (r : Netsys.slot_ref) =
@@ -29,7 +25,7 @@ let through_link net (r : Netsys.slot_ref) =
         let key = match side with Mediactl_core.Flow_link.Left -> k2 | Flow_link.Right -> k1 in
         { Netsys.box = r.Netsys.box; key })
       (Netsys.find_link net ~box:r.Netsys.box ~id)
-  | Some (Netsys.Open_b _ | Netsys.Close_b _ | Netsys.Hold_b _ | Netsys.Unbound) | None -> None
+  | Some (Netsys.End_b _ | Netsys.Unbound) | None -> None
 
 let endpoint net r = { ref_ = r; kind = Option.bind (Netsys.binding net r) kind_of_binding }
 

@@ -9,7 +9,7 @@ type event =
   | Frame_arrival of frame  (* impaired path: the frame reaches the box *)
   | Frame_process of frame  (* impaired path: the box's reaction commits *)
   | Meta_arrival of { chan : string; at : string }
-  | Scripted of int  (* index into the scripted-action table *)
+  | Scripted of (t -> unit)  (* an [at]/[after] action, dropped once it fires *)
 
 (* The driver runs over one of two engines: the discrete-event simulator
    (virtual clock, [Engine.run] drives it) or an external scheduler —
@@ -17,7 +17,7 @@ type event =
    that owns the loop itself and is handed each due event as a thunk.
    All of the protocol machinery below is engine-agnostic: it only ever
    reads the clock and schedules events a delay from now. *)
-type engine =
+and engine =
   | Sim of event Engine.t
   | Ext of { ext_now : unit -> float; ext_schedule : delay:float -> (unit -> unit) -> unit }
 
@@ -26,7 +26,6 @@ and t = {
   mutable network : Netsys.t;
   n : float;
   c : float;
-  scripted : (t -> unit) Vec.t;  (* index = registration order *)
   mutable meta_handlers : (t -> chan:string -> at:string -> Meta.t -> unit) list;
   mutable step_hooks : (t -> unit) list;
   mutable watches : ((Netsys.t -> bool) * (float -> unit)) list;
@@ -41,7 +40,6 @@ let make engine ~n ~c network =
     network;
     n;
     c;
-    scripted = Vec.create ();
     meta_handlers = [];
     step_hooks = [];
     watches = [];
@@ -84,16 +82,6 @@ let fresh_frame t send signal =
   let id = t.frame_seq in
   t.frame_seq <- id + 1;
   { f_id = id; f_send = send; f_signal = signal }
-
-(* Scripted actions live in a growable array: registration is a push
-   and dispatch an index — the seed's reversed list made every timer
-   fire O(#timers), which the reliability layer's per-frame timers turn
-   quadratic. *)
-let register_scripted t f =
-  Vec.push t.scripted f;
-  Vec.length t.scripted - 1
-
-let scripted_action t idx = Vec.get t.scripted idx
 
 let run_watches t =
   match t.watches with
@@ -172,7 +160,7 @@ and handle t event =
     | Some (meta, network) ->
       t.network <- network;
       List.iter (fun handler -> handler t ~chan ~at meta) t.meta_handlers)
-  | Scripted idx -> scripted_action t idx t);
+  | Scripted f -> f t);
   (match t.step_hooks with [] -> () | hooks -> List.iter (fun hook -> hook t) hooks);
   run_watches t
 
@@ -187,14 +175,10 @@ let apply t op =
 
 let apply_quiet t op = t.network <- op t.network
 
-let at t time f =
-  let idx = register_scripted t f in
-  let delay = Float.max 0.0 (time -. now t) in
-  sched t ~delay (Scripted idx)
-
-let after t delay f =
-  let idx = register_scripted t f in
-  sched t ~delay (Scripted idx)
+(* The event carries its action, so the queue holds it only until it
+   fires. *)
+let at t time f = sched t ~delay:(Float.max 0.0 (time -. now t)) (Scripted f)
+let after t delay f = sched t ~delay (Scripted f)
 
 let send_meta t ~chan ~from meta =
   t.network <- Netsys.send_meta t.network ~chan ~from meta;

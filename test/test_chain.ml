@@ -91,9 +91,9 @@ let both_closed p = Pathlab.both_closed ~flowlinks:p.flowlinks p.net
 
 let mute p r =
   match Netsys.binding p.net r with
-  | Some (Netsys.Open_b g) -> Some (Open_slot.local g).Local.mute
-  | Some (Netsys.Hold_b g) -> Some (Hold_slot.local g).Local.mute
-  | Some (Netsys.Close_b _ | Netsys.Link_b _ | Netsys.Unbound) | None -> None
+  | Some (Netsys.End_b (End_goal.Open { local; _ } | End_goal.Hold { local })) ->
+    Some local.Local.mute
+  | Some (Netsys.End_b End_goal.Close | Netsys.Link_b _ | Netsys.Unbound) | None -> None
 
 (* The section-V enabledness equations at the path ends; vacuously true
    when an end has no mute flags (closeslot). *)
@@ -345,10 +345,11 @@ let prop_reprogram_storm =
       let p = if Slot.is_closed (left_slot p) then reprogram p (lend p) (open_a ()) else p in
       let p = reprogram p (rend p) (hold_b ()) in
       match Netsys.binding p.net (lend p) with
-      | Some (Netsys.Open_b _) ->
+      | Some (Netsys.End_b (End_goal.Open _)) ->
         let p, quiescent = random_settle rng p 4000 in
         quiescent && both_flowing p && final_states_clean p
-      | Some (Netsys.Close_b _ | Netsys.Hold_b _ | Netsys.Link_b _ | Netsys.Unbound) | None ->
+      | Some (Netsys.End_b (End_goal.Close | End_goal.Hold _) | Netsys.Link_b _ | Netsys.Unbound)
+      | None ->
         (* The left slot was not closed when we tried to re-open it:
            it is under an earlier goal; just require clean settling. *)
         let p, quiescent = random_settle rng p 4000 in

@@ -33,10 +33,10 @@ let signal_names out = List.map Signal.name out
 (* --- openSlot -------------------------------------------------------- *)
 
 let test_open_slot_start () =
-  let o = ok_goal (Open_slot.start local_a Medium.Audio (fresh "a")) in
-  check tbool "emits open" true (signal_names o.Open_slot.out = [ "open" ]);
-  check tbool "opening" true (Slot.is_opening o.Open_slot.slot);
-  match o.Open_slot.out with
+  let o = ok_goal (End_goal.open_slot local_a Medium.Audio (fresh "a")) in
+  check tbool "emits open" true (signal_names o.End_goal.out = [ "open" ]);
+  check tbool "opening" true (Slot.is_opening o.End_goal.slot);
+  match o.End_goal.out with
   | [ Signal.Open (m, d) ] ->
     check tbool "audio" true (Medium.equal m Medium.Audio);
     check tbool "real descriptor" true (Descriptor.offers_media d)
@@ -45,81 +45,85 @@ let test_open_slot_start () =
 let test_open_slot_precondition () =
   let slot = fresh "a" in
   let slot, _, _ = ok_slot (Slot.receive slot (Signal.Open (Medium.Audio, desc_b))) in
-  match Open_slot.start local_a Medium.Audio slot with
+  match End_goal.open_slot local_a Medium.Audio slot with
   | Error (Goal_error.Precondition _) -> ()
   | Error (Goal_error.Protocol _) -> Alcotest.fail "wrong error kind"
   | Ok _ -> Alcotest.fail "openSlot must require a closed slot"
 
 let test_open_slot_muted_descriptor () =
   let muted = Local.endpoint' ~owner:"A" ~mute:Mute.in_only addr_a [ Codec.G711 ] in
-  let o = ok_goal (Open_slot.start muted Medium.Audio (fresh "a")) in
-  match o.Open_slot.out with
+  let o = ok_goal (End_goal.open_slot muted Medium.Audio (fresh "a")) in
+  match o.End_goal.out with
   | [ Signal.Open (_, d) ] -> check tbool "noMedia" false (Descriptor.offers_media d)
   | _ -> Alcotest.fail "expected open"
 
 let test_open_slot_retries_after_reject () =
-  let o = ok_goal (Open_slot.start local_a Medium.Audio (fresh "a")) in
-  let o = ok_goal (Open_slot.on_signal o.Open_slot.goal o.Open_slot.slot Signal.Close) in
+  let o = ok_goal (End_goal.open_slot local_a Medium.Audio (fresh "a")) in
+  let o = ok_goal (End_goal.on_signal o.End_goal.goal o.End_goal.slot Signal.Close) in
   (* closeack for their close, then a fresh open *)
   check tbool "closeack then open" true
-    (signal_names o.Open_slot.out = [ "closeack"; "open" ]);
-  check tbool "opening again" true (Slot.is_opening o.Open_slot.slot)
+    (signal_names o.End_goal.out = [ "closeack"; "open" ]);
+  check tbool "opening again" true (Slot.is_opening o.End_goal.slot)
 
 let test_open_slot_answers_oack () =
-  let o = ok_goal (Open_slot.start local_a Medium.Audio (fresh "a")) in
-  let o = ok_goal (Open_slot.on_signal o.Open_slot.goal o.Open_slot.slot (Signal.Oack desc_b)) in
-  check tbool "select answer" true (signal_names o.Open_slot.out = [ "select" ]);
-  check tbool "flowing" true (Slot.is_flowing o.Open_slot.slot);
-  check tbool "tx enabled" true (Slot.tx_enabled o.Open_slot.slot)
+  let o = ok_goal (End_goal.open_slot local_a Medium.Audio (fresh "a")) in
+  let o = ok_goal (End_goal.on_signal o.End_goal.goal o.End_goal.slot (Signal.Oack desc_b)) in
+  check tbool "select answer" true (signal_names o.End_goal.out = [ "select" ]);
+  check tbool "flowing" true (Slot.is_flowing o.End_goal.slot);
+  check tbool "tx enabled" true (Slot.tx_enabled o.End_goal.slot)
 
 let test_open_slot_accepts_peer_open () =
   (* The openslot takes every opportunity to reach flowing: if the peer
      opens first, accept rather than insist on our own open. *)
-  let o = ok_goal (Open_slot.start local_a Medium.Audio (fresh "a")) in
-  let o = ok_goal (Open_slot.on_signal o.Open_slot.goal o.Open_slot.slot Signal.Close) in
+  let o = ok_goal (End_goal.open_slot local_a Medium.Audio (fresh "a")) in
+  let o = ok_goal (End_goal.on_signal o.End_goal.goal o.End_goal.slot Signal.Close) in
   (* Now opening again; peer rejected.  Suppose the peer now closes us
      into closed and sends its own open: simulate on a fresh goal. *)
-  let o2 = ok_goal (Open_slot.start local_a Medium.Audio (fresh ~role:Slot.Channel_acceptor "a2")) in
+  let o2 =
+    ok_goal (End_goal.open_slot local_a Medium.Audio (fresh ~role:Slot.Channel_acceptor "a2"))
+  in
   let o2 =
     ok_goal
-      (Open_slot.on_signal o2.Open_slot.goal o2.Open_slot.slot
+      (End_goal.on_signal o2.End_goal.goal o2.End_goal.slot
          (Signal.Open (Medium.Audio, desc_b)))
   in
   (* Race, acceptor side: back off and accept. *)
-  check tbool "oack+select" true (signal_names o2.Open_slot.out = [ "oack"; "select" ]);
-  check tbool "flowing" true (Slot.is_flowing o2.Open_slot.slot);
+  check tbool "oack+select" true (signal_names o2.End_goal.out = [ "oack"; "select" ]);
+  check tbool "flowing" true (Slot.is_flowing o2.End_goal.slot);
   ignore o
 
 let test_open_slot_modify_while_flowing () =
-  let o = ok_goal (Open_slot.start local_a Medium.Audio (fresh "a")) in
-  let o = ok_goal (Open_slot.on_signal o.Open_slot.goal o.Open_slot.slot (Signal.Oack desc_b)) in
-  let o = ok_goal (Open_slot.modify o.Open_slot.goal o.Open_slot.slot Mute.out_only) in
-  check tbool "describe+select" true (signal_names o.Open_slot.out = [ "describe"; "select" ]);
-  check tbool "tx now muted" false (Slot.tx_enabled o.Open_slot.slot)
+  let o = ok_goal (End_goal.open_slot local_a Medium.Audio (fresh "a")) in
+  let o = ok_goal (End_goal.on_signal o.End_goal.goal o.End_goal.slot (Signal.Oack desc_b)) in
+  let o = ok_goal (End_goal.modify o.End_goal.goal o.End_goal.slot Mute.out_only) in
+  check tbool "describe+select" true (signal_names o.End_goal.out = [ "describe"; "select" ]);
+  check tbool "tx now muted" false (Slot.tx_enabled o.End_goal.slot)
 
 let test_open_slot_modify_while_opening () =
-  let o = ok_goal (Open_slot.start local_a Medium.Audio (fresh "a")) in
-  let o = ok_goal (Open_slot.modify o.Open_slot.goal o.Open_slot.slot Mute.in_only) in
-  check tint "nothing sent" 0 (List.length o.Open_slot.out);
-  check tbool "mute recorded" true
-    (Mute.equal (Open_slot.local o.Open_slot.goal).Local.mute Mute.in_only)
+  let o = ok_goal (End_goal.open_slot local_a Medium.Audio (fresh "a")) in
+  let o = ok_goal (End_goal.modify o.End_goal.goal o.End_goal.slot Mute.in_only) in
+  check tint "nothing sent" 0 (List.length o.End_goal.out);
+  match o.End_goal.goal with
+  | End_goal.Open { local; _ } ->
+    check tbool "mute recorded" true (Mute.equal local.Local.mute Mute.in_only)
+  | End_goal.Close | End_goal.Hold _ -> Alcotest.fail "expected an openslot"
 
 (* --- holdSlot -------------------------------------------------------- *)
 
 let test_hold_slot_waits () =
-  let h = ok_goal (Hold_slot.start local_b (fresh ~role:Slot.Channel_acceptor "b")) in
-  check tint "no emission" 0 (List.length h.Hold_slot.out);
-  check tbool "still closed" true (Slot.is_closed h.Hold_slot.slot)
+  let h = ok_goal (End_goal.hold_slot local_b (fresh ~role:Slot.Channel_acceptor "b")) in
+  check tint "no emission" 0 (List.length h.End_goal.out);
+  check tbool "still closed" true (Slot.is_closed h.End_goal.slot)
 
 let test_hold_slot_accepts () =
-  let h = ok_goal (Hold_slot.start local_b (fresh ~role:Slot.Channel_acceptor "b")) in
+  let h = ok_goal (End_goal.hold_slot local_b (fresh ~role:Slot.Channel_acceptor "b")) in
   let h =
     ok_goal
-      (Hold_slot.on_signal h.Hold_slot.goal h.Hold_slot.slot
+      (End_goal.on_signal h.End_goal.goal h.End_goal.slot
          (Signal.Open (Medium.Audio, Local.descriptor local_a)))
   in
-  check tbool "oack+select" true (signal_names h.Hold_slot.out = [ "oack"; "select" ]);
-  check tbool "flowing" true (Slot.is_flowing h.Hold_slot.slot)
+  check tbool "oack+select" true (signal_names h.End_goal.out = [ "oack"; "select" ]);
+  check tbool "flowing" true (Slot.is_flowing h.End_goal.slot)
 
 let test_hold_slot_accepts_inherited_opened () =
   (* Gaining control of a slot that is already opened: accept at once. *)
@@ -127,33 +131,49 @@ let test_hold_slot_accepts_inherited_opened () =
   let slot, _, _ =
     ok_slot (Slot.receive slot (Signal.Open (Medium.Audio, Local.descriptor local_a)))
   in
-  let h = ok_goal (Hold_slot.start local_b slot) in
-  check tbool "oack+select" true (signal_names h.Hold_slot.out = [ "oack"; "select" ])
+  let h = ok_goal (End_goal.hold_slot local_b slot) in
+  check tbool "oack+select" true (signal_names h.End_goal.out = [ "oack"; "select" ])
 
 let test_hold_slot_stays_closed_after_peer_close () =
-  let h = ok_goal (Hold_slot.start local_b (fresh ~role:Slot.Channel_acceptor "b")) in
+  let h = ok_goal (End_goal.hold_slot local_b (fresh ~role:Slot.Channel_acceptor "b")) in
   let h =
     ok_goal
-      (Hold_slot.on_signal h.Hold_slot.goal h.Hold_slot.slot
+      (End_goal.on_signal h.End_goal.goal h.End_goal.slot
          (Signal.Open (Medium.Audio, Local.descriptor local_a)))
   in
-  let h = ok_goal (Hold_slot.on_signal h.Hold_slot.goal h.Hold_slot.slot Signal.Close) in
-  check tbool "just the closeack" true (signal_names h.Hold_slot.out = [ "closeack" ]);
-  check tbool "closed" true (Slot.is_closed h.Hold_slot.slot)
+  let h = ok_goal (End_goal.on_signal h.End_goal.goal h.End_goal.slot Signal.Close) in
+  check tbool "just the closeack" true (signal_names h.End_goal.out = [ "closeack" ]);
+  check tbool "closed" true (Slot.is_closed h.End_goal.slot)
 
 let test_hold_slot_answers_describe () =
-  let h = ok_goal (Hold_slot.start local_b (fresh ~role:Slot.Channel_acceptor "b")) in
+  let h = ok_goal (End_goal.hold_slot local_b (fresh ~role:Slot.Channel_acceptor "b")) in
   let h =
     ok_goal
-      (Hold_slot.on_signal h.Hold_slot.goal h.Hold_slot.slot
+      (End_goal.on_signal h.End_goal.goal h.End_goal.slot
          (Signal.Open (Medium.Audio, Local.descriptor local_a)))
   in
   let new_desc = Descriptor.make ~owner:"A" ~version:5 addr_a [ Codec.G726 ] in
-  let h = ok_goal (Hold_slot.on_signal h.Hold_slot.goal h.Hold_slot.slot (Signal.Describe new_desc)) in
-  check tbool "select in answer" true (signal_names h.Hold_slot.out = [ "select" ]);
-  match h.Hold_slot.slot.Slot.sent_sel with
+  let h = ok_goal (End_goal.on_signal h.End_goal.goal h.End_goal.slot (Signal.Describe new_desc)) in
+  check tbool "select in answer" true (signal_names h.End_goal.out = [ "select" ]);
+  match h.End_goal.slot.Slot.sent_sel with
   | Some sel -> check tbool "answers v5" true (Selector.responds_to_descriptor sel new_desc)
   | None -> Alcotest.fail "expected a sent selector"
+
+let test_hold_slot_modify_while_flowing () =
+  let h = ok_goal (End_goal.hold_slot local_b (fresh ~role:Slot.Channel_acceptor "b")) in
+  let h =
+    ok_goal
+      (End_goal.on_signal h.End_goal.goal h.End_goal.slot
+         (Signal.Open (Medium.Audio, Local.descriptor local_a)))
+  in
+  let h = ok_goal (End_goal.modify h.End_goal.goal h.End_goal.slot Mute.out_only) in
+  check tbool "describe+select" true (signal_names h.End_goal.out = [ "describe"; "select" ]);
+  check tbool "still flowing" true (Slot.is_flowing h.End_goal.slot);
+  check tbool "tx now muted" false (Slot.tx_enabled h.End_goal.slot);
+  match h.End_goal.goal with
+  | End_goal.Hold { local } ->
+    check tbool "mute recorded" true (Mute.equal local.Local.mute Mute.out_only)
+  | End_goal.Open _ | End_goal.Close -> Alcotest.fail "expected a holdslot"
 
 (* --- closeSlot ------------------------------------------------------- *)
 
@@ -161,24 +181,80 @@ let test_close_slot_closes_flowing () =
   let slot = fresh "x" in
   let slot, _ = ok_slot (Slot.send_open slot Medium.Audio (Local.descriptor local_a)) in
   let slot, _, _ = ok_slot (Slot.receive slot (Signal.Oack desc_b)) in
-  let c = ok_goal (Close_slot.start slot) in
-  check tbool "close" true (signal_names c.Close_slot.out = [ "close" ]);
-  check tbool "closing" true (Slot.is_closing c.Close_slot.slot)
+  let c = ok_goal (End_goal.close_slot slot) in
+  check tbool "close" true (signal_names c.End_goal.out = [ "close" ]);
+  check tbool "closing" true (Slot.is_closing c.End_goal.slot)
 
 let test_close_slot_idle_when_closed () =
-  let c = ok_goal (Close_slot.start (fresh "x")) in
-  check tint "nothing" 0 (List.length c.Close_slot.out)
+  let c = ok_goal (End_goal.close_slot (fresh "x")) in
+  check tint "nothing" 0 (List.length c.End_goal.out)
 
 let test_close_slot_rejects_opens () =
-  let c = ok_goal (Close_slot.start (fresh ~role:Slot.Channel_acceptor "x")) in
+  let c = ok_goal (End_goal.close_slot (fresh ~role:Slot.Channel_acceptor "x")) in
   let c =
     ok_goal
-      (Close_slot.on_signal c.Close_slot.goal c.Close_slot.slot
+      (End_goal.on_signal c.End_goal.goal c.End_goal.slot
          (Signal.Open (Medium.Audio, Local.descriptor local_a)))
   in
-  check tbool "immediate reject" true (signal_names c.Close_slot.out = [ "close" ]);
-  let c = ok_goal (Close_slot.on_signal c.Close_slot.goal c.Close_slot.slot Signal.Closeack) in
-  check tbool "closed" true (Slot.is_closed c.Close_slot.slot)
+  check tbool "immediate reject" true (signal_names c.End_goal.out = [ "close" ]);
+  let c = ok_goal (End_goal.on_signal c.End_goal.goal c.End_goal.slot Signal.Closeack) in
+  check tbool "closed" true (Slot.is_closed c.End_goal.slot)
+
+(* --- any-state starts ------------------------------------------------ *)
+
+(* An acceptor slot driven into one of the five Fig. 9 states by the
+   peer's open (carrying A's descriptor) and this end's own sends. *)
+let slot_in state =
+  let slot = fresh ~role:Slot.Channel_acceptor "s" in
+  let opened () =
+    let slot, _, _ =
+      ok_slot (Slot.receive slot (Signal.Open (Medium.Audio, Local.descriptor local_a)))
+    in
+    slot
+  in
+  let flowing () = fst (ok_slot (Slot.send_oack (opened ()) desc_b)) in
+  match state with
+  | Slot_state.Closed -> slot
+  | Slot_state.Opening -> fst (ok_slot (Slot.send_open slot Medium.Audio desc_b))
+  | Slot_state.Opened -> opened ()
+  | Slot_state.Flowing -> flowing ()
+  | Slot_state.Closing -> fst (ok_slot (Slot.send_close (flowing ())))
+
+(* The any-state start of each end kind, which a box or the checker
+   uses when a goal takes over a slot whose state it did not choose:
+   kind, slot state before, signals emitted, slot state after. *)
+let engage_table =
+  let open Slot_state in
+  let accept = [ "oack"; "select" ] and re_describe = [ "describe"; "select" ] in
+  [
+    (Semantics.Open_end, Closed, [ "open" ], Opening);
+    (Semantics.Open_end, Opening, [], Opening);
+    (Semantics.Open_end, Opened, accept, Flowing);
+    (Semantics.Open_end, Flowing, re_describe, Flowing);
+    (Semantics.Open_end, Closing, [], Closing);
+    (Semantics.Close_end, Closed, [], Closed);
+    (Semantics.Close_end, Opening, [ "close" ], Closing);
+    (Semantics.Close_end, Opened, [ "close" ], Closing);
+    (Semantics.Close_end, Flowing, [ "close" ], Closing);
+    (Semantics.Close_end, Closing, [], Closing);
+    (Semantics.Hold_end, Closed, [], Closed);
+    (Semantics.Hold_end, Opening, [], Opening);
+    (Semantics.Hold_end, Opened, accept, Flowing);
+    (Semantics.Hold_end, Flowing, re_describe, Flowing);
+    (Semantics.Hold_end, Closing, [], Closing);
+  ]
+
+let test_engage_every_state () =
+  List.iter
+    (fun (kind, before, names, after) ->
+      let case =
+        Format.asprintf "%a in %s" Semantics.pp_end_kind kind (Slot_state.to_string before)
+      in
+      let o = ok_goal (End_goal.engage kind local_b Medium.Audio (slot_in before)) in
+      check (Alcotest.list Alcotest.string) (case ^ ": emits") names (signal_names o.End_goal.out);
+      check Alcotest.string (case ^ ": ends") (Slot_state.to_string after)
+        (Slot_state.to_string o.End_goal.slot.Slot.state))
+    engage_table
 
 (* --- flowLink -------------------------------------------------------- *)
 
@@ -332,6 +408,7 @@ let () =
           Alcotest.test_case "accepts inherited opened" `Quick test_hold_slot_accepts_inherited_opened;
           Alcotest.test_case "stays closed after close" `Quick test_hold_slot_stays_closed_after_peer_close;
           Alcotest.test_case "answers describe" `Quick test_hold_slot_answers_describe;
+          Alcotest.test_case "modify while flowing" `Quick test_hold_slot_modify_while_flowing;
         ] );
       ( "closeSlot",
         [
@@ -339,6 +416,8 @@ let () =
           Alcotest.test_case "idle when closed" `Quick test_close_slot_idle_when_closed;
           Alcotest.test_case "rejects opens" `Quick test_close_slot_rejects_opens;
         ] );
+      ( "engage",
+        [ Alcotest.test_case "every kind in every state" `Quick test_engage_every_state ] );
       ( "flowLink",
         [
           Alcotest.test_case "idle on closed pair" `Quick test_flow_link_idle_on_closed_pair;

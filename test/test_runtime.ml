@@ -138,6 +138,25 @@ let test_timed_open_latency () =
   let _ = Timed.run sim in
   check tbool "2n+3c" true (abs_float (!flowing_at -. 128.0) < 1e-6)
 
+(* A fired timer must not stay reachable from its driver: a scripted
+   action, and whatever its closure captures (a retransmit timer holds
+   its frame), is garbage once it has run. *)
+let test_timed_fired_timers_released () =
+  let sim = Timed.create Netsys.empty in
+  let fire () =
+    let captured = Array.make 8 0 in
+    Timed.after sim 1.0 (fun _ -> ignore (Sys.opaque_identity captured));
+    ignore (Timed.run sim)
+  in
+  fire ();
+  let after_one = Obj.reachable_words (Obj.repr sim) in
+  for _ = 2 to 10_000 do
+    fire ()
+  done;
+  let after_many = Obj.reachable_words (Obj.repr sim) in
+  if after_many - after_one > 256 then
+    Alcotest.failf "driver reaches %d words after 1 timer, %d after 10,000" after_one after_many
+
 let test_timed_trace_is_chronological () =
   let net = List.fold_left Netsys.add_box Netsys.empty [ "L"; "R" ] in
   let net = Netsys.connect net ~chan:"c" ~initiator:"L" ~acceptor:"R" () in
@@ -353,6 +372,7 @@ let () =
         [
           Alcotest.test_case "open latency" `Quick test_timed_open_latency;
           Alcotest.test_case "trace chronological" `Quick test_timed_trace_is_chronological;
+          Alcotest.test_case "fired timers released" `Quick test_timed_fired_timers_released;
         ] );
       ( "paths",
         [
