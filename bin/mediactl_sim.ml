@@ -210,7 +210,7 @@ let verify_trace scenario ~loss ~left ~right ~flowlinks trace =
          check the structural form — the one the model checker itself
          uses when exploring with fault budgets. *)
       let structural = loss > 0.0 in
-      let obligation = Pathlab.obligation left right in
+      let obligation = Mediactl_core.Semantics.obligation left right in
       let v =
         Obs.Monitor.judge
           { Obs.Monitor.structural; obligation; legs = [ Pathlab.ends ~flowlinks ] }

@@ -65,14 +65,6 @@ let build ?(left = Semantics.Open_end) ?(right = Semantics.Open_end) ?(flowlinks
 let ends ~flowlinks =
   { Mediactl_obs.Monitor.left = ("L", chan_name 0, 0); right = ("R", chan_name flowlinks, 0) }
 
-let obligation left right =
-  match Semantics.spec_of left right with
-  | Semantics.Eventually_always_closed -> Mediactl_obs.Monitor.Eventually_always_closed
-  | Semantics.Eventually_always_not_flowing ->
-    Mediactl_obs.Monitor.Eventually_always_not_flowing
-  | Semantics.Always_eventually_flowing -> Mediactl_obs.Monitor.Always_eventually_flowing
-  | Semantics.Closed_or_flowing -> Mediactl_obs.Monitor.Closed_or_flowing
-
 let end_slots net ~flowlinks =
   match Netsys.slot net left_slot, Netsys.slot net (right_slot ~flowlinks) with
   | Some l, Some r -> Some (l, r)

@@ -34,8 +34,5 @@ val right_slot : flowlinks:int -> Netsys.slot_ref
 val ends : flowlinks:int -> Mediactl_obs.Monitor.ends
 (** The end-slot coordinates as they appear in trace events. *)
 
-val obligation : Semantics.end_kind -> Semantics.end_kind -> Mediactl_obs.Monitor.obligation
-(** The §V obligation for this end-kind pair ({!Semantics.spec_of}). *)
-
 val both_flowing : flowlinks:int -> Netsys.t -> bool
 val both_closed : flowlinks:int -> Netsys.t -> bool

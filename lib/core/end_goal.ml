@@ -15,16 +15,50 @@ let kind = function
 
 let send_open local want slot = slot_op (Slot.send_open slot want (Local.descriptor local))
 
+let remote_desc slot =
+  match slot.Slot.remote_desc with
+  | Some d -> Ok d
+  | None -> Error (Goal_error.precondition "no remote descriptor cached")
+
+(* The standard reactions of a media endpoint, parameterized by its
+   local media face.  Each puts its signals after [out], those already
+   collected for the same received signal. *)
+
+(* Answer the peer's current descriptor with a selector. *)
+let answer local (slot, out) =
+  let* desc = remote_desc slot in
+  let* slot, select = slot_op (Slot.send_select slot (Local.selector_for local desc)) in
+  Ok (slot, out @ [ select ])
+
+(* Accept a received open: oack with our descriptor, then select
+   answering the opener's descriptor (paper Figure 9: !oack / !select). *)
+let accept local (slot, out) =
+  let* desc = remote_desc slot in
+  let* slot, oack = slot_op (Slot.send_oack slot (Local.descriptor local)) in
+  let* slot, select = slot_op (Slot.send_select slot (Local.selector_for local desc)) in
+  Ok (slot, out @ [ oack; select ])
+
+let reopen local want (slot, out) =
+  let* slot, signal = send_open local want slot in
+  Ok (slot, out @ [ signal ])
+
+let reject (slot, out) =
+  let* slot, signal = slot_op (Slot.send_close slot) in
+  Ok (slot, out @ [ signal ])
+
 let open_now goal local want slot =
   let* slot, signal = send_open local want slot in
   Ok { goal; slot; out = [ signal ] }
 
 (* Put this goal's own media face on a flowing channel, so the channel
-   reflects it rather than whatever the previous goal advertised; any
-   other state learns the face at its next open or accept. *)
+   reflects it rather than whatever the previous goal advertised:
+   describe the face, then re-select against the peer's current
+   descriptor.  Any other state learns the face at its next open or
+   accept. *)
 let reface goal local slot =
   if Slot.is_flowing slot then
-    let* slot, out = React.re_describe local slot in
+    let* slot, describe = slot_op (Slot.send_describe slot (Local.descriptor local)) in
+    let* slot, out = answer local (slot, [ describe ]) in
     Ok { goal; slot; out }
   else Ok { goal; slot; out = [] }
 
@@ -38,7 +72,7 @@ let reface goal local slot =
    its way; closing, for the closeack. *)
 let take_over goal local slot =
   if Slot.is_opened slot then
-    let* slot, out = React.accept local slot in
+    let* slot, out = accept local (slot, []) in
     Ok { goal; slot; out }
   else reface goal local slot
 
@@ -58,24 +92,6 @@ let close_slot slot =
   else Ok { goal = Close; slot; out = [] }
 
 let hold_slot local slot = take_over (Hold { local }) local slot
-
-(* The reactions a note can call for, each putting its signals after
-   those already collected for the same received signal. *)
-let accept local (slot, out) =
-  let* slot, signals = React.accept local slot in
-  Ok (slot, out @ signals)
-
-let answer local (slot, out) =
-  let* slot, signals = React.answer local slot in
-  Ok (slot, out @ signals)
-
-let reopen local want (slot, out) =
-  let* slot, signal = send_open local want slot in
-  Ok (slot, out @ [ signal ])
-
-let reject (slot, out) =
-  let* slot, signal = slot_op (Slot.send_close slot) in
-  Ok (slot, out @ [ signal ])
 
 (* One received signal can produce several notes (a lost race is both
    [Race_lost] and [Opened_by_peer]); [on_signal] folds [react] over

@@ -21,6 +21,13 @@ let spec_of a b =
   | Open_end, (Open_end | Hold_end) | Hold_end, Open_end -> Always_eventually_flowing
   | Hold_end, Hold_end -> Closed_or_flowing
 
+let obligation a b =
+  match spec_of a b with
+  | Eventually_always_closed -> Mediactl_obs.Monitor.Eventually_always_closed
+  | Eventually_always_not_flowing -> Mediactl_obs.Monitor.Eventually_always_not_flowing
+  | Always_eventually_flowing -> Mediactl_obs.Monitor.Always_eventually_flowing
+  | Closed_or_flowing -> Mediactl_obs.Monitor.Closed_or_flowing
+
 let spec_to_string = function
   | Eventually_always_closed -> "<>[] bothClosed"
   | Eventually_always_not_flowing -> "<>[] !bothFlowing"

@@ -38,6 +38,10 @@ type spec =
 val spec_of : end_kind -> end_kind -> spec
 (** The specification governing a path with the given end controls. *)
 
+val obligation : end_kind -> end_kind -> Mediactl_obs.Monitor.obligation
+(** {!spec_of} as the obligation the runtime monitor judges a path's
+    trace against. *)
+
 val spec_to_string : spec -> string
 val pp_spec : Format.formatter -> spec -> unit
 

@@ -4,29 +4,31 @@ open Mediactl_protocol
 open Mediactl_runtime
 open Mediactl_obs
 
-(* One call inside a daemon: a two-box, one-channel path in the
-   daemon's shared network, with a goal object engaged at each end.
+(* One call inside a daemon: a two-box, one-channel path in a network
+   of its own, run by its own driver on the daemon's wall clock, with a
+   goal object engaged at each end the daemon owns.
 
-   A {e local} call owns both real ends.  A {e bridged} call owns one
-   real end and a {e proxy} box standing in for the end that lives in
-   the peer daemon: the proxy's slot is never bound, because no goal
-   runs here for it — instead the daemon's impairment hook intercepts
-   every frame addressed to the proxy and ships it over the wire, and
-   frames arriving from the wire are injected at the real end as if
-   the proxy had sent them.  Around each crossing the daemon emits a
-   synthetic trace event {e at the proxy} (a receive when shipping
-   out, a send when injecting in), so the local trace contains a
-   complete two-sided tunnel history and the Fig. 5 monitor can judge
-   the call from one daemon's recording alone.  Each call keeps its
-   own monitor, which the daemon steps with every drained entry that
-   names the call's channel.
+   A {e local} call owns both real ends; its signals ride the reliable
+   FIFO tunnels, as a simulated session's do.  A {e bridged} call owns
+   one real end and a {e proxy} box standing in for the end that lives
+   in the peer daemon: the proxy's slot is never bound, because no goal
+   runs here for it, so it never emits.  The call's driver carries an
+   impairment hook that ships every frame the real end emits — each is
+   addressed to the proxy — over the wire, and frames arriving from the
+   wire are injected at the real end as if the proxy had sent them.
+   Around each crossing the call emits a synthetic trace event {e at
+   the proxy} (a receive when shipping out, a send when injecting in),
+   so the local trace contains a complete two-sided tunnel history and
+   the Fig. 5 monitor can judge the call from one daemon's recording
+   alone.  Each call keeps its own monitor, which the daemon steps with
+   every drained entry that names the call's channel.
 
    Box names are derived from the call id identically in both daemons
    ([L:<id>] initiates, [R:<id>] accepts), so the two recordings name
    the same boxes and either side's verdict speaks about the same
    path. *)
 
-type role = Local_call | Origin | Acceptor
+type role = Local_call | Origin of (Wire.frame -> bool) | Acceptor of (Wire.frame -> bool)
 
 (* The proxy's Figure-5 state, tracked locally so the synthetic events
    around each wire crossing can be put in an order the remote end
@@ -34,8 +36,7 @@ type role = Local_call | Origin | Acceptor
 type proxy_state = P_closed | P_opening | P_opened | P_flowing | P_closing
 
 type t = {
-  c_id : string;
-  c_chan : string;
+  c_id : string;  (* also the channel's name *)
   c_left_box : string;  (* channel initiator *)
   c_right_box : string;
   c_role : role;
@@ -46,85 +47,52 @@ type t = {
   mutable c_pending : (int * Signal.t) list;
       (* shipped signals (tunnel, signal) whose receive at the proxy has
          not been recorded yet, oldest first *)
-  c_monitor : Monitor.t;  (* stepped by every drained entry on [c_chan] *)
+  c_monitor : Monitor.t;  (* stepped by every drained entry on the channel *)
   mutable c_last_seq : int;  (* sequence number of the last such entry, -1 before any *)
   mutable c_last_at : float;  (* and its timestamp *)
+  c_driver : Timed.t;  (* over the call's own network *)
 }
 
-let id t = t.c_id
-let chan t = t.c_chan
-let role t = t.c_role
+let driver t = t.c_driver
 let torn t = t.c_torn
 
-let left_box_of id = "L:" ^ id
-let right_box_of id = "R:" ^ id
-
 let local_box t =
-  match t.c_role with Local_call | Origin -> t.c_left_box | Acceptor -> t.c_right_box
+  match t.c_role with Local_call | Origin _ -> t.c_left_box | Acceptor _ -> t.c_right_box
 
 let proxy_box t =
   match t.c_role with
   | Local_call -> None
-  | Origin -> Some t.c_right_box
-  | Acceptor -> Some t.c_left_box
+  | Origin _ -> Some t.c_right_box
+  | Acceptor _ -> Some t.c_left_box
 
-let local_kind t =
-  match t.c_role with Local_call | Origin -> t.c_left_kind | Acceptor -> t.c_right_kind
+(* The ends this daemon runs a goal at. *)
+let owned_boxes t =
+  match t.c_role with
+  | Local_call -> [ t.c_left_box; t.c_right_box ]
+  | Origin _ | Acceptor _ -> [ local_box t ]
 
-(* Per-box media endpoints: symbolic addresses in the daemon's own
-   net, the port derived (stably) from the box name so concurrent
-   calls do not collide. *)
-let endpoint_of box ~host =
+let kind_of t box = if String.equal box t.c_left_box then t.c_left_kind else t.c_right_kind
+
+(* Per-box media endpoints: symbolic addresses, the port derived
+   (stably) from the box name so concurrent calls do not collide. *)
+let local_of t box =
+  let host = if String.equal box t.c_left_box then "10.9.0.1" else "10.9.0.2" in
   let port = 1024 + (Hashtbl.hash box mod 60000) in
   Local.endpoint ~owner:box (Address.v host port) [ Codec.G711; Codec.G726 ]
 
-let local_of t box =
-  endpoint_of box ~host:(if String.equal box t.c_left_box then "10.9.0.1" else "10.9.0.2")
+let slot_of t box = Netsys.slot_ref ~box ~chan:t.c_id ()
 
-let slot_of t box = Netsys.slot_ref ~box ~chan:t.c_chan ()
-
-(* the any-state start of every kind, so RESUME can re-open from Held *)
-let engage t net box kind = Netsys.bind_end net (slot_of t box) kind (local_of t box) Medium.Audio
-
-let make ~id ~role ~left ~right =
-  {
-    c_id = id;
-    c_chan = id;
-    c_left_box = left_box_of id;
-    c_right_box = right_box_of id;
-    c_role = role;
-    c_left_kind = left;
-    c_right_kind = right;
-    c_torn = false;
-    c_proxy_st = P_closed;
-    c_pending = [];
-    c_monitor = Monitor.create ();
-    c_last_seq = -1;
-    c_last_at = 0.0;
-  }
-
-(* Build the call's boxes and channel in the shared network and engage
-   the locally owned end(s).  The topology change emits nothing; each
-   engagement's signals are scheduled by the driver as usual. *)
-let install driver t =
-  Timed.apply_quiet driver (fun net ->
-    let net = Netsys.add_box (Netsys.add_box net t.c_left_box) t.c_right_box in
-    Netsys.connect net ~chan:t.c_chan ~initiator:t.c_left_box ~acceptor:t.c_right_box ());
-  (match t.c_role with
-  | Local_call ->
-    Timed.apply driver (fun net -> engage t net t.c_left_box t.c_left_kind);
-    Timed.apply driver (fun net -> engage t net t.c_right_box t.c_right_kind)
-  | Origin -> Timed.apply driver (fun net -> engage t net t.c_left_box t.c_left_kind)
-  | Acceptor -> Timed.apply driver (fun net -> engage t net t.c_right_box t.c_right_kind));
-  t
+(* Bind the end's current kind through its any-state start, so RESUME
+   can re-open from Held; the driver schedules the signals it emits. *)
+let engage t box =
+  Timed.apply t.c_driver (fun net ->
+      Netsys.bind_end net (slot_of t box) (kind_of t box) (local_of t box) Medium.Audio)
 
 (* ------------------------------------------------------------------ *)
 (* The bridge crossings                                                *)
 
 let proxy_is_initiator t =
-  match proxy_box t with
-  | Some box -> String.equal box t.c_left_box
-  | None -> false
+  match t.c_role with Acceptor _ -> true | Local_call | Origin _ -> false
 
 (* The local trace can only be two-sided if the daemon records events
    {e at the proxy} for each crossing, but it learns about the remote
@@ -181,7 +149,7 @@ let after_recv st (signal : Signal.t) ~initiator =
 
 let proxy_sig t ~tun ~proxy signal =
   {
-    Trace.chan = t.c_chan;
+    Trace.chan = t.c_id;
     tun;
     box = proxy;
     peer = local_box t;
@@ -204,125 +172,107 @@ let flush_pending t ~proxy ~until_legal_for =
   in
   go ()
 
-(* Outbound: the impairment hook popped a frame addressed to the
-   proxy.  Queue its proxy-side receive and hand the wire frame to
-   [send]; the caller delivers no local copy. *)
+(* Outbound, from a bridged call's impairment hook: a frame the real
+   end emitted toward the proxy.  Hand the wire frame to [send] and,
+   if it went out, queue its proxy-side receive; the hook delivers no
+   local copy. *)
 let ship t ~send (frame : Timed.frame) =
   let tun = frame.Timed.f_send.Netsys.s_tun in
-  if Option.is_some (proxy_box t) then t.c_pending <- t.c_pending @ [ (tun, frame.Timed.f_signal) ];
-  send (Wire.Signal_f { chan = t.c_chan; tun; signal = frame.Timed.f_signal })
+  if send (Wire.Signal_f { chan = t.c_id; tun; signal = frame.Timed.f_signal }) then
+    t.c_pending <- t.c_pending @ [ (tun, frame.Timed.f_signal) ]
+
+let create ~make_driver ~id ~role ~left ~right =
+  let c_left_box = "L:" ^ id and c_right_box = "R:" ^ id in
+  let net = Netsys.add_box (Netsys.add_box Netsys.empty c_left_box) c_right_box in
+  let net = Netsys.connect net ~chan:id ~initiator:c_left_box ~acceptor:c_right_box () in
+  let t =
+    {
+      c_id = id;
+      c_left_box;
+      c_right_box;
+      c_role = role;
+      c_left_kind = left;
+      c_right_kind = right;
+      c_torn = false;
+      c_proxy_st = P_closed;
+      c_pending = [];
+      c_monitor = Monitor.create ();
+      c_last_seq = -1;
+      c_last_at = 0.0;
+      c_driver = make_driver net;
+    }
+  in
+  (match role with
+  | Local_call -> ()
+  | Origin send | Acceptor send ->
+    Timed.set_impairment t.c_driver (fun _ frame ->
+        ship t ~send frame;
+        []));
+  List.iter (engage t) (owned_boxes t);
+  t
 
 (* Inbound: a wire signal from the peer daemon.  Linearize: flush
    pending proxy receives until this send is legal, record the proxy's
    send, then inject the signal at the real end; the [n] transit
    already happened on the real network, so the only further delay is
-   the receiver's compute time, which [inject_frame] adds. *)
-let receive driver t ~tun ~frame_id signal =
+   the receiver's compute time, which [inject_frame] adds.  No delivery
+   filter reads the frame's id. *)
+let receive t ~tun signal =
   (match proxy_box t with
   | Some proxy ->
     flush_pending t ~proxy ~until_legal_for:signal;
     if Trace.enabled () then Trace.emit (Trace.Sig_send (proxy_sig t ~tun ~proxy signal));
     t.c_proxy_st <- after_send t.c_proxy_st signal
   | None -> ());
-  Timed.inject_frame driver ~delay:0.0
+  Timed.inject_frame t.c_driver ~delay:0.0
     {
-      Timed.f_id = frame_id;
-      f_send = { Netsys.s_chan = t.c_chan; s_tun = tun; to_ = local_box t };
+      Timed.f_id = 0;
+      f_send = { Netsys.s_chan = t.c_id; s_tun = tun; to_ = local_box t };
       f_signal = signal;
     }
 
 (* ------------------------------------------------------------------ *)
 (* Control operations                                                  *)
 
-let set_local_kind t kind =
-  match t.c_role with
-  | Local_call | Origin -> t.c_left_kind <- kind
-  | Acceptor -> t.c_right_kind <- kind
+let rebind_local t kind =
+  (match t.c_role with
+  | Local_call | Origin _ -> t.c_left_kind <- kind
+  | Acceptor _ -> t.c_right_kind <- kind);
+  engage t (local_box t)
 
-let rebind_local driver t kind =
-  set_local_kind t kind;
-  Timed.apply driver (fun net -> engage t net (local_box t) kind)
-
-let hold driver t = rebind_local driver t Semantics.Hold_end
-let resume driver t = rebind_local driver t Semantics.Open_end
+let hold t = rebind_local t Semantics.Hold_end
+let resume t = rebind_local t Semantics.Open_end
 
 (* Teardown closes every end this daemon owns; for a bridged call the
-   peer end's kind is recorded as closing too — the Bye the daemon
-   sends makes the peer do the same — so both daemons converge on the
+   peer end's kind is recorded as closing too — the Bye one daemon
+   sends makes the other do the same — so both daemons converge on the
    close/close obligation. *)
-let teardown driver t =
-  t.c_torn <- true;
-  (match t.c_role with
-  | Local_call ->
-    t.c_left_kind <- Semantics.Close_end;
-    t.c_right_kind <- Semantics.Close_end;
-    Timed.apply driver (fun net -> engage t net t.c_left_box Semantics.Close_end);
-    Timed.apply driver (fun net -> engage t net t.c_right_box Semantics.Close_end)
-  | Origin | Acceptor ->
-    t.c_left_kind <- Semantics.Close_end;
-    t.c_right_kind <- Semantics.Close_end;
-    rebind_local driver t Semantics.Close_end)
-
-let on_bye driver t =
+let teardown t =
   t.c_torn <- true;
   t.c_left_kind <- Semantics.Close_end;
   t.c_right_kind <- Semantics.Close_end;
-  rebind_local driver t Semantics.Close_end
+  List.iter (engage t) (owned_boxes t)
 
 (* ------------------------------------------------------------------ *)
 (* Observation                                                         *)
 
-let slot_state s =
-  if Slot.is_flowing s then "flowing"
-  else if Slot.is_closing s then "closing"
-  else if Slot.is_opening s then "opening"
-  else if Slot.is_opened s then "opened"
-  else if Slot.is_closed s then "closed"
-  else "unknown"
-
-let end_state net t box =
-  match Netsys.slot net (slot_of t box) with
-  | Some s -> slot_state s
-  | None -> "-"
-
-(* WAIT predicates over the shared network.  For a bridged call only
+(* WAIT predicates over the call's network.  For a bridged call only
    the local end is materialised, so the condition reads that end; for
-   a local call it reads the paper's path predicates over both. *)
-let flowing t net =
+   a local call it reads the paper's path predicate over both. *)
+let holds ~path ~one t net =
+  let slot box = Netsys.slot net (slot_of t box) in
   match t.c_role with
   | Local_call -> (
-    match
-      (Netsys.slot net (slot_of t t.c_left_box), Netsys.slot net (slot_of t t.c_right_box))
-    with
-    | Some l, Some r -> Semantics.both_flowing ~left:l ~right:r
+    match (slot t.c_left_box, slot t.c_right_box) with
+    | Some l, Some r -> path ~left:l ~right:r
     | (Some _ | None), _ -> false)
-  | Origin | Acceptor -> (
-    match Netsys.slot net (slot_of t (local_box t)) with
-    | Some s -> Slot.is_flowing s
+  | Origin _ | Acceptor _ -> (
+    match slot (local_box t) with
+    | Some s -> one s
     | None -> false)
 
-let closed t net =
-  match t.c_role with
-  | Local_call -> (
-    match
-      (Netsys.slot net (slot_of t t.c_left_box), Netsys.slot net (slot_of t t.c_right_box))
-    with
-    | Some l, Some r -> Semantics.both_closed ~left:l ~right:r
-    | (Some _ | None), _ -> false)
-  | Origin | Acceptor -> (
-    match Netsys.slot net (slot_of t (local_box t)) with
-    | Some s -> Slot.is_closed s
-    | None -> false)
-
-let obligation t =
-  match Semantics.spec_of t.c_left_kind t.c_right_kind with
-  | Semantics.Eventually_always_closed -> Monitor.Eventually_always_closed
-  | Semantics.Eventually_always_not_flowing -> Monitor.Eventually_always_not_flowing
-  | Semantics.Always_eventually_flowing -> Monitor.Always_eventually_flowing
-  | Semantics.Closed_or_flowing -> Monitor.Closed_or_flowing
-
-let ends t =
-  { Monitor.left = (t.c_left_box, t.c_chan, 0); right = (t.c_right_box, t.c_chan, 0) }
+let flowing = holds ~path:Semantics.both_flowing ~one:Slot.is_flowing
+let closed = holds ~path:Semantics.both_closed ~one:Slot.is_closed
 
 let step t p i =
   Monitor.step t.c_monitor p i;
@@ -352,13 +302,24 @@ let verdict t =
       m
     | (Some _ | None), _ -> t.c_monitor
   in
-  Monitor.judge { Monitor.structural = false; obligation = obligation t; legs = [ ends t ] } m
+  let ends = { Monitor.left = (t.c_left_box, t.c_id, 0); right = (t.c_right_box, t.c_id, 0) } in
+  Monitor.judge
+    {
+      Monitor.structural = false;
+      obligation = Semantics.obligation t.c_left_kind t.c_right_kind;
+      legs = [ ends ];
+    }
+    m
 
-let status_line net t =
+let status_line t =
+  let state box =
+    match Netsys.slot (Timed.net t.c_driver) (slot_of t box) with
+    | Some s -> Slot_state.to_string s.Slot.state
+    | None -> "-"
+  in
   Printf.sprintf "CALL %s %s %s/%s %s/%s %s" t.c_id
-    (match t.c_role with Local_call -> "local" | Origin -> "origin" | Acceptor -> "acceptor")
+    (match t.c_role with Local_call -> "local" | Origin _ -> "origin" | Acceptor _ -> "acceptor")
     (Control.kind_to_string t.c_left_kind)
     (Control.kind_to_string t.c_right_kind)
-    (end_state net t t.c_left_box)
-    (end_state net t t.c_right_box)
+    (state t.c_left_box) (state t.c_right_box)
     (Format.asprintf "%a" Monitor.pp_verdict (verdict t))

@@ -1,9 +1,9 @@
 open Mediactl_runtime
 open Mediactl_obs
 
-(* The daemon: one wall-clock select loop driving one shared network
-   that carries every call, one listening socket speaking both of the
-   daemon's protocols, and one long trace recording.  The recording is
+(* The daemon: one wall-clock select loop driving every call on its
+   own network, one listening socket speaking both of the daemon's
+   protocols, and one long trace recording.  The recording is
    drained after every socket read and every protocol timer, so the
    ring never holds more than one callback's events: each drained
    entry steps the monitor of the call whose channel it names — the
@@ -16,12 +16,10 @@ open Mediactl_obs
    peers and control clients therefore share one address, which keeps
    deployment to a single socket per daemon.
 
-   Bridged transport rides the runtime's impairment hook: once
-   installed, every emitted frame is popped from its tunnel and the
-   hook decides its fate.  Frames addressed to a proxy box are shipped
-   to the peer daemon ([Call.ship]) and get no local copy; all other
-   frames are delivered locally with zero extra delay, i.e. exactly
-   the reliable path. *)
+   A bridged call's own driver carries the runtime's impairment hook,
+   which ships every frame its real end emits to the peer daemon over
+   the call's wire connection; a local call's signals ride the reliable
+   path.  A wire connection acts only on the calls bridged over it. *)
 
 type conn_mode =
   | Sniffing of string  (* bytes seen so far, fewer than 4 *)
@@ -43,20 +41,18 @@ type tracing = {
 
 type t = {
   loop : Wallclock.t;
-  driver : Timed.t;
+  make_driver : Netsys.t -> Timed.t;  (* a call's own driver on [loop] *)
   tracing : tracing;
   listen_fd : Unix.file_descr;
   bound : Transport.addr;
   calls : (string, Call.t) Hashtbl.t;  (* by call id = channel name *)
   bridges : (string, conn) Hashtbl.t;  (* call id -> its wire connection *)
   mutable conns : conn list;
-  mutable frame_seq : int;
   mutable down : bool;
   log : string -> unit;
 }
 
 let loop t = t.loop
-let driver t = t.driver
 let bound t = t.bound
 let calls t = Hashtbl.fold (fun _ c acc -> c :: acc) t.calls []
 let logf t fmt = Printf.ksprintf t.log fmt
@@ -106,7 +102,7 @@ let close_conn t conn =
         match Hashtbl.find_opt t.calls id with
         | Some call when not (Call.torn call) ->
           logf t "call %s: bridge lost, closing local end" id;
-          Call.on_bye t.driver call
+          Call.teardown call
         | Some _ | None -> ())
       lost
   end
@@ -121,9 +117,14 @@ let send_frame t conn frame =
   | () -> ()
   | exception Unix.Unix_error _ -> close_conn t conn
 
-let next_frame_id t =
-  t.frame_seq <- t.frame_seq + 1;
-  t.frame_seq
+(* A bridged call's way onto [conn]: it writes only while the
+   connection is live, since a closed fd's number can be reused. *)
+let sender t conn frame =
+  if conn.live then begin
+    send_frame t conn frame;
+    true
+  end
+  else false
 
 (* ------------------------------------------------------------------ *)
 (* Shutdown                                                            *)
@@ -150,34 +151,37 @@ let shutdown t =
 (* ------------------------------------------------------------------ *)
 (* Wire peers                                                          *)
 
+(* The call [chan] names, if it is bridged over [conn]: no other
+   connection may signal into a call or tear it down. *)
+let bridged_call t conn chan =
+  match Hashtbl.find_opt t.bridges chan with
+  | Some c when c == conn -> Hashtbl.find_opt t.calls chan
+  | Some _ | None -> None
+
 let handle_frame t conn frame =
   match frame with
-  | Wire.Hello { chan; origin; accept } -> (
-    match Hashtbl.find_opt t.calls chan with
-    | Some _ ->
+  | Wire.Hello { chan; origin; accept } ->
+    if Hashtbl.mem t.calls chan then begin
       logf t "wire %s: hello for existing call %s, dropping connection" conn.peer_name chan;
       close_conn t conn
-    | None ->
+    end
+    else begin
       logf t "wire %s: %s" conn.peer_name (Format.asprintf "%a" Wire.pp frame);
-      (* register before [install]: the engage inside [install] emits
-         the end's first signal, and the impairment hook routes it by
-         looking the call up — it must already be in [calls]/[bridges]
-         or the signal is delivered to the local proxy slot instead of
-         crossing the wire *)
-      let call = Call.make ~id:chan ~role:Call.Acceptor ~left:origin ~right:accept in
-      Hashtbl.replace t.calls chan call;
-      Hashtbl.replace t.bridges chan conn;
-      ignore (Call.install t.driver call))
+      let role = Call.Acceptor (sender t conn) in
+      Hashtbl.replace t.calls chan
+        (Call.create ~make_driver:t.make_driver ~id:chan ~role ~left:origin ~right:accept);
+      Hashtbl.replace t.bridges chan conn
+    end
   | Wire.Signal_f { chan; tun; signal } -> (
-    match Hashtbl.find_opt t.calls chan with
-    | Some call -> Call.receive t.driver call ~tun ~frame_id:(next_frame_id t) signal
-    | None -> logf t "wire %s: signal for unknown call %s, ignoring" conn.peer_name chan)
+    match bridged_call t conn chan with
+    | Some call -> Call.receive call ~tun signal
+    | None -> logf t "wire %s: signal for call %s, not bridged here, ignoring" conn.peer_name chan)
   | Wire.Bye { chan } -> (
-    match Hashtbl.find_opt t.calls chan with
+    match bridged_call t conn chan with
     | Some call ->
       logf t "wire %s: bye(%s)" conn.peer_name chan;
-      Call.on_bye t.driver call
-    | None -> logf t "wire %s: bye for unknown call %s, ignoring" conn.peer_name chan)
+      Call.teardown call
+    | None -> logf t "wire %s: bye for call %s, not bridged here, ignoring" conn.peer_name chan)
 
 let rec drain_frames t conn dec =
   if conn.live then
@@ -198,10 +202,9 @@ let status_lines t which =
   match which with
   | Some id -> (
     match Hashtbl.find_opt t.calls id with
-    | Some call -> Ok [ Call.status_line (Timed.net t.driver) call ]
+    | Some call -> Ok [ Call.status_line call ]
     | None -> Error (Control.error "no such call %s" id))
-  | None ->
-    Ok (List.sort String.compare (List.map (Call.status_line (Timed.net t.driver)) (calls t)))
+  | None -> Ok (List.sort String.compare (List.map Call.status_line (calls t)))
 
 let with_call t conn id k =
   match Hashtbl.find_opt t.calls id with
@@ -215,7 +218,7 @@ let handle_wait t conn ~id ~what ~timeout_ms =
     (* A watch is dropped only once its predicate holds, so it also
        holds once the WAIT is answered: a timed-out WAIT on a condition
        that never comes true must not stay on the driver for good. *)
-    Timed.when_true t.driver (fun net -> !answered || pred net) (fun at ->
+    Timed.when_true (Call.driver call) (fun net -> !answered || pred net) (fun at ->
       if (not !answered) && conn.live then begin
         answered := true;
         send_line t conn (Control.ok "wait %s %s %.1f" id (Control.what_to_string what) at)
@@ -235,9 +238,8 @@ let rec handle_request t conn req =
   | Control.Create { id; left; right } ->
     if Hashtbl.mem t.calls id then send_line t conn (Control.error "call %s already exists" id)
     else begin
-      let call = Call.make ~id ~role:Call.Local_call ~left ~right in
-      Hashtbl.replace t.calls id call;
-      ignore (Call.install t.driver call);
+      Hashtbl.replace t.calls id
+        (Call.create ~make_driver:t.make_driver ~id ~role:Call.Local_call ~left ~right);
       send_line t conn (Control.ok "created %s" id)
     end
   | Control.Dial { id; addr; left; right } ->
@@ -253,26 +255,24 @@ let rec handle_request t conn req =
         t.conns <- peer :: t.conns;
         watch_conn t peer;
         Transport.send_all fd Wire.magic;
+        (* the Hello goes first: the call's engage ships its first signal *)
         send_frame t peer (Wire.Hello { chan = id; origin = left; accept = right });
-        (* register before [install] so the engage's first emission
-           finds the bridge (see the Hello handler) *)
-        let call = Call.make ~id ~role:Call.Origin ~left ~right in
-        Hashtbl.replace t.calls id call;
+        let role = Call.Origin (sender t peer) in
+        Hashtbl.replace t.calls id (Call.create ~make_driver:t.make_driver ~id ~role ~left ~right);
         Hashtbl.replace t.bridges id peer;
-        ignore (Call.install t.driver call);
         send_line t conn (Control.ok "dialing %s via %s" id (Transport.addr_to_string addr))
     end
   | Control.Hold id ->
     with_call t conn id (fun call ->
-      Call.hold t.driver call;
+      Call.hold call;
       send_line t conn (Control.ok "held %s" id))
   | Control.Resume id ->
     with_call t conn id (fun call ->
-      Call.resume t.driver call;
+      Call.resume call;
       send_line t conn (Control.ok "resumed %s" id))
   | Control.Teardown id ->
     with_call t conn id (fun call ->
-      Call.teardown t.driver call;
+      Call.teardown call;
       (match Hashtbl.find_opt t.bridges id with
       | Some peer -> send_frame t peer (Wire.Bye { chan = id })
       | None -> ());
@@ -361,22 +361,6 @@ let on_accept t () =
     t.conns <- conn :: t.conns;
     watch_conn t conn
 
-(* The transport decision for every emitted frame: proxy-addressed
-   frames cross the wire and get no local copy; everything else is
-   delivered exactly as the reliable path would. *)
-let route_frames t (frame : Timed.frame) =
-  match Hashtbl.find_opt t.calls frame.Timed.f_send.Netsys.s_chan with
-  | Some call
-    when (match Call.proxy_box call with
-         | Some proxy -> String.equal proxy frame.Timed.f_send.Netsys.to_
-         | None -> false) -> (
-    match Hashtbl.find_opt t.bridges (Call.id call) with
-    | Some peer ->
-      Call.ship call ~send:(fun f -> send_frame t peer f) frame;
-      []
-    | None -> [] (* bridge gone; the frame has nowhere to go *))
-  | Some _ | None -> [ 0.0 ]
-
 let create ?(n = 34.0) ?(c = 20.0) ?trace_path ?(log = fun _ -> ()) ~listener () =
   let listen_fd, bound_addr = listener in
   (* a peer vanishing mid-write must surface as EPIPE, not kill the
@@ -387,32 +371,28 @@ let create ?(n = 34.0) ?(c = 20.0) ?trace_path ?(log = fun _ -> ()) ~listener ()
   let tracing =
     { out = Option.map (fun path -> (path, open_out path)) trace_path; entries = 0 }
   in
-  (* [Wallclock.driver], plus a drain after each protocol timer *)
-  let driver =
-    Timed.create_external
-      ~now:(fun () -> Wallclock.now loop)
-      ~schedule:(fun ~delay thunk ->
-        Wallclock.after loop ~delay (fun () ->
-            thunk ();
-            settle calls tracing))
-      ~n ~c Netsys.empty
+  (* [Wallclock.driver], plus a drain after each protocol timer; every
+     call's driver shares the one clock and schedule *)
+  let now () = Wallclock.now loop in
+  let schedule ~delay thunk =
+    Wallclock.after loop ~delay (fun () ->
+        thunk ();
+        settle calls tracing)
   in
   let t =
     {
       loop;
-      driver;
+      make_driver = Timed.create_external ~now ~schedule ~n ~c;
       tracing;
       listen_fd;
       bound = bound_addr;
       calls;
       bridges = Hashtbl.create 16;
       conns = [];
-      frame_seq = 0;
       down = false;
       log;
     }
   in
-  Timed.set_impairment driver (fun _ frame -> route_frames t frame);
   Wallclock.on_readable loop listen_fd (on_accept t);
   logf t "listening on %s" (Transport.addr_to_string bound_addr);
   t
@@ -422,7 +402,7 @@ let create ?(n = 34.0) ?(c = 20.0) ?trace_path ?(log = fun _ -> ()) ~listener ()
 let run t =
   let (), rest =
     Trace.recording_packed (fun () ->
-        Timed.observe t.driver;
+        Trace.set_clock (fun () -> Wallclock.now t.loop);
         Wallclock.run t.loop;
         shutdown t)
   in

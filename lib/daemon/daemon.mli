@@ -1,32 +1,33 @@
-(** The media-control daemon: one {!Wallclock} select loop driving one
-    shared network that carries every call, one listening socket, and
-    one long trace recording, drained as it runs.
+(** The media-control daemon: one {!Wallclock} select loop driving
+    every call on its own two-box network and driver, one listening
+    socket, and one long trace recording, drained as it runs.
 
     The listener speaks both protocols on the same address: a fresh
     connection whose first four bytes are {!Wire.magic} is a binary
     wire peer (another daemon bridging a call here); anything else is
-    a newline-ASCII {!Control} client.
+    a newline-ASCII {!Control} client.  A wire connection acts only on
+    the calls bridged over it.
 
-    Bridged calls ride the runtime's impairment hook: frames addressed
-    to a call's proxy box are shipped to the peer daemon and delivered
-    into its network, with synthetic proxy-side trace events keeping
-    each daemon's recording complete for the Fig. 5 monitor (see
-    {!Call}).
+    A bridged call's own driver carries the runtime's impairment hook,
+    which ships the frames its real end emits to the peer daemon, and
+    the peer injects them into its own copy of the call; synthetic
+    proxy-side trace events keep each daemon's recording complete for
+    the Fig. 5 monitor (see {!Call}).  A local call's signals ride the
+    reliable path, as a simulated session's do.
 
     {!run} records the daemon's whole life in one
     [Trace.recording_packed] bracket on the calling domain, and drains
     it after every socket read, every protocol timer, before answering
     [STATUS], and at shutdown.  Each drained entry that names a call's
     channel steps that call's own monitor, which [STATUS] judges; the
-    trace itself is not kept, so neither memory nor the cost of
-    [STATUS] grows with uptime.  With [trace_path], every drained
-    segment is appended to that file as JSON lines, numbered as one
-    recording.
+    trace itself is not kept, so neither a [STATUS] nor the memory the
+    trace takes grows with uptime.  Finished calls are not retired,
+    though: each keeps its network, driver and monitor.  With
+    [trace_path], every drained segment is appended to that file as
+    JSON lines, numbered as one recording.
 
     Creating a daemon ignores [SIGPIPE] (a vanished peer must surface
     as [EPIPE]). *)
-
-open Mediactl_runtime
 
 type t
 
@@ -41,7 +42,7 @@ val create :
 (** [create ~listener:(Transport.listen addr) ()] builds a daemon
     around an already-bound listener — passed as an fd so a parent
     process can bind (learning an ephemeral port) before forking the
-    daemon child.  [n]/[c] are the driver's latency parameters;
+    daemon child.  [n]/[c] are every call driver's latency parameters;
     [trace_path], if given, is created now and receives the JSONL
     trace as it is drained; [log] gets one human line per notable
     event (default: silent). *)
@@ -55,6 +56,5 @@ val shutdown : t -> unit
     its file, and stop the loop.  Idempotent. *)
 
 val loop : t -> Wallclock.t
-val driver : t -> Timed.t
 val bound : t -> Transport.addr
 val calls : t -> Call.t list

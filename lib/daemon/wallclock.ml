@@ -42,7 +42,6 @@ let on_readable t fd callback =
   t.readers <- (fd, callback) :: List.remove_assoc fd t.readers
 
 let remove_fd t fd = t.readers <- List.remove_assoc fd t.readers
-let watched t fd = List.mem_assoc fd t.readers
 let stop t = t.stopping <- true
 let pending_timers t = Pqueue.size t.timers
 

@@ -27,8 +27,6 @@ val on_readable : t -> Unix.file_descr -> (unit -> unit) -> unit
 val remove_fd : t -> Unix.file_descr -> unit
 (** Stop watching [fd] (call before closing it). *)
 
-val watched : t -> Unix.file_descr -> bool
-
 val run : t -> unit
 (** Drive the loop until {!stop}, or until no timer is pending and no
     fd is watched.  Due timers always run before the next select.

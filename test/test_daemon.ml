@@ -4,7 +4,9 @@
    including a full session booted on it through [Session.boot_external]
    — and live in-process daemons serving calls over real unix sockets:
    local and bridged calls judged satisfied by each daemon's Fig. 5
-   monitors, and the JSONL trace a daemon streams as it drains. *)
+   monitors, the JSONL trace a daemon streams as it drains, and calls
+   that neither another call's protocol error nor a stray wire peer
+   can reach. *)
 
 open Mediactl_types
 open Mediactl_core
@@ -15,6 +17,7 @@ module Control = Mediactl_daemon_core.Control
 module Transport = Mediactl_daemon_core.Transport
 module Wallclock = Mediactl_daemon_core.Wallclock
 module Daemon = Mediactl_daemon_core.Daemon
+module Call = Mediactl_daemon_core.Call
 module Rng = Mediactl_sim.Rng
 
 let check = Alcotest.check
@@ -515,7 +518,7 @@ let test_status_sees_pipelined_requests () =
 
 (* A WAIT that times out on a condition that never comes true (an
    open end facing a closed one never flows) must not leave its watch
-   on the daemon's driver: the words the driver reaches after 500 such
+   on the call's driver: the words the driver reaches after 500 such
    WAITs stay within a small bound of the words after one. *)
 let test_timed_out_waits_drop_their_watches () =
   let driver_words waits =
@@ -530,7 +533,9 @@ let test_timed_out_waits_drop_their_watches () =
           (* The client rides the daemon's loop: unhook it first, so
              the lines it kept are not counted as the daemon's. *)
           Wallclock.remove_fd loop fd;
-          words := Obj.reachable_words (Obj.repr (Daemon.driver d));
+          (match Daemon.calls d with
+          | [ call ] -> words := Obj.reachable_words (Obj.repr (Call.driver call))
+          | _ -> Alcotest.fail "expected one call");
           Daemon.shutdown d)
         ((Control.Create { id = "w1"; left = Semantics.Open_end; right = Semantics.Close_end }
          :: List.init waits (fun _ ->
@@ -547,6 +552,84 @@ let test_timed_out_waits_drop_their_watches () =
   check tbool
     (Printf.sprintf "%d words after 500 timed-out WAITs, %d after 1 (at most 256 more)" many one)
     true (many <= one + 256)
+
+(* A raw wire peer: the magic, then [frames], in one write. *)
+let wire_peer path frames =
+  let fd = Transport.connect (Transport.Unix_sock path) in
+  Transport.send_all fd (Wire.magic ^ String.concat "" (List.map Wire.encode frames));
+  fd
+
+(* One call's protocol error stalls no other call: a wire peer bridges
+   call [b] here and answers its open with a closeack the open end
+   cannot take, and a control client then creates local call [a], which
+   must still reach flowing, while [b] alone is judged violated. *)
+let test_protocol_error_stalls_no_other_call () =
+  let path = fresh_sock () in
+  let d = Daemon.create ~n:2.0 ~c:1.0 ~listener:(listen_on path) () in
+  let rogue =
+    wire_peer path
+      [
+        Wire.Hello { chan = "b"; origin = Semantics.Open_end; accept = Semantics.Open_end };
+        Wire.Signal_f { chan = "b"; tun = 0; signal = Signal.Closeack };
+      ]
+  in
+  let fd = Transport.connect (Transport.Unix_sock path) in
+  let calls, failures =
+    scripted_client (Daemon.loop d) fd
+      [
+        Control.Create { id = "a"; left = Semantics.Open_end; right = Semantics.Open_end };
+        Control.Wait { id = "a"; what = `Flowing; timeout_ms = 2000.0 };
+        Control.Status None;
+        Control.Quit;
+      ]
+  in
+  Daemon.run d;
+  Transport.close_quiet fd;
+  Transport.close_quiet rogue;
+  check (Alcotest.list tstr) "every request answered OK" [] !failures;
+  match List.rev !calls with
+  | [ a; b ] ->
+    check tstr "a flows" "CALL a local open/open flowing/flowing satisfied" a;
+    check tbool (Printf.sprintf "b alone is violated: %s" b) true
+      (String.starts_with ~prefix:"CALL b acceptor open/open closed/opening VIOLATED: " b
+      && String.ends_with ~suffix:"unexpected closeack in opening" b)
+  | lines -> Alcotest.fail ("expected two CALL lines, got: " ^ String.concat " | " lines)
+
+(* A wire connection acts only on the calls bridged over it: a
+   connection that sends a Bye for flowing local call [a] leaves it
+   flowing.  The STATUS goes out on a connection the daemon accepts
+   after the rogue one, so the Bye has been read by then. *)
+let test_wire_peer_reaches_only_its_calls () =
+  let path = fresh_sock () in
+  let d = Daemon.create ~n:2.0 ~c:1.0 ~listener:(listen_on path) () in
+  let loop = Daemon.loop d in
+  let fd = Transport.connect (Transport.Unix_sock path) in
+  let rogue = ref None and status = ref None in
+  let ask () =
+    rogue := Some (wire_peer path [ Wire.Bye { chan = "a" } ]);
+    let other = Transport.connect (Transport.Unix_sock path) in
+    status :=
+      Some (other, scripted_client loop other [ Control.Status (Some "a"); Control.Quit ])
+  in
+  let _, failures =
+    scripted_client loop fd ~finally:ask
+      [
+        Control.Create { id = "a"; left = Semantics.Open_end; right = Semantics.Open_end };
+        Control.Wait { id = "a"; what = `Flowing; timeout_ms = 5000.0 };
+      ]
+  in
+  Wallclock.after loop ~delay:10_000.0 (fun () -> Daemon.shutdown d);
+  Daemon.run d;
+  List.iter Transport.close_quiet (fd :: Option.to_list !rogue);
+  check (Alcotest.list tstr) "every request answered OK" [] !failures;
+  match !status with
+  | Some (other, (calls, failures)) ->
+    Transport.close_quiet other;
+    check (Alcotest.list tstr) "status answered OK" [] !failures;
+    check (Alcotest.list tstr) "a still flows"
+      [ "CALL a local open/open flowing/flowing satisfied" ]
+      !calls
+  | None -> Alcotest.fail "status never asked"
 
 (* A control client that streams 1 MiB with no newline is told its line
    is too long and disconnected once the line passes the wire frame
@@ -629,5 +712,9 @@ let () =
           Alcotest.test_case "overlong control line is refused" `Quick test_overlong_control_line;
           Alcotest.test_case "timed-out waits drop their watches" `Quick
             test_timed_out_waits_drop_their_watches;
+          Alcotest.test_case "protocol error stalls no other call" `Quick
+            test_protocol_error_stalls_no_other_call;
+          Alcotest.test_case "wire peer reaches only its calls" `Quick
+            test_wire_peer_reaches_only_its_calls;
         ] );
     ]
