@@ -1,11 +1,13 @@
 open Mediactl_sim
 
-(* The wall-clock engine: a single-threaded select loop owning a timer
+(* The wall-clock engine: a single-threaded poll loop owning a timer
    queue of thunks and a set of readable file descriptors.  Timers sit
    on the simulator's event queue ([Pqueue]) keyed in wall milliseconds
-   since [create]; fd readiness comes from [Unix.select], with the
-   timeout clipped to the next deadline so timers fire on schedule even
-   while the loop sits in select.
+   since [create]; fd readiness comes from poll(2), with the timeout
+   clipped to the next deadline so timers fire on schedule even while
+   the loop sits in poll.  Not [Unix.select]: it cannot watch a
+   descriptor numbered 1024 or more, which a daemon with many
+   connections is given.
 
    Time is [Unix.gettimeofday]-based (the portable clock the stdlib
    exposes); a backwards NTP step would delay timers, which is
@@ -55,28 +57,37 @@ let rec run_due t =
     run_due t
   end
 
-(* Cap on one select sleep so a [stop] from a signal handler (rather
+(* Cap on one poll sleep so a [stop] from a signal handler (rather
    than from a callback) is noticed promptly. *)
 let max_slice = 0.25
 
-let select_once t =
+(* [poll_readable fds ready timeout] waits at most [timeout] seconds
+   for one of [fds] to be readable, and marks byte [i] of [ready]
+   nonzero if [fds.(i)] is.  It raises [Unix_error] as [Unix.select]
+   does (see wallclock_stubs.c). *)
+external poll_readable : Unix.file_descr array -> Bytes.t -> float -> int
+  = "mediactl_poll_readable"
+
+let poll_once t =
   let timeout =
     if Pqueue.is_empty t.timers then max_slice
     else Float.min max_slice (Float.max 0.0 ((Pqueue.min_key t.timers -. now t) /. 1000.0))
   in
-  let fds = List.map fst t.readers in
-  match Unix.select fds [] [] timeout with
+  let fds = Array.of_list (List.map fst t.readers) in
+  let ready = Bytes.make (Array.length fds) '\000' in
+  match poll_readable fds ready timeout with
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | ready, _, _ ->
-    (* A callback may close or re-register fds; consult the current
-       table for each ready fd rather than the snapshot. *)
-    List.iter
-      (fun fd ->
-        if not t.stopping then
-          match List.assoc_opt fd t.readers with
-          | Some callback -> callback ()
-          | None -> ())
-      ready
+  | _ ->
+    (* Ready fds are served oldest registration first, the order
+       [Unix.select] returned them in.  A callback may close or
+       re-register fds; consult the current table for each ready fd
+       rather than the snapshot. *)
+    for i = Array.length fds - 1 downto 0 do
+      if Bytes.get ready i <> '\000' && not t.stopping then
+        match List.assoc_opt fds.(i) t.readers with
+        | Some callback -> callback ()
+        | None -> ()
+    done
 
 let run t =
   if t.spinning then invalid_arg "Wallclock.run: already running";
@@ -87,7 +98,7 @@ let run t =
       while (not t.stopping) && not (Pqueue.is_empty t.timers && t.readers = []) do
         run_due t;
         if (not t.stopping) && not (Pqueue.is_empty t.timers && t.readers = []) then
-          select_once t
+          poll_once t
       done)
 
 let driver ?(n = 34.0) ?(c = 20.0) t network =

@@ -1,4 +1,4 @@
-(** The wall-clock engine: a single-threaded [Unix.select] event loop
+(** The wall-clock engine: a single-threaded poll(2) event loop
     with one-shot timers, the real-time counterpart of the simulator's
     {!Mediactl_sim.Engine}.  The daemon's whole runtime — protocol
     reactions through {!Mediactl_runtime.Timed}, socket readiness,
@@ -21,15 +21,15 @@ val after : t -> delay:float -> (unit -> unit) -> unit
     Safe to call from within timer and fd callbacks. *)
 
 val on_readable : t -> Unix.file_descr -> (unit -> unit) -> unit
-(** Invoke the callback whenever [fd] selects readable.  Re-registering
-    an fd replaces its callback. *)
+(** Invoke the callback whenever [fd] polls readable, whatever its
+    number.  Re-registering an fd replaces its callback. *)
 
 val remove_fd : t -> Unix.file_descr -> unit
 (** Stop watching [fd] (call before closing it). *)
 
 val run : t -> unit
 (** Drive the loop until {!stop}, or until no timer is pending and no
-    fd is watched.  Due timers always run before the next select.
+    fd is watched.  Due timers always run before the next poll.
     @raise Invalid_argument on reentry. *)
 
 val stop : t -> unit

@@ -10,7 +10,7 @@ module E = Explorer.Make (struct
   let pp_state = Path_model.pp_state
 end)
 
-type safety = Safe | Unsafe of { witness : int; reason : string }
+type safety = Safe | Unsafe of { witness : int; reason : string } | Not_established
 
 type spec_result =
   | Spec_holds
@@ -33,11 +33,13 @@ type report = {
 }
 
 (* Environment ends may abandon mid-protocol, so segment checking only
-   demands freedom from protocol errors. *)
+   demands freedom from protocol errors.  A capped graph is scanned all
+   the same: a protocol error in any state it discovered is real, but
+   finding none establishes nothing. *)
 let check_segment_safety graph =
   let n = Array.length graph.E.states in
   let rec scan id =
-    if id >= n then Safe
+    if id >= n then if graph.E.capped then Not_established else Safe
     else
       match Path_model.error graph.E.states.(id) with
       | Some reason -> Unsafe { witness = id; reason }
@@ -45,17 +47,19 @@ let check_segment_safety graph =
   in
   scan 0
 
+(* The terminal conditions hold of expanded states only: a state a
+   capped run never expanded has an empty row, but may have successors. *)
 let check_safety graph =
   let csr = graph.E.csr in
   let n = Array.length graph.E.states in
   let rec scan id =
-    if id >= n then Safe
+    if id >= n then if graph.E.capped then Not_established else Safe
     else
       let state = graph.E.states.(id) in
       match Path_model.error state with
       | Some reason -> Unsafe { witness = id; reason }
       | None ->
-        if Csr.terminal csr id then
+        if id < graph.E.expanded && Csr.terminal csr id then
           if not (Path_model.clean state) then
             Unsafe { witness = id; reason = "terminal state with a half-open slot" }
           else if not (Path_model.all_settled state) then
@@ -82,9 +86,7 @@ let run ?max_states ?jobs config =
   in
   let spec = Path_model.spec config in
   let safety =
-    if graph.E.capped then Safe
-    else if config.Path_model.environment_ends then check_segment_safety graph
-    else check_safety graph
+    if config.Path_model.environment_ends then check_segment_safety graph else check_safety graph
   in
   (* Under a loss budget nothing retransmits, so an unrepaired status
      loss leaves the peers' media views stale: the agreement refinement
@@ -131,15 +133,15 @@ let run ?max_states ?jobs config =
   let counterexample =
     match safety, spec_witness with
     | Unsafe { witness; _ }, _ -> trace_to graph witness
-    | Safe, Some witness -> trace_to graph witness
-    | Safe, None -> []
+    | (Safe | Not_established), Some witness -> trace_to graph witness
+    | (Safe | Not_established), None -> []
   in
   {
     config;
     spec;
     states = Array.length graph.E.states;
     transitions = graph.E.transition_count;
-    terminals = Csr.terminal_count graph.E.csr;
+    terminals = Csr.terminal_count ~below:graph.E.expanded graph.E.csr;
     time_s = Unix.gettimeofday () -. t0;
     capped = graph.E.capped;
     safety;
@@ -150,13 +152,14 @@ let run ?max_states ?jobs config =
 let passed r =
   match r.safety, r.spec_result with
   | Safe, Spec_holds -> true
-  | (Safe | Unsafe _), _ -> false
+  | (Safe | Unsafe _ | Not_established), _ -> false
 
 let pp_report ppf r =
   let safety =
     match r.safety with
     | Safe -> "safe"
     | Unsafe { witness; reason } -> Printf.sprintf "UNSAFE: state %d: %s" witness reason
+    | Not_established -> "not established"
   in
   let spec_result =
     match r.spec_result with

@@ -7,8 +7,11 @@ open Mediactl_core
 
 (** A safety verdict carries its witness state id structurally, so
     counterexample extraction never re-parses a message or re-runs a
-    check. *)
-type safety = Safe | Unsafe of { witness : int; reason : string }
+    check.  A capped run still scans every state it discovered for
+    protocol errors, and its expanded states for the terminal
+    conditions: what it finds is [Unsafe], and otherwise its safety is
+    [Not_established]. *)
+type safety = Safe | Unsafe of { witness : int; reason : string } | Not_established
 
 type spec_result =
   | Spec_holds
@@ -20,7 +23,7 @@ type report = {
   spec : Semantics.spec;
   states : int;
   transitions : int;
-  terminals : int;
+  terminals : int;  (** expanded states with no successors *)
   time_s : float;
   capped : bool;
   safety : safety;

@@ -13,9 +13,10 @@ let iter_succ t v f =
 
 let terminal t v = out_degree t v = 0
 
-let terminal_count t =
+let terminal_count ?below t =
+  let below = Option.value below ~default:(n t) in
   let count = ref 0 in
-  for v = 0 to n t - 1 do
+  for v = 0 to below - 1 do
     if t.row.(v + 1) = t.row.(v) then incr count
   done;
   !count

@@ -29,8 +29,9 @@ val iter_succ : t -> int -> (int -> unit) -> unit
 val terminal : t -> int -> bool
 (** [out_degree t v = 0]: the state stutters forever. *)
 
-val terminal_count : t -> int
-(** Number of terminal states, in one pass over the row offsets. *)
+val terminal_count : ?below:int -> t -> int
+(** Number of terminal states among ids [0 .. below - 1] (default: all
+    of them), in one pass over the row offsets. *)
 
 val of_lists : int list array -> t
 (** Build from per-state successor lists (tests, toy graphs). *)

@@ -65,6 +65,7 @@ module Make (S : SYSTEM) = struct
     labels : S.label array;
     transition_count : int;
     capped : bool;
+    expanded : int;
   }
 
   (* ---------------------------------------------------------------- *)
@@ -117,6 +118,7 @@ module Make (S : SYSTEM) = struct
       labels = Array.sub labels.data 0 m;
       transition_count = m;
       capped = !capped;
+      expanded = !next;
     }
 
   (* ---------------------------------------------------------------- *)
@@ -321,22 +323,37 @@ module Make (S : SYSTEM) = struct
     let workers = Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> body (i + 1))) in
     body 0;
     Array.iter Domain.join workers;
-    (* Freeze: lay the shards out contiguously (the initial state's
-       owner first, so the initial state is id 0), then counting-sort
-       the merged edge set into CSR form. *)
+    (* Freeze: lay the shards' expanded states out contiguously (the
+       initial state's owner first, so the initial state is id 0), then
+       their frontiers, which only a capped run leaves unexpanded, and
+       counting-sort the merged edge set into CSR form.  A shard's
+       frontier is the last of its local ids: each level numbers the
+       states it discovers after all earlier ones. *)
     let order = Array.init jobs (fun i -> (owner0 + i) mod jobs) in
-    let offsets = Array.make jobs 0 in
+    let done_ = Array.map (fun sh -> sh.sstates.len - sh.frontier.len) shards in
+    let offsets = Array.make jobs 0 and fr_offsets = Array.make jobs 0 in
     let n = ref 0 in
     Array.iter
       (fun d ->
         offsets.(d) <- !n;
-        n := !n + shards.(d).sstates.len)
+        n := !n + done_.(d))
+      order;
+    let expanded = !n in
+    Array.iter
+      (fun d ->
+        fr_offsets.(d) <- !n;
+        n := !n + shards.(d).frontier.len)
       order;
     let n = !n in
-    let remap g = offsets.(g mod jobs) + (g / jobs) in
+    let remap g =
+      let d = g mod jobs and i = g / jobs in
+      if i < done_.(d) then offsets.(d) + i else fr_offsets.(d) + i - done_.(d)
+    in
     let states = Array.make n initial in
     Array.iteri
-      (fun d sh -> Array.blit sh.sstates.data 0 states offsets.(d) sh.sstates.len)
+      (fun d sh ->
+        Array.blit sh.sstates.data 0 states offsets.(d) done_.(d);
+        Array.blit sh.sstates.data done_.(d) states fr_offsets.(d) sh.frontier.len)
       shards;
     let m = Array.fold_left (fun acc sh -> acc + sh.esrc.len) 0 shards in
     let row = Array.make (n + 1) 0 in
@@ -373,6 +390,7 @@ module Make (S : SYSTEM) = struct
       labels;
       transition_count = m;
       capped = Array.exists Fun.id capped;
+      expanded;
     }
 
   let explore ?(max_states = 1_000_000) ?(jobs = 1) ?unpack initial =
@@ -391,7 +409,7 @@ module Make (S : SYSTEM) = struct
 
   let deadlocks graph =
     let result = ref [] in
-    for id = Csr.n graph.csr - 1 downto 0 do
+    for id = graph.expanded - 1 downto 0 do
       if Csr.terminal graph.csr id then result := id :: !result
     done;
     !result

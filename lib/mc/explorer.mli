@@ -52,6 +52,10 @@ module Make (S : SYSTEM) : sig
             [csr.dst] *)
     transition_count : int;
     capped : bool;  (** true when [max_states] was hit — results are partial *)
+    expanded : int;
+        (** states [0 .. expanded - 1] had their successors explored; the
+            rest, which only a capped run leaves, were discovered but
+            never expanded, so their empty rows in [csr] say nothing *)
   }
 
   val explore : ?max_states:int -> ?jobs:int -> ?unpack:(string -> S.state) -> S.state -> graph
@@ -79,7 +83,7 @@ module Make (S : SYSTEM) : sig
       [graph.csr] directly). *)
 
   val deadlocks : graph -> int list
-  (** Ids of states with no successors. *)
+  (** Ids of expanded states with no successors. *)
 
   val path_to : graph -> int -> (S.label option * int) list
   (** A shortest path from the initial state to the given id, as

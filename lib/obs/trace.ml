@@ -45,14 +45,16 @@ type event = { seq : int; at : float; kind : kind }
 
    The buffer is emptied by {!drain} — at the end of every recording
    bracket, and whenever a long-lived recorder asks — which snapshots
-   the entries into a self-contained {!Packed.t}.  Packed signal words
-   are per-domain artifacts that must never cross a domain boundary,
-   so the snapshot — always taken on the owning domain — rewrites each
-   into an index into a per-snapshot array of decoded (interned)
-   [Signal.t] values; the words themselves are kept beside them only
-   for the owning domain's JSONL memo.  String ids need no rewriting: a
-   snapshot shares the intern table itself (see [Packed.t]).  A packed
-   trace can then be shipped to and decoded on any domain. *)
+   the entries into a self-contained {!Packed.t}.  String ids and packed
+   signal words are per-domain artifacts that must never cross a domain
+   boundary, so the snapshot — always taken on the owning domain —
+   renumbers both, in order of first use, into indices of the
+   snapshot's own arrays of strings and decoded (interned) [Signal.t]
+   values; the ids and words themselves are kept beside them only for
+   the owning domain's JSONL memo.  A packed trace can then be shipped
+   to and decoded on any domain.  Its fields are small numbers — a tag,
+   a flag, a tunnel, a net code, an index — so it stores each in as few
+   bytes as the trace's widest field needs (see [Packed.t]). *)
 
 let stride = 7
 
@@ -130,6 +132,17 @@ type ring = {
   str_cache : (string, int) Ident_cache.t;
   mutable memo_keys : int array;  (* the JSONL memo: [stride] words per slot, empty until used *)
   mutable memo_tails : string array;  (* per slot: the line after its timestamp *)
+  mutable memo_key : int array;  (* the key of the entry being rendered *)
+  (* A drain's numbering of the strings and signals it takes; every
+     drain of the ring reuses the tables. *)
+  mutable str_local : int array;  (* intern id -> index in the snapshot, -1 between drains *)
+  mutable sig_keys : int array;
+  mutable sig_vals : int array;
+      (* by linear probing: a signal word and its index in the snapshot
+         plus one; 0 marks a free slot, and every slot is free between
+         drains *)
+  mutable drain_sids : int array;  (* index -> intern id, for the drain under way *)
+  mutable drain_words : int array;  (* index -> signal word, likewise *)
 }
 
 let fresh_ring () =
@@ -145,6 +158,12 @@ let fresh_ring () =
     str_cache = Ident_cache.create str_cache_size ~absent:(String.make 1 '\000') 0;
     memo_keys = [||];
     memo_tails = [||];
+    memo_key = [||];
+    str_local = [||];
+    sig_keys = [||];
+    sig_vals = [||];
+    drain_sids = [||];
+    drain_words = [||];
   }
 
 (* [Hashtbl.find] rather than [find_opt]: the miss path must not
@@ -155,8 +174,8 @@ let intern_str r s =
   | exception Not_found ->
     let i = r.nstrs in
     Hashtbl.add r.str_ids s i;
-    (* Growth copies into a fresh array and leaves the old one as it
-       was: snapshots taken earlier still read it (see [Packed.t]). *)
+    (* Growth copies into a fresh array; ids never move, so a capture
+       taken earlier still means what it did (see [capture]). *)
     (let cap = Array.length r.strs in
      if i >= cap then begin
        let strs =
@@ -543,42 +562,102 @@ let event_to_json e =
 (* ------------------------------------------------------------------ *)
 (* Packed traces                                                       *)
 
-module Packed = struct
-  (* A snapshot shares its domain's intern table rather than copying
-     it, so that a drain costs what it drains, not what the domain has
-     ever interned.  That is safe because of one invariant of the
-     table: it is append-only.  An id below [p_nstrs] was written
-     before the snapshot and is never written again; growth copies the
-     ids into a new array and leaves the old one as it was.  A snapshot
-     therefore reads [p_strs] only below [p_nstrs], and while the
-     recording domain keeps appending above that count, no location a
-     snapshot reads is ever written again.
+(* The fields of an entry, by shape (field 0 is the tag):
+   - signal: 1 channel, 2 tunnel, 3 box, 4 peer, 5 initiator flag,
+     6 signal;
+   - meta: 1 channel, 2 box;
+   - slot and goal: 1 to 4, four strings;
+   - net: 1 channel, 2 decision code, 3 copy count or attempt.
+   Every field a shape leaves unused is 0.  Field 1 is a string in
+   every shape.  A packed trace renumbers the string and signal fields
+   (see [number_fields]); of the others, only the tunnel and the count
+   may need more than a byte. *)
+let is_sig tg = tg = tag_sig_send || tg = tag_sig_recv
+let is_quad tg = tg = tag_slot || tg = tag_goal
 
-     [p_home] is the id of the ring whose table the string ids index
-     and whose domain packed the signal words in [p_words]; it is an
+(* The fields of a packed trace all have one width: the narrowest of 1,
+   2, 4 or 8 bytes whose signed range holds every field of the trace.
+   They are stored little-endian.  One byte is the common width, so it
+   is read and written inline. *)
+let fits w ~lo ~hi =
+  let m = 1 lsl ((8 * w) - 1) in
+  lo >= -m && hi < m
+
+let width_of ~lo ~hi =
+  if fits 1 ~lo ~hi then 1 else if fits 2 ~lo ~hi then 2 else if fits 4 ~lo ~hi then 4 else 8
+
+let get_wide s w j =
+  match w with
+  | 2 -> String.get_int16_le s (2 * j)
+  | 4 -> Int32.to_int (String.get_int32_le s (4 * j))
+  | _ -> Int64.to_int (String.get_int64_le s (8 * j))
+
+(* Field [j] of a trace, counting fields from its start. *)
+let[@inline] get_field s w j = if w = 1 then String.get_int8 s j else get_wide s w j
+
+let set_wide b w j v =
+  match w with
+  | 2 -> Bytes.set_int16_le b (2 * j) v
+  | 4 -> Bytes.set_int32_le b (4 * j) (Int32.of_int v)
+  | _ -> Bytes.set_int64_le b (8 * j) (Int64.of_int v)
+
+let[@inline] set_field b w j v = if w = 1 then Bytes.set_int8 b j v else set_wide b w j v
+
+(* The first [n] ints of [ints] as fields of width [w]: one loop per
+   width, so that no call in the loop body keeps its values off
+   registers. *)
+let encode ints n w =
+  let b = Bytes.create (n * w) in
+  (match w with
+  | 1 ->
+    (* [b] has exactly [n] bytes *)
+    for j = 0 to n - 1 do
+      Bytes.unsafe_set b j (Char.unsafe_chr (ints.(j) land 0xff))
+    done
+  | 2 ->
+    for j = 0 to n - 1 do
+      Bytes.set_int16_le b (2 * j) ints.(j)
+    done
+  | 4 ->
+    for j = 0 to n - 1 do
+      Bytes.set_int32_le b (4 * j) (Int32.of_int ints.(j))
+    done
+  | _ ->
+    for j = 0 to n - 1 do
+      Bytes.set_int64_le b (8 * j) (Int64.of_int ints.(j))
+    done);
+  b
+
+module Packed = struct
+  (* A trace holds its own tables: [p_strs] and [p_sigs] are the strings
+     and signals its entries use, each once, and an entry's string and
+     signal fields index them.  So its fields stay as small as the trace
+     is, whatever its domain has interned, and a trace shares nothing
+     mutable with the domain that recorded it.
+
+     [p_home] is the id of the ring that recorded the trace; it is an
      int, never the ring itself, which is mutable and stays on its
-     domain.  A trace whose entries come from more than one ring has
-     no home. *)
+     domain.  On the home's domain [p_sids] and [p_words] give each
+     string's intern id and each signal's [Signal_pack] word, which is
+     what the JSONL memo keys on.  A trace whose entries come from more
+     than one ring has no home, and leaves both empty. *)
   type t = {
     p_base : int;  (* sequence number of the first entry *)
-    p_len : int;
-    p_ints : int array;
-        (* [stride] words per event; the signal field of sig entries is
-           rewritten by the snapshot to index [p_sigs] *)
-    p_ats : float array;
-    p_strs : string array;  (* string id -> string, shared with the table *)
-    p_nstrs : int;  (* the ids this snapshot may read *)
-    p_sigs : Signal.t array;  (* per-snapshot: signal index -> signal *)
-    p_words : int array;  (* signal index -> its [Signal_pack] word; empty without a home *)
+    p_width : int;  (* bytes per field: 1, 2, 4 or 8 *)
+    p_fields : string;  (* [stride] fields per entry, [p_width] bytes each *)
+    p_ats : float array;  (* one timestamp per entry: its length is the trace's *)
+    p_strs : string array;  (* string index -> string *)
+    p_sigs : Signal.t array;  (* signal index -> signal *)
+    p_sids : int array;  (* string index -> its home intern id; empty without a home *)
+    p_words : int array;  (* signal index -> its home [Signal_pack] word; empty without a home *)
     p_home : int;
   }
 
-  let length t = t.p_len
+  let length t = Array.length t.p_ats
   let seq t i = t.p_base + i
-  let tag t i = t.p_ints.(i * stride)
   let at t i = t.p_ats.(i)
-
-  let field t i k = t.p_ints.((i * stride) + k)
+  let[@inline] field t i k = get_field t.p_fields t.p_width ((i * stride) + k)
+  let tag t i = field t i 0
   let str t i k = t.p_strs.(field t i k)
 
   (* Accessors for the two signal entry shapes (tags 0 and 1) — the
@@ -624,10 +703,10 @@ module Packed = struct
 
   let event t i = { seq = seq t i; at = at t i; kind = kind t i }
 
-  let to_events t = List.init t.p_len (event t)
+  let to_events t = List.init (length t) (event t)
 
   let iter f t =
-    for i = 0 to t.p_len - 1 do
+    for i = 0 to length t - 1 do
       f (event t i)
     done
 
@@ -659,49 +738,60 @@ module Packed = struct
 
   (* The JSONL memo.  On a trace's home domain, [add_jsonl] keeps each
      entry's tail — what [add_tail] writes — in a direct-mapped table in
-     the domain's ring.  The key is the entry's [stride] words with a
-     signal entry's per-snapshot index replaced by the signal's
-     [Signal_pack] word.  On its domain a key always renders the same
-     bytes: the string table is append-only and the signal tables are
-     never cleared.  An entry whose whole key sits in its slot is copied
-     from there; any other is rendered and takes the slot over.  The
-     sessions of one scenario on one domain repeat their entries' shapes,
-     and then nearly every entry is a copy. *)
+     the domain's ring.  The key is the entry's [stride] decoded fields,
+     with each string index replaced by the string's intern id and a
+     signal index by the signal's [Signal_pack] word, so that it does
+     not depend on the trace's numbering or width.  On its domain a key
+     always renders the same bytes: the string table is append-only and
+     the signal tables are never cleared.  An entry whose whole key sits
+     in its slot is copied from there; any other is rendered and takes
+     the slot over.  The sessions of one scenario on one domain repeat
+     their entries' shapes, and then nearly every entry is a copy. *)
   let memo_slots = 2048
 
   let memo_mix h x = (h lxor x) * 0x2545F4914F6CDD1D
 
-  (* Words 0 to 5 of an entry; word 6 is the signal's, and differs
-     between the entry and its key. *)
-  let rec mix_words ints base k h =
-    if k = 6 then h else mix_words ints base (k + 1) (memo_mix h ints.(base + k))
-
-  let rec same_words keys kb ints base k =
-    k = 6 || (keys.(kb + k) = ints.(base + k) && same_words keys kb ints base (k + 1))
+  let rec same_key keys kb key k =
+    k = stride || (keys.(kb + k) = key.(k) && same_key keys kb key (k + 1))
 
   let memo_init r =
     if Array.length r.memo_keys = 0 then begin
       r.memo_keys <- Array.make (memo_slots * stride) (-1);
-      r.memo_tails <- Array.make memo_slots ""
+      r.memo_tails <- Array.make memo_slots "";
+      r.memo_key <- Array.make stride 0
     end
 
+  let sid t i k = t.p_sids.(field t i k)
+
+  (* Key word [k] is [v]; returns the hash so far mixed with it. *)
+  let[@inline] put key k v h =
+    key.(k) <- v;
+    memo_mix h v
+
   let add_tail_memo b r t frags i =
-    let ints = t.p_ints and base = i * stride in
-    let tg = ints.(base) in
-    let w =
-      if tg = tag_sig_send || tg = tag_sig_recv then t.p_words.(ints.(base + 6))
-      else ints.(base + 6)
+    let key = r.memo_key and tg = tag t i in
+    let h = put key 1 (sid t i 1) (put key 0 tg 0) in
+    let h =
+      if is_sig tg then begin
+        let h = put key 3 (sid t i 3) (put key 2 (field t i 2) h) in
+        let h = put key 5 (field t i 5) (put key 4 (sid t i 4) h) in
+        put key 6 t.p_words.(field t i 6) h
+      end
+      else begin
+        let net = tg = tag_net and quad = is_quad tg in
+        let h = put key 2 (if net then field t i 2 else sid t i 2) h in
+        let h = put key 3 (if net then field t i 3 else if quad then sid t i 3 else 0) h in
+        let h = put key 4 (if quad then sid t i 4 else 0) h in
+        put key 6 0 (put key 5 0 h)
+      end
     in
-    let h = memo_mix (mix_words ints base 0 0) w in
     let slot = (h lxor (h lsr 32)) land (memo_slots - 1) in
     let keys = r.memo_keys and kb = slot * stride in
-    if same_words keys kb ints base 0 && keys.(kb + 6) = w then
-      Buffer.add_string b r.memo_tails.(slot)
+    if same_key keys kb key 0 then Buffer.add_string b r.memo_tails.(slot)
     else begin
       let start = Buffer.length b in
       add_tail b t frags i;
-      Array.blit ints base keys kb 6;
-      keys.(kb + 6) <- w;
+      Array.blit key 0 keys kb stride;
       r.memo_tails.(slot) <- Buffer.sub b start (Buffer.length b - start)
     end
 
@@ -710,7 +800,7 @@ module Packed = struct
     let r = (ctx ()).ring in
     let home = t.p_home = r.r_id in
     if home then memo_init r;
-    for i = 0 to t.p_len - 1 do
+    for i = 0 to length t - 1 do
       add_stamp b ~seq:(seq t i) ~at:(at t i);
       if home then add_tail_memo b r t frags i else add_tail b t frags i
     done
@@ -718,149 +808,208 @@ module Packed = struct
   let empty =
     {
       p_base = 0;
-      p_len = 0;
-      p_ints = [||];
+      p_width = 1;
+      p_fields = "";
       p_ats = [||];
       p_strs = [||];
-      p_nstrs = 0;
       p_sigs = [||];
+      p_sids = [||];
       p_words = [||];
       p_home = no_home;
     }
   [@@lint.allow "race: the arrays are zero-length — nothing to mutate, safe to share"]
 
-  (* The string table of two traces with no common home: [a]'s up to
-     its count, then each string of [b]'s that [a] lacks.  Returns it
-     with its count and the map from [b]'s ids to its own. *)
-  let merge_strs a b =
-    let ids : (string, int) Hashtbl.t = Hashtbl.create a.p_nstrs in
-    for i = 0 to a.p_nstrs - 1 do
-      if not (Hashtbl.mem ids a.p_strs.(i)) then Hashtbl.add ids a.p_strs.(i) i
-    done;
-    let extra = ref [] in
-    let nstrs = ref a.p_nstrs in
-    let remap =
-      Array.init b.p_nstrs (fun j ->
-          let s = b.p_strs.(j) in
-          match Hashtbl.find_opt ids s with
-          | Some i -> i
-          | None ->
-            let i = !nstrs in
-            Hashtbl.add ids s i;
-            extra := s :: !extra;
-            incr nstrs;
-            i)
-    in
-    (Array.append (Array.sub a.p_strs 0 a.p_nstrs) (Array.of_list (List.rev !extra)), !nstrs, remap)
+  (* The fields of [src], [sw] bytes each, into [dst] at width [w] from
+     field [off] on. *)
+  let copy_fields src sw dst w ~off =
+    if sw = w then Bytes.blit_string src 0 dst (off * w) (String.length src)
+    else
+      for j = 0 to (String.length src / sw) - 1 do
+        set_field dst w (off + j) (get_field src sw j)
+      done
 
-  (* Rewrite the string ids of the entry at [base] through [remap]. *)
-  let remap_entry ints base remap =
-    let tg = ints.(base) in
-    let s k = ints.(base + k) <- remap.(ints.(base + k)) in
-    if tg = tag_sig_send || tg = tag_sig_recv then begin
-      s 1;
-      s 3;
-      s 4
-    end
-    else if tg = tag_meta_send || tg = tag_meta_recv then begin
-      s 1;
-      s 2
-    end
-    else if tg = tag_slot || tg = tag_goal then begin
-      s 1;
-      s 2;
-      s 3;
-      s 4
-    end
-    else s 1
+  let bump b w j d = set_field b w j (get_field (Bytes.unsafe_to_string b) w j + d)
 
-  (* Join two snapshots into one trace, numbered on from [a]'s first
-     entry; timestamps are kept verbatim (the segments come from
-     consecutive recording brackets over one session clock), and [b]'s
-     signal indices move past [a]'s signals.  Two segments with one home
-     read one append-only table, so the join keeps whichever snapshot of
-     it has the larger count — every id of either is valid there — and
-     keeps the home.  Any other pair has [b]'s string ids rewritten
-     against a merged table, and no home. *)
+  (* Join two traces into one, numbered on from [a]'s first entry;
+     timestamps are kept verbatim (the segments come from consecutive
+     recording brackets over one session clock).  The tables are
+     concatenated and [b]'s indices move past [a]'s.  Each trace's width
+     is the narrowest for its own fields, and [b]'s other fields do not
+     move, so the join's width is the wider of the two unless the moved
+     indices need more.  Two segments with one home keep it, with their
+     intern ids and words; any other pair has no home. *)
   let append a b =
-    if a.p_len = 0 then b
-    else if b.p_len = 0 then a
+    if length a = 0 then b
+    else if length b = 0 then a
     else begin
-      let len = a.p_len + b.p_len in
-      let ints = Array.make (len * stride) 0 in
-      Array.blit a.p_ints 0 ints 0 (a.p_len * stride);
-      Array.blit b.p_ints 0 ints (a.p_len * stride) (b.p_len * stride);
-      let sig_off = Array.length a.p_sigs in
-      for i = a.p_len to len - 1 do
-        let base = i * stride in
-        let tg = ints.(base) in
-        if tg = tag_sig_send || tg = tag_sig_recv then
-          ints.(base + 6) <- ints.(base + 6) + sig_off
+      let la = length a and lb = length b in
+      let nstrs = Array.length a.p_strs and nsigs = Array.length a.p_sigs in
+      let top = Int.max (nstrs + Array.length b.p_strs) (nsigs + Array.length b.p_sigs) - 1 in
+      let w = Int.max (Int.max a.p_width b.p_width) (width_of ~lo:0 ~hi:top) in
+      let fields = Bytes.create ((la + lb) * stride * w) in
+      copy_fields a.p_fields a.p_width fields w ~off:0;
+      copy_fields b.p_fields b.p_width fields w ~off:(la * stride);
+      for i = 0 to lb - 1 do
+        let tg = tag b i and j = (la + i) * stride in
+        bump fields w (j + 1) nstrs;
+        if is_sig tg then begin
+          bump fields w (j + 3) nstrs;
+          bump fields w (j + 4) nstrs;
+          bump fields w (j + 6) nsigs
+        end
+        else if tg <> tag_net then begin
+          bump fields w (j + 2) nstrs;
+          if is_quad tg then begin
+            bump fields w (j + 3) nstrs;
+            bump fields w (j + 4) nstrs
+          end
+        end
       done;
-      let strs, nstrs, words, home =
-        if a.p_home <> no_home && a.p_home = b.p_home then begin
-          let larger = if a.p_nstrs >= b.p_nstrs then a else b in
-          (larger.p_strs, larger.p_nstrs, Array.append a.p_words b.p_words, a.p_home)
-        end
-        else begin
-          let strs, nstrs, remap = merge_strs a b in
-          for i = a.p_len to len - 1 do
-            remap_entry ints (i * stride) remap
-          done;
-          (strs, nstrs, [||], no_home)
-        end
-      in
+      let home = a.p_home <> no_home && a.p_home = b.p_home in
       {
         p_base = a.p_base;
-        p_len = len;
-        p_ints = ints;
+        p_width = w;
+        p_fields = Bytes.unsafe_to_string fields;
         p_ats = Array.append a.p_ats b.p_ats;
-        p_strs = strs;
-        p_nstrs = nstrs;
+        p_strs = Array.append a.p_strs b.p_strs;
         p_sigs = Array.append a.p_sigs b.p_sigs;
-        p_words = words;
-        p_home = home;
+        p_sids = (if home then Array.append a.p_sids b.p_sids else [||]);
+        p_words = (if home then Array.append a.p_words b.p_words else [||]);
+        p_home = (if home then a.p_home else no_home);
       }
     end
 end
 
-(* Snapshot the ring's entries.  Must run on the domain that recorded
-   (signal words are domain-local).  Linear in the entries it takes:
-   the intern table is shared, not copied. *)
-let snapshot ~base r =
-  let len = r.rlen in
-  let ints = Array.sub r.ints 0 (len * stride) in
-  let ats = Array.sub r.ats 0 len in
-  let sig_idx : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let words_rev = ref [] in
-  let nsigs = ref 0 in
-  for i = 0 to len - 1 do
-    let base = i * stride in
-    let tg = ints.(base) in
-    if tg = tag_sig_send || tg = tag_sig_recv then begin
-      let word = ints.(base + 6) in
-      let idx =
-        match Hashtbl.find_opt sig_idx word with
-        | Some idx -> idx
-        | None ->
-          let idx = !nsigs in
-          Hashtbl.add sig_idx word idx;
-          words_rev := word :: !words_rev;
-          incr nsigs;
-          idx
-      in
-      ints.(base + 6) <- idx
+let rec probe r w mask h =
+  if r.sig_vals.(h) = 0 || r.sig_keys.(h) = w then h else probe r w mask ((h + 1) land mask)
+
+(* The slot of signal word [w] in the drain's numbering table: where it
+   is, or the free slot where it goes. *)
+let sig_slot r w =
+  let mask = Array.length r.sig_keys - 1 and h = w * 0x2545F4914F6CDD1D in
+  probe r w mask ((h lxor (h lsr 32)) land mask)
+
+(* Double the signal table, at least to 64 slots, and put back the
+   drain's first [nsigs] words in the order they were taken. *)
+let sig_grow r nsigs =
+  let cap = Int.max 64 (2 * Array.length r.sig_keys) in
+  r.sig_keys <- Array.make cap 0;
+  r.sig_vals <- Array.make cap 0;
+  for g = 0 to nsigs - 1 do
+    let h = sig_slot r r.drain_words.(g) in
+    r.sig_keys.(h) <- r.drain_words.(g);
+    r.sig_vals.(h) <- g + 1
+  done
+
+(* [arr], doubled when it has no room at [n]. *)
+let room arr n =
+  if n < Array.length arr then arr
+  else begin
+    let grown = Array.make (Int.max 64 (2 * n)) 0 in
+    Array.blit arr 0 grown 0 n;
+    grown
+  end
+
+(* The drain's index of string id [v] and of signal word [v]: the one it
+   was given, or the next, [!n], if the drain has not met it.
+   [str_local] is [r.str_local]. *)
+let new_str r n v =
+  if !n >= Array.length r.drain_sids then r.drain_sids <- room r.drain_sids !n;
+  r.drain_sids.(!n) <- v;
+  r.str_local.(v) <- !n;
+  incr n;
+  !n - 1
+
+let[@inline] str_index str_local r n v =
+  let s = str_local.(v) in
+  if s >= 0 then s else new_str r n v
+
+let sig_index r n v =
+  let h = sig_slot r v in
+  if r.sig_vals.(h) > 0 then r.sig_vals.(h) - 1
+  else begin
+    let h =
+      if 2 * (!n + 1) <= Array.length r.sig_keys then h
+      else begin
+        sig_grow r !n;
+        sig_slot r v
+      end
+    in
+    r.sig_keys.(h) <- v;
+    if !n >= Array.length r.drain_words then r.drain_words <- room r.drain_words !n;
+    r.drain_words.(!n) <- v;
+    incr n;
+    r.sig_vals.(h) <- !n;
+    !n - 1
+  end
+
+(* Replace the string and signal fields of the ring's entries by their
+   index in the snapshot, numbered in order of first use, and return the
+   number of strings and signals.  [lo] and [hi] take the range of the
+   plain fields that may need more than a byte: a signal entry's tunnel
+   and a net entry's count.  The others — tags, flags, net codes and
+   unused zeros — always fit one. *)
+let number_fields r ~lo ~hi =
+  let ints = r.ints and nstrs = ref 0 and nsigs = ref 0 in
+  if Array.length r.str_local < r.nstrs then r.str_local <- Array.make (Array.length r.strs) (-1);
+  if Array.length r.sig_keys = 0 then sig_grow r 0;
+  let str_local = r.str_local in
+  for i = 0 to r.rlen - 1 do
+    let j = i * stride in
+    let tg = ints.(j) in
+    ints.(j + 1) <- str_index str_local r nstrs ints.(j + 1);
+    if is_sig tg then begin
+      ints.(j + 3) <- str_index str_local r nstrs ints.(j + 3);
+      ints.(j + 4) <- str_index str_local r nstrs ints.(j + 4);
+      ints.(j + 6) <- sig_index r nsigs ints.(j + 6);
+      lo := Int.min !lo ints.(j + 2);
+      hi := Int.max !hi ints.(j + 2)
+    end
+    else if tg = tag_net then begin
+      lo := Int.min !lo ints.(j + 3);
+      hi := Int.max !hi ints.(j + 3)
+    end
+    else begin
+      ints.(j + 2) <- str_index str_local r nstrs ints.(j + 2);
+      if is_quad tg then begin
+        ints.(j + 3) <- str_index str_local r nstrs ints.(j + 3);
+        ints.(j + 4) <- str_index str_local r nstrs ints.(j + 4)
+      end
     end
   done;
-  let words = Array.of_list (List.rev !words_rev) in
+  (!nstrs, !nsigs)
+
+(* Snapshot the ring's entries.  Must run on the domain that recorded
+   (string ids and signal words are domain-local), and only as the ring
+   is emptied: it numbers the entries' strings and signals in place.
+   Linear in the entries it takes: one pass numbers them and finds the
+   width, one writes the fields at it, and the numbering tables are
+   freed for the next drain. *)
+let snapshot ~base r =
+  let len = r.rlen and lo = ref 0 and hi = ref 0 in
+  let nstrs, nsigs = number_fields r ~lo ~hi in
+  let w = width_of ~lo:!lo ~hi:(Int.max !hi (Int.max nstrs nsigs - 1)) in
+  let fields = encode r.ints (len * stride) w in
+  let sids = Array.sub r.drain_sids 0 nstrs and words = Array.sub r.drain_words 0 nsigs in
+  let strs = Array.make nstrs "" in
+  for k = 0 to nstrs - 1 do
+    strs.(k) <- r.strs.(sids.(k));
+    r.str_local.(sids.(k)) <- -1
+  done;
+  (* Free the signals' slots in the reverse of the order they were
+     taken: every slot a word's probe passed when it was taken is still
+     taken when the word is looked up to be freed. *)
+  for g = nsigs - 1 downto 0 do
+    r.sig_vals.(sig_slot r words.(g)) <- 0
+  done;
   {
     Packed.p_base = base;
-    p_len = len;
-    p_ints = ints;
-    p_ats = ats;
-    p_strs = r.strs;
-    p_nstrs = r.nstrs;
+    p_width = w;
+    p_fields = Bytes.unsafe_to_string fields;
+    p_ats = Array.sub r.ats 0 len;
+    p_strs = strs;
     p_sigs = Array.map Signal_pack.unpack words;
+    p_sids = sids;
     p_words = words;
     p_home = r.r_id;
   }

@@ -113,7 +113,18 @@ val reset_clock : unit -> unit
     self-contained snapshot whose entries decode without the recording
     domain, safe to ship across domains.  Entry [i] of a packed trace is
     numbered [seq = Packed.seq t i], counting from the start of the
-    bracket. *)
+    bracket.
+
+    Cost.  A packed trace keeps the strings and signals its entries use,
+    each once, and an entry's seven fields — its tag, its string and
+    signal indices, and its plain ints — in one immutable byte string,
+    at one width per trace: the narrowest of 1, 2, 4 or 8 bytes that
+    holds the trace's widest field.  A trace's indices count only what
+    it holds, not what its domain has interned, so a session's trace
+    needs one byte per field unless it holds more than 128 distinct
+    strings or signals, or a tunnel number or net count outside -128 to
+    127.  An entry then costs 7 bytes and its timestamp 8; the accessors
+    decode a field in place and allocate nothing. *)
 
 module Packed : sig
   type t
@@ -187,12 +198,13 @@ module Packed : sig
       churned session's setup and teardown recording brackets are
       joined into one session trace at retirement.
 
-      Cost.  Two segments recorded on one domain share its string
-      table, so their join copies their entries and nothing else, and
-      keeps rendering on that domain through the memo of
-      {!add_jsonl}.  Segments from two domains are joined by rewriting
-      [b]'s string ids against a table merged from both, which costs
-      time and space in the two tables' sizes. *)
+      Cost.  The join copies both traces' entries, writing them at the
+      width the joined fields need ([b]'s indices move past [a]'s), and
+      concatenates their string and signal tables: it costs what the two
+      traces hold, whichever domains recorded them and however much
+      those domains have interned.  Two segments recorded on one domain
+      keep rendering on it through the memo of {!add_jsonl}; a join of
+      two domains' segments renders field by field. *)
 end
 
 val recording_packed : (unit -> 'a) -> 'a * Packed.t

@@ -255,6 +255,38 @@ let test_wallclock_stop () =
 (* A whole session — the simulator's Pathlab open/open handshake —
    booted onto the wall clock through [Session.boot_external]: the same
    boot closure, goals, and monitor, real time instead of virtual. *)
+(* [Unix.select] fails with EINVAL on a descriptor numbered 1024 or
+   more, which a daemon with many connections is given.  The loop must
+   serve one, and keep firing its timers: the read end of a pipe is
+   moved onto descriptor 1100 (on Unix a [file_descr] is its number). *)
+let test_wallclock_high_fd () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let high : Unix.file_descr = Obj.magic 1100 in
+  Unix.dup2 ~cloexec:true r high;
+  Unix.close r;
+  let loop = Wallclock.create () in
+  let read = ref false and ticks = ref 0 in
+  Wallclock.on_readable loop high (fun () ->
+      ignore (Unix.read high (Bytes.create 1) 0 1);
+      read := true;
+      Wallclock.remove_fd loop high);
+  (* ticks every 2 ms until the pipe has been read and five have fired,
+     giving up after a thousand *)
+  let rec tick () =
+    incr ticks;
+    if (!read && !ticks >= 5) || !ticks >= 1000 then Wallclock.stop loop
+    else Wallclock.after loop ~delay:2.0 tick
+  in
+  Wallclock.after loop ~delay:2.0 tick;
+  Wallclock.after loop ~delay:3.0 (fun () -> ignore (Unix.write_substring w "x" 0 1));
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close high;
+      Unix.close w)
+    (fun () -> Wallclock.run loop);
+  check tbool "the callback on descriptor 1100 ran" true !read;
+  check tbool "timers kept firing" true (!ticks >= 5 && !ticks < 1000)
+
 let test_session_on_wallclock () =
   let loop = Wallclock.create () in
   let session =
@@ -699,6 +731,7 @@ let () =
         [
           Alcotest.test_case "timers fire in delay order" `Quick test_wallclock_timer_order;
           Alcotest.test_case "stop ends the loop" `Quick test_wallclock_stop;
+          Alcotest.test_case "a descriptor above 1024 is served" `Quick test_wallclock_high_fd;
           Alcotest.test_case "session boots on the wall clock" `Quick test_session_on_wallclock;
         ] );
       ( "live",

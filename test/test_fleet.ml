@@ -315,6 +315,25 @@ let test_packed_append () =
   check tbool "append onto empty is identity" true
     (T.Packed.append T.Packed.empty a == a && T.Packed.append a T.Packed.empty == a)
 
+(* What a batch's traces hold, per entry: every word reachable from them
+   — entries, timestamps, their string and signal tables, and the
+   strings and signals themselves, counted once however many traces
+   share them — over the number of entries.  A fleet keeps one trace
+   per outcome, so this is most of a finished batch's heap. *)
+let test_trace_words_per_entry () =
+  let outcomes, _ =
+    Fleet.run ~jobs:1 ~until:60_000.0 ~sessions:256 ~seed:100 (fun ~id ~rng ->
+        Scenario.session ~loss:0.05 Scenario.Mixed ~id ~rng)
+  in
+  let traces = Array.of_list (List.map (fun o -> o.Session.trace) outcomes) in
+  let entries = Array.fold_left (fun n t -> n + Obs.Trace.Packed.length t) 0 traces in
+  let words = Obj.reachable_words (Obj.repr traces) - (Array.length traces + 1) in
+  let per_entry = float_of_int words /. float_of_int entries in
+  check tbool
+    (Printf.sprintf "%d words for %d entries: %.2f words per entry, at most 3.2" words entries
+       per_entry)
+    true (per_entry <= 3.2)
+
 (* --- churn -------------------------------------------------------------- *)
 
 (* The churn acceptance property: interleaved create/retire with slot
@@ -661,6 +680,8 @@ let () =
         [
           Alcotest.test_case "slot recycling scrubs cells" `Quick test_spool_recycles;
           Alcotest.test_case "packed append joins brackets" `Quick test_packed_append;
+          Alcotest.test_case "packed traces cost at most 3.2 words per entry" `Quick
+            test_trace_words_per_entry;
         ] );
       ( "churn",
         [

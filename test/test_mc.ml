@@ -253,7 +253,9 @@ let test_unrestricted_dup_finds_violation () =
   let r = run_faulted faults Semantics.Open_end Semantics.Hold_end in
   check tbool "found" false (Check.passed r);
   check tbool "safety violation" true
-    (match r.Check.safety with Check.Unsafe _ -> true | Check.Safe -> false);
+    (match r.Check.safety with
+    | Check.Unsafe _ -> true
+    | Check.Safe | Check.Not_established -> false);
   check tbool "counterexample" true (r.Check.counterexample <> [])
 
 let test_unrestricted_loss_finds_violation () =
@@ -261,6 +263,52 @@ let test_unrestricted_loss_finds_violation () =
   let faults = { Path_model.losses = 1; dups = 0; unrestricted = true } in
   let r = run_faulted faults Semantics.Open_end Semantics.Hold_end in
   check tbool "found" false (Check.passed r)
+
+(* A capped run reports what it found and nothing it did not check.
+   Both configurations stop at their cap; at jobs 2 the first one has
+   already expanded a terminal state with a half-open slot, and
+   discovered the protocol error the uncapped run reports, so it is
+   unsafe.  Every other row finds nothing, which establishes nothing.
+   Terminals are counted among expanded states only; counting the
+   frontier's empty rows as well gave 8 and 210 at jobs 2. *)
+let test_capped_reports () =
+  let safety = function
+    | Check.Safe -> "safe"
+    | Check.Unsafe { witness; reason } -> Printf.sprintf "UNSAFE: state %d: %s" witness reason
+    | Check.Not_established -> "not established"
+  in
+  let row ~jobs ~max_states config =
+    let r = Check.run ~jobs ~max_states config in
+    check tbool "capped" true r.Check.capped;
+    check tbool "not passed" false (Check.passed r);
+    Printf.sprintf "%d states %d terminals safety:%s" r.Check.states r.Check.terminals
+      (safety r.Check.safety)
+  in
+  let lossy =
+    Path_model.path_config
+      ~faults:{ Path_model.losses = 1; dups = 0; unrestricted = true }
+      ~left:Semantics.Open_end ~right:Semantics.Open_end ~flowlinks:0 ~chaos:0 ~modifies:0 ()
+  in
+  let flowlink =
+    Path_model.path_config ~left:Semantics.Open_end ~right:Semantics.Open_end ~flowlinks:1
+      ~chaos:1 ~modifies:0 ()
+  in
+  check tstring "lossy, 20 states, jobs 1" "23 states 0 terminals safety:not established"
+    (row ~jobs:1 ~max_states:20 lossy);
+  check tstring "lossy, 20 states, jobs 2"
+    "26 states 1 terminals safety:UNSAFE: state 17: terminal state with a half-open slot"
+    (row ~jobs:2 ~max_states:20 lossy);
+  check tstring "flowlink, 500 states, jobs 1" "500 states 0 terminals safety:not established"
+    (row ~jobs:1 ~max_states:500 flowlink);
+  check tstring "flowlink, 500 states, jobs 2" "630 states 0 terminals safety:not established"
+    (row ~jobs:2 ~max_states:500 flowlink);
+  let uncapped = Check.run ~jobs:2 lossy in
+  check tstring "uncapped lossy, jobs 2"
+    "UNSAFE: state 9: protocol error: unexpected select in state opening"
+    (safety uncapped.Check.safety);
+  let g = CE.explore ~max_states:3 0 in
+  check tint "a capped explorer expanded what it counted" 2 g.CE.expanded;
+  check tint "an uncapped one expanded every state" 6 (CE.explore 0).CE.expanded
 
 (* --- parallel determinism --------------------------------------------- *)
 
@@ -272,6 +320,7 @@ let test_unrestricted_loss_finds_violation () =
 let safety_fingerprint = function
   | Check.Safe -> "safe"
   | Check.Unsafe _ -> "unsafe"
+  | Check.Not_established -> "not established"
 
 let spec_fingerprint = function
   | Check.Spec_holds -> "holds"
@@ -595,6 +644,8 @@ let () =
             test_fault_budget_grows_state_space;
           Alcotest.test_case "unrestricted dup violates" `Quick
             test_unrestricted_dup_finds_violation;
+          Alcotest.test_case "capped runs report only what they checked" `Quick
+            test_capped_reports;
           Alcotest.test_case "unrestricted loss violates" `Quick
             test_unrestricted_loss_finds_violation;
         ] );

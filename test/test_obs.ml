@@ -490,6 +490,120 @@ let test_append_cost_flat () =
     (Printf.sprintf "%.0f words to join before, %.0f after 50,000 more strings" small big)
     true (big <= small)
 
+(* --- field widths -------------------------------------------------------- *)
+
+(* A packed trace stores every field at the narrowest of 1, 2, 4 or 8
+   bytes that holds its widest field, signed.  Its string fields index
+   the trace's own strings, so [distinct n] — entries over [n + 1]
+   distinct strings, the first [n] new on the domain — needs 1 byte up
+   to [n] = 127, 2 bytes up to 32,767 and 4 bytes beyond; a tunnel
+   number needs what its value needs.  Every width must render what
+   the reference renders. *)
+let distinct ?(prefix = "w") n =
+  List.init n (fun i ->
+      (Trace.Meta_send { chan = Printf.sprintf "%s%d" prefix i; box = "b" }, float_of_int i))
+
+let tunnel tun =
+  let s =
+    {
+      Trace.chan = "c";
+      tun;
+      box = "A";
+      peer = "B";
+      initiator = false;
+      signal = Signal.Close;
+    }
+  in
+  [ (Trace.Sig_send s, 1.0); (Trace.Net { chan = "c"; decision = Trace.Passed 1 }, 2.0) ]
+
+let renders_reference entries = String.equal (jsonl (record entries)) (reference entries)
+
+let test_widths_render () =
+  let strings, tunnels =
+    on_fresh_domain (fun () ->
+        ( List.map (fun n -> (n, renders_reference (distinct n))) [ 127; 128; 32_767; 32_768 ],
+          List.map
+            (fun tun -> (tun, renders_reference (tunnel tun)))
+            [
+              127; 128; -128; -129; 32_767; 32_768; -32_768; -32_769; (1 lsl 31) - 1; 1 lsl 31;
+              -(1 lsl 31); -(1 lsl 31) - 1; max_int; min_int;
+            ] ))
+  in
+  List.iter
+    (fun (n, ok) -> check tbool (Printf.sprintf "%d new strings" n) true ok)
+    strings;
+  List.iter (fun (tun, ok) -> check tbool (Printf.sprintf "tunnel %d" tun) true ok) tunnels
+
+(* [append] re-encodes at the width the joined fields need: a join of
+   two 1-byte traces of 100 strings each moves the second's string
+   indices to 100–199, past 1 byte; a narrow trace joined before or
+   after a wide one takes its width.  Each join is rendered on its home
+   domain (cold, then from the memo), on another domain, and joined
+   across two domains. *)
+let test_append_widths () =
+  let pairs =
+    [
+      ("two narrow, joined past 1 byte", distinct ~prefix:"a" 100, distinct ~prefix:"b" 100);
+      ("narrow then 2 bytes", distinct ~prefix:"a" 10, distinct ~prefix:"b" 300);
+      ("2 bytes then narrow", distinct ~prefix:"a" 300, distinct ~prefix:"b" 10);
+      ("narrow then 4 bytes", distinct ~prefix:"a" 10, tunnel 70_000);
+      ("8 bytes then 2 bytes", tunnel (1 lsl 40), distinct ~prefix:"b" 200);
+    ]
+  in
+  let on_one_home, joined =
+    on_fresh_domain (fun () ->
+        List.map
+          (fun (what, a, b) ->
+            let p = Trace.Packed.append (record a) (record b) in
+            let cold = jsonl p in
+            let warm = jsonl p in
+            (what, String.equal cold (reference (a @ b)) && String.equal warm cold))
+          pairs,
+        List.map (fun (_, a, b) -> Trace.Packed.append (record a) (record b)) pairs)
+  in
+  let firsts = on_fresh_domain (fun () -> List.map (fun (_, a, _) -> record a) pairs) in
+  List.iter (fun (what, ok) -> check tbool ("one home: " ^ what) true ok) on_one_home;
+  List.iter2
+    (fun (what, a, b) p ->
+      check tbool ("rendered off its home: " ^ what) true
+        (String.equal (jsonl p) (reference (a @ b))))
+    pairs joined;
+  List.iter2
+    (fun (what, a, b) first ->
+      let p = Trace.Packed.append first (record b) in
+      check tbool ("two homes: " ^ what) true (String.equal (jsonl p) (reference (a @ b))))
+    pairs firsts
+
+(* A capture keeps the ring's raw entries, whatever width the traces
+   around it are packed at: entries over strings interned after 40,000
+   others, and a tunnel that needs 4 bytes, replayed into a narrow
+   bracket, render as the reference renders them there. *)
+let test_capture_replay_widths () =
+  let captured = distinct ~prefix:"late" 3 @ tunnel 70_000 in
+  let at7 entries = List.map (fun (k, _) -> (k, 7.0)) entries in
+  let ok =
+    on_fresh_domain (fun () ->
+        ignore
+          (Trace.recording_packed (fun () ->
+               for i = 0 to 39_999 do
+                 Trace.meta_send ~chan:(Printf.sprintf "early%d" i) ~box:"b"
+               done));
+        let emit_all () = List.iter (fun (k, _) -> Trace.emit k) captured in
+        let (_, cap), first = Trace.recording_packed (fun () -> Trace.capture emit_all) in
+        let x = (Trace.Meta_send { chan = "x"; box = "A" }, 7.0) in
+        let y = (Trace.Meta_recv { chan = "y"; box = "B" }, 7.0) in
+        let (), later =
+          Trace.recording_packed (fun () ->
+              Trace.set_clock (fun () -> 7.0);
+              Trace.emit (fst x);
+              Trace.replay cap;
+              Trace.emit (fst y))
+        in
+        String.equal (jsonl first) (reference (List.map (fun (k, _) -> (k, 0.0)) captured))
+        && String.equal (jsonl later) (reference ((x :: at7 captured) @ [ y ])))
+  in
+  check tbool "captured and replayed entries render as the reference" true ok
+
 (* --- drains and the live monitor ----------------------------------------- *)
 
 (* A signal from a box that is neither end of a tunnel the run has
@@ -945,6 +1059,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_json_matches_reference;
           Alcotest.test_case "jsonl memo eviction" `Quick test_jsonl_memo_eviction;
           Alcotest.test_case "same-domain append cost is flat" `Quick test_append_cost_flat;
+          Alcotest.test_case "every field width renders the reference" `Quick test_widths_render;
+          Alcotest.test_case "append re-encodes at the joined width" `Quick test_append_widths;
+          Alcotest.test_case "capture and replay across widths" `Quick
+            test_capture_replay_widths;
           QCheck_alcotest.to_alcotest prop_intern_caches;
           QCheck_alcotest.to_alcotest prop_drains_match_one_bracket;
           Alcotest.test_case "ring growth and reuse" `Quick test_ring_growth_and_reuse;
