@@ -210,14 +210,14 @@ let verify_trace scenario ~loss ~left ~right ~flowlinks trace =
          check the structural form — the one the model checker itself
          uses when exploring with fault budgets. *)
       let structural = loss > 0.0 in
-      let obligation = Mediactl_core.Semantics.obligation left right in
+      let obligation = Mediactl_core.Semantics.spec_of left right in
       let v =
         Obs.Monitor.judge
           { Obs.Monitor.structural; obligation; legs = [ Pathlab.ends ~flowlinks ] }
           monitor
       in
       Format.printf "obligation %s%s: %a@."
-        (Obs.Monitor.obligation_to_string obligation)
+        (Mediactl_core.Semantics.spec_to_string obligation)
         (if structural then " (structural)" else "")
         Obs.Monitor.pp_verdict v;
       (match v with Obs.Monitor.Violated _ -> false | _ -> true)

@@ -141,7 +141,7 @@ let path ?n ?c ~loss ~id ~rng () =
   Session.create ?n ?c ~id ~scenario:"path" ~rng
     ~judge:
       (judged ~loss
-         (Semantics.obligation Semantics.Open_end Semantics.Open_end)
+         (Semantics.spec_of Semantics.Open_end Semantics.Open_end)
          [ Pathlab.ends ~flowlinks:0 ])
     ~boot:(fun t ->
       attach_loss ~loss t;

@@ -8,7 +8,7 @@ let pp_end_kind ppf = function
   | Close_end -> Format.pp_print_string ppf "closeslot"
   | Hold_end -> Format.pp_print_string ppf "holdslot"
 
-type spec =
+type spec = Mediactl_obs.Monitor.obligation =
   | Eventually_always_closed
   | Eventually_always_not_flowing
   | Always_eventually_flowing
@@ -21,20 +21,11 @@ let spec_of a b =
   | Open_end, (Open_end | Hold_end) | Hold_end, Open_end -> Always_eventually_flowing
   | Hold_end, Hold_end -> Closed_or_flowing
 
-let obligation a b =
-  match spec_of a b with
-  | Eventually_always_closed -> Mediactl_obs.Monitor.Eventually_always_closed
-  | Eventually_always_not_flowing -> Mediactl_obs.Monitor.Eventually_always_not_flowing
-  | Always_eventually_flowing -> Mediactl_obs.Monitor.Always_eventually_flowing
-  | Closed_or_flowing -> Mediactl_obs.Monitor.Closed_or_flowing
-
 let spec_to_string = function
   | Eventually_always_closed -> "<>[] bothClosed"
   | Eventually_always_not_flowing -> "<>[] !bothFlowing"
   | Always_eventually_flowing -> "[]<> bothFlowing"
   | Closed_or_flowing -> "(<>[] bothClosed) \\/ ([]<> bothFlowing)"
-
-let pp_spec ppf s = Format.pp_print_string ppf (spec_to_string s)
 
 let both_closed ~left ~right = Slot.is_closed left && Slot.is_closed right
 

@@ -27,8 +27,9 @@ type end_kind = Open_end | Close_end | Hold_end
 
 val pp_end_kind : Format.formatter -> end_kind -> unit
 
-(** The four distinct temporal specifications. *)
-type spec =
+(** The four distinct temporal specifications: the obligations the
+    runtime monitor judges a path's trace against. *)
+type spec = Mediactl_obs.Monitor.obligation =
   | Eventually_always_closed  (** [◇□ bothClosed] *)
   | Eventually_always_not_flowing  (** [◇□ ¬bothFlowing] *)
   | Always_eventually_flowing  (** [□◇ bothFlowing] *)
@@ -38,12 +39,7 @@ type spec =
 val spec_of : end_kind -> end_kind -> spec
 (** The specification governing a path with the given end controls. *)
 
-val obligation : end_kind -> end_kind -> Mediactl_obs.Monitor.obligation
-(** {!spec_of} as the obligation the runtime monitor judges a path's
-    trace against. *)
-
 val spec_to_string : spec -> string
-val pp_spec : Format.formatter -> spec -> unit
 
 val both_closed : left:Slot.t -> right:Slot.t -> bool
 

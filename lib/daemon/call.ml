@@ -306,7 +306,7 @@ let verdict t =
   Monitor.judge
     {
       Monitor.structural = false;
-      obligation = Semantics.obligation t.c_left_kind t.c_right_kind;
+      obligation = Semantics.spec_of t.c_left_kind t.c_right_kind;
       legs = [ ends ];
     }
     m

@@ -30,7 +30,6 @@ type request =
 val parse : string -> (request, string) result
 val render : request -> string
 
-val kind_of_string : string -> Semantics.end_kind option
 val kind_to_string : Semantics.end_kind -> string
 val what_to_string : [ `Flowing | `Closed ] -> string
 

@@ -39,9 +39,6 @@ let magic = "MCW1"
 let max_payload = 0xFFFF
 let max_string = 1024
 
-let chan_of = function
-  | Hello { chan; _ } | Signal_f { chan; _ } | Bye { chan } -> chan
-
 (* ------------------------------------------------------------------ *)
 (* Encoding                                                            *)
 

@@ -35,13 +35,10 @@ val magic : string
     from newline-ASCII control clients on the same port. *)
 
 val max_payload : int
-val max_string : int
-
-val chan_of : frame -> string
 
 val encode : frame -> string
 (** The complete length-prefixed encoding, ready to write to a socket.
-    Raises [Invalid_argument] if a string field exceeds {!max_string}
+    Raises [Invalid_argument] if a string field exceeds 1024 bytes
     or a codec is not in [Codec.all] (impossible for values built by
     this library). *)
 

@@ -19,5 +19,3 @@ let account packets ~transit ~ready_at =
       else { acc with clipped = acc.clipped + 1 })
     { delivered = 0; clipped = 0 }
     packets
-
-let pp_account ppf a = Format.fprintf ppf "%d delivered, %d clipped" a.delivered a.clipped

@@ -24,5 +24,3 @@ type account = { delivered : int; clipped : int }
 val account : packet list -> transit:float -> ready_at:float -> account
 (** Deliver each packet [transit] after it was sent; packets arriving
     before [ready_at] are clipped. *)
-
-val pp_account : Format.formatter -> account -> unit

@@ -13,7 +13,7 @@ let fresh_counters () = { sent = 0; delivered = 0; dropped = 0; duplicated = 0 }
 type t = {
   rng : Rng.t;
   seed : int;
-  mutable default : Policy.t;
+  default : Policy.t;
   policies : (string, Policy.t) Hashtbl.t;
   by_chan : (string, counters) Hashtbl.t;
   total : counters;
@@ -37,8 +37,6 @@ let policy t ~chan =
   match Hashtbl.find_opt t.policies chan with
   | Some p -> p
   | None -> t.default
-
-let set_default t p = t.default <- p
 
 let partition t ~chan = set_policy t ~chan { (policy t ~chan) with Policy.up = false }
 let heal t ~chan = set_policy t ~chan { (policy t ~chan) with Policy.up = true }

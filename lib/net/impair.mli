@@ -25,11 +25,8 @@ val create : ?seed:int -> ?default:Policy.t -> unit -> t
 
 val seed : t -> int
 
-val set_policy : t -> chan:string -> Policy.t -> unit
 val policy : t -> chan:string -> Policy.t
 (** The channel's policy, falling back to the default. *)
-
-val set_default : t -> Policy.t -> unit
 
 val partition : t -> chan:string -> unit
 (** Take the link down: every subsequent frame (and ack) is lost until

@@ -32,10 +32,6 @@ type config = {
   max_retries : int;  (** retransmissions before giving up on a frame *)
 }
 
-val default_config : n:float -> c:float -> config
-(** [rto = 2(2n + c)] — twice the minimum acknowledgement time — with
-    backoff 2 and 10 retries. *)
-
 type counters = {
   mutable sends : int;  (** distinct frames offered by the protocol *)
   mutable transmissions : int;  (** copies put on the wire, incl. retransmits *)
@@ -53,8 +49,9 @@ type t
 val attach : ?config:config -> Impair.t -> Timed.t -> t
 (** Install the layer on the driver (it takes over both the impairment
     hook and the delivery filter).  Frames already in flight are
-    delivered unfiltered.  Without an explicit [config],
-    {!default_config} is built from the driver's [n] and [c]. *)
+    delivered unfiltered.  Without an explicit [config], the driver's
+    [n] and [c] give [rto = 2(2n + c)] — twice the minimum
+    acknowledgement time — with backoff 2 and 10 retries. *)
 
 val counters : t -> counters
 

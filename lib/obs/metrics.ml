@@ -1,26 +1,46 @@
 open Mediactl_sim
 
 type t = {
-  events : int;
-  duration : float;
-  sends_by_signal : (string * int) list;  (* descending count, ties by name *)
-  recvs : int;
-  slot_transitions : int;
-  goal_changes : int;
-  open_races : int;
-  drops : int;
-  dups : int;
-  retransmissions : int;
-  retries_exhausted : int;
-  dup_suppressed : int;
-  acks : int;
+  mutable events : int;
+  mutable duration : float;
+  mutable sends_by_signal : (string * int) list;  (* descending count, ties by name *)
+  mutable recvs : int;
+  mutable slot_transitions : int;
+  mutable goal_changes : int;
+  mutable open_races : int;
+  mutable drops : int;
+  mutable dups : int;
+  mutable retransmissions : int;
+  mutable retries_exhausted : int;
+  mutable dup_suppressed : int;
+  mutable acks : int;
   round_trip : Stats.t;  (* per tunnel: first open -> first oack receipt, ms *)
   time_to_flowing : Stats.t;  (* per tunnel: trace start -> bothFlowing, ms *)
-  violations : int;
+  mutable violations : int;
 }
 
-(* By descending count, ties by signal name: never by [Hashtbl] order,
-   which depends on how merged registries were interleaved. *)
+let create () =
+  {
+    events = 0;
+    duration = 0.0;
+    sends_by_signal = [];
+    recvs = 0;
+    slot_transitions = 0;
+    goal_changes = 0;
+    open_races = 0;
+    drops = 0;
+    dups = 0;
+    retransmissions = 0;
+    retries_exhausted = 0;
+    dup_suppressed = 0;
+    acks = 0;
+    round_trip = Stats.create ();
+    time_to_flowing = Stats.create ();
+    violations = 0;
+  }
+
+(* By descending count, ties by signal name: never by the order
+   registries were added in. *)
 let sort_sends sends =
   List.sort
     (fun (ka, a) (kb, b) -> match Int.compare b a with 0 -> String.compare ka kb | c -> c)
@@ -29,11 +49,11 @@ let sort_sends sends =
 (* ------------------------------------------------------------------ *)
 (* One scan of a trace
 
-   Each entry feeds the counters, one at a time.  Sends are counted
-   by signal constructor into a six-slot array, and the open sends
-   still waiting for their oack sit in a short list scanned with
-   [String.equal]: no table keyed by strings or [(chan, tun)] pairs,
-   so the scan does no generic hashing or comparing. *)
+   Each entry feeds the registry's counters, one at a time.  Sends are
+   counted by signal constructor into a six-slot array, and the open
+   sends still waiting for their oack sit in a short list scanned with
+   [String.equal]: no table keyed by strings or [(chan, tun)] pairs, so
+   the scan does no generic hashing or comparing. *)
 
 let n_signals = 6
 
@@ -56,256 +76,116 @@ let signal_index = function
 (* An open send whose oack has not arrived yet. *)
 type opened = { o_chan : string; o_tun : int; o_at : float }
 
-type scan = {
-  n_sends : int array;  (* by [signal_index] *)
-  mutable n_recvs : int;
-  mutable n_slots : int;
-  mutable n_goals : int;
-  mutable n_drops : int;
-  mutable n_dups : int;
-  mutable n_retrans : int;
-  mutable n_exhausted : int;
-  mutable n_suppressed : int;
-  mutable n_acks : int;
-  mutable t_min : float;
-  mutable t_max : float;
-  mutable waiting : opened list;
-  round_trip : Stats.t;
-}
-
-let scan () =
-  {
-    n_sends = Array.make n_signals 0;
-    n_recvs = 0;
-    n_slots = 0;
-    n_goals = 0;
-    n_drops = 0;
-    n_dups = 0;
-    n_retrans = 0;
-    n_exhausted = 0;
-    n_suppressed = 0;
-    n_acks = 0;
-    t_min = infinity;
-    t_max = neg_infinity;
-    waiting = [];
-    round_trip = Stats.create ();
-  }
-
-let stamp (s : scan) at =
-  if at < s.t_min then s.t_min <- at;
-  if at > s.t_max then s.t_max <- at
-
 let rec waiting_on chan tun = function
   | [] -> None
   | o :: rest ->
     if o.o_tun = tun && String.equal o.o_chan chan then Some o else waiting_on chan tun rest
 
-(* Round-trip per tunnel: the first open send to the matching oack
-   receipt — one signaling round across however many hops the
-   channel's frames take. *)
-let on_send (s : scan) ~chan ~tun ~at signal =
-  let k = signal_index signal in
-  s.n_sends.(k) <- s.n_sends.(k) + 1;
-  match signal with
-  | Mediactl_types.Signal.Open _ -> (
-    match waiting_on chan tun s.waiting with
-    | Some _ -> ()
-    | None -> s.waiting <- { o_chan = chan; o_tun = tun; o_at = at } :: s.waiting)
-  | _ -> ()
-
-let on_recv (s : scan) ~chan ~tun ~at signal =
-  s.n_recvs <- s.n_recvs + 1;
-  match signal with
-  | Mediactl_types.Signal.Oack _ -> (
-    match waiting_on chan tun s.waiting with
-    | Some o ->
-      Stats.add s.round_trip (at -. o.o_at);
-      s.waiting <- List.filter (fun o' -> o' != o) s.waiting
-    | None -> ())
-  | _ -> ()
-
-let on_net (s : scan) = function
-  | Trace.Dropped -> s.n_drops <- s.n_drops + 1
-  | Trace.Passed n -> if n > 1 then s.n_dups <- s.n_dups + 1
-  | Trace.Retransmit _ -> s.n_retrans <- s.n_retrans + 1
-  | Trace.Retry_exhausted -> s.n_exhausted <- s.n_exhausted + 1
-  | Trace.Dup_suppressed | Trace.Reorder_suppressed -> s.n_suppressed <- s.n_suppressed + 1
-  | Trace.Ack_sent -> s.n_acks <- s.n_acks + 1
+let on_net m = function
+  | Trace.Dropped -> m.drops <- m.drops + 1
+  | Trace.Passed n -> if n > 1 then m.dups <- m.dups + 1
+  | Trace.Retransmit _ -> m.retransmissions <- m.retransmissions + 1
+  | Trace.Retry_exhausted -> m.retries_exhausted <- m.retries_exhausted + 1
+  | Trace.Dup_suppressed | Trace.Reorder_suppressed -> m.dup_suppressed <- m.dup_suppressed + 1
+  | Trace.Ack_sent -> m.acks <- m.acks + 1
   | Trace.Ack_dropped -> ()
-
-let finish (s : scan) ~events (monitor : Monitor.report) : t =
-  let time_to_flowing = Stats.create () in
-  let start = if s.t_min = infinity then 0.0 else s.t_min in
-  List.iter
-    (fun (r : Monitor.tunnel_report) ->
-      match r.Monitor.first_all_flowing with
-      | Some t -> Stats.add time_to_flowing (t -. start)
-      | None -> ())
-    monitor.Monitor.tunnels;
-  let sends = ref [] in
-  Array.iteri (fun k n -> if n > 0 then sends := (signal_name k, n) :: !sends) s.n_sends;
-  {
-    events;
-    duration = (if s.t_max >= s.t_min then s.t_max -. s.t_min else 0.0);
-    sends_by_signal = sort_sends !sends;
-    recvs = s.n_recvs;
-    slot_transitions = s.n_slots;
-    goal_changes = s.n_goals;
-    open_races =
-      List.fold_left (fun acc r -> acc + r.Monitor.races) 0 monitor.Monitor.tunnels;
-    drops = s.n_drops;
-    dups = s.n_dups;
-    retransmissions = s.n_retrans;
-    retries_exhausted = s.n_exhausted;
-    dup_suppressed = s.n_suppressed;
-    acks = s.n_acks;
-    round_trip = s.round_trip;
-    time_to_flowing;
-    violations = List.length monitor.Monitor.violations;
-  }
 
 (* The scan reads the flat ring capture through the [Trace.Packed]
    field accessors: no per-event record is built, so a fleet session's
-   metrics pass allocates O(tunnels), not O(events). *)
-let of_packed_report report p =
-  let s = scan () in
+   metrics pass allocates O(tunnels), not O(events).  Round-trip is per
+   tunnel: the first open send to the matching oack receipt, one
+   signaling round across however many hops the channel's frames
+   take. *)
+let of_packed_report (report : Monitor.report) p =
+  let m = create () in
+  let sends = Array.make n_signals 0 in
+  let waiting = ref [] in
+  let t_min = ref infinity and t_max = ref neg_infinity in
   let n = Trace.Packed.length p in
   for i = 0 to n - 1 do
-    let t = Trace.Packed.at p i in
-    stamp s t;
+    let at = Trace.Packed.at p i in
+    if at < !t_min then t_min := at;
+    if at > !t_max then t_max := at;
     match Trace.Packed.tag p i with
-    | 0 ->
-      on_send s ~chan:(Trace.Packed.sig_chan p i) ~tun:(Trace.Packed.sig_tun p i) ~at:t
-        (Trace.Packed.sig_signal p i)
-    | 1 ->
-      on_recv s ~chan:(Trace.Packed.sig_chan p i) ~tun:(Trace.Packed.sig_tun p i) ~at:t
-        (Trace.Packed.sig_signal p i)
-    | 4 -> s.n_slots <- s.n_slots + 1
-    | 5 -> s.n_goals <- s.n_goals + 1
-    | 6 -> on_net s (Trace.Packed.net_decision p i)
+    | 0 -> (
+      let signal = Trace.Packed.sig_signal p i in
+      let k = signal_index signal in
+      sends.(k) <- sends.(k) + 1;
+      match signal with
+      | Mediactl_types.Signal.Open _ ->
+        let chan = Trace.Packed.sig_chan p i and tun = Trace.Packed.sig_tun p i in
+        if Option.is_none (waiting_on chan tun !waiting) then
+          waiting := { o_chan = chan; o_tun = tun; o_at = at } :: !waiting
+      | _ -> ())
+    | 1 -> (
+      m.recvs <- m.recvs + 1;
+      match Trace.Packed.sig_signal p i with
+      | Mediactl_types.Signal.Oack _ -> (
+        match waiting_on (Trace.Packed.sig_chan p i) (Trace.Packed.sig_tun p i) !waiting with
+        | Some o ->
+          Stats.add m.round_trip (at -. o.o_at);
+          waiting := List.filter (fun o' -> o' != o) !waiting
+        | None -> ())
+      | _ -> ())
+    | 4 -> m.slot_transitions <- m.slot_transitions + 1
+    | 5 -> m.goal_changes <- m.goal_changes + 1
+    | 6 -> on_net m (Trace.Packed.net_decision p i)
     | _ -> ()
   done;
-  finish s ~events:n report
+  let start = if !t_min = infinity then 0.0 else !t_min in
+  List.iter
+    (fun (r : Monitor.tunnel_report) ->
+      m.open_races <- m.open_races + r.Monitor.races;
+      Option.iter (fun t -> Stats.add m.time_to_flowing (t -. start)) r.Monitor.first_all_flowing)
+    report.Monitor.tunnels;
+  m.events <- n;
+  m.duration <- (if !t_max >= !t_min then !t_max -. !t_min else 0.0);
+  m.sends_by_signal <-
+    sort_sends
+      (List.filter_map
+         (fun k -> if sends.(k) > 0 then Some (signal_name k, sends.(k)) else None)
+         (List.init n_signals Fun.id));
+  m.violations <- List.length report.Monitor.violations;
+  m
 
 let of_packed p = of_packed_report (Monitor.replay_packed p) p
 
 (* ------------------------------------------------------------------ *)
-(* Merging per-session registries                                      *)
+(* Pooling registries
 
-let empty : t =
-  {
-    events = 0;
-    duration = 0.0;
-    sends_by_signal = [];
-    recvs = 0;
-    slot_transitions = 0;
-    goal_changes = 0;
-    open_races = 0;
-    drops = 0;
-    dups = 0;
-    retransmissions = 0;
-    retries_exhausted = 0;
-    dup_suppressed = 0;
-    acks = 0;
-    round_trip = Stats.create ();
-    time_to_flowing = Stats.create ();
-    violations = 0;
-  }
+   Counters add, sends pool by signal name, and latency samples append
+   in ascending order.  Adding into one running registry never re-copies
+   what it already holds, so pooling a fleet is linear in its size. *)
 
-type metrics = t
+let rec bump k n = function
+  | [] -> [ (k, n) ]
+  | (k', n') :: rest when String.equal k k' -> (k, n + n') :: rest
+  | e :: rest -> e :: bump k n rest
 
-let bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-(* One running accumulator: counters add, sends pool by signal, and
-   latency samples append in ascending order.  Folding [merge] instead
-   would copy every pooled sample per registry, quadratic in fleet
-   size. *)
-module Acc = struct
-  type t = {
-    mutable events : int;
-    mutable duration : float;
-    sends : (string, int) Hashtbl.t;
-    mutable recvs : int;
-    mutable slot_transitions : int;
-    mutable goal_changes : int;
-    mutable open_races : int;
-    mutable drops : int;
-    mutable dups : int;
-    mutable retransmissions : int;
-    mutable retries_exhausted : int;
-    mutable dup_suppressed : int;
-    mutable acks : int;
-    round_trip : Stats.t;
-    time_to_flowing : Stats.t;
-    mutable violations : int;
-  }
-
-  let create () =
-    {
-      events = 0;
-      duration = 0.0;
-      sends = Hashtbl.create 16;
-      recvs = 0;
-      slot_transitions = 0;
-      goal_changes = 0;
-      open_races = 0;
-      drops = 0;
-      dups = 0;
-      retransmissions = 0;
-      retries_exhausted = 0;
-      dup_suppressed = 0;
-      acks = 0;
-      round_trip = Stats.create ();
-      time_to_flowing = Stats.create ();
-      violations = 0;
-    }
-
-  let add a (m : metrics) =
-    a.events <- a.events + m.events;
-    a.duration <- a.duration +. m.duration;
-    List.iter (fun (k, v) -> bump a.sends k v) m.sends_by_signal;
-    a.recvs <- a.recvs + m.recvs;
-    a.slot_transitions <- a.slot_transitions + m.slot_transitions;
-    a.goal_changes <- a.goal_changes + m.goal_changes;
-    a.open_races <- a.open_races + m.open_races;
-    a.drops <- a.drops + m.drops;
-    a.dups <- a.dups + m.dups;
-    a.retransmissions <- a.retransmissions + m.retransmissions;
-    a.retries_exhausted <- a.retries_exhausted + m.retries_exhausted;
-    a.dup_suppressed <- a.dup_suppressed + m.dup_suppressed;
-    a.acks <- a.acks + m.acks;
-    Stats.append a.round_trip m.round_trip;
-    Stats.append a.time_to_flowing m.time_to_flowing;
-    a.violations <- a.violations + m.violations
-
-  let finish a : metrics =
-    {
-      events = a.events;
-      duration = a.duration;
-      sends_by_signal = sort_sends (Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.sends []);
-      recvs = a.recvs;
-      slot_transitions = a.slot_transitions;
-      goal_changes = a.goal_changes;
-      open_races = a.open_races;
-      drops = a.drops;
-      dups = a.dups;
-      retransmissions = a.retransmissions;
-      retries_exhausted = a.retries_exhausted;
-      dup_suppressed = a.dup_suppressed;
-      acks = a.acks;
-      round_trip = a.round_trip;
-      time_to_flowing = a.time_to_flowing;
-      violations = a.violations;
-    }
-end
+let add into m =
+  into.events <- into.events + m.events;
+  into.duration <- into.duration +. m.duration;
+  into.sends_by_signal <-
+    sort_sends
+      (List.fold_left (fun acc (k, n) -> bump k n acc) into.sends_by_signal m.sends_by_signal);
+  into.recvs <- into.recvs + m.recvs;
+  into.slot_transitions <- into.slot_transitions + m.slot_transitions;
+  into.goal_changes <- into.goal_changes + m.goal_changes;
+  into.open_races <- into.open_races + m.open_races;
+  into.drops <- into.drops + m.drops;
+  into.dups <- into.dups + m.dups;
+  into.retransmissions <- into.retransmissions + m.retransmissions;
+  into.retries_exhausted <- into.retries_exhausted + m.retries_exhausted;
+  into.dup_suppressed <- into.dup_suppressed + m.dup_suppressed;
+  into.acks <- into.acks + m.acks;
+  Stats.append into.round_trip m.round_trip;
+  Stats.append into.time_to_flowing m.time_to_flowing;
+  into.violations <- into.violations + m.violations
 
 let merge_all ms =
-  let a = Acc.create () in
-  List.iter (Acc.add a) ms;
-  Acc.finish a
-
-let merge a b = merge_all [ a; b ]
+  let into = create () in
+  List.iter (add into) ms;
+  into
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -6,25 +6,30 @@
     [mediactl_sim --metrics out.json] writes the {!to_json} form. *)
 
 type t = {
-  events : int;
-  duration : float;  (** span of the trace in simulated ms *)
-  sends_by_signal : (string * int) list;  (** by descending count, ties by signal name *)
-  recvs : int;
-  slot_transitions : int;
-  goal_changes : int;
-  open_races : int;  (** crossing-[open] occurrences (from the monitor) *)
-  drops : int;
-  dups : int;  (** network-layer duplications *)
-  retransmissions : int;
-  retries_exhausted : int;
-  dup_suppressed : int;  (** receiver-side dedup + reorder discards *)
-  acks : int;
+  mutable events : int;
+  mutable duration : float;  (** span of the trace in simulated ms *)
+  mutable sends_by_signal : (string * int) list;
+      (** by descending count, ties by signal name *)
+  mutable recvs : int;
+  mutable slot_transitions : int;
+  mutable goal_changes : int;
+  mutable open_races : int;  (** crossing-[open] occurrences (from the monitor) *)
+  mutable drops : int;
+  mutable dups : int;  (** network-layer duplications *)
+  mutable retransmissions : int;
+  mutable retries_exhausted : int;
+  mutable dup_suppressed : int;  (** receiver-side dedup + reorder discards *)
+  mutable acks : int;
   round_trip : Mediactl_sim.Stats.t;
       (** per tunnel, first [open] send to the matching [oack] receipt, ms *)
   time_to_flowing : Mediactl_sim.Stats.t;
       (** per tunnel, trace start to both sides Flowing, ms *)
-  violations : int;  (** protocol violations the monitor found *)
+  mutable violations : int;  (** protocol violations the monitor found *)
 }
+(** One registry, whether it describes one trace or pools many. *)
+
+val create : unit -> t
+(** A fresh registry: every counter zero, no samples. *)
 
 val of_packed : Trace.Packed.t -> t
 (** The metrics of a capture, scanning through the {!Trace.Packed}
@@ -35,38 +40,22 @@ val of_packed_report : Monitor.report -> Trace.Packed.t -> t
     caller that has already run the monitor over [p] passes its report
     instead of replaying the trace again. *)
 
-(** {2 Per-session registries}
+(** {2 Pooling registries}
 
-    A fleet computes one {!t} per session from that session's own trace,
-    then folds them into an aggregate: counters add, latency samples
+    A fleet computes one {!t} per session from that session's own trace
+    and adds it into a running registry: counters add, latency samples
     pool (so percentiles are over all sessions), and [duration] sums to
-    total simulated milliseconds across sessions.  [sends_by_signal]
-    of a merge is ordered by descending count, ties by signal name, so
-    it does not depend on the order registries were merged in. *)
+    total simulated milliseconds across sessions. *)
 
-val empty : t
-
-(** The one merge implementation: a running accumulator that registries
-    are added to one at a time, without re-copying what it already
-    holds.  Latency samples are appended in ascending order
-    ({!Mediactl_sim.Stats.append}). *)
-module Acc : sig
-  type metrics := t
-  type t
-
-  val create : unit -> t
-  val add : t -> metrics -> unit
-
-  val finish : t -> metrics
-  (** The merged registry.  It shares the accumulator's sample stores,
-      so add nothing to the accumulator afterwards. *)
-end
-
-val merge : t -> t -> t
-(** [merge a b] is [merge_all [a; b]]. *)
+val add : t -> t -> unit
+(** [add into m] adds [m] to [into].  Sends merge by signal name and
+    stay ordered by descending count, ties by name, so the order
+    registries are added in does not show.  [m]'s latency samples are
+    appended in ascending order ({!Mediactl_sim.Stats.append}). *)
 
 val merge_all : t list -> t
-(** A fold of {!Acc.add} over the list, in order. *)
+(** A fresh registry with every registry of the list {!add}ed, in
+    order. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -343,12 +343,6 @@ type obligation =
   | Always_eventually_flowing
   | Closed_or_flowing
 
-let obligation_to_string = function
-  | Eventually_always_closed -> "<>[] bothClosed"
-  | Eventually_always_not_flowing -> "<>[] !bothFlowing"
-  | Always_eventually_flowing -> "[]<> bothFlowing"
-  | Closed_or_flowing -> "(<>[] bothClosed) \\/ ([]<> bothFlowing)"
-
 type verdict = Satisfied | Violated of string | Undetermined of string
 
 let pp_verdict ppf = function

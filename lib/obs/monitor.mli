@@ -72,16 +72,14 @@ val conformant : report -> bool
 
 (** {2 Path obligations}
 
-    The four §V obligation shapes, matching
-    [Mediactl_core.Semantics.spec]. *)
+    The four §V obligation shapes; [Mediactl_core.Semantics.spec] is
+    this type. *)
 
 type obligation =
   | Eventually_always_closed  (** [<>[] bothClosed] *)
   | Eventually_always_not_flowing  (** [<>[] !bothFlowing] *)
   | Always_eventually_flowing  (** [[]<> bothFlowing] *)
   | Closed_or_flowing  (** [(<>[] bothClosed) \/ ([]<> bothFlowing)] *)
-
-val obligation_to_string : obligation -> string
 
 type verdict = Satisfied | Violated of string | Undetermined of string
 
@@ -110,5 +108,4 @@ val judge : judgement -> t -> verdict
     budgets.  A two-ended path is the one-leg case. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
-val pp_tunnel_report : Format.formatter -> tunnel_report -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -1092,8 +1092,6 @@ let pp_kind ppf = function
     Format.fprintf ppf "goal %s at %s %s->%s" goal slot from_ to_
   | Net { chan; decision } -> Format.fprintf ppf "net %s %s" chan (decision_name decision)
 
-let pp_event ppf (e : event) = Format.fprintf ppf "#%d %8.1f  %a" e.seq e.at pp_kind e.kind
-
 (* One row per receive, in the column layout of the paper's charts. *)
 let pp_msc ppf p =
   for i = 0 to Packed.length p - 1 do

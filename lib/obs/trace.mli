@@ -103,8 +103,6 @@ val set_clock : (unit -> float) -> unit
     {!Mediactl_runtime.Timed.observe}).  Defaults to a constant [0.];
     event ordering is then carried by [seq] alone. *)
 
-val reset_clock : unit -> unit
-
 (** {2 Packed traces}
 
     {!recording_packed} directs every emission into the domain's flat
@@ -254,7 +252,6 @@ val replay : capture -> unit
 (** {2 Rendering} *)
 
 val pp_kind : Format.formatter -> kind -> unit
-val pp_event : Format.formatter -> event -> unit
 
 val pp_msc : Format.formatter -> Packed.t -> unit
 (** The message-sequence chart of a recorded run, in the style of the

@@ -29,11 +29,74 @@ let shard_block ~jobs ~sessions =
 
 let shard_of ~jobs ~sessions i = i / shard_block ~jobs ~sessions mod jobs
 
+(* What both loops count of their sessions' outcomes: one tally over
+   the id-sorted outcomes in [run], one per shard in [churn]. *)
+type tally = {
+  mutable t_sessions : int;
+  mutable t_events : int;
+  mutable t_conformant : int;
+  mutable t_violations : int;
+  mutable t_satisfied : int;
+  mutable t_violated : int;
+  mutable t_undetermined : int;
+  t_metrics : Metrics.t;
+}
+
+let tally () =
+  {
+    t_sessions = 0;
+    t_events = 0;
+    t_conformant = 0;
+    t_violations = 0;
+    t_satisfied = 0;
+    t_violated = 0;
+    t_undetermined = 0;
+    t_metrics = Metrics.create ();
+  }
+
+let count t (o : Session.outcome) =
+  t.t_sessions <- t.t_sessions + 1;
+  t.t_events <- t.t_events + o.Session.events;
+  if o.Session.conformant then t.t_conformant <- t.t_conformant + 1;
+  t.t_violations <- t.t_violations + o.Session.violations;
+  (match o.Session.verdict with
+  | Some Monitor.Satisfied -> t.t_satisfied <- t.t_satisfied + 1
+  | Some (Monitor.Violated _) -> t.t_violated <- t.t_violated + 1
+  | Some (Monitor.Undetermined _) -> t.t_undetermined <- t.t_undetermined + 1
+  | None -> ());
+  Metrics.add t.t_metrics o.Session.metrics
+
+let absorb into t =
+  into.t_sessions <- into.t_sessions + t.t_sessions;
+  into.t_events <- into.t_events + t.t_events;
+  into.t_conformant <- into.t_conformant + t.t_conformant;
+  into.t_violations <- into.t_violations + t.t_violations;
+  into.t_satisfied <- into.t_satisfied + t.t_satisfied;
+  into.t_violated <- into.t_violated + t.t_violated;
+  into.t_undetermined <- into.t_undetermined + t.t_undetermined;
+  Metrics.add into.t_metrics t.t_metrics
+
+(* [shard k ()] for every shard [k], each on its own domain (the calling
+   one when [jobs = 1]), with the wall time they took together; results
+   in shard order. *)
+let on_shards jobs shard =
+  let t0 = Unix.gettimeofday () in
+  let results =
+    if jobs = 1 then [ shard 0 () ]
+    else
+      let domains = Array.init jobs (fun k -> Domain.spawn (shard k)) in
+      Array.to_list (Array.map Domain.join domains)
+  in
+  (results, Unix.gettimeofday () -. t0)
+
+let per_s wall_s n = if wall_s > 0.0 then float_of_int n /. wall_s else 0.0
+
 (* Sessions are assigned to shards block-cyclically by id.  Because
    every session's stream is split from the root generator up front —
    in id order, before any shard runs — and sessions share no mutable
    state, the per-session outcomes are identical whatever [jobs] is;
-   only the wall-clock figures change. *)
+   only the wall-clock figures change.  The outcomes are tallied in id
+   order, so the pooled samples' sums do not depend on [jobs] either. *)
 let run ?(jobs = 1) ?until ?max_events ~sessions ~seed mk =
   if sessions < 0 then invalid_arg "Fleet.run: negative session count";
   if jobs < 1 then invalid_arg "Fleet.run: jobs must be at least 1";
@@ -50,46 +113,28 @@ let run ?(jobs = 1) ?until ?max_events ~sessions ~seed mk =
     done;
     !acc
   in
-  let t0 = Unix.gettimeofday () in
-  let per_shard =
-    if jobs = 1 then [ shard 0 () ]
-    else
-      let domains = Array.init jobs (fun k -> Domain.spawn (shard k)) in
-      Array.to_list (Array.map Domain.join domains)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let per_shard, wall_s = on_shards jobs shard in
   let outcomes =
     List.concat per_shard
     |> List.sort (fun (a : Session.outcome) b -> compare a.Session.id b.Session.id)
   in
-  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
-  let engine_events = sum (fun (o : Session.outcome) -> o.Session.events) in
-  let per_s n = if wall_s > 0.0 then float_of_int n /. wall_s else 0.0 in
-  let verdict_count v =
-    sum (fun (o : Session.outcome) ->
-      match o.Session.verdict, v with
-      | Some Monitor.Satisfied, `S | Some (Monitor.Violated _), `V
-      | Some (Monitor.Undetermined _), `U ->
-        1
-      | _ -> 0)
-  in
-  let summary =
+  let t = tally () in
+  List.iter (count t) outcomes;
+  ( outcomes,
     {
       sessions;
       jobs;
       wall_s;
-      engine_events;
-      sessions_per_s = per_s sessions;
-      events_per_s = per_s engine_events;
-      metrics = Metrics.merge_all (List.map (fun (o : Session.outcome) -> o.Session.metrics) outcomes);
-      conformant = sum (fun (o : Session.outcome) -> if o.Session.conformant then 1 else 0);
-      violations = sum (fun (o : Session.outcome) -> o.Session.violations);
-      satisfied = verdict_count `S;
-      violated = verdict_count `V;
-      undetermined = verdict_count `U;
-    }
-  in
-  (outcomes, summary)
+      engine_events = t.t_events;
+      sessions_per_s = per_s wall_s sessions;
+      events_per_s = per_s wall_s t.t_events;
+      metrics = t.t_metrics;
+      conformant = t.t_conformant;
+      violations = t.t_violations;
+      satisfied = t.t_satisfied;
+      violated = t.t_violated;
+      undetermined = t.t_undetermined;
+    } )
 
 let pp_summary ppf s =
   let ttf = s.metrics.Metrics.time_to_flowing in
@@ -123,23 +168,20 @@ let pp_summary ppf s =
    time from the session stream (before [mk] consumes it, fixing the
    draw order), launches the session, and parks it in a pooled slot;
    the hangup tick retires it — teardown bracket, metrics, monitor,
-   digest — into the shard accumulator and recycles the slot.  Nothing
-   per-session survives retirement except the accumulator's counters,
+   digest — into the shard's tally and digest and recycles the slot.
+   Nothing per-session survives retirement except the tally's counts,
    so memory tracks the peak resident population, not the total
    arrivals. *)
 
 type cell = {
-  mutable cl_id : int;
   mutable cl_session : Session.t option;
   mutable cl_setup : Trace.Packed.t;
   mutable cl_setup_events : int;
 }
 
-let fresh_cell () =
-  { cl_id = -1; cl_session = None; cl_setup = Trace.Packed.empty; cl_setup_events = 0 }
+let fresh_cell () = { cl_session = None; cl_setup = Trace.Packed.empty; cl_setup_events = 0 }
 
 let clear_cell cl =
-  cl.cl_id <- -1;
   cl.cl_session <- None;
   cl.cl_setup <- Trace.Packed.empty;
   cl.cl_setup_events <- 0
@@ -253,27 +295,6 @@ type churn_summary = {
   c_gc : gc_report;
 }
 
-(* What one shard hands back to the combiner. *)
-type shard_report = {
-  sr_acc : Metrics.Acc.t;
-  sr_started : int;
-  sr_retired : int;
-  sr_events : int;
-  sr_conformant : int;
-  sr_violations : int;
-  sr_sat : int;
-  sr_vio : int;
-  sr_und : int;
-  sr_digest : Bytes.t;
-  sr_peak : int;
-  sr_slots : int;
-  sr_minor : float;
-  sr_promoted : float;
-  sr_max_pause : float;
-  sr_max_batch : float;
-  sr_pause_batches : int;
-}
-
 (* Timeline ticks are packed into one immediate int — bit 0 tags the
    shape, the rest carries the payload — so the churn timeline itself
    allocates nothing per scheduled event, the same discipline
@@ -293,6 +314,18 @@ type pause_acct = {
   mutable pa_max_pause : float;
   mutable pa_max_batch : float;
   mutable pa_pause_batches : int;
+}
+
+(* What one shard hands back to the combiner. *)
+type shard_report = {
+  sr_tally : tally;
+  sr_started : int;
+  sr_digest : Bytes.t;
+  sr_peak : int;
+  sr_slots : int;
+  sr_minor : float;
+  sr_promoted : float;
+  sr_pauses : pause_acct;
 }
 
 let collections () =
@@ -379,32 +412,16 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
       end
     done;
     let pool = Spool.create ~make:fresh_cell ~clear:clear_cell () in
-    let acc = Metrics.Acc.create () in
+    let t = tally () in
     let digest = Bytes.make 16 '\000' in
     let started = ref 0 in
-    let retired = ref 0 in
-    let events = ref 0 in
-    let conformant = ref 0 in
-    let violations = ref 0 in
-    let sat = ref 0 in
-    let vio = ref 0 in
-    let und = ref 0 in
     let retire_slot slot =
       let cl = Spool.get pool slot in
       (match cl.cl_session with
       | None -> ()
       | Some s ->
         let o = Session.retire ~grace ~setup:cl.cl_setup ~setup_events:cl.cl_setup_events s in
-        incr retired;
-        events := !events + o.Session.events;
-        if o.Session.conformant then incr conformant;
-        violations := !violations + o.Session.violations;
-        (match o.Session.verdict with
-        | Some Monitor.Satisfied -> incr sat
-        | Some (Monitor.Violated _) -> incr vio
-        | Some (Monitor.Undetermined _) -> incr und
-        | None -> ());
-        Metrics.Acc.add acc o.Session.metrics;
+        count t o;
         digest_xor digest (digest_outcome o));
       Spool.release pool slot
     in
@@ -425,7 +442,6 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
         let s = mk ~id:i ~rng in
         let slot, cl = Spool.acquire pool in
         let ev, setup = Session.launch ~until:session_until s in
-        cl.cl_id <- i;
         cl.cl_session <- Some s;
         cl.cl_setup <- setup;
         cl.cl_setup_events <- ev;
@@ -443,65 +459,50 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
     Spool.iter_live (fun slot _ -> retire_slot slot) pool;
     let minor1, promoted1, _ = Gc.counters () in
     {
-      sr_acc = acc;
+      sr_tally = t;
       sr_started = !started;
-      sr_retired = !retired;
-      sr_events = !events;
-      sr_conformant = !conformant;
-      sr_violations = !violations;
-      sr_sat = !sat;
-      sr_vio = !vio;
-      sr_und = !und;
       sr_digest = digest;
       sr_peak = Spool.peak pool;
       sr_slots = Spool.capacity pool;
       sr_minor = minor1 -. minor0;
       sr_promoted = promoted1 -. promoted0;
-      sr_max_pause = acct.pa_max_pause;
-      sr_max_batch = acct.pa_max_batch;
-      sr_pause_batches = acct.pa_pause_batches;
+      sr_pauses = acct;
     }
   in
   (* Collections are process-wide: one delta around all the shards. *)
   let g0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let reports =
-    if jobs = 1 then [ shard 0 () ]
-    else
-      let domains = Array.init jobs (fun k -> Domain.spawn (shard k)) in
-      Array.to_list (Array.map Domain.join domains)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let reports, wall_s = on_shards jobs shard in
   let g_end = Gc.quick_stat () in
+  let t = tally () in
+  let digest = Bytes.make 16 '\000' in
+  List.iter
+    (fun r ->
+      absorb t r.sr_tally;
+      digest_xor digest (Bytes.to_string r.sr_digest))
+    reports;
   let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
   let sumf f = List.fold_left (fun a r -> a +. f r) 0.0 reports in
   let maxf f = List.fold_left (fun a r -> Float.max a (f r)) 0.0 reports in
-  let digest = Bytes.make 16 '\000' in
-  List.iter (fun r -> digest_xor digest (Bytes.to_string r.sr_digest)) reports;
-  let started = sum (fun r -> r.sr_started) in
-  let retired = sum (fun r -> r.sr_retired) in
-  let engine_events = sum (fun r -> r.sr_events) in
-  let per_s n = if wall_s > 0.0 then float_of_int n /. wall_s else 0.0 in
   {
     c_target = target_population;
     c_jobs = jobs;
     c_duration = duration;
     c_mean_holding = mean_holding;
     c_wall_s = wall_s;
-    c_started = started;
-    c_retired = retired;
+    c_started = sum (fun r -> r.sr_started);
+    c_retired = t.t_sessions;
     c_peak_resident = sum (fun r -> r.sr_peak);
     c_pool_slots = sum (fun r -> r.sr_slots);
-    c_engine_events = engine_events;
-    c_events_per_s = per_s engine_events;
-    c_sessions_per_s = per_s retired;
+    c_engine_events = t.t_events;
+    c_events_per_s = per_s wall_s t.t_events;
+    c_sessions_per_s = per_s wall_s t.t_sessions;
     c_digest = Digest.to_hex (Bytes.to_string digest);
-    c_metrics = Metrics.merge_all (List.map (fun r -> Metrics.Acc.finish r.sr_acc) reports);
-    c_conformant = sum (fun r -> r.sr_conformant);
-    c_violations = sum (fun r -> r.sr_violations);
-    c_satisfied = sum (fun r -> r.sr_sat);
-    c_violated = sum (fun r -> r.sr_vio);
-    c_undetermined = sum (fun r -> r.sr_und);
+    c_metrics = t.t_metrics;
+    c_conformant = t.t_conformant;
+    c_violations = t.t_violations;
+    c_satisfied = t.t_satisfied;
+    c_violated = t.t_violated;
+    c_undetermined = t.t_undetermined;
     c_gc =
       {
         minor_words = sumf (fun r -> r.sr_minor);
@@ -510,9 +511,9 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
         major_collections = g_end.Gc.major_collections - g0.Gc.major_collections;
         heap_words = g_end.Gc.heap_words;
         top_heap_words = g_end.Gc.top_heap_words;
-        max_pause_s = maxf (fun r -> r.sr_max_pause);
-        max_batch_s = maxf (fun r -> r.sr_max_batch);
-        pause_batches = sum (fun r -> r.sr_pause_batches);
+        max_pause_s = maxf (fun r -> r.sr_pauses.pa_max_pause);
+        max_batch_s = maxf (fun r -> r.sr_pauses.pa_max_batch);
+        pause_batches = sum (fun r -> r.sr_pauses.pa_pause_batches);
       };
   }
 

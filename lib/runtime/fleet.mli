@@ -22,7 +22,7 @@ type summary = {
   engine_events : int;  (** total engine events across all sessions *)
   sessions_per_s : float;
   events_per_s : float;
-  metrics : Metrics.t;  (** all per-session registries merged *)
+  metrics : Metrics.t;  (** every session's registry, pooled in id order *)
   conformant : int;  (** sessions whose trace the monitor accepts *)
   violations : int;  (** total monitor violations *)
   satisfied : int;  (** judged sessions whose obligation held *)
@@ -77,8 +77,8 @@ val digest : Session.outcome list -> string
     exponential holding time drawn from its own split stream.  A
     resident session lives in a pooled per-shard slot
     ({!Mediactl_runtime.Spool}); at hangup it is retired — teardown
-    recording bracket, metrics, monitor, digest — into the shard
-    accumulator and its slot recycled, so memory tracks the peak
+    recording bracket, metrics, monitor, digest — into the shard's
+    counts and its slot recycled, so memory tracks the peak
     resident population, not total arrivals.
 
     {b Determinism.}  The whole arrival plan and every per-session

@@ -30,8 +30,6 @@ val peer_of : t -> string -> string
 val tunnel : t -> int -> Tunnel.t
 (** Raises [Invalid_argument] on an out-of-range index. *)
 
-val with_tunnel : t -> int -> Tunnel.t -> t
-
 val send_signal : t -> from_box:string -> tunnel:int -> Signal.t -> t
 
 val receive_signal : t -> at_box:string -> tunnel:int -> (Signal.t * t) option

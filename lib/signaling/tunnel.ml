@@ -6,10 +6,6 @@ let opposite = function
   | A -> B
   | B -> A
 
-let pp_end ppf = function
-  | A -> Format.pp_print_string ppf "A"
-  | B -> Format.pp_print_string ppf "B"
-
 (* Queues as plain lists of {e packed} signals ({!Signal_pack}), oldest
    first.  Tunnels hold at most a handful of signals, and structural
    equality matters more than asymptotics: tunnel contents are part of

@@ -14,7 +14,6 @@ open Mediactl_types
 type end_ = A | B
 
 val opposite : end_ -> end_
-val pp_end : Format.formatter -> end_ -> unit
 
 type t
 

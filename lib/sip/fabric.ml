@@ -1,6 +1,8 @@
 open Mediactl_sim
 
-type event = Deliver of { from_ : string; to_ : string; msg : Sip_msg.t } | Act of int
+type event =
+  | Deliver of { from_ : string; to_ : string; msg : Sip_msg.t }
+  | Act of (unit -> unit)  (* an [after] action, dropped once it fires *)
 
 type t = {
   engine : event Engine.t;
@@ -8,7 +10,6 @@ type t = {
   n : float;
   c : float;
   mutable handlers : (string * (from:string -> Sip_msg.t -> unit)) list;
-  mutable actions : (unit -> unit) list;  (* reversed; indexed from end *)
   mutable message_count : int;
   mutable txn_seq : int;
 }
@@ -20,7 +21,6 @@ let create ?(seed = 7) ?(n = 34.0) ?(c = 20.0) () =
     n;
     c;
     handlers = [];
-    actions = [];
     message_count = 0;
     txn_seq = 0;
   }
@@ -37,18 +37,14 @@ let send t ~from_ ~to_ msg =
   t.message_count <- t.message_count + 1;
   Engine.schedule t.engine ~delay:(t.n +. t.c) (Deliver { from_; to_; msg })
 
-let after t delay f =
-  t.actions <- f :: t.actions;
-  Engine.schedule t.engine ~delay (Act (List.length t.actions - 1))
+let after t delay f = Engine.schedule t.engine ~delay (Act f)
 
 let handle t = function
   | Deliver { from_; to_; msg } -> (
     match List.assoc_opt to_ t.handlers with
     | Some handler -> handler ~from:from_ msg
     | None -> ())
-  | Act idx ->
-    let len = List.length t.actions in
-    (List.nth t.actions (len - 1 - idx)) ()
+  | Act f -> f ()
 
 let run ?until ?max_events t = Engine.run t.engine ?until ?max_events (fun _ e -> handle t e)
 

@@ -15,7 +15,6 @@ type t = {
   mutable outstanding : outstanding option;
   mutable answered_txn : int option;  (* we sent 200(answer), awaiting ACK *)
   mutable remote : Sdp.t option;
-  mutable established : float option;
   mutable history : (float * string) list;
   mutable own_done : float option;
   mutable glares : int;
@@ -23,7 +22,6 @@ type t = {
 }
 
 let name t = t.name
-let established_at t = t.established
 let remote t = t.remote
 let glares t = t.glares
 let retries t = t.retries
@@ -37,7 +35,6 @@ let own_done_at t = t.own_done
 
 let record t sdp =
   t.remote <- Some sdp;
-  t.established <- Some (Fabric.now t.fabric);
   t.history <- (Fabric.now t.fabric, sdp.Sdp.owner) :: t.history
 
 let own_sdp t =
@@ -121,8 +118,7 @@ let handle t ~from:_ msg =
       | Some (Sip_msg.Answer answer) ->
         (* We offered in our 200; the answer arrives in the ACK. *)
         record t answer
-      | Some (Sip_msg.Offer _) -> ()
-      | None -> t.established <- Some (Fabric.now t.fabric))
+      | Some (Sip_msg.Offer _) | None -> ())
     | Some _ | None -> ())
 
 let create fabric ~name ~peer ~owner_of_dialog addr ~willing ~media =
@@ -139,7 +135,6 @@ let create fabric ~name ~peer ~owner_of_dialog addr ~willing ~media =
       outstanding = None;
       answered_txn = None;
       remote = None;
-      established = None;
       history = [];
       own_done = None;
       glares = 0;

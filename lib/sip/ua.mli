@@ -27,10 +27,6 @@ val reinvite : t -> unit
 (** Start a re-INVITE transaction offering this agent's media (the SIP
     counterpart of a [modify]); retried automatically on glare. *)
 
-val established_at : t -> float option
-(** When the last offer/answer exchange involving this agent completed
-    (it holds a fresh remote description and the transaction is over). *)
-
 val remote : t -> Sdp.t option
 
 val session_active : t -> bool

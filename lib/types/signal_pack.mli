@@ -25,8 +25,3 @@ val tag : int -> int
 
 val name : int -> string
 (** [Signal.name] of a packed word, without unpacking or allocating. *)
-
-val desc_id : Descriptor.t -> int
-val desc_of_id : int -> Descriptor.t
-val sel_id : Selector.t -> int
-val sel_of_id : int -> Selector.t

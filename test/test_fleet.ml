@@ -95,7 +95,7 @@ let test_trace_domains_isolated () =
   check tbool "left trace isolated" true (well_formed "left" ea);
   check tbool "right trace isolated" true (well_formed "right" eb)
 
-(* --- metrics merge ----------------------------------------------------- *)
+(* --- metrics pooling ---------------------------------------------------- *)
 
 let test_metrics_merge () =
   let stats xs =
@@ -103,25 +103,19 @@ let test_metrics_merge () =
     List.iter (Stats.add s) xs;
     s
   in
-  let a =
-    { Obs.Metrics.empty with
-      Obs.Metrics.events = 3;
-      duration = 10.0;
-      sends_by_signal = [ ("open", 2); ("close", 1) ];
-      drops = 1;
-      round_trip = stats [ 1.0; 5.0 ];
-    }
-  in
-  let b =
-    { Obs.Metrics.empty with
-      Obs.Metrics.events = 4;
-      duration = 7.0;
-      sends_by_signal = [ ("open", 1) ];
-      violations = 2;
-      round_trip = stats [ 3.0 ];
-    }
-  in
-  let m = Obs.Metrics.merge a b in
+  let a = Obs.Metrics.create () in
+  a.Obs.Metrics.events <- 3;
+  a.Obs.Metrics.duration <- 10.0;
+  a.Obs.Metrics.sends_by_signal <- [ ("open", 2); ("close", 1) ];
+  a.Obs.Metrics.drops <- 1;
+  Stats.append a.Obs.Metrics.round_trip (stats [ 1.0; 5.0 ]);
+  let b = Obs.Metrics.create () in
+  b.Obs.Metrics.events <- 4;
+  b.Obs.Metrics.duration <- 7.0;
+  b.Obs.Metrics.sends_by_signal <- [ ("open", 1) ];
+  b.Obs.Metrics.violations <- 2;
+  Stats.append b.Obs.Metrics.round_trip (stats [ 3.0 ]);
+  let m = Obs.Metrics.merge_all [ a; b ] in
   check tint "events add" 7 m.Obs.Metrics.events;
   check tbool "duration adds" true (m.Obs.Metrics.duration = 17.0);
   check tint "drops add" 1 m.Obs.Metrics.drops;
@@ -131,25 +125,35 @@ let test_metrics_merge () =
     && List.assoc "close" m.Obs.Metrics.sends_by_signal = 1);
   check tint "samples pool" 3 (Stats.count m.Obs.Metrics.round_trip);
   check tbool "pooled max" true (Stats.max m.Obs.Metrics.round_trip = 5.0);
-  check tbool "merge_all of nothing is empty" true (Obs.Metrics.merge_all [] = Obs.Metrics.empty)
+  check tint "the pooled registries are left alone" 3 a.Obs.Metrics.events;
+  check tbool "merge_all of nothing is empty" true
+    (Obs.Metrics.merge_all [] = Obs.Metrics.create ())
 
 (* Tied send counts must come out by signal name, not in whatever
-   order the merge's hash table happens to hold them: merging the same
-   registries in another order gives the same list. *)
+   order the registries were added in: adding the same registries in
+   another order, or in another grouping, gives the same list. *)
 let test_metrics_merge_ties () =
-  let reg sends = { Obs.Metrics.empty with Obs.Metrics.sends_by_signal = sends } in
-  let a = reg [ ("select", 2); ("open", 1) ]
-  and b = reg [ ("close", 2); ("closeack", 1) ]
-  and c = reg [ ("oack", 2); ("describe", 3) ] in
+  let reg sends =
+    let m = Obs.Metrics.create () in
+    m.Obs.Metrics.sends_by_signal <- sends;
+    m
+  in
+  let a () = reg [ ("select", 2); ("open", 1) ]
+  and b () = reg [ ("close", 2); ("closeack", 1) ]
+  and c () = reg [ ("oack", 2); ("describe", 3) ] in
   let sends m = m.Obs.Metrics.sends_by_signal in
+  let added into more =
+    List.iter (Obs.Metrics.add into) more;
+    into
+  in
   let want =
     [ ("describe", 3); ("close", 2); ("oack", 2); ("select", 2); ("closeack", 1); ("open", 1) ]
   in
   let tsends = Alcotest.(list (pair string int)) in
-  check tsends "merge_all a b c" want (sends (Obs.Metrics.merge_all [ a; b; c ]));
-  check tsends "merge_all c b a" want (sends (Obs.Metrics.merge_all [ c; b; a ]));
-  check tsends "merge (merge a b) c" want (sends (Obs.Metrics.merge (Obs.Metrics.merge a b) c));
-  check tsends "merge c (merge b a)" want (sends (Obs.Metrics.merge c (Obs.Metrics.merge b a)))
+  check tsends "merge_all a b c" want (sends (Obs.Metrics.merge_all [ a (); b (); c () ]));
+  check tsends "merge_all c b a" want (sends (Obs.Metrics.merge_all [ c (); b (); a () ]));
+  check tsends "add c into (add b into a)" want (sends (added (added (a ()) [ b () ]) [ c () ]));
+  check tsends "add (add a into b) into c" want (sends (added (c ()) [ added (b ()) [ a () ] ]))
 
 (* --- sessions ----------------------------------------------------------- *)
 
@@ -577,7 +581,7 @@ let prop_digest_end_time =
           events = 7;
           end_time;
           trace = Obs.Trace.Packed.empty;
-          metrics = Obs.Metrics.empty;
+          metrics = Obs.Metrics.create ();
           conformant = true;
           violations = 0;
           verdict = None;
@@ -652,6 +656,38 @@ let test_pinned_conf3_churn () =
   check Alcotest.string "3-party conf churn digest" "bd963279127260ec062a90f05d68a95f"
     s.Fleet.c_digest
 
+(* The merged registries, pinned byte for byte at one and two shards:
+   a fleet's metrics pool every session's counters and samples, so a
+   change to how they are added moves these. *)
+let metrics_md5 m = Digest.to_hex (Digest.string (Obs.Metrics.to_json m))
+
+let test_pinned_run_metrics () =
+  List.iter
+    (fun jobs ->
+      let _, s =
+        Fleet.run ~jobs ~until:60_000.0 ~sessions:64 ~seed:1 (fun ~id ~rng ->
+            Scenario.session ~loss:0.05 Scenario.Mixed ~id ~rng)
+      in
+      check Alcotest.string
+        (Printf.sprintf "mixed run metrics, jobs %d" jobs)
+        "bcfaad1079aa486b6fc8901fd0acf458" (metrics_md5 s.Fleet.metrics))
+    [ 1; 2 ]
+
+let test_pinned_churn_metrics () =
+  List.iter
+    (fun jobs ->
+      let s =
+        Fleet.churn ~jobs ~target_population:500 ~mean_holding:4_000.0 ~duration:2_000.0
+          ~seed:1 (fun ~id ~rng -> Scenario.churn_session ~loss:0.05 Scenario.Mixed ~id ~rng)
+      in
+      check Alcotest.string
+        (Printf.sprintf "mixed churn metrics, jobs %d" jobs)
+        "be6d93dac70798998d77ce7767bca35d" (metrics_md5 s.Fleet.c_metrics);
+      check Alcotest.string
+        (Printf.sprintf "mixed churn digest, jobs %d" jobs)
+        "c11d56185cf38af4caeb64a13f21fd54" s.Fleet.c_digest)
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "fleet"
     [
@@ -724,5 +760,9 @@ let () =
           Alcotest.test_case "fleet run, 256 3-party confs" `Quick test_pinned_conf3_batch;
           Alcotest.test_case "churn, 500 3-party confs over 4000 ms" `Quick
             test_pinned_conf3_churn;
+          Alcotest.test_case "merged metrics, 64 mixed sessions at 5% loss" `Quick
+            test_pinned_run_metrics;
+          Alcotest.test_case "merged metrics, mixed churn of 500 at 5% loss" `Quick
+            test_pinned_churn_metrics;
         ] );
     ]
