@@ -80,10 +80,16 @@ let run left right flowlinks chaos modifies max_states jobs segment losses dups 
         prerr_endline "--parties needs at least 2";
         exit 2
       end;
-      [ Check.run ~max_states ~jobs
-          (Path_model.conf_config ~faults ~flowlinks
-             ~parties:(List.init parties (fun _ -> party))
-             ~chaos ~modifies ()) ]
+      (* A star too wide for the checker's per-state predicate bits is
+         refused before anything is explored. *)
+      (try
+         [ Check.run ~max_states ~jobs
+             (Path_model.conf_config ~faults ~flowlinks
+                ~parties:(List.init parties (fun _ -> party))
+                ~chaos ~modifies ()) ]
+       with Invalid_argument msg ->
+         prerr_endline msg;
+         exit 2)
     | Some l, Some r ->
       [ Check.run ~max_states ~jobs
           (Path_model.path_config ~faults ~left:l ~right:r ~flowlinks ~chaos ~modifies ()) ]

@@ -35,9 +35,17 @@ type report = {
 
 val run : ?max_states:int -> ?jobs:int -> Path_model.config -> report
 (** [jobs] (default 1) is the number of exploration domains; see
-    {!Explorer.S.explore}.  The verdicts and counts are identical for
-    every [jobs] value, except on a capped run, whose partial graph
-    depends on where exploration stopped. *)
+    {!Explorer.Make.explore_with}.  The verdicts and counts are
+    identical for every [jobs] value, except on a capped run, whose
+    partial graph depends on where exploration stopped.
+
+    The checks read one int of predicate bits per state, kept when the
+    state is discovered: whether it is in error, clean and settled,
+    and, for each leg, whether its ends are both closed and whether
+    they are flowing.  A counterexample's states are rebuilt by
+    replaying its labels from the initial state.  Raises
+    [Invalid_argument] before exploring a star with more legs than one
+    int has bits for (30 on a 64-bit host). *)
 
 val passed : report -> bool
 (** Safety holds and the specification holds. *)

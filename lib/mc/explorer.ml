@@ -59,8 +59,8 @@ end
 module Keys = Hashtbl.Make (String)
 
 module Make (S : SYSTEM) = struct
-  type graph = {
-    states : S.state array;
+  type 'a space = {
+    states : 'a array;
     csr : Csr.t;
     labels : S.label array;
     transition_count : int;
@@ -68,17 +68,26 @@ module Make (S : SYSTEM) = struct
     expanded : int;
   }
 
+  type graph = S.state space
+
   (* ---------------------------------------------------------------- *)
   (* Sequential exploration.                                           *)
   (*                                                                   *)
   (* States are interned in discovery order, so the BFS work queue is  *)
   (* the id sequence itself and the CSR rows can be laid down directly *)
   (* as each state is expanded — no per-state lists, no hashtable of   *)
-  (* successor edges, no freeze copy.                                  *)
+  (* successor edges, no freeze copy.  A state is kept as [keep state] *)
+  (* from the moment it is interned; its decoded value lives only in   *)
+  (* the frontier: [level] holds the states of ids [base ..] still to  *)
+  (* expand, [next] those discovered since, numbered after them.  An   *)
+  (* expanded state's slot is overwritten with [initial] so that it    *)
+  (* can be collected.                                                 *)
 
-  let explore_seq ~max_states initial =
+  let explore_seq ~max_states ~keep initial =
     let ids : int Keys.t = Keys.create 4096 in
-    let states = vec_create () in
+    let kept = vec_create () in
+    let level = ref (vec_create ()) and next = ref (vec_create ()) in
+    let base = ref 0 in
     let row = vec_create () in
     let dst = vec_create () in
     let labels = vec_create () in
@@ -88,37 +97,48 @@ module Make (S : SYSTEM) = struct
       match Keys.find ids key with
       | id -> id
       | exception Not_found ->
-        let id = states.len in
-        vec_push states state;
+        let id = kept.len in
+        vec_push kept (keep state);
+        vec_push !next state;
         Keys.add ids key id;
         id
     in
     ignore (intern initial : int);
-    let next = ref 0 in
-    while !next < states.len && not !capped do
-      if states.len >= max_states then capped := true
+    let expanded = ref 0 in
+    while !expanded < kept.len && not !capped do
+      if kept.len >= max_states then capped := true
       else begin
+        if !expanded - !base = !level.len then begin
+          let done_ = !level in
+          vec_clear done_;
+          base := !expanded;
+          level := !next;
+          next := done_
+        end;
+        let i = !expanded - !base in
+        let state = !level.data.(i) in
+        !level.data.(i) <- initial;
         vec_push row dst.len;
         List.iter
           (fun (label, state') ->
             let id' = intern state' in
             vec_push dst id';
             vec_push labels label)
-          (S.successors states.data.(!next));
-        incr next
+          (S.successors state);
+        incr expanded
       end
     done;
-    let n = states.len in
+    let n = kept.len in
     let m = dst.len in
     let row_arr = Array.make (n + 1) m in
     Array.blit row.data 0 row_arr 0 row.len;
     {
-      states = Array.sub states.data 0 n;
+      states = Array.sub kept.data 0 n;
       csr = Csr.make ~row:row_arr ~dst:(Array.sub dst.data 0 m);
       labels = Array.sub labels.data 0 m;
       transition_count = m;
       capped = !capped;
-      expanded = !next;
+      expanded = !expanded;
     }
 
   (* ---------------------------------------------------------------- *)
@@ -146,11 +166,11 @@ module Make (S : SYSTEM) = struct
      synchronisation the exchange needs, so messages cost no mutex
      traffic and no per-message allocation beyond the vec slots.
 
-     [bst] is the sender's live successor value.  It is stored by the
-     receiver only when no [unpack] is available; systems whose states
-     embed domain-local interned values (packed signal words in tunnel
-     queues) must supply [unpack] so the receiver rebuilds the state
-     from its canonical key in its own domain's tables. *)
+     [bst] carries the sender's live successor value, and only when no
+     [unpack] is available; systems whose states embed domain-local
+     interned values (packed signal words in tunnel queues) must supply
+     [unpack] so the receiver rebuilds the state from its canonical key
+     in its own domain's tables. *)
   type batch = {
     bsrc : int vec;
     blab : S.label vec;
@@ -158,11 +178,16 @@ module Make (S : SYSTEM) = struct
     bst : S.state vec;
   }
 
-  type shard = {
+  (* A shard keeps [keep state] for each of its states, by local id.
+     Each level numbers the states it discovers after all earlier ones,
+     so the frontier, the decoded states of this level, holds local ids
+     [base ..], and [fresh] the states discovered since. *)
+  type 'a shard = {
     table : int Keys.t;  (* packed key -> local id *)
-    sstates : S.state vec;
-    mutable frontier : int vec;  (* local ids to expand this level *)
-    mutable fresh : int vec;  (* local ids discovered this level *)
+    kept : 'a vec;
+    mutable frontier : S.state vec;
+    mutable base : int;
+    mutable fresh : S.state vec;
     esrc : int vec;  (* edges resolved by this domain, global ids *)
     edst : int vec;
     elab : S.label vec;
@@ -177,16 +202,7 @@ module Make (S : SYSTEM) = struct
      the same graph — only message traffic changes. *)
   let prefix_len = 8
 
-  let explore_par ~max_states ~jobs ~unpack initial =
-    (* Every state stored in a shard must have been {e built} by the
-       owning domain when the system interns values into domain-local
-       tables; [local_state] re-canonicalizes a state that crossed a
-       domain boundary from its packed key. *)
-    let local_state =
-      match unpack with
-      | Some u -> fun key (_ : S.state) -> u key
-      | None -> fun _ st -> st
-    in
+  let explore_par ~max_states ~jobs ~unpack ~keep initial =
     let shard_of key =
       let n = min prefix_len (String.length key) in
       let h = ref 0 in
@@ -198,8 +214,9 @@ module Make (S : SYSTEM) = struct
     let mk_shard () =
       {
         table = Keys.create 4096;
-        sstates = vec_create ();
+        kept = vec_create ();
         frontier = vec_create ();
+        base = 0;
         fresh = vec_create ();
         esrc = vec_create ();
         edst = vec_create ();
@@ -223,25 +240,32 @@ module Make (S : SYSTEM) = struct
     let capped = Array.make jobs false in
     (* Owner-side intern: only the domain whose shard a key hashes into
        ever touches that shard's table, so no lock is needed. *)
-    let intern_local sh d key state =
-      match Keys.find sh.table key with
-      | i -> (i * jobs) + d
-      | exception Not_found ->
-        let i = sh.sstates.len in
-        vec_push sh.sstates state;
-        Keys.add sh.table key i;
-        vec_push sh.fresh i;
-        (i * jobs) + d
+    let add_local sh d key state =
+      let i = sh.kept.len in
+      vec_push sh.kept (keep state);
+      Keys.add sh.table key i;
+      vec_push sh.fresh state;
+      (i * jobs) + d
+    in
+    (* A state that crossed a domain boundary, rebuilt from its key when
+       the system can decode one. *)
+    let arrived b k =
+      match unpack with
+      | Some u -> u b.bkey.data.(k)
+      | None -> b.bst.data.(k)
     in
     let body d =
       let sh = shards.(d) in
       let out = mail.(d) in
       (* The initial state is interned here, not at setup, so that it
-         too is built by its owning domain. *)
+         too is built by its owning domain; it is the first level's
+         frontier. *)
       if d = owner0 then begin
-        vec_push sh.sstates (local_state key0 initial);
-        Keys.add sh.table key0 0;
-        vec_push sh.frontier 0
+        let state = match unpack with Some u -> u key0 | None -> initial in
+        ignore (add_local sh d key0 state : int);
+        let fr = sh.frontier in
+        sh.frontier <- sh.fresh;
+        sh.fresh <- fr
       end;
       let running = ref true in
       while !running do
@@ -251,14 +275,19 @@ module Make (S : SYSTEM) = struct
            string, so pushing it into the batch is enough. *)
         let fr = sh.frontier in
         for fi = 0 to fr.len - 1 do
-          let i = fr.data.(fi) in
-          let g_u = (i * jobs) + d in
+          let g_u = ((sh.base + fi) * jobs) + d in
+          let state = fr.data.(fi) in
+          fr.data.(fi) <- initial;
           List.iter
             (fun (label, state') ->
               let key = S.pack state' in
               let o = shard_of key in
               if o = d then begin
-                let g_v = intern_local sh d key state' in
+                let g_v =
+                  match Keys.find sh.table key with
+                  | i -> (i * jobs) + d
+                  | exception Not_found -> add_local sh d key state'
+                in
                 vec_push sh.esrc g_u;
                 vec_push sh.edst g_v;
                 vec_push sh.elab label
@@ -268,9 +297,9 @@ module Make (S : SYSTEM) = struct
                 vec_push b.bsrc g_u;
                 vec_push b.blab label;
                 vec_push b.bkey key;
-                vec_push b.bst state'
+                if Option.is_none unpack then vec_push b.bst state'
               end)
-            (S.successors sh.sstates.data.(i))
+            (S.successors state)
         done;
         Barrier.wait barrier;
         (* Absorb: everything addressed to this domain this level.  The
@@ -280,18 +309,12 @@ module Make (S : SYSTEM) = struct
         for src = 0 to jobs - 1 do
           let b = mail.(src).(d) in
           for k = 0 to b.bsrc.len - 1 do
-            (* Inlined [intern_local] so [local_state] (which may decode
-               the key) runs only on a genuine miss. *)
+            (* The state is rebuilt only on a genuine miss. *)
             let key = b.bkey.data.(k) in
             let g_v =
               match Keys.find sh.table key with
               | i -> (i * jobs) + d
-              | exception Not_found ->
-                let i = sh.sstates.len in
-                vec_push sh.sstates (local_state key b.bst.data.(k));
-                Keys.add sh.table key i;
-                vec_push sh.fresh i;
-                (i * jobs) + d
+              | exception Not_found -> add_local sh d key (arrived b k)
             in
             vec_push sh.esrc b.bsrc.data.(k);
             vec_push sh.edst g_v;
@@ -306,8 +329,9 @@ module Make (S : SYSTEM) = struct
         vec_clear expanded;
         sh.frontier <- sh.fresh;
         sh.fresh <- expanded;
+        sh.base <- sh.kept.len - sh.frontier.len;
         fsizes.(d) <- sh.frontier.len;
-        counts.(d) <- sh.sstates.len;
+        counts.(d) <- sh.kept.len;
         Barrier.wait barrier;
         (* Every domain reads the same published totals, so they all
            take the same branch and stay in lockstep. *)
@@ -326,11 +350,9 @@ module Make (S : SYSTEM) = struct
     (* Freeze: lay the shards' expanded states out contiguously (the
        initial state's owner first, so the initial state is id 0), then
        their frontiers, which only a capped run leaves unexpanded, and
-       counting-sort the merged edge set into CSR form.  A shard's
-       frontier is the last of its local ids: each level numbers the
-       states it discovers after all earlier ones. *)
+       counting-sort the merged edge set into CSR form. *)
     let order = Array.init jobs (fun i -> (owner0 + i) mod jobs) in
-    let done_ = Array.map (fun sh -> sh.sstates.len - sh.frontier.len) shards in
+    let done_ = Array.map (fun sh -> sh.base) shards in
     let offsets = Array.make jobs 0 and fr_offsets = Array.make jobs 0 in
     let n = ref 0 in
     Array.iter
@@ -349,11 +371,11 @@ module Make (S : SYSTEM) = struct
       let d = g mod jobs and i = g / jobs in
       if i < done_.(d) then offsets.(d) + i else fr_offsets.(d) + i - done_.(d)
     in
-    let states = Array.make n initial in
+    let states = Array.make n shards.(owner0).kept.data.(0) in
     Array.iteri
       (fun d sh ->
-        Array.blit sh.sstates.data 0 states offsets.(d) done_.(d);
-        Array.blit sh.sstates.data done_.(d) states fr_offsets.(d) sh.frontier.len)
+        Array.blit sh.kept.data 0 states offsets.(d) done_.(d);
+        Array.blit sh.kept.data done_.(d) states fr_offsets.(d) sh.frontier.len)
       shards;
     let m = Array.fold_left (fun acc sh -> acc + sh.esrc.len) 0 shards in
     let row = Array.make (n + 1) 0 in
@@ -393,9 +415,12 @@ module Make (S : SYSTEM) = struct
       expanded;
     }
 
-  let explore ?(max_states = 1_000_000) ?(jobs = 1) ?unpack initial =
-    if jobs <= 1 then explore_seq ~max_states initial
-    else explore_par ~max_states ~jobs ~unpack initial
+  let explore_with ?(max_states = 1_000_000) ?(jobs = 1) ?unpack ~keep initial =
+    if jobs <= 1 then explore_seq ~max_states ~keep initial
+    else explore_par ~max_states ~jobs ~unpack ~keep initial
+
+  let explore ?max_states ?jobs ?unpack initial =
+    explore_with ?max_states ?jobs ?unpack ~keep:Fun.id initial
 
   (* ---------------------------------------------------------------- *)
 

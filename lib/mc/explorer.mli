@@ -5,6 +5,13 @@
     vectors (paper section VIII-A).  Exploration is breadth-first so
     that witness states found by the temporal checks are shallow.
 
+    A checked state costs its key: {!Make.explore_with} keeps, for each
+    state, only what its [keep] function projects, computed once when
+    the state is interned.  The decoded state stays in memory only while
+    it waits in the breadth-first frontier, and each edge stores its
+    target id and its label.  {!Make.explore} keeps the states
+    themselves.
+
     [explore ~jobs:n] with [n > 1] runs a multicore breadth-first
     search: [n] domains own disjoint hash-partitions of the intern
     table and exchange frontier batches through per-pair mailboxes.
@@ -44,8 +51,11 @@ module type SYSTEM = sig
 end
 
 module Make (S : SYSTEM) : sig
-  type graph = {
-    states : S.state array;  (** index = state id; id 0 is the initial state *)
+  type 'a space = {
+    states : 'a array;
+        (** index = state id; id 0 is the initial state.  What was kept of
+            each state: [keep state] for {!explore_with}, the state
+            itself for {!explore} *)
     csr : Csr.t;  (** successor structure, frozen to compressed sparse row *)
     labels : S.label array;
         (** [labels.(k)] labels the transition stored at edge slot [k] of
@@ -58,11 +68,21 @@ module Make (S : SYSTEM) : sig
             never expanded, so their empty rows in [csr] say nothing *)
   }
 
-  val explore : ?max_states:int -> ?jobs:int -> ?unpack:(string -> S.state) -> S.state -> graph
-  (** Breadth-first reachability from the given initial state.  Default
-      [max_states] is 1_000_000; default [jobs] is 1 (sequential).
-      [jobs > 1] explores with that many domains (see module
-      description for the isomorphism guarantee).
+  type graph = S.state space
+
+  val explore_with :
+    ?max_states:int ->
+    ?jobs:int ->
+    ?unpack:(string -> S.state) ->
+    keep:(S.state -> 'a) ->
+    S.state ->
+    'a space
+  (** Breadth-first reachability from the given initial state, keeping
+      [keep state] for each discovered state.  [keep] runs once per
+      state, when the state is interned, on the domain that owns it.
+      Default [max_states] is 1_000_000; default [jobs] is 1
+      (sequential).  [jobs > 1] explores with that many domains (see
+      module description for the isomorphism guarantee).
 
       [unpack] inverts {!SYSTEM.pack}.  It is required for correctness
       under [jobs > 1] whenever states embed {e domain-local} interned
@@ -70,22 +90,28 @@ module Make (S : SYSTEM) : sig
       whose intern ids are meaningless on another domain.  When given,
       the parallel explorer rebuilds every state that crosses a domain
       boundary from its canonical key on the owning domain, so each
-      shard only ever expands states whose interned parts live in its
-      own domain's tables.  Note the returned [graph.states] still
-      holds values built by several domains: inspect them only through
-      functions that do not decode interned parts (the path-model
-      predicates and printers qualify), or re-canonicalize with
-      [unpack (pack s)] first. *)
+      shard only ever expands, and hands to [keep], states whose
+      interned parts live in its own domain's tables.  A state is
+      expanded from the value it was discovered as, never by unpacking
+      its key again, so decoded states wait in the frontier until they
+      are expanded. *)
 
-  val succs : graph -> int -> (S.label * int) list
+  val explore : ?max_states:int -> ?jobs:int -> ?unpack:(string -> S.state) -> S.state -> graph
+  (** [explore_with ~keep:Fun.id].  The returned [graph.states] holds
+      values built by several domains under [jobs > 1]: inspect them
+      only through functions that do not decode interned parts (the
+      path-model predicates and printers qualify), or re-canonicalize
+      with [unpack (pack s)] first. *)
+
+  val succs : 'a space -> int -> (S.label * int) list
   (** The outgoing transitions of one state, materialized as a list
       (convenience for tests and trace printing; the checking passes use
-      [graph.csr] directly). *)
+      [csr] directly). *)
 
-  val deadlocks : graph -> int list
+  val deadlocks : 'a space -> int list
   (** Ids of expanded states with no successors. *)
 
-  val path_to : graph -> int -> (S.label option * int) list
+  val path_to : 'a space -> int -> (S.label option * int) list
   (** A shortest path from the initial state to the given id, as
       [(label leading into state, state id)] pairs; the first element is
       [(None, 0)]. *)

@@ -195,14 +195,13 @@ let settled_leg g =
 
 let all_settled s = List.for_all settled_leg s.legs
 
-let all_slots s =
-  List.concat_map
-    (fun g ->
-      (g.outer.slot :: List.concat_map (fun l -> [ l.lslot; l.rslot ]) g.links) @ [ g.inner.slot ])
-    s.legs
+let clean_slot slot = Slot.is_closed slot || Slot.is_flowing slot
 
-let clean s =
-  List.for_all (fun slot -> Slot.is_closed slot || Slot.is_flowing slot) (all_slots s)
+let clean_leg g =
+  clean_slot g.outer.slot && clean_slot g.inner.slot
+  && List.for_all (fun l -> clean_slot l.lslot && clean_slot l.rslot) g.links
+
+let clean s = List.for_all clean_leg s.legs
 
 (* ------------------------------------------------------------------ *)
 (* Labels                                                              *)
@@ -211,38 +210,69 @@ type direction = Rightward | Leftward
 
 type which_end = L | R
 
-(* Every label names the leg it acts on (first [int]); a path topology
-   only ever produces leg 0. *)
-type label =
-  | Deliver of int * int * direction
-  | Lose of int * int * direction  (** the network drops the head signal *)
-  | Dup of int * int * direction  (** the network delivers the head signal twice *)
-  | Switch_end of int * which_end
-  | Switch_link of int * int
-  | Chaos_end of int * which_end * string
-  | Chaos_link of int * int * Flow_link.side * string
-  | Modify of int * which_end * Mute.t
+let mute_code (m : Mute.t) =
+  (if m.Mute.mute_in then 1 else 0) lor if m.Mute.mute_out then 2 else 0
+
+let mute_of_code c = { Mute.mute_in = c land 1 <> 0; mute_out = c land 2 <> 0 }
+
+(* The spontaneous sends of a chaotic slot, by the action code a chaos
+   label carries. *)
+let chaos_name = function
+  | 0 -> "open"
+  | 1 -> "close"
+  | 2 -> "oack"
+  | 3 -> "describe"
+  | _ -> "select"
+
+(* A label is one immediate int, so the explorer stores an edge's label
+   in one word.  Bits 0-2 name the move; bit 3 is set for a leftward
+   tunnel, the R end or a flowlink's right side; bits 4-6 carry a chaos
+   action code or a mute code; bits 7-22 the tunnel or flowlink index;
+   the bits above, the leg the move acts on (a path topology only ever
+   produces leg 0).  Every field fits its bits, and no state offers two
+   moves with one label, so a label names the move it was made by. *)
+type label = int
+
+let equal_label = Int.equal
+
+module Label = struct
+  let at k index = (index lsl 7) lor (k lsl 23)
+  let dir = function Rightward -> 0 | Leftward -> 8
+  let which = function L -> 0 | R -> 8
+  let side = function Flow_link.Left -> 0 | Flow_link.Right -> 8
+  let deliver k i d = 0 lor dir d lor at k i
+
+  (* the network drops the head signal *)
+  let lose k i d = 1 lor dir d lor at k i
+
+  (* the network delivers the head signal twice *)
+  let dup k i d = 2 lor dir d lor at k i
+  let switch_end k w = 3 lor which w lor at k 0
+  let switch_link k j = 4 lor at k j
+  let chaos_end k w act = 5 lor which w lor (act lsl 4) lor at k 0
+  let chaos_link k j sd act = 6 lor side sd lor (act lsl 4) lor at k j
+  let modify k w mute = 7 lor which w lor (mute_code mute lsl 4) lor at k 0
+end
 
 (* Leg 0 prints exactly the two-ended labels, so path counterexamples
    read as before; star legs carry a prefix. *)
-let pp_leg ppf k = if k > 0 then Format.fprintf ppf "leg%d " k
-
-let pp_label ppf = function
-  | Deliver (k, i, Rightward) -> Format.fprintf ppf "%adeliver t%d ->" pp_leg k i
-  | Deliver (k, i, Leftward) -> Format.fprintf ppf "%adeliver t%d <-" pp_leg k i
-  | Lose (k, i, Rightward) -> Format.fprintf ppf "%alose t%d ->" pp_leg k i
-  | Lose (k, i, Leftward) -> Format.fprintf ppf "%alose t%d <-" pp_leg k i
-  | Dup (k, i, Rightward) -> Format.fprintf ppf "%adup t%d ->" pp_leg k i
-  | Dup (k, i, Leftward) -> Format.fprintf ppf "%adup t%d <-" pp_leg k i
-  | Switch_end (k, L) -> Format.fprintf ppf "%aswitch L" pp_leg k
-  | Switch_end (k, R) -> Format.fprintf ppf "%aswitch R" pp_leg k
-  | Switch_link (k, j) -> Format.fprintf ppf "%aswitch fl%d" pp_leg k j
-  | Chaos_end (k, L, a) -> Format.fprintf ppf "%achaos L %s" pp_leg k a
-  | Chaos_end (k, R, a) -> Format.fprintf ppf "%achaos R %s" pp_leg k a
-  | Chaos_link (k, j, side, a) ->
-    Format.fprintf ppf "%achaos fl%d.%a %s" pp_leg k j Flow_link.pp_side side a
-  | Modify (k, L, m) -> Format.fprintf ppf "%amodify L %a" pp_leg k Mute.pp m
-  | Modify (k, R, m) -> Format.fprintf ppf "%amodify R %a" pp_leg k Mute.pp m
+let pp_label ppf l =
+  let k = l lsr 23 and i = (l lsr 7) land 0xffff and arg = (l lsr 4) land 7 in
+  let flip = l land 8 <> 0 in
+  let arrow = if flip then "<-" else "->" and which = if flip then "R" else "L" in
+  if k > 0 then Format.fprintf ppf "leg%d " k;
+  match l land 7 with
+  | 0 -> Format.fprintf ppf "deliver t%d %s" i arrow
+  | 1 -> Format.fprintf ppf "lose t%d %s" i arrow
+  | 2 -> Format.fprintf ppf "dup t%d %s" i arrow
+  | 3 -> Format.fprintf ppf "switch %s" which
+  | 4 -> Format.fprintf ppf "switch fl%d" i
+  | 5 -> Format.fprintf ppf "chaos %s %s" which (chaos_name arg)
+  | 6 ->
+    Format.fprintf ppf "chaos fl%d.%a %s" i Flow_link.pp_side
+      (if flip then Flow_link.Right else Flow_link.Left)
+      (chaos_name arg)
+  | _ -> Format.fprintf ppf "modify %s %a" which Mute.pp (mute_of_code arg)
 
 let pp_state ppf s =
   let pp_slot ppf slot = Slot_state.pp ppf slot.Slot.state in
@@ -360,26 +390,26 @@ let modify_end s k which mute =
       (End_goal.modify g e.slot mute)
   | Chaos _ -> s
 
-(* The protocol-legal spontaneous sends available to a chaotic slot. *)
+(* The protocol-legal spontaneous sends available to a chaotic slot,
+   each with its [chaos_name] code. *)
 let chaos_actions local slot =
   match slot.Slot.state with
-  | Slot_state.Closed -> [ ("open", fun () -> Slot.send_open slot medium (Local.descriptor local)) ]
-  | Slot_state.Opening -> [ ("close", fun () -> Slot.send_close slot) ]
+  | Slot_state.Closed -> [ (0, fun () -> Slot.send_open slot medium (Local.descriptor local)) ]
+  | Slot_state.Opening -> [ (1, fun () -> Slot.send_close slot) ]
   | Slot_state.Opened ->
     [
-      ("oack", fun () -> Slot.send_oack slot (Local.descriptor local));
-      ("close", fun () -> Slot.send_close slot);
+      (2, fun () -> Slot.send_oack slot (Local.descriptor local));
+      (1, fun () -> Slot.send_close slot);
     ]
   | Slot_state.Flowing ->
     let base =
       [
-        ("describe", fun () -> Slot.send_describe slot (Local.descriptor local));
-        ("close", fun () -> Slot.send_close slot);
+        (3, fun () -> Slot.send_describe slot (Local.descriptor local));
+        (1, fun () -> Slot.send_close slot);
       ]
     in
     (match slot.Slot.remote_desc with
-    | Some desc ->
-      ("select", fun () -> Slot.send_select slot (Local.selector_for local desc)) :: base
+    | Some desc -> (4, fun () -> Slot.send_select slot (Local.selector_for local desc)) :: base
     | None -> base)
   | Slot_state.Closing -> []
 
@@ -485,7 +515,7 @@ let successors s =
     let add label s' = moves := (label, s') :: !moves in
     let add_delivery k i direction =
       match deliver s k i direction with
-      | Some s' -> add (Deliver (k, i, direction)) s'
+      | Some s' -> add (Label.deliver k i direction) s'
       | None -> ()
     in
     List.iteri
@@ -503,11 +533,11 @@ let successors s =
         if s.unrestricted || idempotent head then begin
           (if s.losses_left > 0 then
              match lose s k i direction with
-             | Some s' -> add (Lose (k, i, direction)) { s' with losses_left = s.losses_left - 1 }
+             | Some s' -> add (Label.lose k i direction) { s' with losses_left = s.losses_left - 1 }
              | None -> ());
           if s.dups_left > 0 then
             match deliver ~consume:false s k i direction with
-            | Some s' -> add (Dup (k, i, direction)) { s' with dups_left = s.dups_left - 1 }
+            | Some s' -> add (Label.dup k i direction) { s' with dups_left = s.dups_left - 1 }
             | None -> ()
         end
     in
@@ -524,12 +554,12 @@ let successors s =
       let e = get_end s k which in
       match e.phase with
       | Chaos budget ->
-        if not e.environment then add (Switch_end (k, which)) (switch_end s k which);
+        if not e.environment then add (Label.switch_end k which) (switch_end s k which);
         if budget > 0 then
           List.iter
-            (fun (name, act) ->
+            (fun (act_code, act) ->
               add
-                (Chaos_end (k, which, name))
+                (Label.chaos_end k which act_code)
                 (of_slot_result s
                    (fun (slot, signal) ->
                      let e' = { e with phase = Chaos (budget - 1); slot } in
@@ -542,14 +572,14 @@ let successors s =
           List.iter
             (fun mute ->
               if not (Mute.equal mute e.local.Local.mute) then
-                add (Modify (k, which, mute)) (modify_end s k which mute))
+                add (Label.modify k which mute) (modify_end s k which mute))
             mute_choices
     in
     let link_chaos k j link budget side slot =
       List.iter
-        (fun (name, act) ->
+        (fun (act_code, act) ->
           add
-            (Chaos_link (k, j, side, name))
+            (Label.chaos_link k j side act_code)
             (of_slot_result s
                (fun (slot', signal) ->
                  let link' =
@@ -565,7 +595,7 @@ let successors s =
     let link_moves k j link =
       match link.lphase with
       | L_chaos budget ->
-        add (Switch_link (k, j)) (switch_link s k j);
+        add (Label.switch_link k j) (switch_link s k j);
         if budget > 0 then begin
           link_chaos k j link budget Flow_link.Left link.lslot;
           link_chaos k j link budget Flow_link.Right link.rslot
@@ -672,11 +702,6 @@ let owner_code owner =
       2 + owner_digits owner 2 0
     else unknown_owner owner
 
-let base_local_of_code = function
-  | 0 -> endpoint_local true
-  | 1 -> endpoint_local false
-  | c -> Local.server ~owner:(Printf.sprintf "FL%d" (c - 2))
-
 let addr_code a =
   if a == addr_l then 0
   else if a == addr_r then 1
@@ -720,11 +745,6 @@ let codec_code = function
 
 let codec_of_code i = List.nth Codec.all i
 
-let mute_code (m : Mute.t) =
-  (if m.Mute.mute_in then 1 else 0) lor if m.Mute.mute_out then 2 else 0
-
-let mute_of_code c = { Mute.mute_in = c land 1 <> 0; mute_out = c land 2 <> 0 }
-
 let put_desc w (d : Descriptor.t) =
   let media = match d.Descriptor.offer with Descriptor.No_media -> 0 | Descriptor.Media _ -> 1 in
   byte w ((owner_code d.Descriptor.owner * 2) lor media);
@@ -740,7 +760,16 @@ let put_sel w (s : Selector.t) =
     | Selector.No_media -> 0
     | Selector.Chosen c -> 1 + codec_code c)
 
-type reader = { buf : string; mutable pos : int }
+(* A reader carries what decoding needs of the configuration, built
+   once when [unpack] is applied to it: the base local of each owner
+   code (L, R, then each flowlink's server) and each flowlink's slot
+   labels. *)
+type reader = {
+  buf : string;
+  mutable pos : int;
+  locals : Local.t array;
+  link_labels : (string * string) array;
+}
 
 let rd r =
   let c = Char.code r.buf.[r.pos] in
@@ -750,14 +779,14 @@ let rd r =
 let get_desc r =
   let tag = rd r in
   let version = rd r in
-  let base = base_local_of_code (tag lsr 1) in
+  let base = r.locals.(tag lsr 1) in
   if tag land 1 = 1 then
     Descriptor.make ~owner:base.Local.owner ~version base.Local.addr base.Local.codecs
   else Descriptor.no_media ~owner:base.Local.owner ~version base.Local.addr
 
 let get_sel r =
   let sender = addr_of_code (rd r) in
-  let r_owner = (base_local_of_code (rd r)).Local.owner in
+  let r_owner = r.locals.(rd r).Local.owner in
   let r_version = rd r in
   let choice =
     match rd r with
@@ -928,9 +957,10 @@ let get_link r j =
       let right = get_side_view r in
       L_goal (Flow_link.of_views ~filter_selectors:(tag = 1) ~left ~right ())
   in
-  let lslot = get_slot r ~label:(Printf.sprintf "fl%d.l" j) ~role:Slot.Channel_acceptor in
-  let rslot = get_slot r ~label:(Printf.sprintf "fl%d.r" j) ~role:Slot.Channel_initiator in
-  { lphase; lslot; rslot; llocal = Local.server ~owner:(Printf.sprintf "FL%d" j) }
+  let l_label, r_label = r.link_labels.(j) in
+  let lslot = get_slot r ~label:l_label ~role:Slot.Channel_acceptor in
+  let rslot = get_slot r ~label:r_label ~role:Slot.Channel_initiator in
+  { lphase; lslot; rslot; llocal = r.locals.(2 + j) }
 
 (* A queue is written from its packed words, decoded here on the
    writing domain, where they are canonical. *)
@@ -990,32 +1020,45 @@ let rec read_list j n f =
     let x = f j in
     x :: read_list (j + 1) n f
 
-let unpack (c : config) str =
-  let r = { buf = str; pos = 0 } in
+(* Everything derived from the configuration is built once, when
+   [unpack] is applied to it; the returned decoder shares these
+   immutable values across calls and domains. *)
+let unpack (c : config) =
   let kinds = Array.of_list (leg_kinds c) in
-  let legs =
-    read_list 0 (Array.length kinds) (fun k ->
-        let outer_kind, inner_kind = kinds.(k) in
-        let outer = get_endpoint r ~kind:outer_kind ~environment:c.environment_ends L in
-        let links = read_list 0 c.flowlinks (fun j -> get_link r j) in
-        let tuns = read_list 0 (c.flowlinks + 1) (fun _ -> get_tunnel r) in
-        let inner = get_endpoint r ~kind:inner_kind ~environment:c.environment_ends R in
-        { outer; links; tuns; inner })
+  let locals =
+    Array.init (2 + c.flowlinks) (function
+      | 0 -> endpoint_local true
+      | 1 -> endpoint_local false
+      | code -> Local.server ~owner:(Printf.sprintf "FL%d" (code - 2)))
   in
-  let err =
-    match rd r with
-    | 0 -> None
-    | _ ->
-      let lo = rd r in
-      let hi = rd r in
-      let n = lo lor (hi lsl 8) in
-      let msg = String.sub r.buf r.pos n in
-      r.pos <- r.pos + n;
-      Some msg
+  let link_labels =
+    Array.init c.flowlinks (fun j -> (Printf.sprintf "fl%d.l" j, Printf.sprintf "fl%d.r" j))
   in
-  let losses_left = rd r in
-  let dups_left = rd r in
-  { legs; err; losses_left; dups_left; unrestricted = c.faults.unrestricted }
+  fun str ->
+    let r = { buf = str; pos = 0; locals; link_labels } in
+    let legs =
+      read_list 0 (Array.length kinds) (fun k ->
+          let outer_kind, inner_kind = kinds.(k) in
+          let outer = get_endpoint r ~kind:outer_kind ~environment:c.environment_ends L in
+          let links = read_list 0 c.flowlinks (fun j -> get_link r j) in
+          let tuns = read_list 0 (c.flowlinks + 1) (fun _ -> get_tunnel r) in
+          let inner = get_endpoint r ~kind:inner_kind ~environment:c.environment_ends R in
+          { outer; links; tuns; inner })
+    in
+    let err =
+      match rd r with
+      | 0 -> None
+      | _ ->
+        let lo = rd r in
+        let hi = rd r in
+        let n = lo lor (hi lsl 8) in
+        let msg = String.sub r.buf r.pos n in
+        r.pos <- r.pos + n;
+        Some msg
+    in
+    let losses_left = rd r in
+    let dups_left = rd r in
+    { legs; err; losses_left; dups_left; unrestricted = c.faults.unrestricted }
 
 let equal_state (a : state) (b : state) = a = b
 

@@ -153,7 +153,11 @@ val clean : state -> bool
     final-state safety condition). *)
 
 type label
+(** A transition label, an immediate value: a graph stores it in one
+    word per edge.  No state offers two moves with the same label, so a
+    state and a label determine the successor. *)
 
+val equal_label : label -> label -> bool
 val pp_label : Format.formatter -> label -> unit
 val pp_state : Format.formatter -> state -> unit
 

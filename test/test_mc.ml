@@ -271,12 +271,12 @@ let test_unrestricted_loss_finds_violation () =
    unsafe.  Every other row finds nothing, which establishes nothing.
    Terminals are counted among expanded states only; counting the
    frontier's empty rows as well gave 8 and 210 at jobs 2. *)
+let safety = function
+  | Check.Safe -> "safe"
+  | Check.Unsafe { witness; reason } -> Printf.sprintf "UNSAFE: state %d: %s" witness reason
+  | Check.Not_established -> "not established"
+
 let test_capped_reports () =
-  let safety = function
-    | Check.Safe -> "safe"
-    | Check.Unsafe { witness; reason } -> Printf.sprintf "UNSAFE: state %d: %s" witness reason
-    | Check.Not_established -> "not established"
-  in
   let row ~jobs ~max_states config =
     let r = Check.run ~jobs ~max_states config in
     check tbool "capped" true r.Check.capped;
@@ -487,6 +487,66 @@ let test_pack_keys_pinned () =
   pinned close_open_any ~states:8_705 ~errors:1_357 "ee9c6447aa23daf3713b2f055731f020";
   pinned (conf3 ()) ~states:15_625 ~errors:0 "581fc5a51bdfda3068989ef30fa2e853"
 
+(* The printed counterexamples are pinned.  The graph keeps no states,
+   so each step's state, and the witness a violated spec prints, are
+   rebuilt by replaying the path's labels from the initial state; a
+   replay that took a wrong successor would change the text.  The
+   witness and the path depend on state numbering, so each job count
+   has its own text. *)
+let test_counterexamples_pinned () =
+  let text ~jobs config =
+    let r = Check.run ~jobs config in
+    let spec =
+      match r.Check.spec_result with
+      | Check.Spec_holds -> "holds"
+      | Check.Spec_violated msg -> "VIOLATED: " ^ msg
+      | Check.Inconclusive msg -> "inconclusive: " ^ msg
+    in
+    safety r.Check.safety :: spec :: r.Check.counterexample
+  in
+  let open_hold_loss =
+    Path_model.path_config
+      ~faults:{ Path_model.losses = 1; dups = 0; unrestricted = true }
+      ~left:Semantics.Open_end ~right:Semantics.Hold_end ~flowlinks:0 ~chaos:1 ~modifies:0 ()
+  in
+  let pinned name config ~jobs lines =
+    check Alcotest.(list string) (Printf.sprintf "%s, jobs %d" name jobs) lines (text ~jobs config)
+  in
+  pinned "closeslot--openslot" close_open_any ~jobs:1
+    [
+      "UNSAFE: state 22: terminal state with a half-open slot";
+      "VIOLATED: terminal state violates p; witness 373: [flowing |  | flowing] ERROR:unexpected \
+       oack in state flowing";
+      "switch L  =>  [closed |  | closed]";
+      "switch R  =>  [closed |  | opening]";
+      "lose t0 <-  =>  [closed |  | opening]";
+    ];
+  pinned "closeslot--openslot" close_open_any ~jobs:2
+    [
+      "UNSAFE: state 25: unexpected open in state opened";
+      "VIOLATED: terminal state violates p; witness 519: [flowing |  | flowing] ERROR:protocol \
+       error: unexpected oack in state flowing";
+      "switch R  =>  [closed |  | opening]";
+      "dup t0 <-  =>  [opened |  | opening]";
+      "deliver t0 <-  =>  [opened |  | opening] ERROR:unexpected open in state opened";
+    ];
+  pinned "openslot--holdslot" open_hold_loss ~jobs:1
+    [
+      "UNSAFE: state 19: terminal state with a half-open slot";
+      "VIOLATED: terminal state violates p; witness 19: [opening |  | closed]";
+      "switch L  =>  [opening |  | closed]";
+      "lose t0 ->  =>  [opening |  | closed]";
+      "switch R  =>  [opening |  | closed]";
+    ];
+  pinned "openslot--holdslot" open_hold_loss ~jobs:2
+    [
+      "UNSAFE: state 14: terminal state with a half-open slot";
+      "VIOLATED: terminal state violates p; witness 14: [opening |  | closed]";
+      "switch R  =>  [closed |  | closed]";
+      "switch L  =>  [opening |  | closed]";
+      "lose t0 ->  =>  [opening |  | closed]";
+    ]
+
 let test_oversized_budgets_fail () =
   (* One byte per budget: a value that outgrows it must raise, never
      wrap into a key another state owns. *)
@@ -585,6 +645,24 @@ let test_pack_allocates_only_its_key () =
           (float_of_int !key_words /. float_of_int n))
     [ open_fl_open; close_open_any; conf3 () ]
 
+let open_fl_fl_open =
+  Path_model.path_config ~faults:loss1 ~left:Semantics.Open_end ~right:Semantics.Open_end
+    ~flowlinks:2 ~chaos:1 ~modifies:0 ()
+
+let test_unpack_allocates_only_the_state () =
+  (* [unpack c] builds the slot labels and flowlink locals of [c] once;
+     each call then allocates only the decoded state.  Rebuilding them
+     on every call costs 867 words per key on this configuration; the
+     decoded states average 379. *)
+  let g = PE.explore_with ~jobs:1 ~keep:Path_model.pack (Path_model.initial open_fl_fl_open) in
+  let unpack = Path_model.unpack open_fl_fl_open in
+  ignore (unpack g.PE.states.(0) : Path_model.state);
+  let w0 = Gc.minor_words () in
+  Array.iter (fun k -> ignore (Sys.opaque_identity (unpack k) : Path_model.state)) g.PE.states;
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int (Array.length g.PE.states) in
+  if per_call > 450.0 then
+    Alcotest.failf "unpack allocates %.1f words per call, more than 450" per_call
+
 let test_long_keys () =
   (* A 64-party star's keys run past a kilobyte, longer than any key
      above, so packing one grows the per-domain scratch mid-key; the
@@ -598,6 +676,79 @@ let test_long_keys () =
   check tbool "over a kilobyte" true (String.length (Path_model.pack s) > 1024);
   check tbool "round-trips" true (roundtrip config s)
 
+(* --- explore_with ------------------------------------------------------ *)
+
+(* [explore_with ~keep:f] must give [explore]'s graph with [f s] kept
+   in place of each state [s]: the same counts, rows, edges, labels,
+   expansion and cap.  [f] runs on the domain that owns the state, and
+   on the graph's values here, so it must not decode interned parts. *)
+let test_explore_with_counter () =
+  let f k = Printf.sprintf "k%d" k in
+  List.iter
+    (fun (jobs, max_states) ->
+      let name = Printf.sprintf "jobs %d, cap %d" jobs max_states in
+      let g = CE.explore ~jobs ~max_states 0 in
+      let k = CE.explore_with ~jobs ~max_states ~keep:f 0 in
+      check tint (name ^ " states") (Array.length g.CE.states) (Array.length k.CE.states);
+      check tint (name ^ " transitions") g.CE.transition_count k.CE.transition_count;
+      check tbool (name ^ " csr") true (g.CE.csr = k.CE.csr);
+      check tbool (name ^ " labels") true (g.CE.labels = k.CE.labels);
+      check tint (name ^ " expanded") g.CE.expanded k.CE.expanded;
+      check tbool (name ^ " capped") g.CE.capped k.CE.capped;
+      check tbool (name ^ " kept") true (Array.map f g.CE.states = k.CE.states))
+    (List.concat_map (fun jobs -> [ (jobs, 1_000_000); (jobs, 3) ]) [ 1; 2; 3; 4 ])
+
+let test_explore_with_path () =
+  let f s =
+    Format.asprintf "%a clean=%b settled=%b" Path_model.pp_state s (Path_model.clean s)
+      (Path_model.all_settled s)
+  in
+  let unpack = Path_model.unpack open_fl_open in
+  let initial = Path_model.initial open_fl_open in
+  List.iter
+    (fun (jobs, max_states) ->
+      let name = Printf.sprintf "jobs %d, cap %d" jobs max_states in
+      let g = PE.explore ~jobs ~max_states ~unpack initial in
+      let k = PE.explore_with ~jobs ~max_states ~unpack ~keep:f initial in
+      check tint (name ^ " states") (Array.length g.PE.states) (Array.length k.PE.states);
+      check tint (name ^ " transitions") g.PE.transition_count k.PE.transition_count;
+      check tbool (name ^ " csr") true (g.PE.csr = k.PE.csr);
+      check tbool (name ^ " labels") true (g.PE.labels = k.PE.labels);
+      check tint (name ^ " expanded") g.PE.expanded k.PE.expanded;
+      check tbool (name ^ " capped") g.PE.capped k.PE.capped;
+      check tbool (name ^ " kept") true (Array.map f g.PE.states = k.PE.states))
+    [ (1, 1_000_000); (1, 500); (2, 1_000_000); (2, 500) ]
+
+let test_kept_space_words () =
+  (* An int kept per state and an immediate label per edge: what is
+     left is the CSR and the two arrays, about 9.4 words per state
+     here.  [explore]'s graph, which keeps the states, reads 60.5. *)
+  let g =
+    PE.explore_with ~jobs:1
+      ~keep:(fun s -> if Path_model.clean s then 1 else 0)
+      (Path_model.initial open_fl_fl_open)
+  in
+  let n = Array.length g.PE.states in
+  check tint "states" 50_383 n;
+  let per_state = float_of_int (Obj.reachable_words (Obj.repr g)) /. float_of_int n in
+  if per_state > 16.0 then
+    Alcotest.failf "the kept space holds %.1f words per state, more than 16" per_state
+
+let test_star_too_wide () =
+  (* [Check.run] keeps three bits per state and two per leg in one int,
+     so a star of more legs is refused before anything is explored. *)
+  let star parties =
+    Path_model.conf_config
+      ~parties:(List.init parties (fun _ -> Semantics.Open_end))
+      ~chaos:0 ~modifies:0 ()
+  in
+  let widest = (Sys.int_size - 3) / 2 in
+  let r = Check.run ~max_states:10 (star widest) in
+  check tbool "the widest star runs" true r.Check.capped;
+  match Check.run (star (widest + 1)) with
+  | (_ : Check.report) -> Alcotest.fail "a star one leg too wide was explored"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "mc"
     [
@@ -607,6 +758,14 @@ let () =
           Alcotest.test_case "cap" `Quick test_explorer_cap;
           Alcotest.test_case "path_to" `Quick test_explorer_path_to;
           Alcotest.test_case "parallel counter graph" `Quick test_explorer_parallel_counter;
+          Alcotest.test_case "explore_with keeps f of each state (counter, jobs 1-4)" `Quick
+            test_explore_with_counter;
+          Alcotest.test_case "explore_with keeps f of each state (path, jobs 1-2)" `Quick
+            test_explore_with_path;
+          Alcotest.test_case "a space kept as ints costs at most 16 words per state" `Quick
+            test_kept_space_words;
+          Alcotest.test_case "a star too wide for the predicate bits is refused" `Quick
+            test_star_too_wide;
         ] );
       ( "scc",
         [
@@ -648,6 +807,8 @@ let () =
             test_capped_reports;
           Alcotest.test_case "unrestricted loss violates" `Quick
             test_unrestricted_loss_finds_violation;
+          Alcotest.test_case "unrestricted counterexamples are pinned" `Quick
+            test_counterexamples_pinned;
         ] );
       ( "parallel determinism",
         [
@@ -674,6 +835,8 @@ let () =
           Alcotest.test_case "pack keys are pinned" `Quick test_pack_keys_pinned;
           Alcotest.test_case "oversized budgets fail loudly" `Quick test_oversized_budgets_fail;
           Alcotest.test_case "pack allocates only its key" `Quick test_pack_allocates_only_its_key;
+          Alcotest.test_case "unpack allocates only the state" `Quick
+            test_unpack_allocates_only_the_state;
           Alcotest.test_case "long keys grow the scratch" `Quick test_long_keys;
         ] );
     ]
