@@ -38,32 +38,12 @@ let header title =
 
 let settle net = fst (Netsys.run net)
 
-let transmits_toward r owner net =
-  match Netsys.slot net r with
-  | Some slot -> (
-    Mediactl_protocol.Slot.tx_enabled slot
-    &&
-    match slot.Mediactl_protocol.Slot.remote_desc with
-    | Some d -> fst (Descriptor.id d) = owner
-    | None -> false)
-  | None -> false
-
 (* ------------------------------------------------------------------ *)
 (* E1: Figure 13                                                       *)
 
 let fig13_latency ~n ~c =
-  let net = settle (Prepaid.build ()) in
-  let net = settle (fst (Prepaid.snapshot1 net)) in
-  let net = settle (fst (Prepaid.snapshot2 net)) in
-  let net = settle (fst (Prepaid.snapshot3 net)) in
-  let sim = Timed.create ~n ~c net in
-  let a_tx = ref nan and c_tx = ref nan in
-  Timed.when_true sim (transmits_toward Prepaid.a_slot "C") (fun t -> a_tx := t);
-  Timed.when_true sim (transmits_toward Prepaid.c_slot "A") (fun t -> c_tx := t);
-  Timed.apply sim Prepaid.snapshot4_pc;
-  Timed.apply sim Prepaid.snapshot4_pbx;
-  let _ = Timed.run sim in
-  Float.max !a_tx !c_tx
+  let a_tx, c_tx = Prepaid.fig13 ~n ~c (Prepaid.fig13_start ()) in
+  Float.max a_tx c_tx
 
 let e1 () =
   header "E1  Figure 13: concurrent PBX/PC relink converges in 2n + 3c";
@@ -87,18 +67,13 @@ let e2 () =
     (fun boxes ->
       List.iter
         (fun j ->
-          let net, _ = Netsys.run (Relink.build ~boxes ~j) in
-          let sim = Timed.create ~n:paper_n ~c:paper_c net in
-          let done_at = ref nan in
-          Timed.when_true sim
-            (fun net -> Relink.left_transmits net && Relink.right_transmits net)
-            (fun t -> done_at := t);
-          Timed.apply sim (Relink.relink ~j);
-          let _ = Timed.run sim in
+          let done_at =
+            Relink.measure ~n:paper_n ~c:paper_c ~j (Relink.build ~boxes ~j)
+          in
           let p = Relink.hops ~boxes ~j in
           let formula = Relink.formula ~p ~n:paper_n ~c:paper_c in
-          Format.printf "%7d %4d %4d %12.1f %12.1f%s@." boxes j p !done_at formula
-            (if abs_float (!done_at -. formula) < 1e-6 then "" else "  MISMATCH"))
+          Format.printf "%7d %4d %4d %12.1f %12.1f%s@." boxes j p done_at formula
+            (if abs_float (done_at -. formula) < 1e-6 then "" else "  MISMATCH"))
         (List.init boxes (fun i -> i + 1)))
     [ 1; 2; 3; 4; 6 ]
 
@@ -395,41 +370,29 @@ let e8 () =
 (* ------------------------------------------------------------------ *)
 (* E9: convergence under network impairment                            *)
 
-(* The Figure-13 two-box relink of E1, but over an impaired network with
-   the reliability layer attached.  Returns the convergence latency (nan
-   if the run never converged) and the layer's counters. *)
-let fig13_impaired ~seed ~loss =
-  let net = settle (Prepaid.build ()) in
-  let net = settle (fst (Prepaid.snapshot1 net)) in
-  let net = settle (fst (Prepaid.snapshot2 net)) in
-  let net = settle (fst (Prepaid.snapshot3 net)) in
-  let sim = Timed.create ~n:paper_n ~c:paper_c net in
-  let impair =
-    Mediactl_net.Impair.create ~seed ~default:(Mediactl_net.Policy.lossy loss) ()
+(* [measure ~attach] over an impaired network with the reliability
+   layer attached.  Returns the convergence latency (nan if the run
+   never converged) and the layer's counters. *)
+let impaired ~seed ~loss measure =
+  let rel = ref None in
+  let latency =
+    measure ~attach:(fun sim ->
+        let impair =
+          Mediactl_net.Impair.create ~seed ~default:(Mediactl_net.Policy.lossy loss) ()
+        in
+        rel := Some (Mediactl_net.Reliable.attach impair sim))
   in
-  let rel = Mediactl_net.Reliable.attach impair sim in
-  let a_tx = ref nan and c_tx = ref nan in
-  Timed.when_true sim (transmits_toward Prepaid.a_slot "C") (fun t -> a_tx := t);
-  Timed.when_true sim (transmits_toward Prepaid.c_slot "A") (fun t -> c_tx := t);
-  Timed.apply sim Prepaid.snapshot4_pc;
-  Timed.apply sim Prepaid.snapshot4_pbx;
-  let _ = Timed.run sim in
-  (Float.max !a_tx !c_tx, Mediactl_net.Reliable.counters rel)
+  (latency, Mediactl_net.Reliable.counters (Option.get !rel))
+
+(* The Figure-13 two-box relink of E1 and a 3-box chain relink of E2. *)
+let fig13_impaired ~seed ~loss =
+  impaired ~seed ~loss (fun ~attach ->
+      let a_tx, c_tx = Prepaid.fig13 ~n:paper_n ~c:paper_c ~attach (Prepaid.fig13_start ()) in
+      Float.max a_tx c_tx)
 
 let chain3_impaired ~seed ~loss =
-  let net, _ = Netsys.run (Relink.build ~boxes:3 ~j:2) in
-  let sim = Timed.create ~n:paper_n ~c:paper_c net in
-  let impair =
-    Mediactl_net.Impair.create ~seed ~default:(Mediactl_net.Policy.lossy loss) ()
-  in
-  let rel = Mediactl_net.Reliable.attach impair sim in
-  let done_at = ref nan in
-  Timed.when_true sim
-    (fun net -> Relink.left_transmits net && Relink.right_transmits net)
-    (fun t -> done_at := t);
-  Timed.apply sim (Relink.relink ~j:2);
-  let _ = Timed.run sim in
-  (!done_at, Mediactl_net.Reliable.counters rel)
+  impaired ~seed ~loss (fun ~attach ->
+      Relink.measure ~n:paper_n ~c:paper_c ~attach ~j:2 (Relink.build ~boxes:3 ~j:2))
 
 let e9 () =
   header "E9  Convergence under loss: the reliability layer at work";

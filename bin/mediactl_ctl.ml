@@ -17,44 +17,14 @@ open Cmdliner
 open Mediactl_daemon_core
 module Semantics = Mediactl_core.Semantics
 
-(* A blocking line-at-a-time control client. *)
-type client = { fd : Unix.file_descr; mutable buf : string }
-
-let connect addr = { fd = Transport.connect addr; buf = "" }
-
-let rec read_line cl =
-  match String.index_opt cl.buf '\n' with
-  | Some i ->
-    let line = String.sub cl.buf 0 i in
-    cl.buf <- String.sub cl.buf (i + 1) (String.length cl.buf - i - 1);
-    Some line
-  | None -> (
-    match Transport.recv cl.fd with
-    | `Retry -> read_line cl
-    | `Eof -> None
-    | `Data d ->
-      cl.buf <- cl.buf ^ d;
-      read_line cl)
-
-(* Send one request and collect its response: all lines plus the final
-   OK/ERR line (STATUS interposes CALL lines before its OK). *)
-let request cl req =
-  Transport.send_all cl.fd (Control.render req ^ "\n");
-  let rec go acc =
-    match read_line cl with
-    | None -> Error "connection closed by daemon"
-    | Some line -> if Control.final_line line then Ok (List.rev acc, line) else go (line :: acc)
-  in
-  go []
-
 let one_shot addr req =
-  match connect addr with
+  match Control.connect addr with
   | exception Unix.Unix_error (e, _, _) ->
     Printf.eprintf "cannot connect to %s: %s\n" (Transport.addr_to_string addr)
       (Unix.error_message e);
     1
   | cl -> (
-    match request cl req with
+    match Control.request cl req with
     | Error e ->
       prerr_endline e;
       1
@@ -69,9 +39,9 @@ let one_shot addr req =
 exception Drive_failed of string
 
 let drive_calls addr id via timeout_ms quit =
-  let cl = connect addr in
+  let cl = Control.connect addr in
   let step req =
-    match request cl req with
+    match Control.request cl req with
     | Ok (lines, final) ->
       List.iter print_endline lines;
       print_endline final;

@@ -23,6 +23,12 @@ let impaired ~seed ~loss sim =
     Some (impair, Mediactl_net.Reliable.attach impair sim)
   end
 
+(* The [attach] of the Figure-13 and relink drivers: stamp the trace
+   with the driver's clock, then put the impaired network under it. *)
+let traced_impaired ~seed ~loss net_layer sim =
+  Timed.observe sim;
+  net_layer := impaired ~seed ~loss sim
+
 let report_impairment = function
   | None -> ()
   | Some (impair, rel) ->
@@ -58,55 +64,31 @@ let run_prepaid () =
 let run_fig13 seed n c loss =
   let settled, timed =
     Obs.Trace.recording_packed (fun () ->
-        let net = settle (Prepaid.build ()) in
-        let net = settle (fst (Prepaid.snapshot1 net)) in
-        let net = settle (fst (Prepaid.snapshot2 net)) in
-        let net = settle (fst (Prepaid.snapshot3 net)) in
+        let net = Prepaid.fig13_start () in
         let settled = Obs.Trace.drain () in
-        let sim = Timed.create ~n ~c net in
-        Timed.observe sim;
-        let net_layer = impaired ~seed ~loss sim in
-        let a_tx = ref nan and c_tx = ref nan in
-        let transmits r owner net =
-          match Netsys.slot net r with
-          | Some slot -> (
-            Mediactl_protocol.Slot.tx_enabled slot
-            &&
-            match slot.Mediactl_protocol.Slot.remote_desc with
-            | Some d -> fst (Mediactl_types.Descriptor.id d) = owner
-            | None -> false)
-          | None -> false
-        in
-        Timed.when_true sim (transmits Prepaid.a_slot "C") (fun t -> a_tx := t);
-        Timed.when_true sim (transmits Prepaid.c_slot "A") (fun t -> c_tx := t);
-        Timed.apply sim Prepaid.snapshot4_pc;
-        Timed.apply sim Prepaid.snapshot4_pbx;
-        let _ = Timed.run sim in
+        let net_layer = ref None in
+        let attach = traced_impaired ~seed ~loss net_layer in
+        let a_tx, c_tx = Prepaid.fig13 ~n ~c ~attach net in
         Format.printf "A transmits toward C at %.1f ms; C toward A at %.1f ms (2n+3c = %.1f)@.@."
-          !a_tx !c_tx
+          a_tx c_tx
           ((2.0 *. n) +. (3.0 *. c));
-        report_impairment net_layer;
+        report_impairment !net_layer;
         settled)
   in
   Format.printf "message-sequence chart:@.%a" Obs.Trace.pp_msc timed;
   Obs.Trace.Packed.append settled timed
 
 let run_relink seed n c boxes j loss =
-  let net, _ = Netsys.run (Relink.build ~boxes ~j) in
-  let sim = Timed.create ~n ~c net in
-  Timed.observe sim;
-  let net_layer = impaired ~seed ~loss sim in
-  let done_at = ref nan in
-  Timed.when_true sim
-    (fun net -> Relink.left_transmits net && Relink.right_transmits net)
-    (fun t -> done_at := t);
-  Timed.apply sim (Relink.relink ~j);
-  let _ = Timed.run sim in
+  let net_layer = ref None in
+  let done_at =
+    Relink.measure ~n ~c ~attach:(traced_impaired ~seed ~loss net_layer) ~j
+      (Relink.build ~boxes ~j)
+  in
   let p = Relink.hops ~boxes ~j in
   Format.printf "boxes=%d j=%d p=%d: measured %.1f ms, formula p*n+(p+1)*c = %.1f ms%s@." boxes j
-    p !done_at (Relink.formula ~p ~n ~c)
+    p done_at (Relink.formula ~p ~n ~c)
     (if loss > 0.0 then " (loss-free)" else "");
-  report_impairment net_layer;
+  report_impairment !net_layer;
   0
 
 let run_sip seed n c =
@@ -328,7 +310,7 @@ let fleet_scenario =
   in
   Arg.(value & opt kind_conv Scenario.Mixed
        & info [ "scenario" ] ~docv:"KIND"
-           ~doc:"What each fleet session runs: path, ctd, conf, conf2, prepaid, ctv,               transfer, barge, moh, or mixed.")
+           ~doc:"What each fleet session runs: path, ctd, conf, prepaid, ctv,               transfer, barge, moh, or mixed.")
 
 let parties_arg =
   Arg.(value & opt int 3 & info [ "parties" ]

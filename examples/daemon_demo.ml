@@ -19,47 +19,20 @@
 open Mediactl_daemon_core
 module Semantics = Mediactl_core.Semantics
 
-(* A blocking line-at-a-time control client (the mediactl_ctl idiom). *)
-type client = { fd : Unix.file_descr; mutable buf : string }
-
-let connect addr = { fd = Transport.connect addr; buf = "" }
-
-let rec read_line cl =
-  match String.index_opt cl.buf '\n' with
-  | Some i ->
-    let line = String.sub cl.buf 0 i in
-    cl.buf <- String.sub cl.buf (i + 1) (String.length cl.buf - i - 1);
-    Some line
-  | None -> (
-    match Transport.recv cl.fd with
-    | `Retry -> read_line cl
-    | `Eof -> None
-    | `Data d ->
-      cl.buf <- cl.buf ^ d;
-      read_line cl)
-
 exception Demo_failed of string
 
 (* Send one request; print and return the response lines.  Anything
    but a final OK aborts the demo. *)
 let request cl name req =
-  Transport.send_all cl.fd (Control.render req ^ "\n");
-  let rec go acc =
-    match read_line cl with
-    | None -> raise (Demo_failed (name ^ ": connection closed by daemon"))
-    | Some line ->
-      Printf.printf "  %s <- %s\n%!" name line;
-      if Control.final_line line then begin
-        if not (Control.is_ok line) then
-          raise
-            (Demo_failed
-               (Printf.sprintf "%s answered %S to %S" name line (Control.render req)));
-        List.rev acc
-      end
-      else go (line :: acc)
-  in
   Printf.printf "  %s -> %s\n%!" name (Control.render req);
-  go []
+  match Control.request cl req with
+  | Error e -> raise (Demo_failed (name ^ ": " ^ e))
+  | Ok (lines, final) ->
+    List.iter (fun line -> Printf.printf "  %s <- %s\n%!" name line) (lines @ [ final ]);
+    if not (Control.is_ok final) then
+      raise
+        (Demo_failed (Printf.sprintf "%s answered %S to %S" name final (Control.render req)));
+    lines
 
 let satisfied line =
   let n = String.length line in
@@ -91,7 +64,7 @@ let () =
     (Transport.addr_to_string addr_b) pid_b;
   let code =
     try
-      let a = connect addr_a in
+      let a = Control.connect addr_a in
       let wait what = Control.Wait { id = "br1"; what; timeout_ms = 10_000.0 } in
       ignore (request a "A" Control.Ping);
       print_endline "dialing br1: left end in A, right end in B, signals over the wire";
@@ -111,12 +84,12 @@ let () =
       ignore (request a "A" (wait `Closed));
       print_endline "each daemon's own monitor verdict over its own trace:";
       let calls_a = request a "A" (Control.Status (Some "br1")) in
-      let b = connect addr_b in
+      let b = Control.connect addr_b in
       let calls_b = request b "B" (Control.Status (Some "br1")) in
       ignore (request a "A" Control.Quit);
       ignore (request b "B" Control.Quit);
-      Transport.close_quiet a.fd;
-      Transport.close_quiet b.fd;
+      Control.close a;
+      Control.close b;
       let ok calls = List.exists satisfied calls in
       if ok calls_a && ok calls_b then begin
         print_endline "both sides: obligation satisfied";

@@ -48,31 +48,13 @@ let () =
 
   Format.printf "@.== Figure 13: concurrent relink latency ==@.";
   let n = 34.0 and c = 20.0 in
-  let a_tx = ref nan and c_tx = ref nan in
-  let transmits r owner net =
-    match Netsys.slot net r with
-    | Some slot -> (
-      Mediactl_protocol.Slot.tx_enabled slot
-      &&
-      match slot.Mediactl_protocol.Slot.remote_desc with
-      | Some d -> fst (Mediactl_types.Descriptor.id d) = owner
-      | None -> false)
-    | None -> false
-  in
   (* Record the timed run; the chart is drawn from its receive entries. *)
-  let (), trace =
-    Trace.recording_packed (fun () ->
-        let sim = Timed.create ~n ~c net in
-        Timed.observe sim;
-        Timed.when_true sim (transmits Prepaid.a_slot "C") (fun t -> a_tx := t);
-        Timed.when_true sim (transmits Prepaid.c_slot "A") (fun t -> c_tx := t);
-        Timed.apply sim Prepaid.snapshot4_pc;
-        Timed.apply sim Prepaid.snapshot4_pbx;
-        ignore (Timed.run sim))
+  let (a_tx, c_tx), trace =
+    Trace.recording_packed (fun () -> Prepaid.fig13 ~n ~c ~attach:Timed.observe net)
   in
   Format.printf "PC and the PBX change state at t=0 (n=%.0f ms, c=%.0f ms)@." n c;
-  Format.printf "A can transmit toward C at t=%.0f ms@." !a_tx;
-  Format.printf "C can transmit toward A at t=%.0f ms@." !c_tx;
+  Format.printf "A can transmit toward C at t=%.0f ms@." a_tx;
+  Format.printf "C can transmit toward A at t=%.0f ms@." c_tx;
   Format.printf "paper's analysis: 2n + 3c = %.0f ms@.@." ((2.0 *. n) +. (3.0 *. c));
   Format.printf "message-sequence chart (compare with the paper's Figure 13):@.";
   Format.printf "%a" Trace.pp_msc trace

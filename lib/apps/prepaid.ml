@@ -90,6 +90,24 @@ let snapshot4_pbx =
       (fun net -> Netsys.bind_hold net pbx_b (Local.server ~owner:"PBX.b"));
     ]
 
+let fig13_start () =
+  let settle net = fst (Netsys.run net) in
+  let net = settle (build ()) in
+  let net = settle (fst (snapshot1 net)) in
+  let net = settle (fst (snapshot2 net)) in
+  settle (fst (snapshot3 net))
+
+let fig13 ~n ~c ?(attach = ignore) net =
+  let sim = Timed.create ~n ~c net in
+  attach sim;
+  let a_tx = ref nan and c_tx = ref nan in
+  Timed.when_true sim (Paths.transmits_toward a_slot "C") (fun t -> a_tx := t);
+  Timed.when_true sim (Paths.transmits_toward c_slot "A") (fun t -> c_tx := t);
+  Timed.apply sim snapshot4_pc;
+  Timed.apply sim snapshot4_pbx;
+  ignore (Timed.run sim);
+  (!a_tx, !c_tx)
+
 let expected_flows = function
   | 0 -> [ ("A", "B"); ("B", "A") ]
   | 1 -> [ ("A", "C"); ("C", "A") ]

@@ -18,33 +18,11 @@
     under the timed executor reproduce the Figure-13 convergence scenario
     whose latency the paper computes as [2n + 3c]. *)
 
-open Mediactl_core
 open Mediactl_runtime
 
 (** An operation a box program performs: rebind goals, possibly emitting
     signals. *)
 type op = Netsys.t -> Netsys.t * Netsys.send list
-
-val seq : op list -> op
-(** Perform several rebindings atomically (one program transition). *)
-
-val local_a : Local.t
-val local_b : Local.t
-val local_c : Local.t
-val local_v : Local.t
-
-(** Slot references used by the scenario: [a_slot] is A's slot on
-    channel [a], [c_slot] is C's on channel [c], and the [pbx_*]/[pc_*]
-    references name the server-side slots per adjacent channel. *)
-
-val a_slot : Netsys.slot_ref
-val c_slot : Netsys.slot_ref
-val pbx_a : Netsys.slot_ref
-val pbx_b : Netsys.slot_ref
-val pbx_pc : Netsys.slot_ref
-val pc_pbx : Netsys.slot_ref
-val pc_c : Netsys.slot_ref
-val pc_v : Netsys.slot_ref
 
 val build : unit -> Netsys.t
 (** Topology plus the original A—B call bindings (A openslot, PBX
@@ -67,6 +45,21 @@ val snapshot4_pc : op
 
 val snapshot4_pbx : op
 (** The PBX switches A back toward C: relinks a–pc and holds b. *)
+
+val fig13_start : unit -> Netsys.t
+(** {!build} and snapshots 1–3, each run to quiescence: the network
+    Figure 13 starts from. *)
+
+val fig13 :
+  n:float -> c:float -> ?attach:(Timed.t -> unit) -> Netsys.t -> float * float
+(** [fig13 ~n ~c net]: Figure 13.  Both of snapshot 4's rebindings
+    ({!snapshot4_pc} and {!snapshot4_pbx}) are applied to [net] (a
+    {!fig13_start}) at t = 0 under a fresh timed driver, which then runs
+    to quiescence.  Returns the first time A transmits toward C and the
+    first time C transmits toward A ([nan] if never); the paper computes
+    both as [2n + 3c].  [attach] runs on the driver before the watches
+    and the rebindings: point the trace clock at it, or put an impaired
+    network under it. *)
 
 val expected_flows : int -> (string * string) list
 (** The directed media flows Figure 3 shows after each snapshot (1-4);

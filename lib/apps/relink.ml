@@ -58,34 +58,28 @@ let build ~boxes ~j =
       (Netsys.slot_ref ~box:"R" ~chan:(chan_name boxes) ())
       local_r Medium.Audio
   in
-  net
+  fst (Netsys.run net)
 
 let relink ~j net =
   Netsys.bind_link net ~box:(box_name j) ~id:"fl"
     { Netsys.chan = chan_name (j - 1); tun = 0 }
     { Netsys.chan = chan_name j; tun = 0 }
 
-let transmits_toward slot_ref owner net =
-  match Netsys.slot net slot_ref with
-  | Some slot -> (
-    Mediactl_protocol.Slot.tx_enabled slot
-    &&
-    match slot.Mediactl_protocol.Slot.remote_desc with
-    | Some d -> fst (Descriptor.id d) = owner
-    | None -> false)
-  | None -> false
-
-let left_transmits net =
-  transmits_toward (Netsys.slot_ref ~box:"L" ~chan:(chan_name 0) ()) "R" net
-
-let right_transmits net =
-  let last =
-    (* R sits on the highest-numbered channel. *)
-    List.fold_left
-      (fun best chan -> if String.length chan >= String.length best && chan > best then chan else best)
-      "ch0" (Netsys.channels net)
+let measure ~n ~c ?(attach = ignore) ~j net =
+  let left = Netsys.slot_ref ~box:"L" ~chan:(chan_name 0) () in
+  (* R sits on the last of the path's channels. *)
+  let right =
+    Netsys.slot_ref ~box:"R" ~chan:(chan_name (List.length (Netsys.channels net) - 1)) ()
   in
-  transmits_toward (Netsys.slot_ref ~box:"R" ~chan:last ()) "L" net
+  let sim = Timed.create ~n ~c net in
+  attach sim;
+  let done_at = ref nan in
+  Timed.when_true sim
+    (fun net -> Paths.transmits_toward left "R" net && Paths.transmits_toward right "L" net)
+    (fun t -> done_at := t);
+  Timed.apply sim (relink ~j);
+  ignore (Timed.run sim);
+  !done_at
 
 let hops ~boxes ~j = max j (boxes + 1 - j)
 

@@ -8,7 +8,6 @@ type kind =
   | Path
   | Ctd
   | Conf
-  | Conf2
   | Prepaid
   | Collab_tv
   | Transfer
@@ -18,15 +17,14 @@ type kind =
 
 (* The Mixed pool.  Kept at the historical five members (the new
    N-party [Conf] replacing the path-shaped stand-in) so [Mixed]'s
-   [id mod 5] kind assignment is stable; the feature chains and the
-   legacy [Conf2] shape are selectable but stay out of the pool. *)
+   [id mod 5] kind assignment is stable; the feature chains are
+   selectable but stay out of the pool. *)
 let all = [ Path; Ctd; Conf; Prepaid; Collab_tv ]
 
 let to_string = function
   | Path -> "path"
   | Ctd -> "ctd"
   | Conf -> "conf"
-  | Conf2 -> "conf2"
   | Prepaid -> "prepaid"
   | Collab_tv -> "ctv"
   | Transfer -> "transfer"
@@ -38,7 +36,6 @@ let of_string = function
   | "path" -> Some Path
   | "ctd" -> Some Ctd
   | "conf" -> Some Conf
-  | "conf2" -> Some Conf2
   | "prepaid" -> Some Prepaid
   | "ctv" -> Some Collab_tv
   | "transfer" -> Some Transfer
@@ -61,13 +58,6 @@ let attach_loss ~loss t =
   end
 
 let settle net = fst (Netsys.run net)
-
-(* The pre-generalization conference roster ([conf2]). *)
-let conf2_users =
-  let user name host =
-    (name, Local.endpoint ~owner:name (Address.v host 6000) [ Codec.G711; Codec.G726 ])
-  in
-  [ user "ann" "10.4.0.1"; user "bob" "10.4.0.2"; user "cat" "10.4.0.3" ]
 
 (* ------------------------------------------------------------------ *)
 (* Shared starts
@@ -92,7 +82,6 @@ type start =
   | Path_start
   | Ctd_start
   | Conf_start of int  (* roster size *)
-  | Conf2_start
   | Transfer_start
   | Moh_start
   | Prepaid_start
@@ -103,15 +92,9 @@ let build = function
   | Ctd_start ->
     List.fold_left Netsys.add_box Netsys.empty [ "ctd"; "phone1"; "phone2"; "tones" ]
   | Conf_start parties -> settle (Conference.build ~users:(Conference.default_users parties))
-  | Conf2_start -> settle (Conference.build ~users:conf2_users)
   | Transfer_start -> settle (Feature.transfer_build ())
   | Moh_start -> settle (Feature.moh_build ())
-  | Prepaid_start ->
-    (* snapshots 1-3 of the running example *)
-    let net = settle (Prepaid.build ()) in
-    let net = settle (fst (Prepaid.snapshot1 net)) in
-    let net = settle (fst (Prepaid.snapshot2 net)) in
-    settle (fst (Prepaid.snapshot3 net))
+  | Prepaid_start -> Prepaid.fig13_start ()
   | Collab_tv_start -> settle (Collab_tv.build ())
 
 let starts : (start, Netsys.t * Trace.capture) Hashtbl.t Domain.DLS.key =
@@ -206,21 +189,6 @@ let conf ?n ?c ?(parties = 3) ~loss ~id ~rng () =
     ~boot:(conf_boot ~loss ~names ~parties)
     (start (Conf_start parties))
 
-(* The pre-generalization conference shape — three named users, no
-   policy wiring, no verdict — kept runnable so its fleet digests stay
-   comparable with historical baselines. *)
-let conf2 ?n ?c ~loss ~id ~rng () =
-  Session.create ?n ?c ~id ~scenario:"conf2" ~rng
-    ~boot:(fun t ->
-      attach_loss ~loss t;
-      let sim = Session.sim t in
-      let muted =
-        fst (List.nth conf2_users (Rng.int (Session.rng t) (List.length conf2_users)))
-      in
-      Timed.apply sim (Conference.full_mute ~user:muted);
-      Timed.after sim 400.0 (fun sim -> Timed.apply sim (Conference.unmute ~user:muted)))
-    (start Conf2_start)
-
 (* Attended transfer: customer--agent established untimed, the transfer
    fires at 300 ms, and the obligation judges the customer's final path
    to the supervisor. *)
@@ -299,7 +267,6 @@ let rec session ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
   | Path -> path ?n ?c ~loss ~id ~rng ()
   | Ctd -> ctd ?n ?c ~loss ~id ~rng ()
   | Conf -> conf ?n ?c ?parties ~loss ~id ~rng ()
-  | Conf2 -> conf2 ?n ?c ~loss ~id ~rng ()
   | Prepaid -> prepaid ?n ?c ~loss ~id ~rng ()
   | Collab_tv -> collab_tv ?n ?c ~loss ~id ~rng ()
   | Transfer -> transfer ?n ?c ~loss ~id ~rng ()
@@ -352,7 +319,7 @@ let rec churn_session ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
     churn_session ?n ?c ~loss ?parties
       (List.nth all (id mod List.length all))
       ~id ~rng
-  | (Ctd | Conf2 | Prepaid | Collab_tv | Transfer | Barge | Moh) as k ->
+  | (Ctd | Prepaid | Collab_tv | Transfer | Barge | Moh) as k ->
     (* These scenarios run their whole story at setup and have no
        separate teardown goals; retirement just finalizes them. *)
     session ?n ?c ~loss k ~id ~rng

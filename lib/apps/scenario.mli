@@ -26,9 +26,6 @@ type kind =
           [conf] server to the bridge, the drawn partial-muting policy
           pushed to the bridge as mixing-matrix meta-signals, one full
           mute/unmute, judged N-way against []<> allFlowing *)
-  | Conf2
-      (** the pre-generalization three-user conference shape (no
-          policy wiring, no verdict), kept for digest comparability *)
   | Prepaid  (** the Figure-13 snapshot-4 convergence *)
   | Collab_tv  (** collaborative TV: pause, play, daughter leaves, Figure 8 *)
   | Transfer
@@ -45,9 +42,9 @@ type kind =
 val all : kind list
 (** The [Mixed] cycling pool, in order — the historical five concrete
     kinds ([Path]; [Ctd]; [Conf]; [Prepaid]; [Collab_tv]), with [Conf]
-    now the N-party mixer.  [Conf2] and the feature chains are
-    selectable by name but stay out of the pool, keeping the
-    [id mod 5] kind assignment stable. *)
+    now the N-party mixer.  The feature chains are selectable by name
+    but stay out of the pool, keeping the [id mod 5] kind assignment
+    stable. *)
 
 val to_string : kind -> string
 val of_string : string -> kind option

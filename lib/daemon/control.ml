@@ -102,6 +102,36 @@ let is_ok line = String.length line >= 2 && String.equal (String.sub line 0 2) "
 
 (* How many lines answer one request: STATUS is the only multi-line
    response, terminated by its OK/ERR line; everything else is one
-   line.  The CLI uses this to know when a request is fully answered. *)
+   line.  [request] uses this to know when a request is fully answered. *)
 let final_line line =
   String.length line < 5 || not (String.equal (String.sub line 0 5) "CALL ")
+
+(* A blocking line-at-a-time client. *)
+
+type client = { fd : Unix.file_descr; mutable buf : string }
+
+let connect addr = { fd = Transport.connect addr; buf = "" }
+let close cl = Transport.close_quiet cl.fd
+
+let rec read_line cl =
+  match String.index_opt cl.buf '\n' with
+  | Some i ->
+    let line = String.sub cl.buf 0 i in
+    cl.buf <- String.sub cl.buf (i + 1) (String.length cl.buf - i - 1);
+    Some line
+  | None -> (
+    match Transport.recv cl.fd with
+    | `Retry -> read_line cl
+    | `Eof -> None
+    | `Data d ->
+      cl.buf <- cl.buf ^ d;
+      read_line cl)
+
+let request cl req =
+  Transport.send_all cl.fd (render req ^ "\n");
+  let rec go acc =
+    match read_line cl with
+    | None -> Error "connection closed by daemon"
+    | Some line -> if final_line line then Ok (List.rev acc, line) else go (line :: acc)
+  in
+  go []

@@ -44,3 +44,23 @@ val is_ok : string -> bool
 val final_line : string -> bool
 (** True when this response line completes the request — every line
     except the [CALL ...] items preceding a [STATUS] summary. *)
+
+(** {2 A blocking client}
+
+    What {e mediactl_ctl} and the examples use to talk to a daemon in
+    another process: one request at a time, each call blocking until
+    the request is answered. *)
+
+type client
+
+val connect : Transport.addr -> client
+(** @raise Unix.Unix_error when the daemon cannot be reached. *)
+
+val request : client -> request -> (string list * string, string) result
+(** Send one request and read its whole answer: the [CALL] lines a
+    [STATUS] puts first, then the final [OK]/[ERR] line.  [Error] when
+    the daemon closes the connection before answering.
+    @raise Unix.Unix_error if the daemon is gone when the request is
+    sent. *)
+
+val close : client -> unit

@@ -53,7 +53,7 @@ let bits ~legs ~lossy state =
     set (closed_bit k) (Path_model.leg_both_closed k state);
     (* Under a loss budget the structural per-leg flowing predicate
        stands in for the agreement refinement (see
-       {!Path_model.ends_flowing}). *)
+       {!Path_model.leg_ends_flowing}). *)
     set (flowing_bit k)
       (if lossy then Path_model.leg_ends_flowing k state else Path_model.leg_both_flowing k state)
   done;

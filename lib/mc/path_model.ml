@@ -172,10 +172,6 @@ let flowing_leg g = Semantics.both_flowing ~left:g.outer.slot ~right:g.inner.slo
    checkable on loss-free models. *)
 let ends_flowing_leg g = Slot.is_flowing g.outer.slot && Slot.is_flowing g.inner.slot
 
-let both_closed s = List.for_all closed_leg s.legs
-let both_flowing s = List.for_all flowing_leg s.legs
-let ends_flowing s = List.for_all ends_flowing_leg s.legs
-
 let leg_both_closed k s = closed_leg (List.nth s.legs k)
 let leg_both_flowing k s = flowing_leg (List.nth s.legs k)
 let leg_ends_flowing k s = ends_flowing_leg (List.nth s.legs k)

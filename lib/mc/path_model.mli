@@ -120,30 +120,21 @@ val error : state -> string option
 (** A protocol or precondition error reached along the way — reachable
     errors are safety violations. *)
 
-val both_closed : state -> bool
-(** Every leg's end slots are closed (for a path: the historical
+val leg_both_closed : int -> state -> bool
+(** Leg [k]'s end slots are both closed (for a path: the historical
     bothClosed). *)
 
-val both_flowing : state -> bool
-(** Every leg's end slots are flowing {e and} their descriptor/selector
-    views agree end to end (media actually flows as all parties
-    believe). *)
-
-val ends_flowing : state -> bool
-(** The structural part of {!both_flowing}: every leg's end slots are in
-    the flowing state.  Used as the flowing predicate under a loss
-    budget, where an unrepaired status loss legitimately leaves the
-    agreement refinement stale — repairing it is the reliability layer's
-    job ({!Mediactl_net.Reliable}, measured in experiment E9). *)
-
-val leg_both_closed : int -> state -> bool
-(** Per-leg closed predicate, for checking one leg's obligation. *)
-
 val leg_both_flowing : int -> state -> bool
-(** Per-leg flowing-with-agreement predicate. *)
+(** Leg [k]'s end slots are both flowing {e and} their
+    descriptor/selector views agree end to end (media actually flows as
+    both ends believe). *)
 
 val leg_ends_flowing : int -> state -> bool
-(** Per-leg structural flowing predicate (see {!ends_flowing}). *)
+(** The structural part of {!leg_both_flowing}: leg [k]'s end slots are
+    both in the flowing state.  Used as the flowing predicate under a
+    loss budget, where an unrepaired status loss legitimately leaves the
+    agreement refinement stale — repairing it is the reliability layer's
+    job ({!Mediactl_net.Reliable}, measured in experiment E9). *)
 
 val all_settled : state -> bool
 (** Every goal object has left its chaos phase. *)

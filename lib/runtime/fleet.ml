@@ -97,7 +97,7 @@ let per_s wall_s n = if wall_s > 0.0 then float_of_int n /. wall_s else 0.0
    state, the per-session outcomes are identical whatever [jobs] is;
    only the wall-clock figures change.  The outcomes are tallied in id
    order, so the pooled samples' sums do not depend on [jobs] either. *)
-let run ?(jobs = 1) ?until ?max_events ~sessions ~seed mk =
+let run ?(jobs = 1) ?until ~sessions ~seed mk =
   if sessions < 0 then invalid_arg "Fleet.run: negative session count";
   if jobs < 1 then invalid_arg "Fleet.run: jobs must be at least 1";
   let root = Rng.create seed in
@@ -109,7 +109,7 @@ let run ?(jobs = 1) ?until ?max_events ~sessions ~seed mk =
     let acc = ref [] in
     for i = sessions - 1 downto 0 do
       if shard_of ~jobs ~sessions i = k then
-        acc := Session.run ?until ?max_events (mk ~id:i ~rng:streams.(i)) :: !acc
+        acc := Session.run ?until (mk ~id:i ~rng:streams.(i)) :: !acc
     done;
     !acc
   in

@@ -40,15 +40,14 @@ val shard_of : jobs:int -> sessions:int -> int -> int
 val run :
   ?jobs:int ->
   ?until:float ->
-  ?max_events:int ->
   sessions:int ->
   seed:int ->
   (id:int -> rng:Rng.t -> Session.t) ->
   Session.outcome list * summary
 (** [run ~sessions ~seed mk] builds session [i] as
     [mk ~id:i ~rng:stream_i] inside its shard and runs them all;
-    outcomes come back sorted by id.  [until] and [max_events] bound
-    each session individually.  Default [jobs] is 1. *)
+    outcomes come back sorted by id.  [until] bounds each session
+    individually.  Default [jobs] is 1. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

@@ -89,6 +89,16 @@ let flow net p =
 
 let flows net = List.filter_map (flow net) (all net)
 
+let transmits_toward r owner net =
+  match Netsys.slot net r with
+  | Some slot -> (
+    Mediactl_protocol.Slot.tx_enabled slot
+    &&
+    match slot.Mediactl_protocol.Slot.remote_desc with
+    | Some d -> String.equal (fst (Mediactl_types.Descriptor.id d)) owner
+    | None -> false)
+  | None -> false
+
 let pp ppf p =
   let kind ppf = function
     | Some k -> Semantics.pp_end_kind ppf k

@@ -38,4 +38,9 @@ val flow : Netsys.t -> t -> Mediactl_media.Flow.t option
 val flows : Netsys.t -> Mediactl_media.Flow.t list
 (** Snapshots for all paths. *)
 
+val transmits_toward : Netsys.slot_ref -> string -> Netsys.t -> bool
+(** [transmits_toward r owner net]: the slot [r] may transmit, and its
+    current peer descriptor is owned by [owner].  The convergence
+    predicate of the Figure-13 and section VIII-C latency drivers. *)
+
 val pp : Format.formatter -> t -> unit

@@ -40,30 +40,21 @@ let test_prepaid_snapshots () =
   edges_equal "snapshot 4" (Prepaid.expected_flows 4) (Prepaid.flows net)
 
 let test_prepaid_fig13_latency () =
-  (* Figure 13: concurrent relinks converge in 2n + 3c = 128 ms. *)
-  let net = settle (Prepaid.build ()) in
-  let net = settle (fst (Prepaid.snapshot1 net)) in
-  let net = settle (fst (Prepaid.snapshot2 net)) in
-  let net = settle (fst (Prepaid.snapshot3 net)) in
-  let sim = Timed.create ~n:34.0 ~c:20.0 net in
-  let a_tx = ref nan and c_tx = ref nan in
-  let transmits_toward r owner net =
-    match Netsys.slot net r with
-    | Some slot -> (
-      Mediactl_protocol.Slot.tx_enabled slot
-      &&
-      match slot.Mediactl_protocol.Slot.remote_desc with
-      | Some d -> fst (Descriptor.id d) = owner
-      | None -> false)
-    | None -> false
-  in
-  Timed.when_true sim (transmits_toward Prepaid.a_slot "C") (fun t -> a_tx := t);
-  Timed.when_true sim (transmits_toward Prepaid.c_slot "A") (fun t -> c_tx := t);
-  Timed.apply sim Prepaid.snapshot4_pc;
-  Timed.apply sim Prepaid.snapshot4_pbx;
-  let _ = Timed.run sim in
-  check tbool "A at 2n+3c" true (abs_float (!a_tx -. 128.0) < 1e-6);
-  check tbool "C at 2n+3c" true (abs_float (!c_tx -. 128.0) < 1e-6)
+  (* Figure 13: concurrent relinks converge in 2n + 3c (128 ms at the
+     paper's n = 34, c = 20), over E1's grid. *)
+  let start = Prepaid.fig13_start () in
+  List.iter
+    (fun (n, c) ->
+      let a_tx, c_tx = Prepaid.fig13 ~n ~c start in
+      let at label t =
+        check tbool
+          (Printf.sprintf "%s at 2n+3c (n=%g, c=%g)" label n c)
+          true
+          (abs_float (t -. ((2.0 *. n) +. (3.0 *. c))) < 1e-6)
+      in
+      at "A toward C" a_tx;
+      at "C toward A" c_tx)
+    [ (34.0, 20.0); (10.0, 5.0); (50.0, 20.0); (100.0, 1.0); (1.0, 100.0) ]
 
 let test_naive_reproduces_fig2_anomalies () =
   let m = Naive.initial () in
@@ -334,20 +325,13 @@ let test_relink_matches_formula () =
   let n = 34.0 and c = 20.0 in
   List.iter
     (fun (boxes, j) ->
-      let net, quiescent = Netsys.run (Relink.build ~boxes ~j) in
-      check tbool "setup quiescent" true quiescent;
-      let sim = Timed.create ~n ~c net in
-      let done_at = ref nan in
-      Timed.when_true sim
-        (fun net -> Relink.left_transmits net && Relink.right_transmits net)
-        (fun t -> done_at := t);
-      Timed.apply sim (Relink.relink ~j);
-      let _ = Timed.run sim in
+      let net = Relink.build ~boxes ~j in
+      check tbool "setup quiescent" true (Netsys.deliverables net = []);
       let p = Relink.hops ~boxes ~j in
       check tbool
         (Printf.sprintf "boxes=%d j=%d" boxes j)
         true
-        (abs_float (!done_at -. Relink.formula ~p ~n ~c) < 1e-6))
+        (abs_float (Relink.measure ~n ~c ~j net -. Relink.formula ~p ~n ~c) < 1e-6))
     [ (1, 1); (2, 1); (3, 2); (4, 1); (4, 4); (5, 3) ]
 
 let () =

@@ -252,9 +252,6 @@ let test_wallclock_stop () =
   Wallclock.run loop;
   check tbool "stopped before the late timer" false !late
 
-(* A whole session — the simulator's Pathlab open/open handshake —
-   booted onto the wall clock through [Session.boot_external]: the same
-   boot closure, goals, and monitor, real time instead of virtual. *)
 (* [Unix.select] fails with EINVAL on a descriptor numbered 1024 or
    more, which a daemon with many connections is given.  The loop must
    serve one, and keep firing its timers: the read end of a pipe is
@@ -287,6 +284,9 @@ let test_wallclock_high_fd () =
   check tbool "the callback on descriptor 1100 ran" true !read;
   check tbool "timers kept firing" true (!ticks >= 5 && !ticks < 1000)
 
+(* A whole session — the simulator's Pathlab open/open handshake —
+   booted onto the wall clock through [Session.boot_external]: the same
+   boot closure, goals, and monitor, real time instead of virtual. *)
 let test_session_on_wallclock () =
   let loop = Wallclock.create () in
   let session =

@@ -435,7 +435,7 @@ let start_cases =
     (name ?parties kind ^ " churn", true, Scenario.churn_session ~loss:0.05 ?parties kind)
   in
   List.map batch
-    Scenario.[ Path; Ctd; Conf2; Prepaid; Collab_tv; Transfer; Barge; Moh ]
+    Scenario.[ Path; Ctd; Prepaid; Collab_tv; Transfer; Barge; Moh ]
   @ [
       batch ~parties:2 Scenario.Conf;
       batch ~parties:3 Scenario.Conf;
@@ -614,7 +614,9 @@ let test_pinned_batch_digest () =
 
 (* Scenarios outside the Mixed pool reach delivery paths Mixed never
    does: [Netsys.disconnect] and [dissolve_link] after a relink
-   (transfer, music on hold) and [Conference.add_user] (barge-in). *)
+   (transfer, music on hold) and [Conference.add_user] (barge-in).
+   Prepaid sessions start from [Prepaid.fig13_start], the network the
+   Figure-13 driver starts from. *)
 let pinned_kind kind want () =
   let outcomes, _ =
     Fleet.run ~jobs:1 ~until:60_000.0 ~sessions:20 ~seed:1 (fun ~id ~rng ->
@@ -745,8 +747,8 @@ let () =
           Alcotest.test_case "churn, 200 resident over 400 ms" `Quick test_pinned_churn_digest;
           Alcotest.test_case "fleet run, 40 mixed sessions at 5% loss" `Quick
             test_pinned_batch_digest;
-          Alcotest.test_case "fleet run, 20 conf2 sessions at 5% loss" `Quick
-            (pinned_kind Scenario.Conf2 "c61d6ba22bbc551679abaad89c78b362");
+          Alcotest.test_case "fleet run, 20 prepaid sessions at 5% loss" `Quick
+            (pinned_kind Scenario.Prepaid "efe3fd2f17098a6a9ce745c0ed883781");
           Alcotest.test_case "fleet run, 20 transfer sessions at 5% loss" `Quick
             (pinned_kind Scenario.Transfer "5b3efe532b56f95992e4857b672feb42");
           Alcotest.test_case "fleet run, 20 barge sessions at 5% loss" `Quick

@@ -65,23 +65,20 @@ let jsonl trace =
 
 (* --- frame transport vs the reliable path ----------------------------- *)
 
-(* Run the relink scenario and return its rendered message-sequence
-   chart: every receive of the timed run. *)
+(* Run the relink scenario, recording its timed run.  Returns the
+   convergence time and the trace. *)
+let relink_run ~attach ~boxes ~j =
+  let net = Relink.build ~boxes ~j in
+  Trace.recording_packed (fun () ->
+      Relink.measure ~n:34.0 ~c:20.0 ~j net ~attach:(fun sim ->
+          Timed.observe sim;
+          attach sim))
+
+(* The run's rendered message-sequence chart: every receive of the
+   timed run. *)
 let relink_trace ~attach ~boxes ~j =
-  let net, _ = Netsys.run (Relink.build ~boxes ~j) in
-  let done_at = ref nan in
-  let (), trace =
-    Trace.recording_packed (fun () ->
-        let sim = Timed.create ~n:34.0 ~c:20.0 net in
-        Timed.observe sim;
-        attach sim;
-        Timed.when_true sim
-          (fun net -> Relink.left_transmits net && Relink.right_transmits net)
-          (fun t -> done_at := t);
-        Timed.apply sim (Relink.relink ~j);
-        ignore (Timed.run sim))
-  in
-  (Format.asprintf "%a" Trace.pp_msc trace, !done_at)
+  let done_at, trace = relink_run ~attach ~boxes ~j in
+  (Format.asprintf "%a" Trace.pp_msc trace, done_at)
 
 let prop_zero_loss_bit_identical =
   QCheck2.Test.make ~name:"impaired runs at loss p=0 are bit-identical to unimpaired runs"
@@ -153,19 +150,21 @@ let prop_duplication_idempotent =
 
 (* --- the reliability layer -------------------------------------------- *)
 
+(* The relink measured over [Impair.create ~seed ~default:policy], with
+   the reliability layer attached.  Returns the convergence time, the
+   run's trace and the layer. *)
+let lossy_relink ~seed policy =
+  let rel = ref None in
+  let done_at, trace =
+    relink_run ~boxes:2 ~j:1 ~attach:(fun sim ->
+        rel := Some (Reliable.attach (Impair.create ~seed ~default:policy ()) sim))
+  in
+  (done_at, trace, Option.get !rel)
+
 let test_reliable_converges_under_loss () =
-  let net, _ = Netsys.run (Relink.build ~boxes:2 ~j:1) in
-  let sim = Timed.create ~n:34.0 ~c:20.0 net in
-  let impair = Impair.create ~seed:5 ~default:(Policy.lossy ~jitter:2.0 0.3) () in
-  let rel = Reliable.attach impair sim in
-  let done_at = ref nan in
-  Timed.when_true sim
-    (fun net -> Relink.left_transmits net && Relink.right_transmits net)
-    (fun t -> done_at := t);
-  Timed.apply sim (Relink.relink ~j:1);
-  let _ = Timed.run sim in
-  check tbool "converged" true (not (Float.is_nan !done_at));
-  check tbool "no faster than loss-free" true (!done_at >= 128.0);
+  let done_at, _, rel = lossy_relink ~seed:5 (Policy.lossy ~jitter:2.0 0.3) in
+  check tbool "converged" true (not (Float.is_nan done_at));
+  check tbool "no faster than loss-free" true (done_at >= 128.0);
   let c = Reliable.counters rel in
   check tbool "retransmitted" true (c.Reliable.retransmits > 0);
   check tbool "every frame delivered" true (c.Reliable.delivered = c.Reliable.sends);
@@ -173,20 +172,8 @@ let test_reliable_converges_under_loss () =
 
 let test_lossy_runs_deterministic () =
   let go () =
-    let net, _ = Netsys.run (Relink.build ~boxes:2 ~j:1) in
-    let now, trace =
-      Trace.recording_packed (fun () ->
-          let sim = Timed.create ~n:34.0 ~c:20.0 net in
-          Timed.observe sim;
-          let impair =
-            Impair.create ~seed:11 ~default:(Policy.lossy ~dup:0.1 ~jitter:4.0 0.2) ()
-          in
-          let _rel = Reliable.attach impair sim in
-          Timed.apply sim (Relink.relink ~j:1);
-          ignore (Timed.run sim);
-          Timed.now sim)
-    in
-    (jsonl trace, now)
+    let done_at, trace, _ = lossy_relink ~seed:11 (Policy.lossy ~dup:0.1 ~jitter:4.0 0.2) in
+    (jsonl trace, done_at)
   in
   let first = go () in
   check tbool "recorded" true (fst first <> "");
@@ -198,20 +185,12 @@ let test_lossy_runs_deterministic () =
    order: seeds 7000-7024, concatenated in seed order, hash to a
    committed MD5. *)
 let fig13_lossy_jsonl ~seed =
-  let settle net = fst (Netsys.run net) in
-  let net = settle (Prepaid.build ()) in
-  let net = settle (fst (Prepaid.snapshot1 net)) in
-  let net = settle (fst (Prepaid.snapshot2 net)) in
-  let net = settle (fst (Prepaid.snapshot3 net)) in
-  let (), trace =
+  let net = Prepaid.fig13_start () in
+  let _, trace =
     Trace.recording_packed (fun () ->
-        let sim = Timed.create ~n:34.0 ~c:20.0 net in
-        Timed.observe sim;
-        let impair = Impair.create ~seed ~default:(Policy.lossy 0.05) () in
-        let _rel = Reliable.attach impair sim in
-        Timed.apply sim Prepaid.snapshot4_pc;
-        Timed.apply sim Prepaid.snapshot4_pbx;
-        ignore (Timed.run sim))
+        Prepaid.fig13 ~n:34.0 ~c:20.0 net ~attach:(fun sim ->
+            Timed.observe sim;
+            ignore (Reliable.attach (Impair.create ~seed ~default:(Policy.lossy 0.05) ()) sim)))
   in
   jsonl trace
 
