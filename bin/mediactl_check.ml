@@ -67,7 +67,9 @@ let max_states =
 
 let jobs =
   Arg.(value & opt int (Domain.recommended_domain_count ()) & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Exploration domains. The default is the recommended domain count of                this machine. Verdicts and counts are identical for every value;                only wall-clock time changes.")
+         ~doc:"Exploration domains. The default is the recommended domain count of this machine. \
+               Every value prints the same output, state ids, counterexamples and capped runs \
+               included; only wall-clock time changes.")
 
 let run left right flowlinks chaos modifies max_states jobs segment losses dups unrestricted
     parties party =

@@ -35,9 +35,10 @@ type report = {
 
 val run : ?max_states:int -> ?jobs:int -> Path_model.config -> report
 (** [jobs] (default 1) is the number of exploration domains; see
-    {!Explorer.Make.explore_with}.  The verdicts and counts are
-    identical for every [jobs] value, except on a capped run, whose
-    partial graph depends on where exploration stopped.
+    {!Explorer.Make.explore_with}.  Every [jobs] value explores the
+    same graph, with the same state ids, so the report is identical for
+    every [jobs] value except in [time_s]: counts, verdicts, witnesses
+    and counterexample, capped runs included.
 
     The checks read one int of predicate bits per state, kept when the
     state is discovered: whether it is in error, clean and settled,

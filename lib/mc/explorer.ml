@@ -26,37 +26,42 @@ let vec_push v x =
 
 let vec_clear v = v.len <- 0
 
-(* A reusable cyclic barrier over stdlib Mutex/Condition. *)
-module Barrier = struct
-  type t = {
-    m : Mutex.t;
-    c : Condition.t;
-    parties : int;
-    mutable waiting : int;
-    mutable phase : int;
-  }
-
-  let create parties = { m = Mutex.create (); c = Condition.create (); parties; waiting = 0; phase = 0 }
-
-  let wait b =
-    Mutex.lock b.m;
-    let phase = b.phase in
-    b.waiting <- b.waiting + 1;
-    if b.waiting = b.parties then begin
-      b.waiting <- 0;
-      b.phase <- phase + 1;
-      Condition.broadcast b.c
-    end
-    else
-      while b.phase = phase do
-        Condition.wait b.c b.m
-      done;
-    Mutex.unlock b.m
-end
-
 (* Intern tables keyed by packed state strings: [String.hash] and
    [String.equal] in place of the polymorphic hash and compare. *)
 module Keys = Hashtbl.Make (String)
+
+(* Under [jobs > 1] a level is expanded in chunks of this many frontier
+   states.  A chunk's successors wait for the caller to intern them, so
+   larger chunks hold more: at jobs 2, chunks of 32 to 256 raised
+   check-par's 3-party star from 39-41 MB to 43-57 MB, while chunks of 4
+   and 8 saved about 7% of check-par's peak RSS but cost 5% and 3% of
+   its throughput (EXPERIMENTS E29). *)
+let chunk = 16
+
+(* Sleeping until a condition over atomics holds.  [wake] must follow
+   every change a sleeper can wait for.  A sleeper counts itself before
+   its last test of the condition, so a change made after that test
+   sees the count and wakes it: OCaml's atomics are sequentially
+   consistent. *)
+type bell = { m : Mutex.t; c : Condition.t; sleepers : int Atomic.t }
+
+let await b ready =
+  if not (ready ()) then begin
+    Mutex.lock b.m;
+    Atomic.incr b.sleepers;
+    while not (ready ()) do
+      Condition.wait b.c b.m
+    done;
+    Atomic.decr b.sleepers;
+    Mutex.unlock b.m
+  end
+
+let wake b =
+  if Atomic.get b.sleepers > 0 then begin
+    Mutex.lock b.m;
+    Condition.broadcast b.c;
+    Mutex.unlock b.m
+  end
 
 module Make (S : SYSTEM) = struct
   type 'a space = {
@@ -70,64 +75,177 @@ module Make (S : SYSTEM) = struct
 
   type graph = S.state space
 
-  (* ---------------------------------------------------------------- *)
-  (* Sequential exploration.                                           *)
-  (*                                                                   *)
-  (* States are interned in discovery order, so the BFS work queue is  *)
-  (* the id sequence itself and the CSR rows can be laid down directly *)
-  (* as each state is expanded — no per-state lists, no hashtable of   *)
-  (* successor edges, no freeze copy.  A state is kept as [keep state] *)
-  (* from the moment it is interned; its decoded value lives only in   *)
-  (* the frontier: [level] holds the states of ids [base ..] still to  *)
-  (* expand, [next] those discovered since, numbered after them.  An   *)
-  (* expanded state's slot is overwritten with [initial] so that it    *)
-  (* can be collected.                                                 *)
+  (* A chunk's output: the successors of its [j]th state, in order, as
+     (label, key, kept value, frontier entry) in [succs.(j)].  [ready]
+     holds the chunk's number once it is written, and -1 once it is
+     interned. *)
+  type ('a, 'f) out = { ready : int Atomic.t; succs : (S.label * string * 'a * 'f) list array }
 
-  let explore_seq ~max_states ~keep initial =
+  (* A level as the domains share it: chunk [c] holds the entries
+     [c * chunk ..] of its frontier [front], domains claim chunks from
+     [claim], and [interned] counts the chunks the caller has interned. *)
+  type 'f shared = { front : 'f vec; chunks : int; claim : int Atomic.t; interned : int Atomic.t }
+
+  (* ---------------------------------------------------------------- *)
+  (* Breadth-first search.                                             *)
+
+  (* States are interned in discovery order, so the work queue is the
+     id sequence itself and the CSR rows are laid down in id order.  A
+     state is kept as [keep state] from the moment it is interned, and
+     waits in the frontier as its [entry] ([level] the entries being
+     expanded, [next] those discovered since), which [state_of] turns
+     back into the state; an expanded entry's slot is overwritten so
+     that the state can be collected.  At jobs 1 the caller expands each
+     state and interns its successors at once.  Under [jobs > 1] every
+     domain, the caller included, claims chunks of the level and writes
+     their successors into a ring of [slots] reused outputs, at most
+     [slots] chunks ahead of the one the caller interns; the caller
+     interns chunks in frontier order and expands unclaimed ones while
+     it waits.  Ids, rows and the cap are therefore those of jobs 1. *)
+
+  let search ~max_states ~jobs ~keep ~entry ~state_of initial =
     let ids : int Keys.t = Keys.create 4096 in
-    let kept = vec_create () in
-    let level = ref (vec_create ()) and next = ref (vec_create ()) in
-    let base = ref 0 in
-    let row = vec_create () in
-    let dst = vec_create () in
+    let kept = vec_create () and row = vec_create () and dst = vec_create () in
     let labels = vec_create () in
     let capped = ref false in
-    let intern state =
-      let key = S.pack state in
-      match Keys.find ids key with
-      | id -> id
-      | exception Not_found ->
-        let id = kept.len in
-        vec_push kept (keep state);
-        vec_push !next state;
-        Keys.add ids key id;
-        id
+    let level = ref (vec_create ()) and next = ref (vec_create ()) in
+    let add key k e =
+      let id = kept.len in
+      vec_push kept k;
+      vec_push !next e;
+      Keys.add ids key id;
+      id
     in
-    ignore (intern initial : int);
-    let expanded = ref 0 in
-    while !expanded < kept.len && not !capped do
-      if kept.len >= max_states then capped := true
-      else begin
-        if !expanded - !base = !level.len then begin
-          let done_ = !level in
-          vec_clear done_;
-          base := !expanded;
-          level := !next;
-          next := done_
-        end;
-        let i = !expanded - !base in
-        let state = !level.data.(i) in
-        !level.data.(i) <- initial;
-        vec_push row dst.len;
-        List.iter
-          (fun (label, state') ->
-            let id' = intern state' in
-            vec_push dst id';
-            vec_push labels label)
-          (S.successors state);
-        incr expanded
-      end
-    done;
+    let edge label id =
+      vec_push dst id;
+      vec_push labels label
+    in
+    (* Opens the next state's row, unless the cap stops the search. *)
+    let opens () =
+      capped := kept.len >= max_states;
+      if not !capped then vec_push row dst.len;
+      not !capped
+    in
+    let key0 = S.pack initial in
+    let fill = entry key0 initial in
+    ignore (add key0 (keep initial) fill : int);
+    let run expand_level =
+      while !next.len > 0 && not !capped do
+        let lv = !next in
+        next := !level;
+        vec_clear !next;
+        level := lv;
+        expand_level lv
+      done
+    in
+    (if jobs <= 1 then
+       run (fun lv ->
+           let i = ref 0 in
+           while !i < lv.len && opens () do
+             let state = state_of lv.data.(!i) in
+             lv.data.(!i) <- fill;
+             List.iter
+               (fun (label, state') ->
+                 let key = S.pack state' in
+                 match Keys.find ids key with
+                 | id -> edge label id
+                 | exception Not_found -> edge label (add key (keep state') (entry key state')))
+               (S.successors state);
+             incr i
+           done)
+     else
+       let slots = 4 * jobs in
+       let ring =
+         Array.init slots (fun _ -> { ready = Atomic.make (-1); succs = Array.make chunk [] })
+       in
+       let b = { m = Mutex.create (); c = Condition.create (); sleepers = Atomic.make 0 } in
+       let stop = Atomic.make false in
+       let share front =
+         let chunks = (front.len + chunk - 1) / chunk in
+         { front; chunks; claim = Atomic.make 0; interned = Atomic.make 0 }
+       in
+       let current = Atomic.make (share (vec_create ())) in
+       let produce lv c =
+         let o = ring.(c mod slots) in
+         for j = 0 to min chunk (lv.front.len - (c * chunk)) - 1 do
+           let i = (c * chunk) + j in
+           let state = state_of lv.front.data.(i) in
+           lv.front.data.(i) <- fill;
+           o.succs.(j) <-
+             List.map
+               (fun (label, state') ->
+                 let key = S.pack state' in
+                 (label, key, keep state', entry key state'))
+               (S.successors state)
+         done;
+         Atomic.set o.ready c;
+         wake b
+       in
+       let rec work lv =
+         let c = Atomic.fetch_and_add lv.claim 1 in
+         if c < lv.chunks then begin
+           await b (fun () -> Atomic.get stop || Atomic.get lv.interned > c - slots);
+           if not (Atomic.get stop) then begin
+             produce lv c;
+             work lv
+           end
+         end
+         else begin
+           await b (fun () -> Atomic.get stop || Atomic.get current != lv);
+           if not (Atomic.get stop) then work (Atomic.get current)
+         end
+       in
+       (* The caller interns chunk [k] from [o], then drops it from the
+          ring so that its keys and entries can be collected. *)
+       let intern lv k o =
+         let j = ref 0 in
+         while !j < min chunk (lv.front.len - (k * chunk)) && opens () do
+           List.iter
+             (fun (label, key, v, e) ->
+               match Keys.find ids key with
+               | id -> edge label id
+               | exception Not_found -> edge label (add key v e))
+             o.succs.(!j);
+           incr j
+         done;
+         Array.fill o.succs 0 chunk []
+       in
+       (* The caller's side of a level.  A worker that raised has set
+          [stop], and joining it re-raises. *)
+       let expand_level front =
+         let lv = share front in
+         Atomic.set current lv;
+         wake b;
+         let k = ref 0 in
+         while !k < lv.chunks && not !capped do
+           let o = ring.(!k mod slots) in
+           if Atomic.get o.ready = !k then begin
+             intern lv !k o;
+             Atomic.set o.ready (-1);
+             incr k;
+             Atomic.set lv.interned !k;
+             wake b
+           end
+           else begin
+             let c = Atomic.get lv.claim in
+             if c < lv.chunks && c < !k + slots then begin
+               if Atomic.compare_and_set lv.claim c (c + 1) then produce lv c
+             end
+             else await b (fun () -> Atomic.get stop || Atomic.get o.ready = !k);
+             if Atomic.get stop then raise Exit
+           end
+         done
+       in
+       let halt () =
+         Atomic.set stop true;
+         wake b
+       in
+       let worker () = Fun.protect ~finally:halt (fun () -> work (Atomic.get current)) in
+       let workers = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+       let failed = match run expand_level with () -> None | exception e -> Some e in
+       halt ();
+       Array.iter Domain.join workers;
+       Option.iter raise failed);
     let n = kept.len in
     let m = dst.len in
     let row_arr = Array.make (n + 1) m in
@@ -138,286 +256,14 @@ module Make (S : SYSTEM) = struct
       labels = Array.sub labels.data 0 m;
       transition_count = m;
       capped = !capped;
-      expanded = !expanded;
-    }
-
-  (* ---------------------------------------------------------------- *)
-  (* Parallel exploration.                                             *)
-  (*                                                                   *)
-  (* [jobs] domains each own the states whose packed key hashes into   *)
-  (* their shard.  The BFS runs level-synchronously: in the expand     *)
-  (* phase every domain expands its own frontier, interning locally-   *)
-  (* owned successors and batching remotely-owned ones (with their     *)
-  (* already-packed key, so nothing is packed twice) into per-pair     *)
-  (* mailboxes; after a barrier, the absorb phase drains the mailboxes *)
-  (* addressed to this domain, interning fresh states into the next    *)
-  (* frontier.  An edge is recorded by whichever domain resolved its   *)
-  (* target id, as (global src, label, global dst); the freeze step    *)
-  (* merges the per-domain edge sets with one counting sort.  Because  *)
-  (* the reachable state set and the edge multiset do not depend on    *)
-  (* scheduling, an uncapped parallel run is isomorphic to the         *)
-  (* sequential one.                                                   *)
-
-  (* A mailbox batch in struct-of-arrays form: column [k] is one
-     message (global source id, label, packed key, successor state).
-     Each ordered domain pair owns one batch, written by the sender
-     during the expand phase and drained by the receiver during the
-     absorb phase; the level barrier between the phases is the only
-     synchronisation the exchange needs, so messages cost no mutex
-     traffic and no per-message allocation beyond the vec slots.
-
-     [bst] carries the sender's live successor value, and only when no
-     [unpack] is available; systems whose states embed domain-local
-     interned values (packed signal words in tunnel queues) must supply
-     [unpack] so the receiver rebuilds the state from its canonical key
-     in its own domain's tables. *)
-  type batch = {
-    bsrc : int vec;
-    blab : S.label vec;
-    bkey : string vec;
-    bst : S.state vec;
-  }
-
-  (* A shard keeps [keep state] for each of its states, by local id.
-     Each level numbers the states it discovers after all earlier ones,
-     so the frontier, the decoded states of this level, holds local ids
-     [base ..], and [fresh] the states discovered since. *)
-  type 'a shard = {
-    table : int Keys.t;  (* packed key -> local id *)
-    kept : 'a vec;
-    mutable frontier : S.state vec;
-    mutable base : int;
-    mutable fresh : S.state vec;
-    esrc : int vec;  (* edges resolved by this domain, global ids *)
-    edst : int vec;
-    elab : S.label vec;
-  }
-
-  (* Locality-aware partitioning: shard on a short prefix of the packed
-     key rather than the whole key.  Successor states usually differ from
-     their parent in a localised region of the encoding, so a transition
-     that leaves the prefix untouched keeps the successor in the same
-     shard and off the mailbox path entirely; hashing the prefix still
-     spreads the space across shards.  Any pure function of the key gives
-     the same graph — only message traffic changes. *)
-  let prefix_len = 8
-
-  let explore_par ~max_states ~jobs ~unpack ~keep initial =
-    let shard_of key =
-      let n = min prefix_len (String.length key) in
-      let h = ref 0 in
-      for i = 0 to n - 1 do
-        h := (!h * 131) + Char.code (String.unsafe_get key i)
-      done;
-      !h land max_int mod jobs
-    in
-    let mk_shard () =
-      {
-        table = Keys.create 4096;
-        kept = vec_create ();
-        frontier = vec_create ();
-        base = 0;
-        fresh = vec_create ();
-        esrc = vec_create ();
-        edst = vec_create ();
-        elab = vec_create ();
-      }
-    in
-    let shards = Array.init jobs (fun _ -> mk_shard ()) in
-    let key0 = S.pack initial in
-    let owner0 = shard_of key0 in
-    (* mail.(src).(dst): one reusable batch per ordered pair. *)
-    let mail =
-      Array.init jobs (fun _ ->
-          Array.init jobs (fun _ ->
-              { bsrc = vec_create (); blab = vec_create (); bkey = vec_create (); bst = vec_create () }))
-    in
-    let barrier = Barrier.create jobs in
-    let counts = Array.make jobs 0 in
-    counts.(owner0) <- 1;
-    let fsizes = Array.make jobs 0 in
-    fsizes.(owner0) <- 1;
-    let capped = Array.make jobs false in
-    (* Owner-side intern: only the domain whose shard a key hashes into
-       ever touches that shard's table, so no lock is needed. *)
-    let add_local sh d key state =
-      let i = sh.kept.len in
-      vec_push sh.kept (keep state);
-      Keys.add sh.table key i;
-      vec_push sh.fresh state;
-      (i * jobs) + d
-    in
-    (* A state that crossed a domain boundary, rebuilt from its key when
-       the system can decode one. *)
-    let arrived b k =
-      match unpack with
-      | Some u -> u b.bkey.data.(k)
-      | None -> b.bst.data.(k)
-    in
-    let body d =
-      let sh = shards.(d) in
-      let out = mail.(d) in
-      (* The initial state is interned here, not at setup, so that it
-         too is built by its owning domain; it is the first level's
-         frontier. *)
-      if d = owner0 then begin
-        let state = match unpack with Some u -> u key0 | None -> initial in
-        ignore (add_local sh d key0 state : int);
-        let fr = sh.frontier in
-        sh.frontier <- sh.fresh;
-        sh.fresh <- fr
-      end;
-      let running = ref true in
-      while !running do
-        (* Expand: successors of every frontier state.  The pack buffer
-           is domain-local, so [key] must be copied out of it before the
-           next successor is packed — [S.pack] already returns a fresh
-           string, so pushing it into the batch is enough. *)
-        let fr = sh.frontier in
-        for fi = 0 to fr.len - 1 do
-          let g_u = ((sh.base + fi) * jobs) + d in
-          let state = fr.data.(fi) in
-          fr.data.(fi) <- initial;
-          List.iter
-            (fun (label, state') ->
-              let key = S.pack state' in
-              let o = shard_of key in
-              if o = d then begin
-                let g_v =
-                  match Keys.find sh.table key with
-                  | i -> (i * jobs) + d
-                  | exception Not_found -> add_local sh d key state'
-                in
-                vec_push sh.esrc g_u;
-                vec_push sh.edst g_v;
-                vec_push sh.elab label
-              end
-              else begin
-                let b = out.(o) in
-                vec_push b.bsrc g_u;
-                vec_push b.blab label;
-                vec_push b.bkey key;
-                if Option.is_none unpack then vec_push b.bst state'
-              end)
-            (S.successors state)
-        done;
-        Barrier.wait barrier;
-        (* Absorb: everything addressed to this domain this level.  The
-           barrier orders the senders' writes before these reads, and
-           the level-end barrier orders the clears before the next
-           level's writes. *)
-        for src = 0 to jobs - 1 do
-          let b = mail.(src).(d) in
-          for k = 0 to b.bsrc.len - 1 do
-            (* The state is rebuilt only on a genuine miss. *)
-            let key = b.bkey.data.(k) in
-            let g_v =
-              match Keys.find sh.table key with
-              | i -> (i * jobs) + d
-              | exception Not_found -> add_local sh d key (arrived b k)
-            in
-            vec_push sh.esrc b.bsrc.data.(k);
-            vec_push sh.edst g_v;
-            vec_push sh.elab b.blab.data.(k)
-          done;
-          vec_clear b.bsrc;
-          vec_clear b.blab;
-          vec_clear b.bkey;
-          vec_clear b.bst
-        done;
-        let expanded = sh.frontier in
-        vec_clear expanded;
-        sh.frontier <- sh.fresh;
-        sh.fresh <- expanded;
-        sh.base <- sh.kept.len - sh.frontier.len;
-        fsizes.(d) <- sh.frontier.len;
-        counts.(d) <- sh.kept.len;
-        Barrier.wait barrier;
-        (* Every domain reads the same published totals, so they all
-           take the same branch and stay in lockstep. *)
-        let total = Array.fold_left ( + ) 0 counts in
-        let any_frontier = Array.exists (fun s -> s > 0) fsizes in
-        if total >= max_states && any_frontier then begin
-          capped.(d) <- true;
-          running := false
-        end
-        else if not any_frontier then running := false
-      done
-    in
-    let workers = Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> body (i + 1))) in
-    body 0;
-    Array.iter Domain.join workers;
-    (* Freeze: lay the shards' expanded states out contiguously (the
-       initial state's owner first, so the initial state is id 0), then
-       their frontiers, which only a capped run leaves unexpanded, and
-       counting-sort the merged edge set into CSR form. *)
-    let order = Array.init jobs (fun i -> (owner0 + i) mod jobs) in
-    let done_ = Array.map (fun sh -> sh.base) shards in
-    let offsets = Array.make jobs 0 and fr_offsets = Array.make jobs 0 in
-    let n = ref 0 in
-    Array.iter
-      (fun d ->
-        offsets.(d) <- !n;
-        n := !n + done_.(d))
-      order;
-    let expanded = !n in
-    Array.iter
-      (fun d ->
-        fr_offsets.(d) <- !n;
-        n := !n + shards.(d).frontier.len)
-      order;
-    let n = !n in
-    let remap g =
-      let d = g mod jobs and i = g / jobs in
-      if i < done_.(d) then offsets.(d) + i else fr_offsets.(d) + i - done_.(d)
-    in
-    let states = Array.make n shards.(owner0).kept.data.(0) in
-    Array.iteri
-      (fun d sh ->
-        Array.blit sh.kept.data 0 states offsets.(d) done_.(d);
-        Array.blit sh.kept.data done_.(d) states fr_offsets.(d) sh.frontier.len)
-      shards;
-    let m = Array.fold_left (fun acc sh -> acc + sh.esrc.len) 0 shards in
-    let row = Array.make (n + 1) 0 in
-    Array.iter
-      (fun sh ->
-        for k = 0 to sh.esrc.len - 1 do
-          let v = remap sh.esrc.data.(k) in
-          row.(v + 1) <- row.(v + 1) + 1
-        done)
-      shards;
-    for v = 0 to n - 1 do
-      row.(v + 1) <- row.(v + 1) + row.(v)
-    done;
-    let dst = Array.make m 0 in
-    let labels =
-      match Array.find_opt (fun sh -> sh.elab.len > 0) shards with
-      | None -> [||]
-      | Some sh -> Array.make m sh.elab.data.(0)
-    in
-    let pos = Array.copy row in
-    Array.iter
-      (fun sh ->
-        for k = 0 to sh.esrc.len - 1 do
-          let v = remap sh.esrc.data.(k) in
-          let p = pos.(v) in
-          dst.(p) <- remap sh.edst.data.(k);
-          labels.(p) <- sh.elab.data.(k);
-          pos.(v) <- p + 1
-        done)
-      shards;
-    {
-      states;
-      csr = Csr.make ~row ~dst;
-      labels;
-      transition_count = m;
-      capped = Array.exists Fun.id capped;
-      expanded;
+      expanded = row.len;
     }
 
   let explore_with ?(max_states = 1_000_000) ?(jobs = 1) ?unpack ~keep initial =
-    if jobs <= 1 then explore_seq ~max_states ~keep initial
-    else explore_par ~max_states ~jobs ~unpack ~keep initial
+    match unpack with
+    | Some unpack when jobs > 1 ->
+      search ~max_states ~jobs ~keep ~entry:(fun key _ -> key) ~state_of:unpack initial
+    | _ -> search ~max_states ~jobs ~keep ~entry:(fun _ state -> state) ~state_of:Fun.id initial
 
   let explore ?max_states ?jobs ?unpack initial =
     explore_with ?max_states ?jobs ?unpack ~keep:Fun.id initial

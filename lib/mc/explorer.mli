@@ -6,21 +6,19 @@
     that witness states found by the temporal checks are shallow.
 
     A checked state costs its key: {!Make.explore_with} keeps, for each
-    state, only what its [keep] function projects, computed once when
-    the state is interned.  The decoded state stays in memory only while
+    state, only what its [keep] function projects, computed when the
+    state is discovered.  The decoded state stays in memory only while
     it waits in the breadth-first frontier, and each edge stores its
     target id and its label.  {!Make.explore} keeps the states
     themselves.
 
-    [explore ~jobs:n] with [n > 1] runs a multicore breadth-first
-    search: [n] domains own disjoint hash-partitions of the intern
-    table and exchange frontier batches through per-pair mailboxes.
-    The resulting graph is isomorphic to the sequential one — state
-    count, transition count, terminal set, and every temporal verdict
-    are identical; only the state numbering may differ.  (The lone
-    exception is a capped run: hitting [max_states] stops a parallel
-    exploration at a level boundary, so a {e partial} graph may differ
-    from the sequential partial graph.) *)
+    There is one search for every job count.  [explore ~jobs:n] with
+    [n > 1] changes only how each level's successors are produced: [n]
+    domains, the caller included, expand small chunks of the level,
+    while the caller alone interns the chunks in frontier order and
+    checks the cap.  So every job count returns the jobs-1 space itself
+    — the same ids, kept values, rows, labels, [expanded] and [capped],
+    for capped runs too — and only the wall-clock time changes. *)
 
 module type SYSTEM = sig
   type state
@@ -78,23 +76,28 @@ module Make (S : SYSTEM) : sig
     S.state ->
     'a space
   (** Breadth-first reachability from the given initial state, keeping
-      [keep state] for each discovered state.  [keep] runs once per
-      state, when the state is interned, on the domain that owns it.
-      Default [max_states] is 1_000_000; default [jobs] is 1
-      (sequential).  [jobs > 1] explores with that many domains (see
-      module description for the isomorphism guarantee).
+      [keep state] for each discovered state.  Default [max_states] is
+      1_000_000; default [jobs] is 1 (sequential).  [jobs > 1] explores
+      with that many domains and returns the jobs-1 space (see the
+      module description).
+
+      Where [keep] runs: at jobs 1, once per state, on the calling
+      domain, when the state is interned.  Under [jobs > 1], once per
+      transition, on the domain that expands the transition's source,
+      because that domain cannot tell whether the target is new; the
+      caller keeps the value of the transition that discovers the
+      state.  [keep] must therefore be a pure function of the state.
 
       [unpack] inverts {!SYSTEM.pack}.  It is required for correctness
       under [jobs > 1] whenever states embed {e domain-local} interned
       values — e.g. tunnels holding {!Mediactl_types.Signal_pack} words,
       whose intern ids are meaningless on another domain.  When given,
-      the parallel explorer rebuilds every state that crosses a domain
-      boundary from its canonical key on the owning domain, so each
-      shard only ever expands, and hands to [keep], states whose
-      interned parts live in its own domain's tables.  A state is
-      expanded from the value it was discovered as, never by unpacking
-      its key again, so decoded states wait in the frontier until they
-      are expanded. *)
+      the frontier of a run under [jobs > 1] holds keys, and the domain
+      that expands a state first rebuilds it from its key, so every
+      domain expands, and hands to [keep], only states whose interned
+      parts live in its own tables.  At jobs 1, and without [unpack], a
+      state is expanded from the value it was discovered as, so decoded
+      states wait in the frontier until they are expanded. *)
 
   val explore : ?max_states:int -> ?jobs:int -> ?unpack:(string -> S.state) -> S.state -> graph
   (** [explore_with ~keep:Fun.id].  The returned [graph.states] holds

@@ -636,10 +636,10 @@ let successors s =
 (* The writer: one byte scratch per domain, reused by every [pack] on
    that domain.  [pack] runs once per transition, so it writes its bytes
    in place and allocates nothing but the key it returns, which
-   [Bytes.sub_string] copies out: the parallel explorer's mailboxes hold
-   keys across its level barrier, so a key must never alias the
-   scratch.  Domain-local storage keeps the reuse safe under parallel
-   exploration. *)
+   [Bytes.sub_string] copies out: under [jobs > 1] a chunk's keys wait
+   until the calling domain interns them, and the intern table keeps
+   them, so a key must never alias the scratch.  Domain-local storage
+   keeps the reuse safe under parallel exploration. *)
 type writer = { mutable bytes : Bytes.t; mutable len : int }
 
 let scratch = Domain.DLS.new_key (fun () -> { bytes = Bytes.create 256; len = 0 })

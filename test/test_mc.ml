@@ -1,7 +1,7 @@
-(* Tests for the model checker: the generic explorer (sequential and
-   parallel), Tarjan SCC, the temporal decision procedures on hand-built
-   graphs, small runs of the paper's path models, jobs:1/jobs:4
-   determinism, and the packed state codec. *)
+(* Tests for the model checker: the generic explorer at every job
+   count, Tarjan SCC, the temporal decision procedures on hand-built
+   graphs, small runs of the paper's path models, jobs 1 = jobs 4
+   identity, and the packed state codec. *)
 
 open Mediactl_core
 open Mediactl_mc
@@ -50,27 +50,51 @@ let test_explorer_path_to () =
     | (_, id) :: _ -> g.CE.states.(id) = 3
     | [] -> false)
 
+(* Every job count must build the jobs-1 space itself: the same kept
+   values by id, rows, labels, expansion and cap.  A space is compared
+   as this tuple of its fields. *)
+let same_space name (kept1, csr1, labels1, m1, expanded1, capped1)
+    (kept, csr, labels, m, expanded, capped) =
+  check tbool (name ^ " kept") true (kept1 = kept);
+  check tbool (name ^ " csr") true (csr1 = csr);
+  check tbool (name ^ " labels") true (labels1 = labels);
+  check tint (name ^ " transitions") m1 m;
+  check tint (name ^ " expanded") expanded1 expanded;
+  check tbool (name ^ " capped") capped1 capped
+
+let ce_space g = CE.(g.states, g.csr, g.labels, g.transition_count, g.expanded, g.capped)
+
 let test_explorer_parallel_counter () =
-  (* The sharded search must see exactly the same graph. *)
-  let g1 = CE.explore ~jobs:1 0 in
+  List.iter
+    (fun max_states ->
+      let g1 = CE.explore ~jobs:1 ~max_states 0 in
+      List.iter
+        (fun jobs ->
+          same_space
+            (Printf.sprintf "jobs %d, cap %d" jobs max_states)
+            (ce_space g1)
+            (ce_space (CE.explore ~jobs ~max_states 0)))
+        [ 2; 3; 4 ])
+    [ 1_000_000; 3 ]
+
+(* A system that raises while it is explored raises out of the
+   explorer at every job count, whichever domain expands the state. *)
+module Raising = struct
+  include Counter
+
+  let successors k = if k = 4 then failwith "successors of 4" else Counter.successors k
+end
+
+module RE = Explorer.Make (Raising)
+
+let test_explorer_raises () =
   List.iter
     (fun jobs ->
-      let g = CE.explore ~jobs 0 in
-      check tint "states" (Array.length g1.CE.states) (Array.length g.CE.states);
-      check tint "transitions" g1.CE.transition_count g.CE.transition_count;
-      check tint "initial id is 0" 0 g.CE.states.(0);
-      check tbool "no deadlocks" true (CE.deadlocks g = []);
-      (* Each state's multiset of outgoing labels is preserved. *)
-      let out g id =
-        CE.succs g id |> List.map (fun (l, dst) -> (l, g.CE.states.(dst))) |> List.sort compare
-      in
-      let by_value g =
-        Array.to_list g.CE.states
-        |> List.mapi (fun id v -> (v, out g id))
-        |> List.sort compare
-      in
-      check tbool "same labelled graph" true (by_value g1 = by_value g))
-    [ 2; 3; 4 ]
+      match RE.explore ~jobs 0 with
+      | (_ : RE.graph) -> Alcotest.failf "jobs %d explored past a raising state" jobs
+      | exception Failure msg ->
+        check tstring (Printf.sprintf "jobs %d" jobs) "successors of 4" msg)
+    [ 1; 2; 3; 4 ]
 
 (* --- scc -------------------------------------------------------------- *)
 
@@ -265,12 +289,11 @@ let test_unrestricted_loss_finds_violation () =
   check tbool "found" false (Check.passed r)
 
 (* A capped run reports what it found and nothing it did not check.
-   Both configurations stop at their cap; at jobs 2 the first one has
-   already expanded a terminal state with a half-open slot, and
-   discovered the protocol error the uncapped run reports, so it is
-   unsafe.  Every other row finds nothing, which establishes nothing.
-   Terminals are counted among expanded states only; counting the
-   frontier's empty rows as well gave 8 and 210 at jobs 2. *)
+   Both configurations stop at their cap having found nothing, which
+   establishes nothing; the uncapped lossy run is unsafe.  Every job
+   count stops at the same state and prints the same rows.  Terminals
+   are counted among expanded states only: a frontier state's row is
+   empty because nobody expanded it. *)
 let safety = function
   | Check.Safe -> "safe"
   | Check.Unsafe { witness; reason } -> Printf.sprintf "UNSAFE: state %d: %s" witness reason
@@ -293,53 +316,38 @@ let test_capped_reports () =
     Path_model.path_config ~left:Semantics.Open_end ~right:Semantics.Open_end ~flowlinks:1
       ~chaos:1 ~modifies:0 ()
   in
-  check tstring "lossy, 20 states, jobs 1" "23 states 0 terminals safety:not established"
-    (row ~jobs:1 ~max_states:20 lossy);
-  check tstring "lossy, 20 states, jobs 2"
-    "26 states 1 terminals safety:UNSAFE: state 17: terminal state with a half-open slot"
-    (row ~jobs:2 ~max_states:20 lossy);
-  check tstring "flowlink, 500 states, jobs 1" "500 states 0 terminals safety:not established"
-    (row ~jobs:1 ~max_states:500 flowlink);
-  check tstring "flowlink, 500 states, jobs 2" "630 states 0 terminals safety:not established"
-    (row ~jobs:2 ~max_states:500 flowlink);
-  let uncapped = Check.run ~jobs:2 lossy in
-  check tstring "uncapped lossy, jobs 2"
-    "UNSAFE: state 9: protocol error: unexpected select in state opening"
-    (safety uncapped.Check.safety);
+  List.iter
+    (fun jobs ->
+      check tstring
+        (Printf.sprintf "lossy, 20 states, jobs %d" jobs)
+        "23 states 0 terminals safety:not established" (row ~jobs ~max_states:20 lossy);
+      check tstring
+        (Printf.sprintf "flowlink, 500 states, jobs %d" jobs)
+        "500 states 0 terminals safety:not established"
+        (row ~jobs ~max_states:500 flowlink);
+      check tstring
+        (Printf.sprintf "uncapped lossy, jobs %d" jobs)
+        "UNSAFE: state 16: terminal state with a half-open slot"
+        (safety (Check.run ~jobs lossy).Check.safety))
+    [ 1; 2 ];
   let g = CE.explore ~max_states:3 0 in
   check tint "a capped explorer expanded what it counted" 2 g.CE.expanded;
   check tint "an uncapped one expanded every state" 6 (CE.explore 0).CE.expanded
 
 (* --- parallel determinism --------------------------------------------- *)
 
-(* Safety and spec verdicts compared up to state numbering: the parallel
-   search may number states differently, so the safety scan (which
-   reports the lowest-numbered violation) can surface a different
-   witness with a different reason.  The guaranteed invariant is the
-   verdict itself, together with all the counts. *)
-let safety_fingerprint = function
-  | Check.Safe -> "safe"
-  | Check.Unsafe _ -> "unsafe"
-  | Check.Not_established -> "not established"
-
-let spec_fingerprint = function
-  | Check.Spec_holds -> "holds"
-  | Check.Spec_violated _ -> "violated"
-  | Check.Inconclusive msg -> "inconclusive: " ^ msg
-
+(* A report at jobs 4 is the jobs-1 report, time aside: the counts, the
+   verdicts with their witnesses, and the counterexample. *)
 let agree config =
   let r1 = Check.run ~jobs:1 config in
   let r4 = Check.run ~jobs:4 config in
   let name = Path_model.config_name config in
-  check tint (name ^ " states") r1.Check.states r4.Check.states;
-  check tint (name ^ " transitions") r1.Check.transitions r4.Check.transitions;
-  check tint (name ^ " terminals") r1.Check.terminals r4.Check.terminals;
-  check tstring (name ^ " safety")
-    (safety_fingerprint r1.Check.safety)
-    (safety_fingerprint r4.Check.safety);
-  check tstring (name ^ " spec")
-    (spec_fingerprint r1.Check.spec_result)
-    (spec_fingerprint r4.Check.spec_result)
+  let text r = Format.asprintf "%a" Check.pp_report { r with Check.time_s = 0.0 } in
+  check tstring (name ^ " report") (text r1) (text r4);
+  check
+    Alcotest.(list string)
+    (name ^ " counterexample") r1.Check.counterexample r4.Check.counterexample;
+  check tbool (name ^ " whole report") true ({ r4 with Check.time_s = r1.Check.time_s } = r1)
 
 let test_parallel_determinism_standard () =
   List.iter agree (Path_model.standard_configs ~chaos:1 ~modifies:0 ())
@@ -458,8 +466,8 @@ let close_open_any =
 let explored config = PE.explore ~jobs:1 (Path_model.initial config)
 
 let test_pack_keys_pinned () =
-  (* The byte format is a contract: [unpack], the parallel explorer's
-     prefix sharding and every committed state count rest on it.  The
+  (* The byte format is a contract: [unpack], the states a parallel run
+     rebuilds from keys and every committed state count rest on it.  The
      digest covers every key, length-prefixed, in discovery order, so a
      changed byte, a reordered field or a reordered successor all show. *)
   let pinned config ~states ~errors digest =
@@ -490,9 +498,8 @@ let test_pack_keys_pinned () =
 (* The printed counterexamples are pinned.  The graph keeps no states,
    so each step's state, and the witness a violated spec prints, are
    rebuilt by replaying the path's labels from the initial state; a
-   replay that took a wrong successor would change the text.  The
-   witness and the path depend on state numbering, so each job count
-   has its own text. *)
+   replay that took a wrong successor would change the text.  Every job
+   count numbers the states alike, so jobs 2 prints the jobs-1 text. *)
 let test_counterexamples_pinned () =
   let text ~jobs config =
     let r = Check.run ~jobs config in
@@ -512,40 +519,26 @@ let test_counterexamples_pinned () =
   let pinned name config ~jobs lines =
     check Alcotest.(list string) (Printf.sprintf "%s, jobs %d" name jobs) lines (text ~jobs config)
   in
-  pinned "closeslot--openslot" close_open_any ~jobs:1
-    [
-      "UNSAFE: state 22: terminal state with a half-open slot";
-      "VIOLATED: terminal state violates p; witness 373: [flowing |  | flowing] ERROR:unexpected \
-       oack in state flowing";
-      "switch L  =>  [closed |  | closed]";
-      "switch R  =>  [closed |  | opening]";
-      "lose t0 <-  =>  [closed |  | opening]";
-    ];
-  pinned "closeslot--openslot" close_open_any ~jobs:2
-    [
-      "UNSAFE: state 25: unexpected open in state opened";
-      "VIOLATED: terminal state violates p; witness 519: [flowing |  | flowing] ERROR:protocol \
-       error: unexpected oack in state flowing";
-      "switch R  =>  [closed |  | opening]";
-      "dup t0 <-  =>  [opened |  | opening]";
-      "deliver t0 <-  =>  [opened |  | opening] ERROR:unexpected open in state opened";
-    ];
-  pinned "openslot--holdslot" open_hold_loss ~jobs:1
-    [
-      "UNSAFE: state 19: terminal state with a half-open slot";
-      "VIOLATED: terminal state violates p; witness 19: [opening |  | closed]";
-      "switch L  =>  [opening |  | closed]";
-      "lose t0 ->  =>  [opening |  | closed]";
-      "switch R  =>  [opening |  | closed]";
-    ];
-  pinned "openslot--holdslot" open_hold_loss ~jobs:2
-    [
-      "UNSAFE: state 14: terminal state with a half-open slot";
-      "VIOLATED: terminal state violates p; witness 14: [opening |  | closed]";
-      "switch R  =>  [closed |  | closed]";
-      "switch L  =>  [opening |  | closed]";
-      "lose t0 ->  =>  [opening |  | closed]";
-    ]
+  List.iter
+    (fun jobs ->
+      pinned "closeslot--openslot" close_open_any ~jobs
+        [
+          "UNSAFE: state 22: terminal state with a half-open slot";
+          "VIOLATED: terminal state violates p; witness 373: [flowing |  | flowing] \
+           ERROR:unexpected oack in state flowing";
+          "switch L  =>  [closed |  | closed]";
+          "switch R  =>  [closed |  | opening]";
+          "lose t0 <-  =>  [closed |  | opening]";
+        ];
+      pinned "openslot--holdslot" open_hold_loss ~jobs
+        [
+          "UNSAFE: state 19: terminal state with a half-open slot";
+          "VIOLATED: terminal state violates p; witness 19: [opening |  | closed]";
+          "switch L  =>  [opening |  | closed]";
+          "lose t0 ->  =>  [opening |  | closed]";
+          "switch R  =>  [opening |  | closed]";
+        ])
+    [ 1; 2 ]
 
 let test_oversized_budgets_fail () =
   (* One byte per budget: a value that outgrows it must raise, never
@@ -680,44 +673,53 @@ let test_long_keys () =
 
 (* [explore_with ~keep:f] must give [explore]'s graph with [f s] kept
    in place of each state [s]: the same counts, rows, edges, labels,
-   expansion and cap.  [f] runs on the domain that owns the state, and
-   on the graph's values here, so it must not decode interned parts. *)
+   expansion and cap.  Under [jobs > 1], [f] runs on the domain that
+   expands the state's parent, and on the graph's values here, so it
+   must not decode interned parts.  Every job count must keep what
+   jobs 1 keeps, by id. *)
 let test_explore_with_counter () =
   let f k = Printf.sprintf "k%d" k in
   List.iter
-    (fun (jobs, max_states) ->
-      let name = Printf.sprintf "jobs %d, cap %d" jobs max_states in
-      let g = CE.explore ~jobs ~max_states 0 in
-      let k = CE.explore_with ~jobs ~max_states ~keep:f 0 in
-      check tint (name ^ " states") (Array.length g.CE.states) (Array.length k.CE.states);
-      check tint (name ^ " transitions") g.CE.transition_count k.CE.transition_count;
-      check tbool (name ^ " csr") true (g.CE.csr = k.CE.csr);
-      check tbool (name ^ " labels") true (g.CE.labels = k.CE.labels);
-      check tint (name ^ " expanded") g.CE.expanded k.CE.expanded;
-      check tbool (name ^ " capped") g.CE.capped k.CE.capped;
-      check tbool (name ^ " kept") true (Array.map f g.CE.states = k.CE.states))
-    (List.concat_map (fun jobs -> [ (jobs, 1_000_000); (jobs, 3) ]) [ 1; 2; 3; 4 ])
+    (fun max_states ->
+      let g1 = CE.explore ~jobs:1 ~max_states 0 in
+      let k1 = CE.explore_with ~jobs:1 ~max_states ~keep:f 0 in
+      let name jobs = Printf.sprintf "jobs %d, cap %d" jobs max_states in
+      same_space (name 1) (ce_space { g1 with CE.states = Array.map f g1.CE.states }) (ce_space k1);
+      List.iter
+        (fun jobs ->
+          same_space (name jobs) (ce_space k1)
+            (ce_space (CE.explore_with ~jobs ~max_states ~keep:f 0)))
+        [ 2; 3; 4 ])
+    [ 1_000_000; 3 ]
+
+let pe_space g = PE.(g.states, g.csr, g.labels, g.transition_count, g.expanded, g.capped)
 
 let test_explore_with_path () =
   let f s =
     Format.asprintf "%a clean=%b settled=%b" Path_model.pp_state s (Path_model.clean s)
       (Path_model.all_settled s)
   in
-  let unpack = Path_model.unpack open_fl_open in
-  let initial = Path_model.initial open_fl_open in
   List.iter
-    (fun (jobs, max_states) ->
-      let name = Printf.sprintf "jobs %d, cap %d" jobs max_states in
-      let g = PE.explore ~jobs ~max_states ~unpack initial in
-      let k = PE.explore_with ~jobs ~max_states ~unpack ~keep:f initial in
-      check tint (name ^ " states") (Array.length g.PE.states) (Array.length k.PE.states);
-      check tint (name ^ " transitions") g.PE.transition_count k.PE.transition_count;
-      check tbool (name ^ " csr") true (g.PE.csr = k.PE.csr);
-      check tbool (name ^ " labels") true (g.PE.labels = k.PE.labels);
-      check tint (name ^ " expanded") g.PE.expanded k.PE.expanded;
-      check tbool (name ^ " capped") g.PE.capped k.PE.capped;
-      check tbool (name ^ " kept") true (Array.map f g.PE.states = k.PE.states))
-    [ (1, 1_000_000); (1, 500); (2, 1_000_000); (2, 500) ]
+    (fun (config, max_states) ->
+      let unpack = Path_model.unpack config in
+      let initial = Path_model.initial config in
+      let name jobs =
+        Printf.sprintf "%s, cap %d, jobs %d" (Path_model.config_name config) max_states jobs
+      in
+      let g1 = PE.explore ~jobs:1 ~max_states ~unpack initial in
+      let k1 = PE.explore_with ~jobs:1 ~max_states ~unpack ~keep:f initial in
+      same_space (name 1) (pe_space { g1 with PE.states = Array.map f g1.PE.states }) (pe_space k1);
+      List.iter
+        (fun jobs ->
+          same_space (name jobs) (pe_space k1)
+            (pe_space (PE.explore_with ~jobs ~max_states ~unpack ~keep:f initial)))
+        [ 2; 3; 4 ])
+    [
+      (open_fl_open, 1_000_000);
+      (open_fl_open, 500);
+      (close_open_any, 1_000_000);
+      (conf3 (), 2_000);
+    ]
 
 let test_kept_space_words () =
   (* An int kept per state and an immediate label per edge: what is
@@ -758,9 +760,11 @@ let () =
           Alcotest.test_case "cap" `Quick test_explorer_cap;
           Alcotest.test_case "path_to" `Quick test_explorer_path_to;
           Alcotest.test_case "parallel counter graph" `Quick test_explorer_parallel_counter;
+          Alcotest.test_case "a raising system raises at every job count" `Quick
+            test_explorer_raises;
           Alcotest.test_case "explore_with keeps f of each state (counter, jobs 1-4)" `Quick
             test_explore_with_counter;
-          Alcotest.test_case "explore_with keeps f of each state (path, jobs 1-2)" `Quick
+          Alcotest.test_case "explore_with keeps f of each state (path, jobs 1-4)" `Quick
             test_explore_with_path;
           Alcotest.test_case "a space kept as ints costs at most 16 words per state" `Quick
             test_kept_space_words;
